@@ -97,10 +97,12 @@ class GriddingStats:
     plan_compile_seconds:
         Wall-clock seconds spent compiling a trajectory scatter plan
         during this call (the ``slice_and_dice_compiled`` engine);
-        0.0 on a plan-cache hit.
+        0.0 on a plan-cache hit.  The streaming engine reports its
+        per-chunk select time here.
     plan_nnz:
         Nonzeros of the compiled scatter plan the call executed —
-        exactly the ``M * W^d`` passing checks.  Zero for engines
+        exactly the ``M * W^d`` passing checks (the streaming engine:
+        the pass's ``M * W^d`` select entries).  Zero for engines
         without a compiled plan.
     workers_used:
         Worker count of the most recent multicore pass (the
@@ -124,8 +126,9 @@ class GriddingStats:
         engines, whose whole trajectory is one implicit chunk.
     chunk_bytes:
         Per-chunk working-set bytes of the most recent streamed pass
-        (chunk coordinate/value slices plus the chunk's compiled plan
-        and gather scratch) — the quantity the chunk size bounds.
+        (chunk coordinate/value slices, the seeded-``bincount`` entry
+        slots and weights, and the select temporaries) — the quantity
+        the chunk size bounds.
     peak_bytes:
         True high-water transient bytes of the pass: the dice
         accumulator plus the largest simultaneous plan/table/scratch

@@ -18,10 +18,9 @@ asserts identical output grids).  Registered engines (see
 - ``"slice_and_dice_jit"`` — the compiled plan executed by numba-fused
   scatter/gather loops when numba is importable (supervised
   degradation to the pure-NumPy compiled path when it is not),
-- ``"slice_and_dice_streaming"`` — fixed-size sample chunks streamed
-  through per-chunk compiled plans into one pooled dice; peak memory
-  O(chunk + grid) instead of O(M * W^d), with optional pipelined
-  select/scatter overlap.
+- ``"slice_and_dice_streaming"`` — fixed-size sample chunks, each
+  selected once by a table-driven pass and accumulated into one pooled
+  dice; peak memory O(chunk + grid) instead of O(M * W^d).
 
 Any Slice-and-Dice engine name also accepts ``chunk_samples=N``:
 :func:`make_gridder` then routes to the streaming engine with the

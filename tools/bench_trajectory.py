@@ -39,9 +39,9 @@ same lane* so the two lanes stay comparable over time.
 trajectory is *generated to disk* block by block (never resident), then
 gridded from the raw files through
 :class:`repro.gridding.SampleStream.from_file` with a fixed
-``--chunk-samples`` chunk, unpipelined and pipelined.  Records carry
-``chunks``, ``peak_bytes`` (the engine's own transient high water) and
-``rss_mb`` (``ru_maxrss`` — the whole process).  ``--samples 1e8``
+``--chunk-samples`` chunk.  The record carries ``chunks``,
+``peak_bytes`` (the engine's own transient high water) and ``rss_mb``
+(``ru_maxrss`` — the whole process).  ``--samples 1e8``
 reproduces the paper-scale run; ``--max-rss-mb`` turns the RSS into a
 hard gate (exit 1), which is how CI pins the O(chunk + grid) claim.
 """
@@ -186,7 +186,7 @@ def _write_radial_files(
 def run_stream_benchmark(
     mode: str, samples: int, chunk_samples: int, workdir: Path
 ) -> list[dict]:
-    """Streamed-adjoint records (unpipelined + pipelined) from raw files."""
+    """One streamed-adjoint record from raw files."""
     import resource
 
     from repro.gridding import SampleStream
@@ -199,49 +199,39 @@ def run_stream_benchmark(
     _write_radial_files(coords_path, values_path, samples, g)
 
     setup = GriddingSetup((g, g), KernelLUT(make_kernel("kb", w), 64))
-    records = []
-    for pipelined in (False, True):
-        gridder = make_gridder(
-            "slice_and_dice_streaming",
-            setup,
-            chunk_samples=chunk_samples,
-            pipelined=pipelined,
-        )
-        stream = SampleStream.from_file(
-            coords_path,
-            m=samples,
-            ndim=2,
-            values_path=values_path,
-            chunk_samples=chunk_samples,
-        )
-        t0 = time.perf_counter()
-        gridder.grid_stream(stream)
-        seconds = time.perf_counter() - t0
-        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        records.append(
-            {
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-                "mode": "stream",
-                "engine": "slice_and_dice_streaming"
-                + ("[pipelined]" if pipelined else ""),
-                "m": samples,
-                "grid": g,
-                "width": w,
-                "dtype": "double",
-                "kernel": "kb",
-                "exec_lane": gridder.stats.exec_lane,
-                "chunk_samples": chunk_samples,
-                "chunks": int(gridder.stats.chunks),
-                "peak_bytes": int(gridder.stats.peak_bytes),
-                "rss_mb": round(rss_mb, 1),
-                "seconds": round(seconds, 6),
-                "samples_per_second": round(samples / seconds, 1),
-            }
-        )
-    records[1]["pipelined_speedup"] = round(
-        records[0]["seconds"] / records[1]["seconds"], 3
+    gridder = make_gridder(
+        "slice_and_dice_streaming", setup, chunk_samples=chunk_samples
     )
-    return records
+    stream = SampleStream.from_file(
+        coords_path,
+        m=samples,
+        ndim=2,
+        values_path=values_path,
+        chunk_samples=chunk_samples,
+    )
+    t0 = time.perf_counter()
+    gridder.grid_stream(stream)
+    seconds = time.perf_counter() - t0
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return [
+        {
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+            "mode": "stream",
+            "engine": "slice_and_dice_streaming",
+            "m": samples,
+            "grid": g,
+            "width": w,
+            "dtype": "double",
+            "kernel": "kb",
+            "exec_lane": gridder.stats.exec_lane,
+            "chunk_samples": chunk_samples,
+            "chunks": int(gridder.stats.chunks),
+            "peak_bytes": int(gridder.stats.peak_bytes),
+            "rss_mb": round(rss_mb, 1),
+            "seconds": round(seconds, 6),
+            "samples_per_second": round(samples / seconds, 1),
+        }
+    ]
 
 
 def load_records(path: Path) -> list[dict]:
@@ -384,8 +374,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{rec['peak_bytes'] / 2**20:>8.1f} {rec['rss_mb']:>8.1f} "
                 f"{rec['seconds']:>8.2f}s"
             )
-        if "pipelined_speedup" in records[-1]:
-            print(f"pipelined speedup: {records[-1]['pipelined_speedup']:.2f}x")
         status = 0
         if args.max_rss_mb is not None:
             worst = max(rec["rss_mb"] for rec in records)
