@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.nufft import NufftPlan, ToeplitzGram
+from repro.nufft import NufftPlan, ToeplitzNormalOperator
 from repro.phantoms import shepp_logan_2d
 from repro.recon import cg_reconstruction, rel_l2_error
 from repro.trajectories import golden_angle_radial
@@ -50,7 +50,7 @@ def test_toeplitz_equals_gridding_cg(problem):
 
 def test_per_iteration_costs(problem, benchmark):
     plan, _, kspace = problem
-    gram = ToeplitzGram(plan)
+    gram = ToeplitzNormalOperator(plan)
     x = np.ones((N, N), dtype=complex)
     benchmark.group = "gram-application"
     benchmark.pedantic(gram.apply, args=(x,), rounds=5, iterations=1)

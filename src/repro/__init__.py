@@ -67,7 +67,6 @@ from .kernels import (
 from .nudft import nudft_forward, nudft_adjoint, NudftOperator
 from .nufft import (
     NufftPlan,
-    ToeplitzGram,
     ToeplitzNormalOperator,
     available_fft_backends,
     get_fft_backend,
@@ -117,7 +116,6 @@ __all__ = [
     "nudft_adjoint",
     "NudftOperator",
     "NufftPlan",
-    "ToeplitzGram",
     "ToeplitzNormalOperator",
     "available_fft_backends",
     "get_fft_backend",

@@ -22,9 +22,6 @@ Public surface:
   layout and its grid <-> dice transforms.
 - :class:`~repro.core.SliceAndDiceGridder` — the gridder, in both the
   faithful column-parallel schedule and the GPU-style blocked variant.
-- :class:`~repro.core.ParallelSliceAndDiceGridder` — the multicore
-  engine: columns sharded across a worker pool with shared-memory
-  accumulators, bit-identical to the serial gridder.
 - :class:`~repro.core.CompiledSliceAndDiceGridder` — the select pass
   compiled once per trajectory into a :class:`~repro.core.CompiledPlan`
   (flat sample/address/weight arrays); every repeat call is a gather
@@ -45,7 +42,6 @@ from .decomposition import (
     column_tile_index,
 )
 from .layout import DiceLayout
-from .parallel import ParallelSliceAndDiceGridder, shard_plan
 from .slice_and_dice import SliceAndDiceGridder, TableFetch
 
 __all__ = [
@@ -58,8 +54,6 @@ __all__ = [
     "DiceLayout",
     "JitSliceAndDiceGridder",
     "jit_available",
-    "ParallelSliceAndDiceGridder",
-    "shard_plan",
     "SliceAndDiceGridder",
     "TableFetch",
 ]

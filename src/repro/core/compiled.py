@@ -83,8 +83,6 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "CompiledPlan",
     "CompiledSliceAndDiceGridder",
-    "plan_grid_rows",
-    "plan_interp_samples",
     "plan_stats",
 ]
 
@@ -97,7 +95,7 @@ class CompiledPlan:
     ascending within a row) — the property both bincount directions'
     bit-identity rests on (module docstring).  ``row_starts[r] :
     row_starts[r + 1]`` is row ``r``'s contiguous slice, which is what
-    the column-sharded parallel path slabs on.
+    the jit engine's row-sharded scatter slabs on.
     """
 
     sample_idx: np.ndarray  #: int64 ``(nnz,)`` contributing sample per entry
@@ -141,7 +139,7 @@ class CompiledPlan:
         one sample, entries keep their row-ascending plan order, so a
         pass over ``order[starts[lo]:starts[hi]]`` accumulates each
         sample's contributions in exactly the serial row order.  This
-        is the slab structure the sample-sharded parallel interpolation
+        is the slab structure the jit engine's sample-sharded gather
         uses; the full-pass bincount path does not need it.
         """
         if self._sample_order is None:
@@ -180,73 +178,6 @@ class CompiledPlan:
             )
             self._csr_dtype = dtype
         return self._csr
-
-
-def plan_grid_rows(
-    plan: CompiledPlan,
-    values_stack: np.ndarray,
-    dice: np.ndarray,
-    row_lo: int,
-    row_hi: int,
-) -> int:
-    """Adjoint-accumulate plan rows ``[row_lo, row_hi)`` into ``dice``.
-
-    ``dice`` is the full ``(K, n_rows, n_tiles)`` array; only the
-    ``[:, row_lo:row_hi, :]`` slab is written, so disjoint row slabs
-    can run concurrently with no synchronization — the same ownership
-    argument as the column-sharded streaming engine, now over plan
-    slices instead of column scans.  Bit-identical to the serial
-    engine's rows: one bincount over a row-major slice performs the
-    same per-``(row, depth)`` additions in the same ascending-sample
-    order.  Returns the number of plan entries processed.
-    """
-    lo = int(plan.row_starts[row_lo])
-    hi = int(plan.row_starts[row_hi])
-    if lo == hi:
-        return 0
-    sample = plan.sample_idx[lo:hi]
-    flat = plan.flat_idx[lo:hi] - row_lo * plan.n_tiles
-    wgt = plan.weight[lo:hi]
-    n_flat = (row_hi - row_lo) * plan.n_tiles
-    for k in range(values_stack.shape[0]):
-        contrib = values_stack[k, sample] * wgt
-        seg = dice[k, row_lo:row_hi].reshape(-1)  # contiguous view
-        seg += np.bincount(
-            flat, weights=contrib.real, minlength=n_flat
-        ) + 1j * np.bincount(flat, weights=contrib.imag, minlength=n_flat)
-    return hi - lo
-
-
-def plan_interp_samples(
-    plan: CompiledPlan,
-    dice_flat: np.ndarray,
-    out: np.ndarray,
-    lo: int,
-    hi: int,
-) -> int:
-    """Forward-interpolate samples ``[lo, hi)`` of the plan into ``out``.
-
-    ``dice_flat`` is the raveled ``(K, n_rows * n_tiles)`` dice; only
-    ``out[:, lo:hi]`` is written.  Uses the plan's stable sample-major
-    view so each sample's contributions accumulate in ascending row
-    order — the serial engine's order — keeping slab outputs bit-equal
-    to the corresponding slice of a full pass.  Returns the number of
-    plan entries processed.
-    """
-    order, starts = plan.sample_view()
-    e0, e1 = int(starts[lo]), int(starts[hi])
-    if e0 == e1:
-        return 0
-    idx = order[e0:e1]
-    sample = plan.sample_idx[idx] - lo
-    flat = plan.flat_idx[idx]
-    wgt = plan.weight[idx]
-    for k in range(dice_flat.shape[0]):
-        contrib = dice_flat[k, flat] * wgt
-        out[k, lo:hi] += np.bincount(
-            sample, weights=contrib.real, minlength=hi - lo
-        ) + 1j * np.bincount(sample, weights=contrib.imag, minlength=hi - lo)
-    return e1 - e0
 
 
 def plan_stats(

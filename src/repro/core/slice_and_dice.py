@@ -340,8 +340,6 @@ class SliceAndDiceGridder(Gridder):
         dice: np.ndarray,
         lo: int,
         hi: int,
-        row_lo: int = 0,
-        row_hi: int | None = None,
     ) -> int:
         """Run the column-parallel model over one sample-stream slice.
 
@@ -351,22 +349,12 @@ class SliceAndDiceGridder(Gridder):
         ``dice`` (shape ``(K, n_columns, n_tiles)``) in place and
         returns the number of passing checks for this slice (per select
         pass, not multiplied by K).
-
-        ``row_lo``/``row_hi`` restrict the pass to a contiguous slab of
-        column (row) indices.  Columns are independent — each writes
-        only its own ``dice[:, row]`` — so slab results are bit-equal
-        to the corresponding rows of a full pass; this is the hook the
-        multicore engine (:class:`ParallelSliceAndDiceGridder`) shards
-        on.
         """
         n_tiles = self.layout.n_tiles
         k_rhs = values_stack.shape[0]
         interpolations = 0
-        columns = self.layout.columns()
-        if row_hi is None:
-            row_hi = columns.shape[0]
-        for row in range(row_lo, row_hi):
-            hit, wgt, depth = self._select_column(tables, columns[row], lo, hi)
+        for row, column in enumerate(self.layout.columns()):
+            hit, wgt, depth = self._select_column(tables, column, lo, hi)
             if hit.size == 0:
                 continue
             interpolations += hit.size
@@ -530,7 +518,14 @@ class SliceAndDiceGridder(Gridder):
             for k in range(k_rhs):
                 dice[k] = self.layout.grid_to_dice(grid_stack[k])
             out = np.zeros((k_rhs, m), dtype=self.setup.dtype)
-            interpolations = self._interp_stream(tables, dice, out, 0, m)
+            interpolations = 0
+            for row, column in enumerate(self.layout.columns()):
+                hit, wgt, depth = self._select_column(tables, column, 0, m)
+                if hit.size == 0:
+                    continue
+                interpolations += hit.size
+                for k in range(k_rhs):
+                    out[k, hit] += dice[k, row, depth] * wgt
         finally:
             self._release_buffer(dice)
         self.stats = GriddingStats(
@@ -551,37 +546,6 @@ class SliceAndDiceGridder(Gridder):
             ),
         )
         return out
-
-    def _interp_stream(
-        self,
-        tables: tuple,
-        dice: np.ndarray,
-        out: np.ndarray,
-        lo: int,
-        hi: int,
-    ) -> int:
-        """Forward-interpolate the sample slab ``[lo, hi)`` against all columns.
-
-        Scans every column in row order, accumulating each column's
-        contribution ``dice[k, row, depth] * wgt`` into ``out[k, hit]``
-        for the passing samples of the slab.  Because a sample's
-        contributions arrive in the same (row) order regardless of how
-        the sample stream is slabbed, slab outputs are bit-equal to the
-        corresponding slice of a full pass — the transpose of the
-        column sharding: in the forward direction each worker privately
-        owns a slice of the *sample* stream instead of the columns.
-        Returns the number of passing checks for this slab.
-        """
-        k_rhs = dice.shape[0]
-        interpolations = 0
-        for row, column in enumerate(self.layout.columns()):
-            hit, wgt, depth = self._select_column(tables, column, lo, hi)
-            if hit.size == 0:
-                continue
-            interpolations += hit.size
-            for k in range(k_rhs):
-                out[k, hit] += dice[k, row, depth] * wgt
-        return interpolations
 
     # ------------------------------------------------------------------
     def address_trace(self, coords: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Shared exception taxonomy and degradation-event record.
 
-Four PRs of performance work built a deep stack (parallel sharding,
-compiled scatter plans, pluggable FFT backends, Toeplitz CG) whose
-failures all surfaced as bare ``ValueError``/``RuntimeError`` — or, for
-non-finite scanner data, not at all.  This module gives every layer a
+Four PRs of performance work built a deep stack (compiled scatter
+plans, pluggable FFT backends, Toeplitz CG) whose failures all
+surfaced as bare ``ValueError``/``RuntimeError`` — or, for non-finite
+scanner data, not at all.  This module gives every layer a
 common failure vocabulary so callers can catch by *failure class*:
 
 - :class:`ReproError` — root of everything this package raises on
@@ -12,8 +12,8 @@ common failure vocabulary so callers can catch by *failure class*:
   coordinates (a ``ValueError``: the input itself is unusable).
 - :class:`DataQualityError` — non-finite k-space samples, weights, or
   images (also a ``ValueError``).
-- :class:`EngineFailure` — a gridding engine could not complete after
-  exhausting its degradation ladder (a ``RuntimeError``).
+- :class:`EngineFailure` — an engine could not produce a usable
+  result and has no rung left to step down to (a ``RuntimeError``).
 - :class:`BackendFailure` — every FFT backend in the fallback chain
   failed (a ``RuntimeError``).
 - :class:`SolverBreakdown` — an iterative solver lost numerical health
@@ -35,7 +35,7 @@ historically raised in that situation, so ``except ValueError`` /
 
 Recovery that *succeeds* is recorded, not raised:
 :class:`DegradationEvent` is the uniform record the supervised chains
-(process → thread → serial workers, pyfftw → scipy → numpy FFTs,
+(numba → NumPy gridding lanes, pyfftw → scipy → numpy FFTs,
 Toeplitz → gridding normal operator) append to their stats/timings/
 results whenever they step down a rung.
 
@@ -85,8 +85,9 @@ class DataQualityError(ReproError, ValueError):
 
 
 class EngineFailure(ReproError, RuntimeError):
-    """A gridding engine failed and every degradation rung below it
-    failed too (or degradation was impossible)."""
+    """An engine could not produce a usable result and has no rung
+    left to degrade to (e.g. a Toeplitz PSF with a non-finite
+    spectrum)."""
 
 
 class BackendFailure(ReproError, RuntimeError):
@@ -150,13 +151,13 @@ class DegradationEvent:
     Attributes
     ----------
     component:
-        Which chain degraded: ``"parallel"`` (worker pool), ``"fft"``
-        (backend registry), ``"normal"`` (Toeplitz vs gridding normal
-        operator), ``"cg"`` (solver restart).
+        Which chain degraded: ``"jit"`` / ``"streaming"`` (gridding
+        execution lane), ``"fft"`` (backend registry), ``"normal"``
+        (Toeplitz vs gridding normal operator), ``"cg"`` (solver
+        restart), ``"service"`` (circuit-breaker demotion).
     from_stage / to_stage:
         The rung stepped off and the rung landed on (e.g.
-        ``"process"`` -> ``"thread"``; a bounded retry reuses the same
-        stage name on both sides).
+        ``"scipy"`` -> ``"numpy"``).
     reason:
         Human-readable cause — the repr of the triggering exception or
         a short diagnostic.

@@ -15,9 +15,10 @@ reproduce the paper's operation-count and locality arguments:
 - :class:`SparseMatrixGridder` — MIRT's build-once sparse-matrix mode
   (§VII.A).
 
-The paper's own contribution, Slice-and-Dice (serial and multicore),
-lives in :mod:`repro.core` and implements the same :class:`Gridder`
-interface.  All engines — including those — are reachable by name
+The paper's own contribution, Slice-and-Dice (the serial reference and
+its compiled and jit engines), lives in :mod:`repro.core`; its
+bounded-memory streaming engine lives in :mod:`repro.gridding.streaming`.
+All implement the same :class:`Gridder` interface.  All engines — including those — are reachable by name
 through the registry (:func:`available_gridders`, :func:`make_gridder`,
 :func:`register_gridder`); see ``docs/engines.md`` for the full guide.
 """

@@ -104,22 +104,6 @@ class GriddingStats:
         exactly the ``M * W^d`` passing checks (the streaming engine:
         the pass's ``M * W^d`` select entries).  Zero for engines
         without a compiled plan.
-    workers_used:
-        Worker count of the most recent multicore pass (the
-        ``slice_and_dice_parallel`` engine).  ``0`` for engines without
-        a worker pool; ``1`` when the parallel engine fell back to its
-        serial path.
-    parallel_backend:
-        ``"process"``, ``"thread"``, or ``"serial"`` — how the most
-        recent parallel pass actually ran (after auto-selection and
-        graceful degradation).  Empty for non-parallel engines.
-    shard_plan:
-        The contiguous ``(lo, hi)`` slabs the sharded quantity (columns
-        for gridding, samples for interpolation) was split into, one
-        per worker.  Empty for non-parallel engines.
-    worker_seconds:
-        Wall-clock seconds each worker spent in its shard (same order
-        as ``shard_plan``) — exposes load balance, not just totals.
     chunks:
         Fixed-size sample chunks the pass was streamed in (the
         ``slice_and_dice_streaming`` engine); ``0`` for one-shot
@@ -144,16 +128,16 @@ class GriddingStats:
         How the scatter/gather arithmetic actually executed:
         ``"numpy"`` (vectorized gather + bincount / CSR), or the JIT
         engine's ``"numba-serial"`` / ``"numba-parallel"`` lanes.
-        Like ``parallel_backend`` this reports the lane that *ran*,
-        after auto-selection and degradation.
+        This reports the lane that *ran*, after auto-selection and
+        degradation.
     quality:
         The :class:`repro.robustness.DataQualityReport` of this call's
         input-quality gate pass, or ``None`` for internal passes that
         bypass the public API.
     degradations:
         :class:`repro.errors.DegradationEvent` records of every rung
-        the call stepped down (worker retries, process→thread→serial);
-        empty when the requested schedule ran as configured.
+        the call stepped down (e.g. a numba lane falling back to
+        NumPy); empty when the requested lane ran as configured.
 
     Examples
     --------
@@ -179,10 +163,6 @@ class GriddingStats:
     table_bytes: int = 0
     plan_compile_seconds: float = 0.0
     plan_nnz: int = 0
-    workers_used: int = 0
-    parallel_backend: str = ""
-    shard_plan: tuple = ()
-    worker_seconds: tuple = ()
     chunks: int = 0
     chunk_bytes: int = 0
     peak_bytes: int = 0
@@ -221,10 +201,6 @@ class GriddingStats:
             "table_bytes": self.table_bytes,
             "plan_compile_seconds": self.plan_compile_seconds,
             "plan_nnz": self.plan_nnz,
-            "workers_used": self.workers_used,
-            "parallel_backend": self.parallel_backend,
-            "shard_plan": self.shard_plan,
-            "worker_seconds": self.worker_seconds,
             "chunks": self.chunks,
             "chunk_bytes": self.chunk_bytes,
             "peak_bytes": self.peak_bytes,
@@ -239,10 +215,7 @@ class GriddingStats:
 
         Additive counters are summed; the gauge fields describe one
         pass, not a sum, so the most recent pass that set them wins:
-        ``table_bytes``/``plan_nnz`` take the latest nonzero value, and
-        the parallel-schedule fields (``workers_used``,
-        ``parallel_backend``, ``shard_plan``, ``worker_seconds``) take
-        the most recent pass that actually ran a worker pool.
+        ``table_bytes``/``plan_nnz`` take the latest nonzero value.
         ``chunks`` is additive (chunks of an aggregated pass sum);
         ``chunk_bytes`` is a gauge and ``peak_bytes`` takes the max —
         a batch's high water is its worst constituent pass.
@@ -263,11 +236,6 @@ class GriddingStats:
             self.table_bytes = other.table_bytes
         if other.plan_nnz:
             self.plan_nnz = other.plan_nnz
-        if other.workers_used:
-            self.workers_used = other.workers_used
-            self.parallel_backend = other.parallel_backend
-            self.shard_plan = other.shard_plan
-            self.worker_seconds = other.worker_seconds
         self.chunks += other.chunks
         if other.chunk_bytes:
             self.chunk_bytes = other.chunk_bytes

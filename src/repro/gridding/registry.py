@@ -10,8 +10,6 @@ asserts identical output grids).  Registered engines (see
 - ``"binning"`` — pre-sorted tile/bin (Impatient-style) baseline,
 - ``"sparse_matrix"`` — precomputed CSR interpolation matrix (MIRT),
 - ``"slice_and_dice"`` — the paper's binning-free column model,
-- ``"slice_and_dice_parallel"`` — the column model sharded across a
-  multicore worker pool (bit-identical to the serial engine),
 - ``"slice_and_dice_compiled"`` — the select pass compiled once per
   trajectory into flat scatter-plan arrays; repeat calls are a gather
   plus bincount accumulates (bit-identical to the serial engine),
@@ -25,7 +23,7 @@ asserts identical output grids).  Registered engines (see
 Any Slice-and-Dice engine name also accepts ``chunk_samples=N``:
 :func:`make_gridder` then routes to the streaming engine with the
 execution lane matching the requested engine family (serial reference
--> ``"serial"``, compiled/parallel -> ``"numpy"``, jit -> ``"auto"``),
+-> ``"serial"``, compiled -> ``"numpy"``, jit -> ``"auto"``),
 so callers opt into bounded memory without changing engine names.
 
 :func:`default_gridder` names the best compiled engine for the current
@@ -83,7 +81,7 @@ def available_gridders() -> tuple[str, ...]:
     Examples
     --------
     >>> from repro.gridding import available_gridders
-    >>> {"naive", "slice_and_dice", "slice_and_dice_parallel"} <= set(available_gridders())
+    >>> {"naive", "slice_and_dice", "slice_and_dice_compiled"} <= set(available_gridders())
     True
     """
     _ensure_core()
@@ -101,7 +99,7 @@ def make_gridder(name: str, setup: GriddingSetup, **kwargs) -> Gridder:
         The shared problem description (grid shape + kernel LUT).
     **kwargs:
         Forwarded to the engine's constructor (e.g. ``tile_size=8`` for
-        the tiled engines, ``workers=4`` for the parallel engine).
+        the tiled engines, ``backend="csr"`` for the compiled engine).
 
     Returns
     -------
@@ -117,8 +115,8 @@ def make_gridder(name: str, setup: GriddingSetup, **kwargs) -> Gridder:
     >>> from repro.gridding import GriddingSetup, make_gridder
     >>> from repro.kernels import KernelLUT, beatty_kernel
     >>> setup = GriddingSetup((32, 32), KernelLUT(beatty_kernel(6, 2.0), 64))
-    >>> make_gridder("slice_and_dice_parallel", setup, workers=2).name
-    'slice_and_dice_parallel'
+    >>> make_gridder("slice_and_dice_compiled", setup, backend="csr").name
+    'slice_and_dice_compiled'
 
     Passing ``chunk_samples=`` with any Slice-and-Dice engine name
     selects the bounded-memory streaming engine on the matching lane:
@@ -167,7 +165,6 @@ def default_gridder() -> str:
 _STREAM_LANE_FOR = {
     "slice_and_dice": "serial",
     "slice_and_dice_compiled": "numpy",
-    "slice_and_dice_parallel": "numpy",
     "slice_and_dice_jit": "auto",
     "slice_and_dice_streaming": "auto",
 }
@@ -179,13 +176,11 @@ def _ensure_core() -> None:
         from ..core import (
             CompiledSliceAndDiceGridder,
             JitSliceAndDiceGridder,
-            ParallelSliceAndDiceGridder,
             SliceAndDiceGridder,
         )
         from .streaming import StreamingSliceAndDiceGridder
 
         register_gridder("slice_and_dice", SliceAndDiceGridder)
-        register_gridder("slice_and_dice_parallel", ParallelSliceAndDiceGridder)
         register_gridder("slice_and_dice_compiled", CompiledSliceAndDiceGridder)
         register_gridder("slice_and_dice_jit", JitSliceAndDiceGridder)
         register_gridder("slice_and_dice_streaming", StreamingSliceAndDiceGridder)

@@ -34,11 +34,7 @@ class SenseOperator:
     ----------
     plan:
         Shared single-coil NuFFT plan (trajectory + gridder backend).
-        Engine selection flows through here: build the plan with
-        ``gridder="slice_and_dice_parallel"`` and every coil transform
-        this operator performs runs on the multicore worker pool,
-        bit-identically to the serial engine (the per-coil batch is
-        gridded in one column-sharded pass).  With
+        Engine selection flows through here: with
         ``gridder="slice_and_dice_compiled"`` the very first transform
         compiles the trajectory's scatter plan and every subsequent
         coil pass and CG iteration reuses it with zero select work —
@@ -59,11 +55,13 @@ class SenseOperator:
     >>> from repro.nufft import NufftPlan
     >>> from repro.trajectories import radial_trajectory
     >>> coords = radial_trajectory(16, 32)
-    >>> plan = NufftPlan((16, 16), coords, gridder="slice_and_dice_parallel",
-    ...                  gridder_options={"workers": 2, "backend": "thread"})
+    >>> plan = NufftPlan((16, 16), coords, gridder="slice_and_dice_compiled")
     >>> op = SenseOperator(plan, birdcage_maps(4, 16))
     >>> op.forward(np.ones((16, 16), dtype=complex)).shape
     (4, 512)
+    >>> _ = op.forward(np.ones((16, 16), dtype=complex))
+    >>> plan.gridder.stats.cache_hits, plan.gridder.stats.boundary_checks
+    (1, 0)
     """
 
     def __init__(self, plan: NufftPlan, maps: np.ndarray):

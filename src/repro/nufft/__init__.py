@@ -30,13 +30,12 @@ from .fft_backend import (
     register_fft_backend,
 )
 from .plan import NufftPlan, NufftTimings
-from .toeplitz import ToeplitzGram, ToeplitzNormalOperator
+from .toeplitz import ToeplitzNormalOperator
 from .minmax import MinMaxNufftPlan
 
 __all__ = [
     "NufftPlan",
     "NufftTimings",
-    "ToeplitzGram",
     "ToeplitzNormalOperator",
     "MinMaxNufftPlan",
     "FallbackFftBackend",

@@ -117,22 +117,18 @@ class NufftPlan:
         LUT oversampling factor ``L``.
     gridder:
         Registered gridder name (``"naive"``, ``"binning"``,
-        ``"slice_and_dice"``, ``"slice_and_dice_parallel"``,
-        ``"slice_and_dice_compiled"``, ``"slice_and_dice_jit"``, ...)
-        or an already-built :class:`Gridder`.  The parallel engine makes the whole plan —
-        and everything layered on it (:class:`repro.mri.SenseOperator`,
-        :func:`repro.recon.cg_reconstruction`) — run its gridding and
-        interpolation on a multicore worker pool, bit-identically to
-        the serial engine.  The compiled engine compiles the select
-        pass into a scatter plan on the first forward/adjoint call and
+        ``"slice_and_dice"``, ``"slice_and_dice_compiled"``,
+        ``"slice_and_dice_jit"``, ...) or an already-built
+        :class:`Gridder`.  The compiled engine compiles the select pass
+        into a scatter plan on the first forward/adjoint call and
         reuses it for every later call on the plan's fixed trajectory
         — the right default for iterative use, where iteration 2+ does
-        zero select work, also bit-identically; see ``docs/engines.md``.
+        zero select work, bit-identically to the serial engine; see
+        ``docs/engines.md``.
     gridder_options:
         Extra keyword arguments for the gridder factory, e.g.
         ``{"tile_size": 8}`` for the tiled engines or
-        ``{"workers": 4, "backend": "process"}`` for
-        ``"slice_and_dice_parallel"``.
+        ``{"backend": "csr"}`` for ``"slice_and_dice_compiled"``.
     precision:
         ``"double"`` (default), ``"single"``, or ``"simulate-single"``.
         ``"single"`` is a true complex64 compute lane matching the
@@ -213,17 +209,9 @@ class NufftPlan:
     >>> image.shape
     (64, 64)
 
-    The multicore engine is a drop-in swap — same plan API, same bits:
-
-    >>> par = NufftPlan((64, 64), coords, gridder="slice_and_dice_parallel",
-    ...                 gridder_options={"workers": 2, "backend": "thread",
-    ...                                  "min_parallel_ops": 0})
-    >>> bool(np.array_equal(par.adjoint(np.ones(coords.shape[0], dtype=complex)),
-    ...                     image))
-    True
-
-    So is the compiled engine — the first call compiles the trajectory's
-    scatter plan, every later call reuses it with zero select work:
+    The compiled engine is a drop-in swap — same plan API, same bits.
+    The first call compiles the trajectory's scatter plan, every later
+    call reuses it with zero select work:
 
     >>> com = NufftPlan((64, 64), coords, gridder="slice_and_dice_compiled")
     >>> bool(np.array_equal(com.adjoint(np.ones(coords.shape[0], dtype=complex)),

@@ -25,7 +25,7 @@ from ..errors import DataQualityError, EngineFailure
 from ..robustness.faults import fault_point
 from .plan import NufftPlan
 
-__all__ = ["ToeplitzNormalOperator", "ToeplitzGram"]
+__all__ = ["ToeplitzNormalOperator"]
 
 
 class ToeplitzNormalOperator:
@@ -261,7 +261,3 @@ class ToeplitzNormalOperator:
         return np.ascontiguousarray(conv[(slice(None),) + self._center])
 
     __call__ = apply
-
-
-#: Backwards-compatible name from the original Gram-only implementation.
-ToeplitzGram = ToeplitzNormalOperator

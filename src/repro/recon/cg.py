@@ -190,17 +190,14 @@ def cg_reconstruction(
     plan:
         NuFFT plan (trajectory + gridder backend).  Engine selection
         flows through here: a plan built with
-        ``gridder="slice_and_dice_parallel"`` runs every per-iteration
-        gridding/interpolation pass on the multicore worker pool —
-        bit-identical gridding means bit-identical CG iterates, so the
-        reconstruction matches the serial engine exactly.  A plan built
-        with ``gridder="slice_and_dice_compiled"`` compiles the
+        ``gridder="slice_and_dice_compiled"`` compiles the
         trajectory's scatter plan during the first Gram application and
         reuses it for the rest of the loop: iteration 2 onward performs
         zero select work (no boundary checks, no LUT reads — just a
         gather and bincount accumulates per pass), which is where the
-        CG workload's speedup comes from.  Also bit-identical, so
-        convergence behaviour is unchanged.
+        CG workload's speedup comes from.  Bit-identical gridding means
+        bit-identical CG iterates, so the reconstruction matches the
+        serial engine exactly.
     kspace:
         ``(M,)`` complex samples.
     weights:

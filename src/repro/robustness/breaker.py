@@ -36,8 +36,12 @@ Examples
 >>> br.state, br.allow()
 ('open', False)
 >>> br.force_half_open()     # what cooldown expiry does, sans waiting
->>> br.allow(), br.state     # exactly one probe is let through
-(True, 'half-open')
+>>> br.state
+'half-open'
+>>> br.allow(), br.allow()   # exactly one probe is let through
+(True, False)
+>>> br.state                 # open again for the probe window
+'open'
 >>> br.record_success()
 >>> br.state
 'closed'

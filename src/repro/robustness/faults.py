@@ -2,17 +2,10 @@
 
 :func:`inject_faults` is a context manager that arms a module-global
 injector; instrumented production code calls the cheap hooks below
-(``fault_point``, ``stage_worker_faults``, ``worker_fault_point``,
-``corrupt_stream``), each of which is a no-op single ``is None`` check
+(``fault_point``, ``heartbeat_fault_point``, ``corrupt_stream``,
+``corrupt_chunk``), each of which is a no-op single ``is None`` check
 when no injector is active.  Faults available:
 
-- **worker crashes / hangs** — ``worker_crash=N`` / ``worker_hang=N``
-  make the parallel engine's next N passes lose one deterministic
-  worker (chosen by the seeded RNG) to an
-  :class:`InjectedWorkerCrash` or a ``hang_seconds`` sleep.  Staging
-  happens in the *parent* (:func:`stage_worker_faults`) so the
-  directives are inherited by forked workers and the counters
-  decrement exactly once per pass regardless of backend.
 - **FFT backend exceptions** — ``fft_errors={"scipy": 2}`` makes the
   next two transforms executed by the scipy backend raise
   :class:`InjectedFault`, exercising the runtime fallback chain.
@@ -33,17 +26,15 @@ when no injector is active.  Faults available:
   mid-stream quality policies: ``raise`` must abort with no partial
   accumulation left behind, ``drop``/``zero`` must skip the chunk and
   keep streaming.  One-shot: the directive clears after firing.
-- **service worker crashes / hangs** — the same ``worker_crash`` /
-  ``worker_hang`` budgets, but aimed at the *service* worker threads
-  instead of the parallel engine's pool: armed only when
-  ``service_worker_faults=True`` (so engine-level chaos tests never
-  lose budget to the service), fired at the worker's heartbeat site
-  (:func:`service_worker_fault_point`), and optionally delayed
-  ``worker_fault_delay`` heartbeats so a kill lands deterministically
-  *mid-stream* — after checkpoints exist, before the run completes.
-  A hang sleeps at the fault point **before** the heartbeat timestamp
-  is touched, so the watchdog observes exactly the staleness a real
-  wedge produces.
+- **service worker crashes / hangs** — ``worker_crash=N`` /
+  ``worker_hang=N`` crash (:class:`InjectedWorkerCrash`) or hang (a
+  ``hang_seconds`` sleep) a service worker thread N times, fired at
+  the worker's heartbeat site (:func:`heartbeat_fault_point`) and
+  optionally delayed ``worker_fault_delay`` heartbeats so a kill lands
+  deterministically *mid-stream* — after checkpoints exist, before the
+  run completes.  A hang sleeps at the fault point
+  **before** the heartbeat timestamp is touched, so the watchdog
+  observes exactly the staleness a real wedge produces.
 
 Everything fired is appended to ``injector.log`` as
 ``(site, detail)`` tuples so tests can assert exactly which faults
@@ -79,9 +70,7 @@ __all__ = [
     "inject_faults",
     "active_injector",
     "fault_point",
-    "stage_worker_faults",
-    "worker_fault_point",
-    "service_worker_fault_point",
+    "heartbeat_fault_point",
     "corrupt_stream",
     "corrupt_chunk",
 ]
@@ -93,7 +82,7 @@ class InjectedFault(RuntimeError):
 
 
 class InjectedWorkerCrash(InjectedFault):
-    """A deliberately injected worker-process/thread crash."""
+    """A deliberately injected service worker-thread crash."""
 
 
 class FaultInjector:
@@ -117,7 +106,6 @@ class FaultInjector:
         corrupt_coords: int = 0,
         corrupt_values: int = 0,
         corrupt_chunk_index: int | None = None,
-        service_worker_faults: bool = False,
         worker_fault_delay: int = 0,
     ) -> None:
         self.rng = np.random.default_rng(seed)
@@ -132,12 +120,8 @@ class FaultInjector:
         self.corrupt_chunk_index = (
             None if corrupt_chunk_index is None else int(corrupt_chunk_index)
         )
-        self.service_worker_faults = bool(service_worker_faults)
         self.worker_fault_delay = int(worker_fault_delay)
         self.log: list[tuple[str, str]] = []
-        # worker directives staged for the current parallel pass:
-        # worker_id -> "crash" | "hang"
-        self.worker_directives: dict[int, str] = {}
         # directive armed for the next service-worker heartbeat
         self.service_directive: str | None = None
 
@@ -162,49 +146,15 @@ class FaultInjector:
                 self.log.append((site, "raise"))
                 raise InjectedFault(f"injected fault at {site}")
 
-    # -- worker faults (staged parent-side, fired worker-side) ---------
-
-    def stage_workers(self, n_workers: int) -> None:
-        """Pick this pass' victim worker (if any) in the parent so the
-        decision is inherited by fork and counters decrement once."""
-        self.worker_directives = {}
-        if n_workers <= 0:
-            return
-        if self.worker_crash > 0:
-            self.worker_crash -= 1
-            victim = int(self.rng.integers(n_workers))
-            self.worker_directives[victim] = "crash"
-            self.log.append(("worker", f"stage crash worker={victim}"))
-        elif self.worker_hang > 0:
-            self.worker_hang -= 1
-            victim = int(self.rng.integers(n_workers))
-            self.worker_directives[victim] = "hang"
-            self.log.append(("worker", f"stage hang worker={victim}"))
-
-    def fire_worker(self, worker_id: int) -> None:
-        directive = self.worker_directives.get(worker_id)
-        if directive == "crash":
-            # consume so a thread-backend retry in the same process
-            # does not re-crash forever
-            del self.worker_directives[worker_id]
-            raise InjectedWorkerCrash(
-                f"injected crash in worker {worker_id}"
-            )
-        if directive == "hang":
-            del self.worker_directives[worker_id]
-            time.sleep(self.hang_seconds)
-
     def service_fault(self, worker_name: str) -> None:
         """Stage-and-fire for the service worker heartbeat site.
 
         Stages at most one directive from the crash/hang budgets (crash
-        takes precedence, as in :meth:`stage_workers`), then counts
-        down ``worker_fault_delay`` heartbeats before firing — which is
-        what lets a test kill a worker deterministically *mid-stream*,
-        after N chunks have already been accumulated and checkpointed.
+        takes precedence), then counts down ``worker_fault_delay``
+        heartbeats before firing — which is what lets a test kill a
+        worker deterministically *mid-stream*, after N chunks have
+        already been accumulated and checkpointed.
         """
-        if not self.service_worker_faults:
-            return
         if self.service_directive is None:
             if self.worker_crash > 0:
                 self.worker_crash -= 1
@@ -310,25 +260,10 @@ def fault_point(site: str) -> None:
         _ACTIVE.check_point(site)
 
 
-def stage_worker_faults(n_workers: int) -> None:
-    """Called by the parallel engine in the parent before launching a
-    pass; stages at most one worker crash/hang directive."""
-    if _ACTIVE is not None:
-        _ACTIVE.stage_workers(n_workers)
-
-
-def worker_fault_point(worker_id: int) -> None:
-    """Called inside each worker; fires the staged directive, if any.
-    Works for forked processes (directives inherited via COW) and for
-    threads/serial (shared injector object)."""
-    if _ACTIVE is not None:
-        _ACTIVE.fire_worker(worker_id)
-
-
-def service_worker_fault_point(worker_name: str) -> None:
+def heartbeat_fault_point(worker_name: str) -> None:
     """Called by the service worker's heartbeat, *before* the timestamp
     is touched; stages and (after ``worker_fault_delay`` heartbeats)
-    fires a crash/hang when ``service_worker_faults`` is armed."""
+    fires a crash/hang while the armed injector has budget for one."""
     if _ACTIVE is not None:
         _ACTIVE.service_fault(worker_name)
 

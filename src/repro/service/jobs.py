@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gridding.registry import default_gridder
+from ..gridding.registry import available_gridders, default_gridder
 from ..robustness.deadline import CancelToken, Deadline
 
 __all__ = [
@@ -192,6 +192,11 @@ class JobSpec:
         if self.method not in self._METHODS:
             raise ValueError(
                 f"method must be one of {self._METHODS}, got {self.method!r}"
+            )
+        if self.gridder not in available_gridders():
+            raise ValueError(
+                f"unknown gridder {self.gridder!r}; available: "
+                f"{available_gridders()}"
             )
         if self.coords.shape[1] != len(self.image_shape):
             raise ValueError(

@@ -15,7 +15,8 @@ Routes
     ``202 Accepted`` with ``{"job": id, "state": "queued"}``;
     ``429 Too Many Requests`` with a ``Retry-After`` header when the
     bounded queue is full (nothing was enqueued); ``400`` on a
-    malformed payload; ``503`` while draining.
+    malformed payload or an unknown gridder name; ``503`` while
+    draining.
 ``GET /jobs/<id>``
     Job status (state machine position, worker, cache hits,
     degradations/breakdown/quality) plus the base64-encoded image

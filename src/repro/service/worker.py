@@ -18,9 +18,8 @@ Each :class:`ReconWorker` is one long-lived thread owning:
   plans and its ``/stats`` pool numbers are one coherent snapshot.
 
 Workers are **threads, not processes**: the hot kernels (gather,
-bincount, FFT) release the GIL, a plan's own gridder may already run a
-process pool internally, and in-process workers let ``/stats`` read
-every pool/cache counter without cross-process merge plumbing.
+bincount, FFT) release the GIL, and in-process workers let ``/stats``
+read every pool/cache counter without cross-process merge plumbing.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from ..gridding.streaming import StreamingSliceAndDiceGridder, choose_chunk_samp
 from ..nufft import NufftPlan, ToeplitzNormalOperator
 from ..recon import cg_reconstruction
 from ..robustness.checkpoint import CheckpointConfig
-from ..robustness.faults import InjectedWorkerCrash, service_worker_fault_point
+from ..robustness.faults import InjectedWorkerCrash, heartbeat_fault_point
 from .jobs import Job, JobResult, JobSpec
 
 __all__ = ["ReconWorker", "breaker_keys", "LANE_CHAIN", "FFT_CHAIN"]
@@ -51,7 +50,6 @@ __all__ = ["ReconWorker", "breaker_keys", "LANE_CHAIN", "FFT_CHAIN"]
 #: breaker can demote past them.
 LANE_CHAIN = {
     "slice_and_dice_jit": "slice_and_dice_compiled",
-    "slice_and_dice_parallel": "slice_and_dice_compiled",
 }
 FFT_CHAIN = {"pyfftw": "scipy", "scipy": "numpy"}
 
@@ -213,7 +211,7 @@ class ReconWorker:
         Even a job that is about to observe its own cancellation
         proves its worker thread alive by reaching this hook.
         """
-        service_worker_fault_point(self.name)
+        heartbeat_fault_point(self.name)
         self.heartbeat = time.monotonic()
 
     def _apply_breakers(

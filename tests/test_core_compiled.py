@@ -1,4 +1,4 @@
-"""Compiled scatter-plan engine: bit-identity, caches, stats, sharding.
+"""Compiled scatter-plan engine: bit-identity, caches, stats.
 
 Covers the `slice_and_dice_compiled` engine (`repro.core.compiled`) and
 the satellite fixes that ride with it: true-LRU table-cache eviction,
@@ -11,17 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    CompiledSliceAndDiceGridder,
-    ParallelSliceAndDiceGridder,
-    SliceAndDiceGridder,
-)
+from repro.core import CompiledSliceAndDiceGridder, SliceAndDiceGridder
 from repro.gridding import GriddingSetup, make_gridder
 from repro.kernels import KernelLUT, beatty_kernel
 from tests.conftest import random_samples
-
-PARALLEL_KW = {"workers": 2, "backend": "thread", "min_parallel_ops": 0}
-
 
 def setup_3d() -> GriddingSetup:
     return GriddingSetup((16, 16, 16), KernelLUT(beatty_kernel(4, 2.0), 32))
@@ -276,47 +269,6 @@ class TestInterleavedStats:
         g.grid(b, np.ones(80, dtype=complex))  # B again: hit, build=0
         assert (g.stats.cache_misses, g.stats.cache_hits) == (0, 1)
         assert g.stats.table_build_seconds == 0.0
-
-
-# ----------------------------------------------------------------------
-# parallel engine with the compiled inner engine
-# ----------------------------------------------------------------------
-class TestParallelCompiledInner:
-    def test_bit_identity_grid_and_interp(self, small_setup, rng):
-        coords, values = random_samples(rng, 300, small_setup.grid_shape)
-        gstack = random_grid_stack(rng, 3, small_setup.grid_shape)
-        stack = rng.standard_normal((3, 300)) + 1j * rng.standard_normal((3, 300))
-        ser = SliceAndDiceGridder(small_setup)
-        par = ParallelSliceAndDiceGridder(
-            small_setup, inner_engine="compiled", **PARALLEL_KW
-        )
-        assert np.array_equal(par.grid(coords, values), ser.grid(coords, values))
-        assert par.stats.parallel_backend == "thread"
-        assert par.stats.workers_used == 2
-        assert np.array_equal(
-            par.grid_batch(coords, stack), ser.grid_batch(coords, stack)
-        )
-        assert np.array_equal(
-            par.interp_batch(gstack, coords), ser.interp_batch(gstack, coords)
-        )
-
-    def test_plan_reused_across_sharded_calls(self, small_setup, rng):
-        coords, values = random_samples(rng, 300, small_setup.grid_shape)
-        par = ParallelSliceAndDiceGridder(
-            small_setup, inner_engine="compiled", **PARALLEL_KW
-        )
-        par.grid(coords, values)
-        assert par.stats.cache_misses == 1
-        par.grid(coords, values)
-        assert par.stats.cache_hits == 1
-        assert par.stats.boundary_checks == 0
-        par.invalidate_cache()
-        par.grid(coords, values)
-        assert par.stats.cache_misses == 1
-
-    def test_invalid_inner_engine_rejected(self, tiny_setup):
-        with pytest.raises(ValueError, match="inner_engine"):
-            ParallelSliceAndDiceGridder(tiny_setup, inner_engine="gpu")
 
 
 # ----------------------------------------------------------------------

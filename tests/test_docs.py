@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.gridding import available_gridders
+
 ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = sorted((ROOT / "docs").glob("*.md"))
 
@@ -35,18 +37,14 @@ def test_doc_snippets_execute(path):
 
 
 def test_engines_guide_has_snippets():
-    """The engine guide must stay executable documentation, not prose."""
-    text = (ROOT / "docs" / "engines.md").read_text(encoding="utf-8")
-    assert text.count(">>>") >= 10
-    for name in (
-        "naive",
-        "output_parallel",
-        "binning",
-        "sparse_matrix",
-        "slice_and_dice",
-        "slice_and_dice_parallel",
-    ):
-        assert f"`{name}`" in text, f"engine {name} missing from docs/engines.md"
+    """The engine guide must stay executable documentation, not prose,
+    and it and the README must name every registered engine."""
+    guide = (ROOT / "docs" / "engines.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert guide.count(">>>") >= 10
+    for name in available_gridders():
+        assert f"`{name}`" in guide, f"engine {name} missing from docs/engines.md"
+        assert f"`{name}`" in readme, f"engine {name} missing from README.md"
 
 
 def test_robustness_guide_covers_failure_modes():

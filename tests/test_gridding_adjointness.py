@@ -4,8 +4,8 @@ For every engine, gridding ``G`` (values -> grid) and interpolation
 ``I`` (grid -> values) apply the same real weight matrix ``w`` and its
 transpose, so ``<G v, g> == <v, I g>`` (complex inner products) up to
 floating-point roundoff.  Hypothesis drives random trajectories, both
-dims, and batched K > 1 across the serial, parallel, compiled, and
-CSR-backed engines.
+dims, and batched K > 1 across the serial, compiled, and CSR-backed
+engines.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ SETUPS = {
 
 ENGINES = [
     ("slice_and_dice", {}),
-    (
-        "slice_and_dice_parallel",
-        {"workers": 2, "backend": "thread", "min_parallel_ops": 0},
-    ),
     ("slice_and_dice_compiled", {}),
     ("slice_and_dice_compiled", {"backend": "csr"}),
 ]
@@ -38,7 +34,7 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 @pytest.mark.parametrize(
-    "name,kwargs", ENGINES, ids=["serial", "parallel", "compiled", "csr"]
+    "name,kwargs", ENGINES, ids=["serial", "compiled", "csr"]
 )
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -62,7 +58,7 @@ def test_grid_interp_adjoint(name, kwargs, seed, m, ndim):
 
 
 @pytest.mark.parametrize(
-    "name,kwargs", ENGINES, ids=["serial", "parallel", "compiled", "csr"]
+    "name,kwargs", ENGINES, ids=["serial", "compiled", "csr"]
 )
 @given(
     seed=st.integers(0, 2**32 - 1),

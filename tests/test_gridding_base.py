@@ -126,10 +126,6 @@ class TestStats:
             "table_bytes",
             "plan_compile_seconds",
             "plan_nnz",
-            "workers_used",
-            "parallel_backend",
-            "shard_plan",
-            "worker_seconds",
             "kernel",
             "exec_lane",
             "quality",

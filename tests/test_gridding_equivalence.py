@@ -18,16 +18,7 @@ GRIDDERS = [
     "output_parallel",
     "binning",
     "slice_and_dice",
-    "slice_and_dice_parallel",
 ]
-
-#: force the parallel engine onto its thread pool even for tiny test
-#: problems (auto-selection would fall back to serial and hide bugs)
-PARALLEL_KW = {"workers": 2, "backend": "thread", "min_parallel_ops": 0}
-
-
-def engine_kwargs(name: str) -> dict:
-    return dict(PARALLEL_KW) if name == "slice_and_dice_parallel" else {}
 
 
 def build_setup(g: int, w: int, lut_l: int = 64) -> GriddingSetup:
@@ -40,7 +31,7 @@ class TestPairwise:
         setup = build_setup(32, 6)
         coords, vals = random_samples(rng, 300, (32, 32))
         ref = make_gridder("naive", setup).grid(coords, vals)
-        out = make_gridder(name, setup, **engine_kwargs(name)).grid(coords, vals)
+        out = make_gridder(name, setup).grid(coords, vals)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
     def test_matches_naive_clustered(self, name, rng):
@@ -50,7 +41,7 @@ class TestPairwise:
         coords = 16 + rng.standard_normal((200, 2)) * 1.5
         vals = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         ref = make_gridder("naive", setup).grid(coords, vals)
-        out = make_gridder(name, setup, **engine_kwargs(name)).grid(coords, vals)
+        out = make_gridder(name, setup).grid(coords, vals)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
     def test_matches_naive_on_tile_edges(self, name):
@@ -80,9 +71,7 @@ class TestPropertyBased:
         vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         grids = {}
         for name in GRIDDERS:
-            kwargs = engine_kwargs(name)
-            if name in ("binning", "slice_and_dice", "slice_and_dice_parallel"):
-                kwargs["tile_size"] = 8
+            kwargs = {"tile_size": 8} if name in ("binning", "slice_and_dice") else {}
             grids[name] = make_gridder(name, setup, **kwargs).grid(coords, vals)
         ref = grids["naive"]
         for name in GRIDDERS[1:]:

@@ -510,7 +510,6 @@ class TestRegistry:
         [
             ("slice_and_dice", "serial"),
             ("slice_and_dice_compiled", "numpy"),
-            ("slice_and_dice_parallel", "numpy"),
             ("slice_and_dice_jit", "auto"),
         ],
     )

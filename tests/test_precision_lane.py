@@ -28,17 +28,8 @@ ENGINES = [
     "binning",
     "sparse_matrix",
     "slice_and_dice",
-    "slice_and_dice_parallel",
     "slice_and_dice_compiled",
 ]
-
-ENGINE_OPTIONS = {
-    "slice_and_dice_parallel": {
-        "workers": 2,
-        "backend": "thread",
-        "min_parallel_ops": 0,
-    },
-}
 
 TRAJECTORIES_2D = [
     ("radial", radial_trajectory(16, 32)),
@@ -48,14 +39,12 @@ TRAJECTORIES_2D = [
 
 
 def _plans(shape, coords, engine, **kwargs):
-    opts = ENGINE_OPTIONS.get(engine)
     double = NufftPlan(
-        shape, coords, gridder=engine, gridder_options=opts,
-        fft_backend="numpy", **kwargs
+        shape, coords, gridder=engine, fft_backend="numpy", **kwargs
     )
     single = NufftPlan(
-        shape, coords, gridder=engine, gridder_options=opts,
-        fft_backend="numpy", precision="single", **kwargs
+        shape, coords, gridder=engine, fft_backend="numpy",
+        precision="single", **kwargs
     )
     return double, single
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.mri import SenseOperator, birdcage_maps, sense_reconstruction
 from repro.nudft import NudftOperator
-from repro.nufft import NufftPlan, ToeplitzGram, ToeplitzNormalOperator
+from repro.nufft import NufftPlan, ToeplitzNormalOperator
 from repro.recon import cg_reconstruction
 from repro.trajectories import (
     radial_trajectory,
@@ -131,9 +131,6 @@ class TestNufftPsfConsistency:
             explicit = plan.adjoint(plan.forward(x))
             errs.append(np.max(np.abs(gram.apply(x) - explicit)))
         assert errs[1] < errs[0]
-
-    def test_backcompat_alias(self):
-        assert ToeplitzGram is ToeplitzNormalOperator
 
     def test_rejects_bad_psf_and_shapes(self):
         coords = radial_trajectory(8, 16)

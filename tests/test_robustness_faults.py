@@ -42,15 +42,9 @@ from repro.robustness import (
     inject_faults,
 )
 from repro.robustness.faults import InjectedFault, InjectedWorkerCrash
-from repro.core import parallel as parallel_mod
 from repro.trajectories import radial_trajectory
 
-needs_processes = pytest.mark.skipif(
-    not parallel_mod._processes_available(),
-    reason="fork + shared_memory not available on this platform",
-)
-
-#: every registered engine, with options forcing the parallel pool on
+#: every quality-gated engine
 ENGINES = [
     ("naive", {}),
     ("output_parallel", {}),
@@ -58,10 +52,6 @@ ENGINES = [
     ("sparse_matrix", {}),
     ("slice_and_dice", {}),
     ("slice_and_dice_compiled", {}),
-    (
-        "slice_and_dice_parallel",
-        {"workers": 2, "backend": "thread", "min_parallel_ops": 0},
-    ),
 ]
 
 
@@ -108,8 +98,8 @@ class TestTaxonomy:
         assert not issubclass(InjectedFault, ReproError)
 
     def test_degradation_event_str(self):
-        e = DegradationEvent("parallel", "process", "thread", "shm full")
-        assert str(e) == "parallel: process -> thread (shm full)"
+        e = DegradationEvent("fft", "scipy", "numpy", "injected")
+        assert str(e) == "fft: scipy -> numpy (injected)"
 
 
 # ---------------------------------------------------------------------------
@@ -318,87 +308,6 @@ class TestCorruptedStream:
             with pytest.raises(CoordinateError):
                 gridder.grid_stream(stream())
         assert np.array_equal(gridder.grid_stream(stream()), ref)
-
-
-# ---------------------------------------------------------------------------
-# supervised parallel-engine ladder
-# ---------------------------------------------------------------------------
-class TestParallelLadder:
-    def _pair(self, shape=(32, 32), **kw):
-        setup = build_setup(shape)
-        serial = make_gridder("slice_and_dice", build_setup(shape))
-        par = make_gridder(
-            "slice_and_dice_parallel", setup, min_parallel_ops=0, **kw
-        )
-        return serial, par
-
-    def test_thread_crash_degrades_to_serial_bit_identical(self, rng):
-        serial, par = self._pair(workers=2, backend="thread")
-        coords = rng.uniform(0, 32, size=(120, 2))
-        values = rng.standard_normal(120) + 1j * rng.standard_normal(120)
-        ref = serial.grid(coords, values)
-        with inject_faults(seed=3, worker_crash=1) as inj:
-            out = par.grid(coords, values)
-        assert any(site == "worker" for site, _ in inj.log)
-        events = par.stats.degradations
-        assert any(e.from_stage == "thread" and e.to_stage == "serial" for e in events)
-        assert np.array_equal(out, ref)
-
-    @needs_processes
-    def test_process_crash_retries_bit_identical(self, rng):
-        serial, par = self._pair(workers=2, backend="process")
-        coords = rng.uniform(0, 32, size=(120, 2))
-        values = rng.standard_normal(120) + 1j * rng.standard_normal(120)
-        ref = serial.grid(coords, values)
-        with inject_faults(seed=3, worker_crash=1):
-            out = par.grid(coords, values)
-        events = par.stats.degradations
-        assert any("retry" in e.reason for e in events)
-        assert np.array_equal(out, ref)
-
-    @needs_processes
-    def test_persistent_process_crashes_degrade_to_thread(self, rng):
-        serial, par = self._pair(workers=2, backend="process")
-        coords = rng.uniform(0, 32, size=(120, 2))
-        values = rng.standard_normal(120) + 1j * rng.standard_normal(120)
-        ref = serial.grid(coords, values)
-        with inject_faults(seed=3, worker_crash=2):
-            out = par.grid(coords, values)
-        events = par.stats.degradations
-        assert any(e.to_stage == "thread" for e in events)
-        assert np.array_equal(out, ref)
-        assert parallel_mod._FORK_WORK is None
-
-    @needs_processes
-    def test_hung_worker_terminated_and_pass_retried(self, rng):
-        setup = build_setup((32, 32))
-        par = make_gridder(
-            "slice_and_dice_parallel",
-            setup,
-            workers=2,
-            backend="process",
-            min_parallel_ops=0,
-            worker_timeout=0.5,
-        )
-        serial = make_gridder("slice_and_dice", build_setup((32, 32)))
-        coords = rng.uniform(0, 32, size=(120, 2))
-        values = rng.standard_normal(120) + 1j * rng.standard_normal(120)
-        ref = serial.grid(coords, values)
-        with inject_faults(seed=3, worker_hang=1, hang_seconds=30.0):
-            out = par.grid(coords, values)
-        events = par.stats.degradations
-        assert any("worker_timeout" in e.reason for e in events)
-        assert np.array_equal(out, ref)
-
-    def test_worker_timeout_validation(self):
-        with pytest.raises(ValueError, match="worker_timeout"):
-            make_gridder(
-                "slice_and_dice_parallel", build_setup((32, 32)), worker_timeout=-1
-            )
-        with pytest.raises(ValueError, match="max_retries"):
-            make_gridder(
-                "slice_and_dice_parallel", build_setup((32, 32)), max_retries=-1
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import pytest
 
 from repro import NufftPlan
 from repro.errors import ServiceOverloaded
+from repro.gridding import available_gridders
 from repro.service import (
     JobSpec,
     ReconClient,
@@ -110,6 +111,22 @@ class TestRoutes:
         })
         assert status == 400
         assert "warp_factor" in body["error"]
+
+    def test_unknown_gridder_400_without_breaker(self, server):
+        coords, samples, _ = _problem()
+        status, body, _ = _post_json(server.url + "/jobs", {
+            "image_shape": [32, 32],
+            "coords": encode_array(coords),
+            "samples": encode_array(samples),
+            "options": {"gridder": "slice_and_dice_parallel"},
+        })
+        assert status == 400
+        assert "slice_and_dice_parallel" in body["error"]
+        for name in available_gridders():
+            assert name in body["error"]
+        stats = ReconClient(server.url).stats()
+        assert stats["accepted"] == 0
+        assert "lane:slice_and_dice_parallel" not in stats["breakers"]
 
     def test_curl_style_plain_list_payload(self, server):
         # the lenient codec: a human can post plain JSON lists

@@ -501,8 +501,8 @@ class TestSupervisionChaos:
         svc = ReconService(workers=1, watchdog_period=0.05,
                            watchdog_stale_after=0.2)
         try:
-            with inject_faults(seed=5, worker_hang=1, hang_seconds=30.0,
-                               service_worker_faults=True) as inj:
+            with inject_faults(seed=5, worker_hang=1,
+                               hang_seconds=30.0) as inj:
                 t0 = time.monotonic()
                 job = svc.submit(self._spec(coords, samples,
                                             deadline_seconds=0.15))
@@ -540,7 +540,6 @@ class TestSupervisionChaos:
             ref = ref_job.result.image
 
             with inject_faults(seed=3, worker_crash=1,
-                               service_worker_faults=True,
                                worker_fault_delay=4) as inj:
                 job = svc.submit(
                     JobSpec((24, 24), coords, samples, method="adjoint",
@@ -567,7 +566,6 @@ class TestSupervisionChaos:
                            watchdog_stale_after=0.2)
         try:
             with inject_faults(seed=9, worker_crash=1,
-                               service_worker_faults=True,
                                worker_fault_delay=2):
                 jobs = [svc.submit(self._spec(coords, samples))
                         for _ in range(3)]
@@ -587,7 +585,6 @@ class TestSupervisionChaos:
                            watchdog_stale_after=0.2, max_requeues=0)
         try:
             with inject_faults(seed=11, worker_crash=1,
-                               service_worker_faults=True,
                                worker_fault_delay=2):
                 job = svc.submit(self._spec(coords, samples))
                 assert job.wait(timeout=10)
