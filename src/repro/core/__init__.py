@@ -23,10 +23,10 @@ Public surface:
 - :class:`~repro.core.SliceAndDiceGridder` — the gridder, in both the
   faithful column-parallel schedule and the GPU-style blocked variant.
 - :class:`~repro.core.CompiledSliceAndDiceGridder` — the select pass
-  compiled once per trajectory into a :class:`~repro.core.CompiledPlan`
-  (flat sample/address/weight arrays); every repeat call is a gather
-  plus bincount accumulates with zero select work, bit-identical to
-  the serial gridder.
+  run once per trajectory into a :class:`~repro.core.CompiledPlan`
+  (sample-major address/weight arrays that double as a CSR matrix);
+  every repeat call is one sparse mat-vec with zero select work,
+  bit-identical to the serial gridder at complex128.
 - :class:`~repro.core.JitSliceAndDiceGridder` — the compiled plan
   executed by numba-fused scatter/gather loops (serial and
   row/sample-sharded ``prange`` lanes), degrading to the pure-NumPy

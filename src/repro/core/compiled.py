@@ -6,63 +6,64 @@ each pair lands in, and what its separable kernel weight is depend on
 the trajectory alone — never on the sample values.  JIGSAW exploits
 this in hardware by streaming the select units once per sample; the
 software counterpart is to run the select pass **once per trajectory**
-and compile its result into three flat arrays over the exact
-``M * W^d`` passing checks:
-
-- ``sample_idx`` — which sample contributes,
-- ``flat_idx``   — the global dice address ``row * n_tiles + depth``,
-- ``weight``     — the combined separable kernel weight.
-
-With the plan in hand, adjoint gridding is a single fancy-index gather
-plus one pair of :func:`np.bincount` calls per right-hand side into the
-raveled ``(n_columns * n_tiles)`` dice, and forward interpolation is
-one gather plus one segment-sum (again ``bincount``) per RHS — no
-boundary-check arithmetic, no per-column Python loop, no LUT reads.
-Per-call cost drops from ``O(M * T^d)`` to ``O(M * W^d)``, which is the
-payoff case for iterative reconstruction: every CG iteration and every
-SENSE coil pass after the first reuses the plan and does **zero select
-work** (``stats.cache_hits`` / ``stats.boundary_checks == 0`` make this
+and keep its result as a plan.  Every CG iteration and every SENSE coil
+pass after the first reuses the plan and does **zero select work**
+(``stats.cache_hits`` / ``stats.boundary_checks == 0`` make this
 observable per call).
+
+The plan
+--------
+The plan is the table-driven select of
+:meth:`SliceAndDiceGridder._select_entries` — the one the streaming
+engine runs per chunk — over the whole trajectory: fixed-width,
+**sample-major** entries, ``W^d`` per sample in ascending dice row,
+
+- ``flat``   — the global dice address ``row * n_tiles + depth``,
+- ``weight`` — the combined separable kernel weight.
+
+With ``indptr = arange(0, nnz + 1, W^d)`` the two arrays already are a
+CSR matrix ``A`` of shape ``(M, n_rows * n_tiles)``, so wrapping them
+in :mod:`scipy.sparse` copies nothing.  A warm pass is one sparse
+mat-vec per right-hand side, on the complex vectors viewed as
+``(n, 2)`` float arrays:
+
+- forward interpolation ``A @ dice`` (SciPy's ``csr_matvecs``),
+- adjoint gridding ``A.T @ values`` (the transposed CSC view,
+  ``csc_matvecs``),
+
+one fused C loop per direction where NumPy needs a gather, a multiply
+and a ``bincount`` pass.
 
 Bit-identity
 ------------
-The plan stores entries in **row-major order**: columns (rows of the
-dice) ascending, and within each row the passing samples ascending —
-exactly the order :meth:`SliceAndDiceGridder._flatten_select` emits and
-the serial engine visits.  ``np.bincount`` accumulates its weights
-sequentially in array order, so
+Both SciPy loops start from a zeroed output and add ``y += a * x`` in
+stored order: per sample (forward) over its entries in ascending dice
+row, and per dice word (adjoint, which walks the samples in order) in
+ascending sample.  A sample touches each dice word at most once
+(``W <= T``), so these are exactly the orders the serial engine adds
+in: its row loop per sample, its per-column ``bincount`` per word.
+Each step is one rounded float64 product and one rounded add from
+``0.0`` — the same operations ``np.bincount`` performs — provided the
+loop is compiled without FMA contraction, which holds for SciPy's
+x86-64 wheels.  Hence the default at complex128 is
+**bit-identical** (``np.array_equal``) to :class:`SliceAndDiceGridder`
+in both directions, asserted in ``tests/test_core_compiled.py``.
 
-- per ``(row, depth)`` dice word, adjoint contributions sum in
-  ascending sample order — the serial engine's per-column ``bincount``
-  order, and
-- per sample, forward contributions sum in ascending row order — the
-  serial engine's row-loop order,
-
-both starting from ``0.0`` (``0.0 + x == x`` exactly).  The weights
-themselves are produced by the very same ``_select_column``
-expressions the serial engine evaluates.  Hence the ``bincount``
-backend is **bit-identical** (``np.array_equal``) to
-:class:`SliceAndDiceGridder` in both directions — asserted in
-``tests/test_core_compiled.py``.
-
-The optional ``backend="csr"`` hands the same triplets to
-``scipy.sparse`` and evaluates each RHS as a CSR matvec (``A^T x`` via
-the transposed CSC view for interpolation).  SciPy's fused
-gather-multiply-scatter C loop roughly halves the memory traffic of
-the bincount path — numpy cannot fuse those three passes — which is
-why it is the fastest warm path.  It accumulates in matrix order too,
-but its C routines may use different intermediate rounding, so the CSR
-backend is documented as ``allclose(rtol=1e-12)`` rather than
-bit-identical.
+At complex64 SciPy's float32 loop would accumulate in float32, while
+the serial engine sums each dice word in float64 before rounding once.
+The complex64 default is therefore ``backend="bincount"``: float32
+products, a ``bincount`` over ``flat`` for the adjoint (bit-identical
+to the serial engine), and a float64 per-sample walk for the forward
+(bit-identical to the streaming NumPy lane; the serial engine's
+forward accumulates in complex64, so it is close, not equal).
+``backend="csr"`` at complex64 is ``allclose``, not bit-exact.
+``backend="bincount"`` at complex128 is bit-identical too, just slower.
 
 Plan cache
 ----------
-Plans are memoized per trajectory with the same O(1)
-``_coords_fingerprint`` keying and true-LRU eviction as the select
-tables, and the same contract: in-place coordinate mutation requires
-:meth:`invalidate_cache`.  The per-axis tables themselves are only a
-*transient* input to compilation here (``table_cache_size=0`` by
-default) — the plan replaces them.
+Plans are memoized per trajectory with the O(1)
+``_coords_fingerprint`` keying and true-LRU eviction; in-place
+coordinate mutation requires :meth:`invalidate_cache`.
 """
 
 from __future__ import annotations
@@ -71,169 +72,108 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from ..gridding.base import GriddingSetup, GriddingStats
-from .slice_and_dice import SliceAndDiceGridder
-
-try:  # pragma: no cover - scipy is an install requirement, but degrade
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover
-    _sparse = None
+from .slice_and_dice import SliceAndDiceGridder, gather_f64, select_bytes
 
 __all__ = [
     "CompiledPlan",
     "CompiledSliceAndDiceGridder",
-    "plan_stats",
 ]
+
+#: execution lanes of the compiled engine
+_BACKENDS = ("bincount", "csr")
 
 
 @dataclass
 class CompiledPlan:
-    """A trajectory's select pass, flattened to scatter-plan arrays.
+    """A trajectory's select pass as fixed-width, sample-major entries.
 
-    Entries are stored in row-major order (dice rows ascending, samples
-    ascending within a row) — the property both bincount directions'
-    bit-identity rests on (module docstring).  ``row_starts[r] :
-    row_starts[r + 1]`` is row ``r``'s contiguous slice, which is what
-    the jit engine's row-sharded scatter slabs on.
+    Sample ``s`` owns entries ``s * W^d … (s + 1) * W^d - 1``, in
+    ascending dice row — the property every lane's bit-identity rests
+    on (module docstring).
     """
 
-    sample_idx: np.ndarray  #: int64 ``(nnz,)`` contributing sample per entry
-    flat_idx: np.ndarray    #: int64 ``(nnz,)`` global dice address per entry
-    weight: np.ndarray      #: ``setup.real_dtype`` ``(nnz,)`` separable kernel weight
-    row_starts: np.ndarray  #: int64 ``(n_rows + 1,)`` per-row slice offsets
-    m: int                  #: samples in the compiled trajectory
-    n_rows: int             #: dice rows (``T^d`` columns)
-    n_tiles: int            #: dice depth (tiles per column)
-    compile_seconds: float  #: wall-clock of the flatten pass
-    table_build_seconds: float  #: wall-clock of the transient table build
-    table_bytes: int        #: bytes of the transient per-axis tables
-    _sample_order: np.ndarray | None = field(default=None, repr=False)
-    _sample_starts: np.ndarray | None = field(default=None, repr=False)
+    flat: np.ndarray    #: ``(nnz,)`` dice address per entry (int32 on the csr lane)
+    weight: np.ndarray  #: ``setup.real_dtype`` ``(nnz,)`` separable kernel weight
+    m: int              #: samples in the compiled trajectory
+    n_rows: int         #: dice rows (``T^d`` columns)
+    n_tiles: int        #: dice depth (tiles per column)
+    compile_seconds: float  #: wall-clock of the select (and CSR wrap)
+    select_bytes: int   #: modelled transient bytes of that select
     _csr: object | None = field(default=None, repr=False)
-    _csr_dtype: object | None = field(default=None, repr=False)
+    _row_view: tuple | None = field(default=None, repr=False)
 
     @property
     def nnz(self) -> int:
-        """Passing checks compiled into the plan (``M * W^d`` in the
-        interior; fewer only if the kernel LUT zeroes edge weights)."""
-        return int(self.sample_idx.size)
+        """Entries in the plan: ``M * W^d``."""
+        return int(self.flat.size)
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the plan's flat arrays."""
-        total = (
-            self.sample_idx.nbytes
-            + self.flat_idx.nbytes
-            + self.weight.nbytes
-            + self.row_starts.nbytes
-        )
-        if self._sample_order is not None:
-            total += self._sample_order.nbytes + self._sample_starts.nbytes
+        """Resident bytes: the entries, plus the CSR row pointer and the
+        row-major view once they exist."""
+        total = self.flat.nbytes + self.weight.nbytes
+        if self._csr is not None:
+            total += self._csr.indptr.nbytes
+        if self._row_view is not None:
+            total += sum(a.nbytes for a in self._row_view)
         return int(total)
 
-    def sample_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lazy sample-major view: ``(order, starts)``.
+    def csr(self) -> sparse.csr_matrix:
+        """Lazy ``(m, n_rows * n_tiles)`` CSR matrix over the entries.
 
-        ``order`` is the **stable** argsort of ``sample_idx`` — within
-        one sample, entries keep their row-ascending plan order, so a
-        pass over ``order[starts[lo]:starts[hi]]`` accumulates each
-        sample's contributions in exactly the serial row order.  This
-        is the slab structure the jit engine's sample-sharded gather
-        uses; the full-pass bincount path does not need it.
+        ``data`` and ``indices`` are the plan's own ``weight`` and
+        ``flat`` arrays; only the ``(m + 1)`` row pointer is new.  Each
+        row's column indices are ascending and unique (``W <= T``), so
+        the matrix is in canonical form.
         """
-        if self._sample_order is None:
-            self._sample_order = np.argsort(self.sample_idx, kind="stable")
-            counts = np.bincount(self.sample_idx, minlength=self.m)
-            starts = np.zeros(self.m + 1, dtype=np.int64)
-            np.cumsum(counts, out=starts[1:])
-            self._sample_starts = starts
-        return self._sample_order, self._sample_starts
-
-    def csr(self, dtype=np.complex128):
-        """Lazy ``(n_rows * n_tiles, m)`` CSR matrix of the plan.
-
-        ``(flat_idx, sample_idx)`` pairs are unique (``W <= T`` gives at
-        most one passing point per column per sample), so the COO->CSR
-        conversion never merges duplicates.  The data is stored in the
-        requested complex ``dtype`` (the setup's working dtype): the
-        weights are real, but a complex-typed matrix lets SciPy's fused
-        gather-multiply-scatter loop run directly on complex sample
-        vectors instead of upcasting the matrix on every call — and a
-        complex64 matrix halves the matvec traffic for a complex64
-        setup.  The cache is invalidated when ``dtype`` changes (one
-        plan serves one setup in practice, so this never thrashes).
-        """
-        dtype = np.dtype(dtype)
-        if self._csr is None or self._csr_dtype != dtype:
-            if _sparse is None:  # pragma: no cover - scipy always present
-                raise ImportError(
-                    "backend='csr' requires scipy; install scipy or use "
-                    "the default backend='bincount'"
-                )
-            self._csr = _sparse.csr_matrix(
-                (self.weight.astype(dtype),
-                 (self.flat_idx, self.sample_idx)),
-                shape=(self.n_rows * self.n_tiles, self.m),
+        if self._csr is None:
+            per = self.nnz // self.m if self.m else 1
+            indptr = np.arange(0, self.nnz + 1, per, dtype=self.flat.dtype)
+            self._csr = sparse.csr_matrix(
+                (self.weight, self.flat, indptr),
+                shape=(self.m, self.n_rows * self.n_tiles),
+                copy=False,
             )
-            self._csr_dtype = dtype
         return self._csr
 
+    def row_view(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lazy row-major view: ``(order, starts)``.
 
-def plan_stats(
-    ndim: int,
-    n_columns: int,
-    m: int,
-    n_rhs: int,
-    plan: CompiledPlan,
-    hit: bool,
-    dice_bytes: int = 0,
-) -> GriddingStats:
-    """Per-call stats for a compiled-plan pass.
+        ``order`` is the **stable** argsort of the entries by dice row —
+        within one row, entries keep their ascending-sample plan order —
+        and ``order[starts[r]:starts[r + 1]]`` are row ``r``'s entries.
+        This is the slab structure the jit engine's row-sharded scatter
+        uses (the mirror of sample-major order).
+        """
+        if self._row_view is None:
+            rows = self.flat // self.n_tiles
+            order = np.argsort(rows, kind="stable")
+            starts = np.zeros(self.n_rows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.n_rows), out=starts[1:])
+            self._row_view = (order, starts)
+        return self._row_view
 
-    A plan **miss** pays the full select pass once — ``M * T^d``
-    boundary checks, ``nnz * d`` LUT reads, and ``M * T^d`` issued lane
-    slots (the compile is the streaming pass) — plus the recorded
-    table-build and plan-compile seconds.  A plan **hit** is the paper's
-    select-unit-reuse payoff: zero boundary checks, zero LUT reads, and
-    every issued lane slot does useful work (``simd_active_lanes ==
-    simd_lane_slots == nnz`` — the gather has no divergence to waste
-    slots on).  Value work (``interpolations`` MACs, dice accesses)
-    always scales with the batch.
 
-    ``dice_bytes`` is the caller's dice + scratch residency; the
-    reported ``peak_bytes`` adds the plan itself and — on a miss — the
-    transient select tables, giving the pass' true transient high
-    water instead of the pooled-buffer bytes alone.
-    """
-    return GriddingStats(
-        boundary_checks=0 if hit else m * n_columns,
-        interpolations=plan.nnz * n_rhs,
-        samples_processed=m,
-        presort_operations=0,
-        grid_accesses=plan.nnz * n_rhs,
-        lut_lookups=0 if hit else plan.nnz * ndim,
-        simd_active_lanes=plan.nnz,
-        simd_lane_slots=plan.nnz if hit else m * n_columns,
-        cache_hits=1 if hit else 0,
-        cache_misses=0 if hit else 1,
-        table_build_seconds=0.0 if hit else plan.table_build_seconds,
-        table_bytes=0 if hit else plan.table_bytes,
-        plan_compile_seconds=0.0 if hit else plan.compile_seconds,
-        plan_nnz=plan.nnz,
-        peak_bytes=(
-            dice_bytes + plan.nbytes + (0 if hit else plan.table_bytes)
-        ),
-    )
+def _as_real(a: np.ndarray) -> np.ndarray:
+    """A complex vector as its ``(n, 2)`` (real, imag) float view."""
+    return np.ascontiguousarray(a).view(a.real.dtype).reshape(-1, 2)
+
+
+def _as_complex(a: np.ndarray, dtype) -> np.ndarray:
+    """Inverse of :func:`_as_real`: ``(n, 2)`` floats as ``(n,)`` complex."""
+    return a.view(dtype).reshape(-1)
 
 
 class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     """Slice-and-Dice with the select pass compiled per trajectory.
 
-    First call on a trajectory builds the per-axis tables (transient),
-    flattens them into a :class:`CompiledPlan`, and caches the plan;
-    every subsequent call — every further CG iteration, coil, or RHS —
-    is a gather plus bincounts with **zero select work**.
+    The first call on a trajectory runs the table-driven select into a
+    :class:`CompiledPlan` and caches it; every subsequent call — every
+    further CG iteration, coil, or RHS — is one sparse mat-vec (or a
+    ``bincount`` pass) per RHS with **zero select work**.
 
     Parameters
     ----------
@@ -243,15 +183,13 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     tile_size:
         Virtual tile dimension ``T`` (8 in the paper).
     backend:
-        ``"bincount"`` (default; bit-identical to the serial engine) or
-        ``"csr"`` (scipy CSR mat-mat; ``allclose(rtol=1e-12)``).
+        ``"csr"`` (SciPy sparse mat-vec) or ``"bincount"`` (NumPy
+        gather + ``bincount``).  Default: the fastest lane that is
+        bit-identical at the setup's dtype — ``"csr"`` at complex128,
+        ``"bincount"`` at complex64 (module docstring).
     plan_cache_size:
         Trajectories whose compiled plans are kept (true LRU; ``0``
         disables plan caching and recompiles every call).
-    table_cache_size:
-        Select-table cache of the parent class.  Defaults to ``0``
-        here: the tables are only a transient compilation input, and
-        keeping both them and the plan resident would double memory.
 
     Examples
     --------
@@ -266,8 +204,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     >>> values = rng.standard_normal(100) + 1j * rng.standard_normal(100)
     >>> bool(np.array_equal(com.grid(coords, values), ser.grid(coords, values)))
     True
-    >>> com.stats.cache_misses, com.stats.plan_nnz     # compile call
-    (1, 3600)
+    >>> com.backend, com.stats.cache_misses, com.stats.plan_nnz  # compile call
+    ('csr', 1, 3600)
     >>> _ = com.grid(coords, values)
     >>> com.stats.cache_hits, com.stats.boundary_checks  # plan reuse
     (1, 0)
@@ -279,22 +217,18 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         self,
         setup: GriddingSetup,
         tile_size: int = 8,
-        backend: str = "bincount",
+        backend: str | None = None,
         plan_cache_size: int = 4,
-        table_cache_size: int = 0,
     ):
         super().__init__(
-            setup,
-            tile_size=tile_size,
-            engine="columns",
-            table_cache_size=table_cache_size,
+            setup, tile_size=tile_size, engine="columns", table_cache_size=0
         )
-        if backend not in ("bincount", "csr"):
+        if backend is None:
+            backend = "csr" if setup.dtype == np.complex128 else "bincount"
+        if backend not in _BACKENDS:
             raise ValueError(
-                f"backend must be 'bincount' or 'csr', got {backend!r}"
+                f"backend must be one of {_BACKENDS}, got {backend!r}"
             )
-        if backend == "csr" and _sparse is None:  # pragma: no cover
-            raise ImportError("backend='csr' requires scipy")
         if plan_cache_size < 0:
             raise ValueError(
                 f"plan_cache_size must be >= 0, got {plan_cache_size}"
@@ -303,48 +237,24 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         self.plan_cache_size = int(plan_cache_size)
         #: fingerprint -> CompiledPlan; dict order doubles as LRU order
         self._plan_cache: dict[tuple, CompiledPlan] = {}
-        #: persistent ``(2, nnz)`` real gather scratch — re-allocated
-        #: only when the plan size or dtype changes, never per RHS
-        self._entry_scratch: np.ndarray | None = None
+        #: the bincount lane's ``(nnz,)`` product scratch, reused across
+        #: RHS and calls; re-allocated only when the plan size changes
+        self._products: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # plan cache
     # ------------------------------------------------------------------
     def invalidate_cache(self) -> None:
-        """Drop cached plans *and* the parent's cached select tables."""
+        """Drop cached plans (and the parent's select-table cache)."""
         super().invalidate_cache()
         self._plan_cache.clear()
-        self._entry_scratch = None
-
-    def _plan_scratch(self, nnz: int) -> tuple[np.ndarray, np.ndarray]:
-        """Real/imag ``(nnz,)`` gather scratch pair, reused across RHS
-        *and* across calls on the same plan.
-
-        Before this buffer existed, ``_apply_grid`` / ``_apply_interp``
-        allocated two fresh ``(nnz,)`` arrays per RHS — at ``M * W^d``
-        entries that churn dominated the warm adjoint's allocator
-        traffic.  The pair lives in one ``(2, nnz)`` block so a plan
-        swap costs a single re-allocation.
-        """
-        rd = self.setup.real_dtype
-        sc = self._entry_scratch
-        if sc is None or sc.shape[1] != nnz or sc.dtype != rd:
-            sc = np.empty((2, max(nnz, 1)), dtype=rd)
-            self._entry_scratch = sc
-        return sc[0, :nnz], sc[1, :nnz]
-
-    def _dice_bytes(self, plan: CompiledPlan, k_rhs: int) -> int:
-        """Dice + gather-scratch residency of a ``K``-RHS pass (the
-        ``dice_bytes`` input of :func:`plan_stats`)."""
-        dice = k_rhs * plan.n_rows * plan.n_tiles * self.setup.dtype.itemsize
-        scratch = 0 if self._entry_scratch is None else self._entry_scratch.nbytes
-        return dice + scratch
+        self._products = None
 
     def _fetch_plan(self, coords: np.ndarray) -> tuple[CompiledPlan, bool]:
         """The trajectory's compiled plan plus whether it was a cache hit.
 
-        Same fingerprint keying, LRU move-to-end, and in-place-mutation
-        contract as the parent's table cache.
+        Fingerprint keying and LRU move-to-end as the parent's table
+        cache; the in-place-mutation contract is the same.
         """
         key = self._coords_fingerprint(coords) if self.plan_cache_size else None
         if key is not None:
@@ -354,30 +264,109 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                 self._plan_cache[key] = cached
                 return cached, True
 
-        tables, fetch = self._fetch_tables(coords)
+        setup = self.setup
+        m = coords.shape[0]
+        nnz = m * setup.width ** setup.ndim
+        n_flat = self.layout.n_columns * self.layout.n_tiles
+        # bincount wants intp indices; SciPy takes int32 ones, which
+        # halve the index traffic of every mat-vec
+        fits = max(nnz, n_flat) < 2 ** 31
+        idx_dtype = np.int32 if self.backend == "csr" and fits else np.intp
         t0 = time.perf_counter()
-        sample_idx, flat_idx, weight, row_starts = self._flatten_select(tables)
-        compile_seconds = time.perf_counter() - t0
+        flat = np.empty(nnz, dtype=idx_dtype)
+        weight = np.empty(nnz, dtype=setup.real_dtype)
+        if m:
+            self._select_entries(coords, flat, weight)
         plan = CompiledPlan(
-            sample_idx=sample_idx,
-            flat_idx=flat_idx,
+            flat=flat,
             weight=weight,
-            row_starts=row_starts,
-            m=coords.shape[0],
+            m=m,
             n_rows=self.layout.n_columns,
             n_tiles=self.layout.n_tiles,
-            compile_seconds=compile_seconds,
-            table_build_seconds=fetch.build_seconds,
-            table_bytes=fetch.table_bytes,
+            compile_seconds=0.0,
+            select_bytes=select_bytes(
+                m, setup.ndim, setup.width, weight.itemsize
+            ),
         )
+        if self.backend == "csr":
+            plan.csr()
+        plan.compile_seconds = time.perf_counter() - t0
         if key is not None:
             while len(self._plan_cache) >= self.plan_cache_size:
                 self._plan_cache.pop(next(iter(self._plan_cache)))
             self._plan_cache[key] = plan
         return plan, False
 
+    def _products_scratch(self, nnz: int) -> np.ndarray:
+        """The bincount lane's ``(nnz,)`` product scratch."""
+        if self._products is None or self._products.size != nnz:
+            self._products = np.empty(nnz, dtype=self.setup.real_dtype)
+        return self._products
+
     # ------------------------------------------------------------------
-    # gridding (adjoint): gather + bincount / CSR matvec
+    # stats
+    # ------------------------------------------------------------------
+    def _pass_bytes(self, plan: CompiledPlan, k_rhs: int, forward: bool) -> int:
+        """Bytes a ``K``-RHS pass holds beside the plan: the dice, the
+        forward's output, one RHS's mat-vec result (csr) or float64
+        ``bincount`` output / per-sample sums (bincount), and the
+        bincount lane's product scratch with, at float32, ``bincount``'s
+        float64 copy of the products."""
+        c = self.setup.dtype.itemsize
+        r = self.setup.real_dtype.itemsize
+        n_flat = plan.n_rows * plan.n_tiles
+        total = k_rhs * n_flat * c
+        if forward:
+            total += k_rhs * plan.m * c
+        n_out = plan.m if forward else n_flat
+        if self.backend == "csr":
+            return total + n_out * c
+        total += n_out * 8 + plan.nnz * r
+        if not forward and r == 4:
+            total += plan.nnz * 8
+        return total
+
+    def _plan_stats(
+        self, plan: CompiledPlan, hit: bool, k_rhs: int, forward: bool
+    ) -> GriddingStats:
+        """Per-call stats for a compiled-plan pass.
+
+        A plan **miss** pays the select: ``W`` boundary checks and LUT
+        reads per axis per sample, its wall time in
+        ``plan_compile_seconds``, and — in ``peak_bytes`` — the larger
+        of the select's high water (entries + select transients) and the
+        pass' (plan + :meth:`_pass_bytes`).  A plan **hit** is the
+        paper's select-unit-reuse payoff: zero boundary checks and LUT
+        reads.  Every issued lane slot does useful work either way
+        (``simd_active_lanes == simd_lane_slots == nnz``); value work
+        (``interpolations`` MACs, dice accesses) scales with the batch.
+        ``table_bytes`` are the engine's resident ``(G, W)`` axis
+        tables, built once at construction.
+        """
+        checks = 0 if hit else plan.m * self.setup.width * self.setup.ndim
+        peak = plan.nbytes + self._pass_bytes(plan, k_rhs, forward)
+        if not hit:
+            entries = plan.flat.nbytes + plan.weight.nbytes
+            peak = max(peak, entries + plan.select_bytes)
+        return GriddingStats(
+            boundary_checks=checks,
+            interpolations=plan.nnz * k_rhs,
+            samples_processed=plan.m,
+            presort_operations=0,
+            grid_accesses=plan.nnz * k_rhs,
+            lut_lookups=checks,
+            simd_active_lanes=plan.nnz,
+            simd_lane_slots=plan.nnz,
+            cache_hits=int(hit),
+            cache_misses=int(not hit),
+            table_bytes=sum(d.nbytes + a.nbytes for d, a in self._axis_tables),
+            plan_compile_seconds=0.0 if hit else plan.compile_seconds,
+            plan_nnz=plan.nnz,
+            peak_bytes=peak,
+        )
+
+    # ------------------------------------------------------------------
+    # gridding (adjoint): A.T @ values per RHS
     # ------------------------------------------------------------------
     def _grid_impl(
         self, coords: np.ndarray, values: np.ndarray, grid: np.ndarray
@@ -390,10 +379,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             )
         finally:
             self._release_buffer(dice_flat)
-        self.stats = plan_stats(
-            self.setup.ndim, self.layout.n_columns, coords.shape[0], 1, plan,
-            hit, dice_bytes=self._dice_bytes(plan, 1),
-        )
+        self.stats = self._plan_stats(plan, hit, 1, forward=False)
 
     def _grid_batch_impl(
         self,
@@ -401,12 +387,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         values_stack: np.ndarray,
         out: np.ndarray,
     ) -> None:
-        """Batched adjoint gridding from the compiled plan.
-
-        One plan fetch (hit after the first call per trajectory), then
-        per RHS a gather and two ``bincount`` accumulates (or one CSR
-        matvec with ``backend="csr"``).
-        """
+        """Batched adjoint gridding: one plan fetch (a hit after the
+        first call per trajectory), then one pass per RHS."""
         k_rhs = values_stack.shape[0]
         plan, hit = self._fetch_plan(coords)
         dice_flat = self._apply_grid(plan, values_stack)
@@ -417,69 +399,57 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                 )
         finally:
             self._release_buffer(dice_flat)
-        self.stats = plan_stats(
-            self.setup.ndim, self.layout.n_columns, coords.shape[0], k_rhs,
-            plan, hit, dice_bytes=self._dice_bytes(plan, k_rhs),
-        )
+        self.stats = self._plan_stats(plan, hit, k_rhs, forward=False)
 
     def _apply_grid(
         self, plan: CompiledPlan, values_stack: np.ndarray
     ) -> np.ndarray:
         """``(K, n_rows * n_tiles)`` raveled dice for a value stack.
 
-        The dice always comes from :meth:`_acquire_buffer` (the CSR
-        ``K=1`` path used to return a fresh matvec result, which the
-        caller's release then pushed into the pool unacquired —
-        corrupting the pool's outstanding-balance accounting) and is
-        released back on any failure mid-fill.
+        The dice always comes from :meth:`_acquire_buffer` and is
+        released back on any failure mid-fill, so the caller's release
+        keeps the pool's outstanding-balance accounting exact.
         """
         k_rhs = values_stack.shape[0]
         n_flat = plan.n_rows * plan.n_tiles
-        if self.backend == "csr":
-            mat = plan.csr(self.setup.dtype)
-            dice_flat = self._acquire_buffer((k_rhs, n_flat), zero=False)
-            try:
-                for k in range(k_rhs):
-                    dice_flat[k] = mat @ values_stack[k]
-            except BaseException:
-                self._release_buffer(dice_flat)
-                raise
+        dice_flat = self._acquire_buffer((k_rhs, n_flat), zero=plan.nnz == 0)
+        if plan.nnz == 0:
             return dice_flat
-        dice_flat = self._acquire_buffer((k_rhs, n_flat), zero=True)
         try:
-            if plan.nnz:
-                sample, flat, wgt = plan.sample_idx, plan.flat_idx, plan.weight
-                re, im = self._plan_scratch(plan.nnz)
+            if self.backend == "csr":
+                mat_t = plan.csr().T  # CSC view, no copy
                 for k in range(k_rhs):
-                    # real/imag gathered separately into the persistent
-                    # scratch pair: bincount's weight pass then runs on
-                    # contiguous real data with no complex temp and no
-                    # per-RHS allocation.  mode="clip" keeps take on its
-                    # direct write path (mode="raise" buffers an extra
-                    # (nnz,) temp); plan indices are validated at compile.
-                    np.take(values_stack[k].real, sample, out=re, mode="clip")
-                    np.take(values_stack[k].imag, sample, out=im, mode="clip")
-                    re *= wgt
-                    im *= wgt
-                    dice_flat[k].real = np.bincount(flat, weights=re, minlength=n_flat)
-                    dice_flat[k].imag = np.bincount(flat, weights=im, minlength=n_flat)
+                    dice_flat[k] = _as_complex(
+                        mat_t @ _as_real(values_stack[k]), self.setup.dtype
+                    )
+            else:
+                products = self._products_scratch(plan.nnz)
+                rows = products.reshape(plan.m, -1)
+                wgt = plan.weight.reshape(plan.m, -1)
+                for k in range(k_rhs):
+                    for part in ("real", "imag"):
+                        # each sample's value times its W^d weights
+                        np.einsum(
+                            "i,ij->ij", getattr(values_stack[k], part), wgt,
+                            out=rows,
+                        )
+                        setattr(
+                            dice_flat[k], part,
+                            np.bincount(plan.flat, weights=products, minlength=n_flat),
+                        )
         except BaseException:
             self._release_buffer(dice_flat)
             raise
         return dice_flat
 
     # ------------------------------------------------------------------
-    # interpolation (forward): gather + segment-sum / CSR matvec
+    # interpolation (forward): A @ dice per RHS
     # ------------------------------------------------------------------
     def _interp_batch_impl(
         self, grid_stack: np.ndarray, coords: np.ndarray
     ) -> np.ndarray:
-        """Batched forward interpolation from the compiled plan.
-
-        The transpose pass over the same plan: gather the raveled dice
-        at ``flat_idx``, weight, and segment-sum per sample (``A^T x``
-        with ``backend="csr"``).
-        """
+        """Batched forward interpolation from the compiled plan: the
+        transpose pass over the same entries."""
         k_rhs = grid_stack.shape[0]
         m = coords.shape[0]
         plan, hit = self._fetch_plan(coords)
@@ -492,10 +462,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             out = self._apply_interp(plan, dice_flat, m)
         finally:
             self._release_buffer(dice_flat)
-        self.stats = plan_stats(
-            self.setup.ndim, self.layout.n_columns, m, k_rhs, plan, hit,
-            dice_bytes=self._dice_bytes(plan, k_rhs),
-        )
+        self.stats = self._plan_stats(plan, hit, k_rhs, forward=True)
         return out
 
     def _apply_interp(
@@ -509,33 +476,21 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         lifecycle, and stats bookkeeping above.
         """
         k_rhs = dice_flat.shape[0]
+        if plan.nnz == 0:
+            return np.zeros((k_rhs, m), dtype=self.setup.dtype)
+        out = np.empty((k_rhs, m), dtype=self.setup.dtype)
         if self.backend == "csr":
-            mat_t = plan.csr(self.setup.dtype).T  # CSC view, no copy
-            if k_rhs == 1:
-                return (mat_t @ dice_flat[0])[None]
-            out = np.empty((k_rhs, m), dtype=self.setup.dtype)
+            mat = plan.csr()
             for k in range(k_rhs):
-                out[k] = mat_t @ dice_flat[k]
+                out[k] = _as_complex(mat @ _as_real(dice_flat[k]), self.setup.dtype)
             return out
-        out = np.zeros((k_rhs, m), dtype=self.setup.dtype)
-        if plan.nnz:
-            sample, flat, wgt = plan.sample_idx, plan.flat_idx, plan.weight
-            re, im = self._plan_scratch(plan.nnz)
-            for k in range(k_rhs):
-                np.take(dice_flat[k].real, flat, out=re, mode="clip")
-                np.take(dice_flat[k].imag, flat, out=im, mode="clip")
-                re *= wgt
-                im *= wgt
-                out[k].real = np.bincount(sample, weights=re, minlength=m)
-                out[k].imag = np.bincount(sample, weights=im, minlength=m)
+        products = self._products_scratch(plan.nnz)
+        acc = np.empty(m, dtype=np.float64)
+        for k in range(k_rhs):
+            for part in ("real", "imag"):
+                gather_f64(
+                    getattr(dice_flat[k], part), plan.flat, plan.weight,
+                    products, acc,
+                )
+                setattr(out[k], part, acc)
         return out
-
-    # ------------------------------------------------------------------
-    def address_trace(self, coords: np.ndarray) -> np.ndarray:
-        """Dice addresses in processing order — exactly the plan's
-        ``flat_idx`` (row-major), so the trace is free once compiled."""
-        coords = self.setup.check_coords(coords)
-        if coords.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        plan, _ = self._fetch_plan(coords)
-        return plan.flat_idx.copy()

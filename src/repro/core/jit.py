@@ -1,37 +1,36 @@
 """Numba-JIT execution lanes for the compiled scatter-plan engine.
 
-The compiled engine (:mod:`repro.core.compiled`) already reduced every
-warm call to a gather plus ``bincount`` accumulates over the plan's
-``M * W^d`` entries — but that is still three full memory passes per
-RHS per direction (gather, weight-multiply, scatter/segment-sum), with
-a float64 accumulator round-trip forced by ``np.bincount`` regardless
-of the working precision.  This module fuses each direction into a
-single compiled loop over the plan entries:
+The compiled engine (:mod:`repro.core.compiled`) runs a warm call as
+one SciPy sparse mat-vec per RHS at complex128, and as a gather plus
+float64 ``bincount`` passes at complex64.  This module fuses each
+direction into a single compiled loop over the plan's fixed-width,
+sample-major entries (``flat`` / ``weight`` viewed as ``(M, W^d)``):
 
-- **adjoint** (``scatter``): ``dice[k, flat_idx[e]] +=
-  values[k, sample_idx[e]] * weight[e]`` — replaces the real/imag
-  ``bincount`` pair with one complex accumulate pass;
-- **forward** (``gather``): ``out[k, sample_idx[e]] +=
-  dice[k, flat_idx[e]] * weight[e]`` — the transpose segment-sum.
+- **adjoint** (``scatter``): ``dice[k, flat[s, j]] +=
+  values[k, s] * weight[s, j]``, one complex accumulate pass;
+- **forward** (``gather``): ``out[k, s] += dice[k, flat[s, j]] *
+  weight[s, j]``, the transpose segment-sum.
 
 Each has a serial variant that walks the plan in entry order and a
 ``parallel=True`` ``prange`` variant sharded over the plan's natural
-slab structure: **rows** for the adjoint (``row_starts`` — each dice
-row is owned by exactly one entry slab, so row-sharded scatters never
-race) and **samples** for the forward (the plan's stable
-:meth:`~repro.core.compiled.CompiledPlan.sample_view`).
+slab structure: **rows** for the adjoint (the stable row-major
+:meth:`~repro.core.compiled.CompiledPlan.row_view` — each dice row is
+owned by exactly one slab of it, so row-sharded scatters never race)
+and **samples** for the forward (each sample's entries are one
+contiguous row of the plan).
 
 Numerics
 --------
-``np.bincount`` accumulates its weights sequentially in array order,
-so for float64 the serial entry-order loop performs the exact same
-additions on the exact same products in the exact same order — the
-serial JIT lane is **bit-identical** to the NumPy lane at complex128.
-The parallel variants preserve *per-accumulator* addition order (rows
-keep entry order inside their slab; samples accumulate in the stable
-row-ascending order), so they are bit-identical to the serial lane as
-well.  At complex64 the lanes differ by design: ``np.bincount``
-up-casts float32 weights and accumulates in float64 before rounding
+Per dice word the entries run in ascending sample order and per sample
+in ascending dice row, so the serial entry-order loops perform the
+same additions on the same products in the same order as
+``np.bincount`` and SciPy's mat-vec loops — the serial JIT lane is
+**bit-identical** to the NumPy lanes at complex128.  The parallel
+variants preserve *per-accumulator* addition order (rows keep
+ascending samples inside their slab; samples accumulate their
+contiguous row in order), so they are bit-identical to the serial lane
+as well.  At complex64 the lanes differ by design: ``np.bincount``
+up-casts float32 products and accumulates in float64 before rounding
 back, while the JIT lanes accumulate natively in float32 — the
 difference is bounded by the usual ``O(sqrt(nnz/m)) * eps_f32``
 segment-sum error and gated at NRMSD <= 1e-6 in the identity tests.
@@ -110,63 +109,66 @@ def numba_version() -> str | None:
 # ----------------------------------------------------------------------
 
 
-def scatter_plan_entries(values_stack, sample_idx, flat_idx, weight, dice_flat):
-    """Serial fused adjoint: accumulate plan entries in entry order.
+def scatter_plan_entries(values_stack, flat, weight, dice_flat):
+    """Serial fused adjoint: accumulate the entries in entry order.
 
-    Entry order is the plan's row-major order, so per dice word the
+    ``flat`` / ``weight`` are the ``(M, W^d)`` sample-major entries
+    (row ``s`` holds sample ``s``'s entries), so per dice word the
     additions happen in ascending-sample order — exactly
     ``np.bincount``'s per-bin order (bit-identical at complex128).
     """
     for k in range(values_stack.shape[0]):
-        for e in range(sample_idx.shape[0]):
-            dice_flat[k, flat_idx[e]] += values_stack[k, sample_idx[e]] * weight[e]
+        for s in range(flat.shape[0]):
+            v = values_stack[k, s]
+            for j in range(flat.shape[1]):
+                dice_flat[k, flat[s, j]] += v * weight[s, j]
 
 
-def scatter_plan_rows(
-    values_stack, sample_idx, flat_idx, weight, row_starts, dice_flat
-):
+def scatter_plan_rows(values_stack, flat, weight, order, starts, dice_flat):
     """Row-sharded fused adjoint (``prange`` over dice rows).
 
-    Every entry of row ``r`` lands in dice row ``r`` (the plan's
-    ownership invariant), so concurrent rows never touch the same
-    accumulator, and in-row entry order is preserved — numerically
-    identical to :func:`scatter_plan_entries`.
+    ``(order, starts)`` is the plan's stable row-major view
+    (:meth:`~repro.core.compiled.CompiledPlan.row_view`): raveled entry
+    indices grouped by dice row, ascending inside each row.  Every
+    entry of row ``r`` lands in dice row ``r``, so concurrent rows never
+    touch the same accumulator, and in-row entry order is preserved —
+    numerically identical to :func:`scatter_plan_entries`.
     """
-    n_rows = row_starts.shape[0] - 1
+    per = flat.shape[1]
     for k in range(values_stack.shape[0]):
-        for r in _prange(n_rows):
-            for e in range(row_starts[r], row_starts[r + 1]):
-                dice_flat[k, flat_idx[e]] += (
-                    values_stack[k, sample_idx[e]] * weight[e]
-                )
+        for r in _prange(starts.shape[0] - 1):
+            for i in range(starts[r], starts[r + 1]):
+                e = order[i]
+                s = e // per
+                j = e - s * per
+                dice_flat[k, flat[s, j]] += values_stack[k, s] * weight[s, j]
 
 
-def gather_plan_entries(dice_flat, sample_idx, flat_idx, weight, out):
-    """Serial fused forward: the transpose segment-sum in entry order.
-
-    Per sample, contributions accumulate in ascending row order — the
-    serial engine's row-loop order and ``np.bincount``'s per-bin order
-    (``out`` must arrive zeroed)."""
+def gather_plan_entries(dice_flat, flat, weight, out):
+    """Serial fused forward: each sample's entries summed in entry
+    order, i.e. ascending dice row — the serial engine's row-loop order
+    and ``np.bincount``'s per-bin order (``out`` must arrive zeroed —
+    its slot seeds the typed accumulator)."""
     for k in range(dice_flat.shape[0]):
-        for e in range(sample_idx.shape[0]):
-            out[k, sample_idx[e]] += dice_flat[k, flat_idx[e]] * weight[e]
+        for s in range(flat.shape[0]):
+            acc = out[k, s]
+            for j in range(flat.shape[1]):
+                acc = acc + dice_flat[k, flat[s, j]] * weight[s, j]
+            out[k, s] = acc
 
 
-def gather_plan_samples(dice_flat, flat_idx, weight, order, starts, out):
+def gather_plan_samples(dice_flat, flat, weight, out):
     """Sample-sharded fused forward (``prange`` over samples).
 
-    ``(order, starts)`` is the plan's stable sample-major view: within
-    one sample, entries keep their row-ascending order, so each
-    sample's register accumulation performs the serial additions in the
-    serial order (``out`` must arrive zeroed — its slot seeds the
-    typed accumulator)."""
-    m = starts.shape[0] - 1
+    Each sample's entries are one contiguous row of the sample-major
+    plan, so a sample's register accumulation performs the serial
+    additions in the serial order — numerically identical to
+    :func:`gather_plan_entries`."""
     for k in range(dice_flat.shape[0]):
-        for s in _prange(m):
+        for s in _prange(flat.shape[0]):
             acc = out[k, s]
-            for j in range(starts[s], starts[s + 1]):
-                e = order[j]
-                acc = acc + dice_flat[k, flat_idx[e]] * weight[e]
+            for j in range(flat.shape[1]):
+                acc = acc + dice_flat[k, flat[s, j]] * weight[s, j]
             out[k, s] = acc
 
 
@@ -218,6 +220,12 @@ def _compiled() -> dict[str, object]:
 # the engine
 # ----------------------------------------------------------------------
 
+
+def _entries(plan: CompiledPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The plan's ``(M, W^d)`` sample-major ``(flat, weight)`` views."""
+    return plan.flat.reshape(plan.m, -1), plan.weight.reshape(plan.m, -1)
+
+
 _LANES = ("auto", "numba-parallel", "numba-serial", "numpy")
 
 
@@ -247,7 +255,7 @@ class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
     parallel_threshold:
         Plan-entry count at which ``lane="auto"`` switches from the
         serial to the parallel kernels.
-    plan_cache_size / table_cache_size:
+    plan_cache_size:
         As in the parent.
 
     Examples
@@ -277,14 +285,9 @@ class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         lane: str = "auto",
         parallel_threshold: int = 1 << 15,
         plan_cache_size: int = 4,
-        table_cache_size: int = 0,
     ):
         super().__init__(
-            setup,
-            tile_size=tile_size,
-            backend="bincount",
-            plan_cache_size=plan_cache_size,
-            table_cache_size=table_cache_size,
+            setup, tile_size=tile_size, plan_cache_size=plan_cache_size
         )
         if lane not in _LANES:
             raise ValueError(f"lane must be one of {_LANES}, got {lane!r}")
@@ -337,23 +340,14 @@ class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         try:
             fault_point("jit:scatter")
             kernels = _compiled()
+            flat, weight = _entries(plan)
             if lane == "numba-parallel":
+                order, starts = plan.row_view()
                 kernels["scatter-parallel"](
-                    values_stack,
-                    plan.sample_idx,
-                    plan.flat_idx,
-                    plan.weight,
-                    plan.row_starts,
-                    dice_flat,
+                    values_stack, flat, weight, order, starts, dice_flat
                 )
             else:
-                kernels["scatter-serial"](
-                    values_stack,
-                    plan.sample_idx,
-                    plan.flat_idx,
-                    plan.weight,
-                    dice_flat,
-                )
+                kernels["scatter-serial"](values_stack, flat, weight, dice_flat)
         except (KeyboardInterrupt, SystemExit):
             self._release_buffer(dice_flat)
             raise
@@ -375,16 +369,8 @@ class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         out = np.zeros((dice_flat.shape[0], m), dtype=self.setup.dtype)
         try:
             fault_point("jit:gather")
-            kernels = _compiled()
-            if lane == "numba-parallel":
-                order, starts = plan.sample_view()
-                kernels["gather-parallel"](
-                    dice_flat, plan.flat_idx, plan.weight, order, starts, out
-                )
-            else:
-                kernels["gather-serial"](
-                    dice_flat, plan.sample_idx, plan.flat_idx, plan.weight, out
-                )
+            kind = "parallel" if lane == "numba-parallel" else "serial"
+            _compiled()[f"gather-{kind}"](dice_flat, *_entries(plan), out)
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:

@@ -41,17 +41,19 @@ fixed trajectory (one per coil per CG iteration — the paper's
   ``stats.table_build_seconds`` and ``stats.table_bytes``; eviction
   is true LRU (a re-hit trajectory moves to most-recently-used).
 
-The select pass is also *compilable*: :meth:`_flatten_select` runs the
-column loop once and records every passing ``(sample, column)`` pair as
-flat index/weight arrays — the hook :class:`repro.core.compiled.
-CompiledSliceAndDiceGridder` builds its trajectory-compiled scatter
-plans on.
+The select pass also has a *table-driven* form:
+:meth:`_select_entries` writes every passing ``(sample, column)`` pair
+as fixed-width, sample-major dice-address/weight arrays from two small
+``(G, W)`` tables per axis (:attr:`_axis_tables`).  The compiled
+engine (:class:`repro.core.compiled.CompiledSliceAndDiceGridder`) runs
+it once per trajectory, the streaming engine once per chunk.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +96,46 @@ def _tables_nbytes(tables: tuple) -> int:
     return int(
         sum(a.nbytes for group in (masks, weights, tiles) for a in group)
     )
+
+
+def select_bytes(m: int, ndim: int, width: int, rsize: int) -> int:
+    """Transient bytes of :meth:`SliceAndDiceGridder._select_entries`
+    over ``m`` samples, beyond the entry arrays it writes: the per-axis
+    ``(M, W)`` temporaries (forward distance, LUT index with its two
+    float64 rounding/clip transients, address, weight of ``rsize``
+    bytes) and, in 3-D and up, the ``(M, W^(d-1))`` broadcast
+    intermediates."""
+    per_sample = ndim * width * (4 * 8 + rsize)
+    if ndim > 2:
+        per_sample += width ** (ndim - 1) * (8 + rsize)
+    return m * per_sample
+
+
+def gather_f64(
+    src: np.ndarray,
+    flat: np.ndarray,
+    wgt: np.ndarray,
+    products: np.ndarray,
+    acc: np.ndarray,
+) -> None:
+    """``acc[s] = sum_j src[flat[e]] * wgt[e]`` over sample ``s``'s
+    entries ``e = s·W^d + j`` of a fixed-width sample-major select.
+
+    The products are formed in ``products`` (``wgt``'s dtype) and each
+    sample's are summed in float64 from ``0.0`` in entry order, i.e.
+    in ascending dice row: the per-sample chain a ``bincount`` over the
+    entries would add, walked column by column in sample blocks that
+    stay cache-resident.
+    """
+    m = acc.shape[0]
+    np.take(src, flat, out=products, mode="clip")
+    products *= wgt
+    columns = products.reshape(m, -1)
+    for lo in range(0, m, 4096):
+        block, block_acc = columns[lo:lo + 4096], acc[lo:lo + 4096]
+        block_acc[:] = 0.0
+        for j in range(block.shape[1]):
+            block_acc += block[:, j]
 
 
 class SliceAndDiceGridder(Gridder):
@@ -373,9 +415,9 @@ class SliceAndDiceGridder(Gridder):
         Returns ``(hit, wgt, depth)``: the passing sample indices
         (ascending), their combined separable weights, and their global
         tile addresses.  This is the coordinate-only half of the column
-        model — shared verbatim by gridding, interpolation, and the
-        scatter-plan compiler (:meth:`_flatten_select`), which is what
-        makes all three bit-comparable.
+        model, shared verbatim by gridding and interpolation; the
+        table-driven :meth:`_select_entries` evaluates the same weight
+        expressions in the same axis order.
         """
         setup = self.setup
         dec, masks, weights, tiles = tables
@@ -393,61 +435,85 @@ class SliceAndDiceGridder(Gridder):
             depth = depth * counts[axis] + tiles[axis][column[axis]][hit]
         return hit, wgt, depth
 
-    def _flatten_select(
-        self, tables: tuple
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten the select tables into flat scatter-plan arrays.
+    @cached_property
+    def _axis_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per axis, ``(dist, addr)`` tables of shape ``(G, W)`` indexed
+        by the integer grid position ``i`` — the input of
+        :meth:`_select_entries`, built on first use.
 
-        Runs the column loop once over the whole sample stream and
-        concatenates the per-column select results in row-major order:
-
-        - ``sample_idx`` — int64 ``(nnz,)`` passing sample indices,
-        - ``flat_idx`` — int64 ``(nnz,)`` global dice addresses
-          ``row * n_tiles + depth``,
-        - ``weight`` — ``setup.real_dtype`` ``(nnz,)`` combined
-          separable weights,
-        - ``row_starts`` — int64 ``(T^d + 1,)`` offsets of each row's
-          slice in the flat arrays (``row_starts[r]:row_starts[r+1]``),
-
-        with ``nnz`` exactly the ``M * W^d`` passing checks.  Row-major
-        order with ascending samples inside each row preserves *both*
-        accumulation orders of the serial engine: entries of one
-        ``(row, depth)`` dice word appear in ascending sample order
-        (gridding), and entries of one sample appear in ascending row
-        order (interpolation) — the bit-identity argument of
-        :class:`repro.core.compiled.CompiledSliceAndDiceGridder`.
+        Row ``i`` lists the ``W`` columns ``p`` with forward distance
+        ``(rel - p) mod T < W`` in ascending ``p``: ``dist`` holds that
+        distance (float64, so ``dist + frac`` is the column loop's
+        ``fwd``), ``addr`` the point's axis term of the dice address —
+        ``p`` times the axis' row stride plus its tile, decremented on
+        a wrap (``rel < p``) modulo the tile count, times the axis'
+        depth stride.
         """
-        dec = tables[0]
-        m = dec.n_samples
-        n_tiles = self.layout.n_tiles
-        columns = self.layout.columns()
-        n_rows = columns.shape[0]
-        sample_pieces: list[np.ndarray] = []
-        flat_pieces: list[np.ndarray] = []
-        weight_pieces: list[np.ndarray] = []
-        row_starts = np.zeros(n_rows + 1, dtype=np.int64)
-        for row in range(n_rows):
-            hit, wgt, depth = self._select_column(tables, columns[row], 0, m)
-            row_starts[row + 1] = row_starts[row] + hit.size
-            if hit.size == 0:
-                continue
-            sample_pieces.append(hit)
-            flat_pieces.append(row * n_tiles + depth)
-            weight_pieces.append(wgt)
-        if not sample_pieces:
-            empty = np.zeros(0, dtype=np.int64)
-            return (
-                empty,
-                empty.copy(),
-                np.zeros(0, dtype=self.setup.real_dtype),
-                row_starts,
+        t, w, ndim = self.tile_size, self.setup.width, self.setup.ndim
+        counts = self.layout.tile_counts
+        tables = []
+        for axis, g in enumerate(self.setup.grid_shape):
+            tile, rel = np.divmod(np.arange(g, dtype=np.int64), t)
+            p = np.sort((rel[:, None] - np.arange(w)) % t, axis=1)
+            wrapped = (tile[:, None] - (rel[:, None] < p)) % counts[axis]
+            row_stride = t ** (ndim - 1 - axis) * self.layout.n_tiles
+            depth_stride = int(np.prod(counts[axis + 1:], dtype=np.int64))
+            tables.append(
+                (
+                    ((rel[:, None] - p) % t).astype(np.float64),
+                    p * row_stride + wrapped * depth_stride,
+                )
             )
-        return (
-            np.concatenate(sample_pieces),
-            np.concatenate(flat_pieces),
-            np.concatenate(weight_pieces),
-            row_starts,
-        )
+        return tables
+
+    def _select_entries(
+        self, coords: np.ndarray, flat: np.ndarray, wgt: np.ndarray
+    ) -> None:
+        """Table-driven select: write the ``M·W^d`` sample-major entries
+        of ``coords`` into ``flat`` (dice addresses) and ``wgt``
+        (combined weights, ``setup.real_dtype``).
+
+        Sample ``s`` owns entries ``s·W^d … (s+1)·W^d - 1``, in
+        ascending dice row.  The addresses are one broadcast add of the
+        per-axis terms of :attr:`_axis_tables` and the weights one
+        broadcast product of the per-axis LUT reads, in
+        :meth:`_select_column`'s axis order, so every weight is the
+        column loop's.  ``d + frac`` can round up to exactly
+        ``W`` when ``frac`` lies within an ulp of 1; the column loop
+        then drops that column, and this select zeroes its weight,
+        which adds ``±0.0`` and changes no sum.
+        """
+        setup = self.setup
+        lut = setup.lut
+        w, ndim = setup.width, setup.ndim
+        m = coords.shape[0]
+        half = lut.width / 2.0
+        for axis, (dist, axis_addr) in enumerate(self._axis_tables):
+            # the decomposition of repro.core.decomposition, one axis
+            shifted = np.mod(coords[:, axis] + half, float(setup.grid_shape[axis]))
+            i = np.floor(shifted).astype(np.int64)
+            fwd = dist[i] + (shifted - i)[:, None]
+            w_axis = lut.table[lut.index_of(fwd)].astype(setup.real_dtype, copy=False)
+            outside = fwd >= w
+            if outside.any():
+                w_axis[outside] = 0.0
+            if axis == 0:
+                addr, weight = axis_addr[i], w_axis
+                continue
+            shape = (m, addr.shape[1], w)
+            last = axis == ndim - 1
+            addr = np.add(
+                addr[:, :, None], axis_addr[i][:, None, :],
+                out=flat.reshape(shape) if last else None,
+            ).reshape(m, -1)
+            # the products of ``weight[:, :, None] * w_axis[:, None, :]``;
+            # einsum's loop is twice as fast on a length-W inner axis
+            weight = np.einsum(
+                "ij,ik->ijk", weight, w_axis,
+                out=wgt.reshape(shape) if last else None,
+            ).reshape(m, -1)
+        if ndim == 1:
+            flat[:], wgt[:] = addr.ravel(), weight.ravel()
 
     def _fill_stats(
         self, m: int, n_rhs: int, interpolations: int, lane_slots: int,

@@ -90,15 +90,15 @@ class GriddingStats:
         this call (0.0 on a cache hit) — makes the amortization
         benefit observable rather than asserted.
     table_bytes:
-        Resident bytes of the per-axis select tables this call used
-        (masks + weights + tile indices).  Zero for gridders without
-        tables, and zero for the compiled engine once the plan is
-        built (the tables are transient there).
+        Resident bytes of the per-axis select tables this call used:
+        the serial engine's ``(T, M)`` masks + weights + tile indices,
+        or the compiled and streaming engines' ``(G, W)`` tables of the
+        table-driven select.  Zero for gridders without tables.
     plan_compile_seconds:
         Wall-clock seconds spent compiling a trajectory scatter plan
-        during this call (the ``slice_and_dice_compiled`` engine);
-        0.0 on a plan-cache hit.  The streaming engine reports its
-        per-chunk select time here.
+        during this call (the ``slice_and_dice_compiled`` engine: its
+        select plus the CSR wrap); 0.0 on a plan-cache hit.  The
+        streaming engine reports its per-chunk select time here.
     plan_nnz:
         Nonzeros of the compiled scatter plan the call executed —
         exactly the ``M * W^d`` passing checks (the streaming engine:

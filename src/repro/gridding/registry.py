@@ -10,9 +10,10 @@ asserts identical output grids).  Registered engines (see
 - ``"binning"`` — pre-sorted tile/bin (Impatient-style) baseline,
 - ``"sparse_matrix"`` — precomputed CSR interpolation matrix (MIRT),
 - ``"slice_and_dice"`` — the paper's binning-free column model,
-- ``"slice_and_dice_compiled"`` — the select pass compiled once per
-  trajectory into flat scatter-plan arrays; repeat calls are a gather
-  plus bincount accumulates (bit-identical to the serial engine),
+- ``"slice_and_dice_compiled"`` — the table-driven select run once per
+  trajectory into a sample-major scatter plan; repeat calls are one
+  SciPy CSR mat-vec per RHS (bit-identical to the serial engine at
+  complex128),
 - ``"slice_and_dice_jit"`` — the compiled plan executed by numba-fused
   scatter/gather loops when numba is importable (supervised
   degradation to the pure-NumPy compiled path when it is not),

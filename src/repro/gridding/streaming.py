@@ -18,12 +18,13 @@ sample stream to be resident.  This module exploits that:
   pays when a trajectory is reused.  (A trajectory that fits in one
   chunk is selected once: its entries stay in the chunk scratch.)
 
-The select is table-driven: per axis, the ``W`` columns a sample
-touches depend only on its integer grid position, so two ``(G, W)``
-tables built once per engine give their forward distances and their
-axis terms of the dice address.  A chunk's ``M·W^d`` addresses are one
-broadcast add of those terms and its weights one broadcast product of
-the per-axis LUT reads (in ``_select_column``'s axis order), written
+The select is table-driven (:meth:`SliceAndDiceGridder._select_entries`,
+the one the compiled engine runs once per trajectory): per axis, the
+``W`` columns a sample touches depend only on its integer grid
+position, so two ``(G, W)`` tables built once per engine give their
+forward distances and their axis terms of the dice address.  A chunk's
+``M·W^d`` addresses are one broadcast add of those terms and its
+weights one broadcast product of the per-axis LUT reads, written
 straight into the seeded-``bincount`` scratch.
 
 Bit-identity
@@ -31,10 +32,11 @@ Bit-identity
 The entries come out **sample-major**, rows ascending inside each
 sample.  A sample touches each dice word at most once (``W <= T``), so
 per dice word the entries run in ascending sample order and per sample
-in ascending row order — the one-shot plan's row-major order
-restricted to that word or sample.  Unstacking the dice adds nothing,
-and chunks partition the stream in order, so the chunks' per-word
-sequences concatenate to the one-shot order.  The NumPy lane also
+in ascending row order — the orders the serial and the one-shot
+compiled engines add in, restricted to that word or sample.
+Unstacking the dice adds nothing, and chunks partition the stream in
+order, so the chunks' per-word sequences concatenate to the one-shot
+order.  The NumPy lane also
 keeps the *partial-sum chain*: it seeds each chunk's ``bincount`` with
 the current dice values (``arange(n_flat)`` entries prepended), and
 ``0.0 + seed == seed`` exactly, so the streamed adjoint is
@@ -46,11 +48,6 @@ one-shot JIT engine at both precisions.  Forward, each chunk owns a
 disjoint output slice and each sample sums from ``0.0`` in ascending
 row order (float64 on the NumPy lane, like ``bincount``), so streamed
 interpolation matches the one-shot engines in every lane and dtype.
-
-One floating-point edge: ``d + frac`` can round up to exactly ``W``
-when ``frac`` lies within an ulp of 1, and the one-shot boundary check
-then drops that column.  The select zeroes that entry's weight, which
-adds ``±0.0`` and changes no sum.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.jit import jit_available, plan_kernels
-from ..core.slice_and_dice import SliceAndDiceGridder
+from ..core.slice_and_dice import SliceAndDiceGridder, gather_f64, select_bytes
 from ..errors import DegradationEvent
 from ..robustness.checkpoint import StreamCheckpoint
 from ..robustness.faults import corrupt_chunk, fault_point
@@ -247,10 +244,8 @@ def _working_set(
         2 * ndim * 8
         + k_rhs * cdt.itemsize
         + width ** ndim * (8 + 2 * rsize + cast)
-        + ndim * width * (4 * 8 + rsize)
-        + (width ** (ndim - 1) * (8 + rsize) if ndim > 2 else 0)
     )
-    return fixed, m * per_sample
+    return fixed, m * per_sample + select_bytes(m, ndim, width, rsize)
 
 
 def choose_chunk_samples(
@@ -382,7 +377,6 @@ class StreamingSliceAndDiceGridder(SliceAndDiceGridder):
         self._pending_events: list[DegradationEvent] = []
         self._used_lane = ""
         self._n_flat = self.layout.n_columns * self.layout.n_tiles
-        self._axis_tables = self._build_axis_tables()
         #: per-chunk scratch, grown to the largest chunk and reused:
         #: seeded-bincount indices (an arange(n_flat) seed prefix, then
         #: the chunk's dice addresses), the matching weight slots, and
@@ -432,10 +426,7 @@ class StreamingSliceAndDiceGridder(SliceAndDiceGridder):
             if lane == "jit":
                 fault_point(f"jit:{kind}")
             kern = plan_kernels(jit=(lane == "jit"))[f"{kind}-serial"]
-            # each entry's sample; int32 keeps it within the bytes of
-            # the weight slots this lane does not allocate
-            sample = np.repeat(np.arange(m, dtype=np.int32), flat.size // m)
-            kern(src, sample, flat, wgt, dst)
+            kern(src, flat.reshape(m, -1), wgt.reshape(m, -1), dst)
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:
@@ -450,37 +441,8 @@ class StreamingSliceAndDiceGridder(SliceAndDiceGridder):
         self._aug_idx = self._aug_wgt = self._wgt = self._selected = None
 
     # ------------------------------------------------------------------
-    # table-driven select
+    # chunk select (SliceAndDiceGridder._select_entries) into the scratch
     # ------------------------------------------------------------------
-    def _build_axis_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per axis, ``(dist, addr)`` tables of shape ``(G, W)`` indexed
-        by the integer grid position ``i``.
-
-        Row ``i`` lists the ``W`` columns ``p`` with forward distance
-        ``(rel - p) mod T < W`` in ascending ``p``: ``dist`` holds that
-        distance (float64, so ``dist + frac`` is the one-shot
-        ``fwd``), ``addr`` the point's axis term of the dice address —
-        ``p`` times the axis' row stride plus its tile, decremented on
-        a wrap (``rel < p``) modulo the tile count, times the axis'
-        depth stride.
-        """
-        t, w, ndim = self.tile_size, self.setup.width, self.setup.ndim
-        counts = self.layout.tile_counts
-        tables = []
-        for axis, g in enumerate(self.setup.grid_shape):
-            tile, rel = np.divmod(np.arange(g, dtype=np.int64), t)
-            p = np.sort((rel[:, None] - np.arange(w)) % t, axis=1)
-            wrapped = (tile[:, None] - (rel[:, None] < p)) % counts[axis]
-            row_stride = t ** (ndim - 1 - axis) * self.layout.n_tiles
-            depth_stride = int(np.prod(counts[axis + 1:], dtype=np.int64))
-            tables.append(
-                (
-                    ((rel[:, None] - p) % t).astype(np.float64),
-                    p * row_stride + wrapped * depth_stride,
-                )
-            )
-        return tables
-
     def _scratch(self, nnz: int, weight_slots: bool):
         """``(idx, wgt_slots, wgt)`` views for a chunk of ``nnz``
         entries: the seeded-bincount index array (seed prefix + entry
@@ -511,43 +473,13 @@ class StreamingSliceAndDiceGridder(SliceAndDiceGridder):
         match is on all coordinates against a kept copy, as the O(1)
         sampled trajectory fingerprint could alias two stream chunks.
         """
-        setup = self.setup
-        lut = setup.lut
-        w, ndim = setup.width, setup.ndim
-        m = coords.shape[0]
+        nnz = coords.shape[0] * self.setup.width ** self.setup.ndim
         hit = self._selected is not None and np.array_equal(self._selected, coords)
-        idx, slots, wgt = self._scratch(m * w ** ndim, weight_slots)
+        idx, slots, wgt = self._scratch(nnz, weight_slots)
         if hit:
             return idx, slots, wgt, True
         self._selected = None
-        flat = idx[self._n_flat:]
-        half = lut.width / 2.0
-        for axis, (dist, axis_addr) in enumerate(self._axis_tables):
-            # the decomposition of repro.core.decomposition, one axis
-            shifted = np.mod(coords[:, axis] + half, float(setup.grid_shape[axis]))
-            i = np.floor(shifted).astype(np.int64)
-            fwd = dist[i] + (shifted - i)[:, None]
-            w_axis = lut.table[lut.index_of(fwd)].astype(setup.real_dtype, copy=False)
-            outside = fwd >= w
-            if outside.any():
-                w_axis[outside] = 0.0
-            if axis == 0:
-                addr, weight = axis_addr[i], w_axis
-                continue
-            shape = (m, addr.shape[1], w)
-            last = axis == ndim - 1
-            addr = np.add(
-                addr[:, :, None], axis_addr[i][:, None, :],
-                out=flat.reshape(shape) if last else None,
-            ).reshape(m, -1)
-            # the products of ``weight[:, :, None] * w_axis[:, None, :]``;
-            # einsum's loop is twice as fast on a length-W inner axis
-            weight = np.einsum(
-                "ij,ik->ijk", weight, w_axis,
-                out=wgt.reshape(shape) if last else None,
-            ).reshape(m, -1)
-        if ndim == 1:
-            flat[:], wgt[:] = addr.ravel(), weight.ravel()
+        self._select_entries(coords, idx[self._n_flat:], wgt)
         self._selected = coords.copy()
         return idx, slots, wgt, False
 
@@ -604,18 +536,10 @@ class StreamingSliceAndDiceGridder(SliceAndDiceGridder):
             # the one-shot bincount chain of every sample
             _, slots, wgt = self._scratch(wgt.size, weight_slots=True)
             products = slots[self._n_flat:]
-            columns = products.reshape(m, -1)
             acc = np.empty(m, dtype=np.float64)
             for k in range(k_rhs):
                 for part in ("real", "imag"):
-                    np.take(getattr(dice_flat[k], part), flat, out=products, mode="clip")
-                    products *= wgt
-                    # in sample blocks that stay cache-resident
-                    for lo in range(0, m, 4096):
-                        block, block_acc = columns[lo:lo + 4096], acc[lo:lo + 4096]
-                        block_acc[:] = 0.0
-                        for j in range(block.shape[1]):
-                            block_acc += block[:, j]
+                    gather_f64(getattr(dice_flat[k], part), flat, wgt, products, acc)
                     setattr(out[k], part, acc)
             self._used_lane = "numpy"
         return out, self._chunk_stats(m, wgt.size, k_rhs, select_s, hit)

@@ -92,6 +92,34 @@ class NufftTimings:
         return self.gridding / total if total > 0 else 0.0
 
 
+#: the precision lanes a :class:`NufftPlan` accepts
+PRECISIONS = ("double", "single", "simulate-single")
+
+
+def plan_grid_shape(
+    image_shape: tuple[int, ...],
+    oversampling: float,
+    gridder,
+    gridder_options: dict | None = None,
+) -> tuple[int, ...]:
+    """The oversampled grid a :class:`NufftPlan` builds.
+
+    ``round(n * oversampling)`` per axis, rounded up to a multiple of
+    the Slice-and-Dice tile size (``gridder_options["tile_size"]``,
+    default 8) for those engines and to even otherwise: tiled gridders
+    need the grid to be a multiple of their tile, and a slightly larger
+    sigma never hurts accuracy.
+    """
+    if isinstance(gridder, str) and gridder.startswith("slice_and_dice"):
+        granule = int((gridder_options or {}).get("tile_size", 8))
+    else:
+        granule = 2
+    return tuple(
+        max(granule, granule * -(-int(round(n * oversampling)) // granule))
+        for n in image_shape
+    )
+
+
 class NufftPlan:
     """A reusable NuFFT for one image geometry + sampling pattern.
 
@@ -119,16 +147,17 @@ class NufftPlan:
         Registered gridder name (``"naive"``, ``"binning"``,
         ``"slice_and_dice"``, ``"slice_and_dice_compiled"``,
         ``"slice_and_dice_jit"``, ...) or an already-built
-        :class:`Gridder`.  The compiled engine compiles the select pass
-        into a scatter plan on the first forward/adjoint call and
-        reuses it for every later call on the plan's fixed trajectory
-        — the right default for iterative use, where iteration 2+ does
-        zero select work, bit-identically to the serial engine; see
-        ``docs/engines.md``.
+        :class:`Gridder`.  The compiled engine runs the select pass
+        once, on the first forward/adjoint call, into a sample-major
+        scatter plan that doubles as a CSR matrix, and makes every
+        later call on the plan's fixed trajectory one sparse mat-vec —
+        the right default for iterative use, where iteration 2+ does
+        zero select work, bit-identically to the serial engine at
+        complex128; see ``docs/engines.md``.
     gridder_options:
         Extra keyword arguments for the gridder factory, e.g.
         ``{"tile_size": 8}`` for the tiled engines or
-        ``{"backend": "csr"}`` for ``"slice_and_dice_compiled"``.
+        ``{"backend": "bincount"}`` for ``"slice_and_dice_compiled"``.
     precision:
         ``"double"`` (default), ``"single"``, or ``"simulate-single"``.
         ``"single"`` is a true complex64 compute lane matching the
@@ -241,7 +270,7 @@ class NufftPlan:
         fft_fallback: bool = True,
         buffer_pool: GridBufferPool | None = None,
     ):
-        if precision not in ("double", "single", "simulate-single"):
+        if precision not in PRECISIONS:
             raise ValueError(
                 "precision must be 'double', 'single', or 'simulate-single', "
                 f"got {precision!r}"
@@ -257,16 +286,8 @@ class NufftPlan:
         if oversampling <= 1.0:
             raise ValueError(f"oversampling must exceed 1, got {oversampling}")
         self.oversampling = float(oversampling)
-        # Tiled gridders need the grid to be a multiple of their tile
-        # size; round the oversampled grid up to the next compatible
-        # even size (a slightly larger sigma never hurts accuracy).
-        if isinstance(gridder, str) and gridder.startswith("slice_and_dice"):
-            granule = int((gridder_options or {}).get("tile_size", 8))
-        else:
-            granule = 2
-        self.grid_shape = tuple(
-            max(granule, granule * -(-int(round(n * self.oversampling)) // granule))
-            for n in self.image_shape
+        self.grid_shape = plan_grid_shape(
+            self.image_shape, self.oversampling, gridder, gridder_options
         )
 
         if kernel is None:

@@ -49,7 +49,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gridding.registry import available_gridders, default_gridder
+from ..gridding.base import GriddingSetup
+from ..gridding.registry import available_gridders, default_gridder, make_gridder
+from ..gridding.streaming import choose_chunk_samples
+from ..kernels import KernelLUT, beatty_kernel
+from ..nufft.plan import PRECISIONS, plan_grid_shape
 from ..robustness.deadline import CancelToken, Deadline
 
 __all__ = [
@@ -198,6 +202,12 @@ class JobSpec:
                 f"unknown gridder {self.gridder!r}; available: "
                 f"{available_gridders()}"
             )
+        if self.precision not in PRECISIONS:
+            raise ValueError(
+                f"precision must be one of {PRECISIONS}, got {self.precision!r}"
+            )
+        if not isinstance(self.gridder_options, dict):
+            raise ValueError("gridder_options must be a JSON object")
         if self.coords.shape[1] != len(self.image_shape):
             raise ValueError(
                 f"coords dimension {self.coords.shape[1]} != image rank "
@@ -218,6 +228,51 @@ class JobSpec:
             self.idempotency_key = str(self.idempotency_key)
             if not self.idempotency_key:
                 raise ValueError("idempotency_key must be a non-empty string")
+        self._check_gridder()
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Working complex dtype of the job's plan."""
+        single = self.precision == "single"
+        return np.dtype(np.complex64 if single else np.complex128)
+
+    def plan_gridder_options(self) -> dict:
+        """The gridder options the job's plan is built with: the
+        client's, plus under a ``max_bytes`` budget the streamed chunk
+        size sized from the plan's default geometry (2x oversampled
+        grid, W=6), which makes the registry route the engine family
+        onto the streaming lane."""
+        options = dict(self.gridder_options)
+        if self.max_bytes is not None and "chunk_samples" not in options:
+            options["chunk_samples"] = choose_chunk_samples(
+                self.coords.shape[0],
+                tuple(2 * n for n in self.image_shape),
+                6,
+                dtype=self.dtype,
+                max_bytes=self.max_bytes,
+            )
+        return options
+
+    def _check_gridder(self) -> None:
+        """Build the job's engine once, on the plan's grid, so that an
+        option its constructor rejects fails the submit (HTTP 400)
+        instead of the plan build, where it would trip the
+        ``lane:<gridder>`` breaker and move well-formed jobs off the
+        lane.  Constructors allocate no grid- or trajectory-sized
+        state, so the probe is cheap."""
+        try:
+            options = self.plan_gridder_options()
+            setup = GriddingSetup(
+                plan_grid_shape(self.image_shape, 2.0, self.gridder, options),
+                KernelLUT(beatty_kernel(6, 2.0), 8),
+                dtype=self.dtype,
+            )
+            make_gridder(self.gridder, setup, **options)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"gridder {self.gridder!r} rejects gridder_options "
+                f"{self.gridder_options!r}: {exc}"
+            ) from None
 
     @property
     def fingerprint(self) -> str:

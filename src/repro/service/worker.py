@@ -34,7 +34,7 @@ import numpy as np
 
 from ..errors import DeadlineExceeded, DegradationEvent, JobCancelled, ReproError
 from ..gridding.buffers import GridBufferPool
-from ..gridding.streaming import StreamingSliceAndDiceGridder, choose_chunk_samples
+from ..gridding.streaming import StreamingSliceAndDiceGridder
 from ..nufft import NufftPlan, ToeplitzNormalOperator
 from ..recon import cg_reconstruction
 from ..robustness.checkpoint import CheckpointConfig
@@ -275,27 +275,11 @@ class ReconWorker:
             self.plan_hits += 1
             return entry, "hit"
         self.plan_misses += 1
-        gridder_options = dict(spec.gridder_options)
-        if spec.max_bytes is not None and "chunk_samples" not in gridder_options:
-            # budget the gridding pass: size a chunk from the plan's
-            # default geometry (2x oversampled grid, W=6) and let the
-            # registry route the engine family onto the streaming lane
-            grid_shape = tuple(2 * n for n in spec.image_shape)
-            dtype = (
-                np.complex64 if spec.precision == "single" else np.complex128
-            )
-            gridder_options["chunk_samples"] = choose_chunk_samples(
-                spec.coords.shape[0],
-                grid_shape,
-                6,
-                dtype=dtype,
-                max_bytes=spec.max_bytes,
-            )
         plan = NufftPlan(
             spec.image_shape,
             spec.coords,
             gridder=spec.gridder,
-            gridder_options=gridder_options,
+            gridder_options=spec.plan_gridder_options(),
             precision=spec.precision,
             fft_backend=spec.fft_backend,
             quality_policy=spec.quality_policy,

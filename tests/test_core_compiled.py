@@ -1,23 +1,64 @@
 """Compiled scatter-plan engine: bit-identity, caches, stats.
 
-Covers the `slice_and_dice_compiled` engine (`repro.core.compiled`) and
-the satellite fixes that ride with it: true-LRU table-cache eviction,
-minimal-dtype tile tables + `table_bytes`, and per-call (not stale)
-cache events on interleaved grid/interp traffic.
+Covers the `slice_and_dice_compiled` engine (`repro.core.compiled`):
+identity of both lanes to the serial engine across dimensions, grid
+shapes, kernels, torus-edge samples, batches and dtypes; the plan
+cache; per-call stats including a tracemalloc-checked ``peak_bytes``;
+and the serial engine's true-LRU table cache, minimal-dtype tile
+tables and per-call (not stale) cache events.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core import CompiledSliceAndDiceGridder, SliceAndDiceGridder
 from repro.gridding import GriddingSetup, make_gridder
-from repro.kernels import KernelLUT, beatty_kernel
+from repro.kernels import KernelLUT, beatty_kernel, make_kernel
 from tests.conftest import random_samples
+
 
 def setup_3d() -> GriddingSetup:
     return GriddingSetup((16, 16, 16), KernelLUT(beatty_kernel(4, 2.0), 32))
+
+
+#: geometry -> (grid shape, window kernel, W)
+GEOMETRIES = {
+    "1d": ((64,), "kb", 6),
+    "square": ((32, 32), "kb", 6),
+    "rect": ((32, 48), "kb", 6),
+    "es": ((32, 32), "es", 4),
+    "edge": ((32, 32), "kb", 3),
+    "3d": ((16, 16, 24), "kb", 4),
+}
+
+
+def identity_problem(geometry: str, dtype, k: int = 3, m: int = 300):
+    """Setup, coordinates, a ``(K, M)`` value stack and a ``(K,) + grid``
+    stack for one geometry.  ``"edge"`` adds samples on the torus edges
+    (``0`` and ``G - eps`` per axis) and at ``0.5 - 2**-52``, where the
+    forward distance ``2 + frac`` rounds to ``W = 3`` and the serial
+    boundary check drops that column."""
+    shape, kernel, width = GEOMETRIES[geometry]
+    setup = GriddingSetup(
+        shape, KernelLUT(make_kernel(kernel, width), 64), dtype=dtype
+    )
+    rng = np.random.default_rng(sum(map(ord, geometry)))
+    coords = rng.uniform(0, 1, (m, len(shape))) * np.asarray(shape)
+    if geometry == "edge":
+        top = [np.nextafter(g, 0) for g in shape]
+        edges = np.array([[0.0, 0.0], top, [0.0, top[1]], [top[0], 0.0],
+                          [0.5 - 2**-52, 0.5 - 2**-52]])
+        coords = np.vstack([coords, edges])
+    n = coords.shape[0]
+    values = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+    grids = (
+        rng.standard_normal((k,) + shape) + 1j * rng.standard_normal((k,) + shape)
+    )
+    return setup, coords, values.astype(dtype), grids.astype(dtype)
 
 
 def random_grid_stack(rng, k, grid_shape):
@@ -79,29 +120,94 @@ class TestBitIdentity:
         assert np.array_equal(com.address_trace(coords), ser.address_trace(coords))
 
 
+class TestIdentityCells:
+    """The default lane of each dtype, and ``backend="bincount"`` at
+    complex128, against the serial engine on every geometry, in both
+    directions, single and batched."""
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("backend", [None, "bincount"])
+    def test_complex128_both_directions(self, geometry, backend):
+        setup, coords, values, grids = identity_problem(geometry, np.complex128)
+        ser = SliceAndDiceGridder(setup)
+        com = CompiledSliceAndDiceGridder(setup, backend=backend)
+        assert com.backend == (backend or "csr")
+        for _ in range(2):  # compile call, then plan reuse
+            assert np.array_equal(
+                com.grid_batch(coords, values), ser.grid_batch(coords, values)
+            )
+            assert np.array_equal(
+                com.interp_batch(grids, coords), ser.interp_batch(grids, coords)
+            )
+        assert np.array_equal(com.grid(coords, values[0]), ser.grid(coords, values[0]))
+        assert np.array_equal(com.interp(grids[0], coords), ser.interp(grids[0], coords))
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_complex64_default(self, geometry):
+        """The complex64 default is the bincount lane: its adjoint sums
+        each dice word in float64 like the serial engine; its forward
+        sums each sample in float64 like the streaming NumPy lane (the
+        serial forward accumulates in complex64: close, not equal)."""
+        setup, coords, values, grids = identity_problem(geometry, np.complex64)
+        ser = SliceAndDiceGridder(setup)
+        stm = make_gridder(
+            "slice_and_dice_streaming", setup, chunk_samples=10**6, lane="numpy"
+        )
+        com = CompiledSliceAndDiceGridder(setup)
+        assert com.backend == "bincount"
+        for _ in range(2):
+            got = com.grid_batch(coords, values)
+            assert got.dtype == np.complex64
+            assert np.array_equal(got, ser.grid_batch(coords, values))
+            fwd = com.interp_batch(grids, coords)
+            assert fwd.dtype == np.complex64
+            assert np.array_equal(fwd, stm.interp_batch(grids, coords))
+            np.testing.assert_allclose(
+                fwd, ser.interp_batch(grids, coords), rtol=1e-5, atol=1e-5
+            )
+
+
 class TestCsrBackend:
     def test_csr_allclose_both_directions(self, small_setup, rng):
+        """``backend="csr"`` is bit-identical at complex128 and
+        ``allclose`` at complex64, where SciPy accumulates in float32."""
         coords, values = random_samples(rng, 400, small_setup.grid_shape)
         gstack = random_grid_stack(rng, 3, small_setup.grid_shape)
         ser = SliceAndDiceGridder(small_setup)
         csr = CompiledSliceAndDiceGridder(small_setup, backend="csr")
-        # documented contract: allclose(rtol=1e-12), not bit-identity
+        assert np.array_equal(csr.grid(coords, values), ser.grid(coords, values))
+        assert np.array_equal(
+            csr.interp_batch(gstack, coords), ser.interp_batch(gstack, coords)
+        )
+        setup32 = GriddingSetup(
+            small_setup.grid_shape, small_setup.lut, dtype=np.complex64
+        )
+        ser32 = SliceAndDiceGridder(setup32)
+        csr32 = CompiledSliceAndDiceGridder(setup32, backend="csr")
+        values32, gstack32 = values.astype(np.complex64), gstack.astype(np.complex64)
+        got = csr32.grid(coords, values32)
+        assert got.dtype == np.complex64
         np.testing.assert_allclose(
-            csr.grid(coords, values), ser.grid(coords, values), rtol=1e-12
+            got, ser32.grid(coords, values32), rtol=1e-5, atol=1e-5
         )
         np.testing.assert_allclose(
-            csr.interp_batch(gstack, coords),
-            ser.interp_batch(gstack, coords),
-            rtol=1e-12,
+            csr32.interp_batch(gstack32, coords),
+            ser32.interp_batch(gstack32, coords),
+            rtol=1e-5, atol=1e-5,
         )
 
     def test_csr_matrix_has_no_duplicates(self, tiny_setup, rng):
-        # W <= T guarantees unique (sample, row) pairs, so COO->CSR
-        # conversion must not have merged anything
+        # W <= T: each sample's row holds W^d distinct, ascending dice
+        # addresses, and the matrix wraps the plan arrays without copies
         coords, _ = random_samples(rng, 100, tiny_setup.grid_shape)
         com = CompiledSliceAndDiceGridder(tiny_setup, backend="csr")
         plan, _ = com._fetch_plan(tiny_setup.check_coords(coords))
-        assert plan.csr().nnz == plan.nnz
+        mat = plan.csr()
+        assert mat.nnz == plan.nnz
+        assert mat.has_canonical_format
+        assert plan.flat.dtype == np.int32
+        assert np.shares_memory(mat.indices, plan.flat)
+        assert np.shares_memory(mat.data, plan.weight)
 
     def test_invalid_backend_rejected(self, tiny_setup):
         with pytest.raises(ValueError, match="backend"):
@@ -117,7 +223,8 @@ class TestPlanCache:
         com = CompiledSliceAndDiceGridder(small_setup)
         com.grid(coords, values)
         assert (com.stats.cache_misses, com.stats.cache_hits) == (1, 0)
-        assert com.stats.boundary_checks == 200 * com.layout.n_columns
+        # the table-driven select checks W columns per axis per sample
+        assert com.stats.boundary_checks == 200 * small_setup.width * 2
         assert com.stats.plan_compile_seconds > 0
         assert com.stats.table_bytes > 0
         com.grid(coords, values)
@@ -127,6 +234,41 @@ class TestPlanCache:
         assert com.stats.plan_compile_seconds == 0.0
         # no divergence on the gather: every lane slot does useful work
         assert com.stats.simd_lane_slots == com.stats.simd_active_lanes
+
+    def test_peak_bytes_tracks_tracemalloc(self, rng):
+        """A compile call's reported high water must match the
+        allocator's measured peak: never under by more than the
+        interpreter noise floor, never over by 2x.  The compile
+        allocates the whole plan inside the trace, so the resident plan
+        and the select transients both count."""
+        cases = [  # (grid shape, W, dtype, samples)
+            ((64, 64), 6, np.complex128, 24576),
+            ((64, 64), 6, np.complex64, 24576),
+            ((32, 32, 32), 4, np.complex128, 12288),
+        ]
+        for shape, width, dtype, m in cases:
+            setup = GriddingSetup(
+                shape, KernelLUT(beatty_kernel(width, 2.0), 64), dtype=dtype
+            )
+            coords, values = random_samples(rng, m, shape)
+            values = values.astype(dtype)
+            grid = random_grid_stack(rng, 1, shape)[0].astype(dtype)
+            for call in ("grid", "interp"):
+                com = make_gridder("slice_and_dice_compiled", setup)
+                tracemalloc.start()
+                tracemalloc.reset_peak()
+                if call == "grid":
+                    com.grid(coords, values)
+                else:
+                    com.interp(grid, coords)
+                _, traced_peak = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
+                peak = com.stats.peak_bytes
+                assert com.stats.cache_misses == 1
+                assert peak > 8_000_000
+                assert 0.5 * peak <= traced_peak <= peak + 1_000_000, (
+                    shape, dtype, call, traced_peak, peak
+                )
 
     def test_plan_nnz_counts_passing_checks(self, tiny_setup, rng):
         # interior samples pass exactly W^d checks per sample

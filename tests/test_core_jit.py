@@ -18,6 +18,7 @@ import repro.core.jit as jitmod
 from repro.core.jit import (
     JIT_DISABLE_ENV,
     JitSliceAndDiceGridder,
+    _entries,
     gather_plan_entries,
     gather_plan_samples,
     jit_available,
@@ -75,15 +76,12 @@ class TestRawLaneIdentity:
     def _run_scatter(self, g, plan, stack, lane):
         n_flat = plan.n_rows * plan.n_tiles
         dice = np.zeros((stack.shape[0], n_flat), dtype=g.setup.dtype)
+        flat, weight = _entries(plan)
         if lane == "serial":
-            scatter_plan_entries(
-                stack, plan.sample_idx, plan.flat_idx, plan.weight, dice
-            )
+            scatter_plan_entries(stack, flat, weight, dice)
         else:
-            scatter_plan_rows(
-                stack, plan.sample_idx, plan.flat_idx, plan.weight,
-                plan.row_starts, dice,
-            )
+            order, starts = plan.row_view()
+            scatter_plan_rows(stack, flat, weight, order, starts, dice)
         return np.stack([
             g.layout.dice_to_grid(dice[k].reshape(plan.n_rows, plan.n_tiles))
             for k in range(stack.shape[0])
@@ -95,15 +93,8 @@ class TestRawLaneIdentity:
             for k in range(grids.shape[0])
         ])
         out = np.zeros((grids.shape[0], m), dtype=g.setup.dtype)
-        if lane == "serial":
-            gather_plan_entries(
-                dice, plan.sample_idx, plan.flat_idx, plan.weight, out
-            )
-        else:
-            order, starts = plan.sample_view()
-            gather_plan_samples(
-                dice, plan.flat_idx, plan.weight, order, starts, out
-            )
+        kernel = gather_plan_entries if lane == "serial" else gather_plan_samples
+        kernel(dice, *_entries(plan), out)
         return out
 
     @pytest.mark.parametrize("lane", ["serial", "rows"])
@@ -142,6 +133,25 @@ class TestRawLaneIdentity:
         got = self._run_gather(g, plan, grids, coords.shape[0], lane)
         assert got.dtype == np.complex64
         assert nrmsd(got, ref) <= 1e-6
+
+    def test_row_view_is_stable_row_major(self, compiled):
+        """``row_view()`` groups the sample-major entries by dice row,
+        ascending samples inside each row: the serial engine's column
+        order, which is what makes the row-sharded scatter race-free
+        and bit-identical."""
+        g, plan, coords, *_ = compiled
+        order, starts = plan.row_view()
+        rows = plan.flat // plan.n_tiles
+        assert np.array_equal(np.sort(order), np.arange(plan.nnz))
+        assert np.all(np.diff(rows[order]) >= 0)
+        for r in range(plan.n_rows):
+            slab = order[starts[r]:starts[r + 1]]
+            assert np.all(rows[slab] == r)
+            assert np.all(np.diff(slab) > 0)  # stable: entry order kept
+        ser = make_gridder("slice_and_dice", g.setup)
+        assert np.array_equal(plan.flat[order], ser.address_trace(coords))
+        # the view counts in the resident plan bytes
+        assert plan.nbytes >= order.nbytes + starts.nbytes + plan.flat.nbytes
 
     def test_3d_identity(self):
         setup = GriddingSetup(

@@ -128,6 +128,31 @@ class TestRoutes:
         assert stats["accepted"] == 0
         assert "lane:slice_and_dice_parallel" not in stats["breakers"]
 
+    @pytest.mark.parametrize("options", [
+        pytest.param({"gridder_options": {"backend": "nope"}}, id="backend"),
+        pytest.param({"gridder_options": {"no_such_option": 1}}, id="unknown"),
+        pytest.param({"gridder_options": {"table_cache_size": 0}}, id="removed"),
+        # W = 6 > T = 4: the one-point-per-column guarantee breaks
+        pytest.param({"gridder_options": {"tile_size": 4}}, id="tile_size"),
+        pytest.param({"precision": "half"}, id="precision"),
+        # the grid alone exceeds the budget: no chunk size fits
+        pytest.param({"max_bytes": 1024}, id="max_bytes"),
+    ])
+    def test_bad_plan_options_400_without_breaker(self, server, options):
+        """Options the plan build would reject fail the submit: nothing
+        is accepted, and no ``lane:`` breaker learns of them."""
+        coords, samples, _ = _problem()
+        status, body, _ = _post_json(server.url + "/jobs", {
+            "image_shape": [32, 32],
+            "coords": encode_array(coords),
+            "samples": encode_array(samples),
+            "options": {"gridder": "slice_and_dice_compiled", **options},
+        })
+        assert status == 400, body
+        stats = ReconClient(server.url).stats()
+        assert stats["accepted"] == 0
+        assert not [k for k in stats["breakers"] if k.startswith("lane:")]
+
     def test_curl_style_plain_list_payload(self, server):
         # the lenient codec: a human can post plain JSON lists
         status, body, _ = _post_json(server.url + "/jobs", {
