@@ -1,9 +1,10 @@
 """Ablation — streamed chunked gridding: the memory bound.
 
-Gridding a large trajectory in fixed-size chunks keeps the transient
-high water near ``O(chunk + grid)`` instead of the one-shot engines'
-``O(M * W^d)`` plan residency, while staying bit-identical to the
-one-shot compiled engine at any chunk size.  The table is *recorded*
+Gridding a large trajectory in fixed-size chunks (the compiled engine's
+``chunk_samples=`` mode) keeps the transient high water near
+``O(chunk + grid)`` instead of the one-shot engines' ``O(M * W^d)``
+plan residency, while staying bit-identical to the one-shot compiled
+engine at any chunk size.  The table is *recorded*
 (printed) on every machine.  The 10^8-sample / < 4 GB RSS acceptance
 run is the out-of-band ``tools/bench_trajectory.py --stream`` job
 (results in ``BENCH_gridding.json``); this in-tree ablation keeps the
@@ -51,15 +52,15 @@ def test_streaming_memory_bound():
     ]
     peaks = {}
     for chunk in CHUNKS:
-        g = make_gridder("slice_and_dice_streaming", setup, chunk_samples=chunk)
+        g = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
         out = g.grid(coords, values)
-        # the memory saving must be of the same bits (seeded-bincount
-        # accumulation continues the one-shot partial-sum chains)
+        # the memory saving must be of the same bits (the in-place
+        # accumulate continues the one-shot partial-sum chains)
         assert np.array_equal(out, ref)
         peaks[chunk] = g.stats.peak_bytes
         rows.append(
             [
-                "streaming",
+                "chunked compiled",
                 str(chunk),
                 str(g.stats.chunks),
                 f"{peaks[chunk] / 1e6:.1f}",

@@ -26,7 +26,10 @@ Public surface:
   run once per trajectory into a :class:`~repro.core.CompiledPlan`
   (sample-major address/weight arrays that double as a CSR matrix);
   every repeat call is one sparse mat-vec with zero select work,
-  bit-identical to the serial gridder at complex128.
+  bit-identical to the serial gridder at complex128.  With
+  ``chunk_samples=`` it runs calls and ``SampleStream`` sources in
+  bounded-memory chunks into one dice, bit-identical to its one-shot
+  pass at complex128.
 - :class:`~repro.core.JitSliceAndDiceGridder` — the compiled plan
   executed by numba-fused scatter/gather loops (serial and
   row/sample-sharded ``prange`` lanes), degrading to the pure-NumPy

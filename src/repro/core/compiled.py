@@ -14,9 +14,9 @@ observable per call).
 The plan
 --------
 The plan is the table-driven select of
-:meth:`SliceAndDiceGridder._select_entries` — the one the streaming
-engine runs per chunk — over the whole trajectory: fixed-width,
-**sample-major** entries, ``W^d`` per sample in ascending dice row,
+:meth:`SliceAndDiceGridder._select_entries` over the trajectory:
+fixed-width, **sample-major** entries, ``W^d`` per sample in ascending
+dice row,
 
 - ``flat``   — the global dice address ``row * n_tiles + depth``,
 - ``weight`` — the combined separable kernel weight.
@@ -28,62 +28,101 @@ mat-vec per right-hand side, on the complex vectors viewed as
 ``(n, 2)`` float arrays:
 
 - forward interpolation ``A @ dice`` (SciPy's ``csr_matvecs``),
-- adjoint gridding ``A.T @ values`` (the transposed CSC view,
-  ``csc_matvecs``),
+- adjoint gridding: SciPy's ``csc_matvecs`` on the transposed view,
+  called directly so that it adds ``A.T @ values`` **in place** onto
+  the caller's dice.
 
-one fused C loop per direction where NumPy needs a gather, a multiply
-and a ``bincount`` pass.
+Chunk mode
+----------
+With ``chunk_samples=N`` the engine feeds the trajectory (or a
+:class:`SampleStream`) through the same select and the same apply in
+``N``-sample chunks, all accumulating into one pooled dice, so peak
+memory is **O(chunk + grid)** instead of O(M·W^d) — like JIGSAW's
+single-pass ``M + 12``-cycle streamer it keeps no per-trajectory plan
+and sorts nothing.  One scratch plan, grown to the largest chunk, holds
+the entries of the chunk selected last, with a copy of its
+coordinates: a chunk equal to that copy (a trajectory that fits in one
+chunk, reused by CG) skips the select.
 
 Bit-identity
 ------------
-Both SciPy loops start from a zeroed output and add ``y += a * x`` in
-stored order: per sample (forward) over its entries in ascending dice
-row, and per dice word (adjoint, which walks the samples in order) in
-ascending sample.  A sample touches each dice word at most once
-(``W <= T``), so these are exactly the orders the serial engine adds
-in: its row loop per sample, its per-column ``bincount`` per word.
-Each step is one rounded float64 product and one rounded add from
-``0.0`` — the same operations ``np.bincount`` performs — provided the
-loop is compiled without FMA contraction, which holds for SciPy's
-x86-64 wheels.  Hence the default at complex128 is
-**bit-identical** (``np.array_equal``) to :class:`SliceAndDiceGridder`
-in both directions, asserted in ``tests/test_core_compiled.py``.
+A sample touches each dice word at most once (``W <= T``), so the
+entries per dice word run in ascending sample order and per sample in
+ascending dice row — the orders the serial engine adds in: its row loop
+per sample, its per-column ``bincount`` per word.  Each step is one
+rounded float64 product and one rounded add — the same operations
+``np.bincount`` performs — provided the SciPy loops are compiled
+without FMA contraction, which holds for SciPy's x86-64 wheels.  Hence
+the default at complex128 is **bit-identical** (``np.array_equal``) to
+:class:`SliceAndDiceGridder` in both directions, asserted in
+``tests/test_core_compiled.py``.
+
+Chunks partition the samples in order, so every dice word's additions
+over the chunks concatenate to the one-shot sequence.  The in-place
+``csc_matvecs`` continues each word's partial sum from its current
+value, so a chunked adjoint is ``np.array_equal`` to the one-shot
+adjoint at complex128 for **any** chunk size (so is a checkpoint
+resume, which restores the dice and skips the chunks it holds).  The
+``bincount`` lane continues the chain by *seeding*: from the second
+chunk on, each ``bincount`` gets the current dice words first
+(``arange(n_flat)`` entries prepended), and ``0.0 + seed == seed``.
+Forward, each chunk fills its own slice of the output, every sample
+summing from ``0.0`` in ascending row order.
 
 At complex64 SciPy's float32 loop would accumulate in float32, while
 the serial engine sums each dice word in float64 before rounding once.
 The complex64 default is therefore ``backend="bincount"``: float32
 products, a ``bincount`` over ``flat`` for the adjoint (bit-identical
-to the serial engine), and a float64 per-sample walk for the forward
-(bit-identical to the streaming NumPy lane; the serial engine's
-forward accumulates in complex64, so it is close, not equal).
-``backend="csr"`` at complex64 is ``allclose``, not bit-exact.
-``backend="bincount"`` at complex128 is bit-identical too, just slower.
+to the serial engine one-shot; a chunked pass rounds the dice to
+float32 between chunks, so it is ``allclose``), and a float64
+per-sample walk for the forward (bit-identical one-shot and chunked;
+the serial engine's forward accumulates in complex64, so it is close,
+not equal).  ``backend="csr"`` at complex64 is ``allclose``, not
+bit-exact.  ``backend="bincount"`` at complex128 is bit-identical too,
+just slower.
 
 Plan cache
 ----------
-Plans are memoized per trajectory with the O(1)
+One-shot plans are memoized per trajectory with the O(1)
 ``_coords_fingerprint`` keying and true-LRU eviction; in-place
-coordinate mutation requires :meth:`invalidate_cache`.
+coordinate mutation requires :meth:`invalidate_cache`.  Chunk mode
+matches whole coordinate arrays instead, as the sampled fingerprint
+could alias two stream chunks.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
+from ..errors import DegradationEvent
 from ..gridding.base import GriddingSetup, GriddingStats
+from ..robustness.checkpoint import StreamCheckpoint
+from ..robustness.faults import corrupt_chunk
+from ..robustness.validate import apply_quality_policy
 from .slice_and_dice import SliceAndDiceGridder, gather_f64, select_bytes
 
 __all__ = [
     "CompiledPlan",
     "CompiledSliceAndDiceGridder",
+    "SampleStream",
+    "choose_chunk_samples",
+    "working_set",
 ]
 
 #: execution lanes of the compiled engine
 _BACKENDS = ("bincount", "csr")
+
+#: default fixed chunk size (samples) of a :class:`SampleStream` —
+#: large enough that per-chunk Python overhead amortizes, small enough
+#: that the per-chunk working set stays in the tens of megabytes on
+#: 2-D problems
+DEFAULT_CHUNK_SAMPLES = 65536
 
 
 @dataclass
@@ -101,7 +140,6 @@ class CompiledPlan:
     n_rows: int         #: dice rows (``T^d`` columns)
     n_tiles: int        #: dice depth (tiles per column)
     compile_seconds: float  #: wall-clock of the select (and CSR wrap)
-    select_bytes: int   #: modelled transient bytes of that select
     _csr: object | None = field(default=None, repr=False)
     _row_view: tuple | None = field(default=None, repr=False)
 
@@ -109,6 +147,11 @@ class CompiledPlan:
     def nnz(self) -> int:
         """Entries in the plan: ``M * W^d``."""
         return int(self.flat.size)
+
+    @property
+    def n_flat(self) -> int:
+        """Words in the raveled dice: ``n_rows * n_tiles``."""
+        return self.n_rows * self.n_tiles
 
     @property
     def nbytes(self) -> int:
@@ -134,7 +177,7 @@ class CompiledPlan:
             indptr = np.arange(0, self.nnz + 1, per, dtype=self.flat.dtype)
             self._csr = sparse.csr_matrix(
                 (self.weight, self.flat, indptr),
-                shape=(self.m, self.n_rows * self.n_tiles),
+                shape=(self.m, self.n_flat),
                 copy=False,
             )
         return self._csr
@@ -167,13 +210,282 @@ def _as_complex(a: np.ndarray, dtype) -> np.ndarray:
     return a.view(dtype).reshape(-1)
 
 
+# ----------------------------------------------------------------------
+# memory model
+# ----------------------------------------------------------------------
+def working_set(
+    m: int,
+    n_flat: int,
+    ndim: int,
+    width: int,
+    dtype,
+    *,
+    backend: str,
+    k_rhs: int = 1,
+    forward: bool = False,
+    chunked: bool = False,
+    select: bool = True,
+) -> tuple[int, int]:
+    """``(fixed, plan)`` modelled high-water bytes of one pass over an
+    ``m``-sample plan (the whole trajectory, or one chunk).
+
+    ``fixed`` is O(grid): the ``K``-RHS dice; on the bincount lane
+    ``bincount``'s float64 output and, in chunk mode, the
+    ``arange(n_flat)`` seed slots of the index and product scratch
+    (with, at float32, ``bincount``'s float64 copy of the seeds).
+    ``plan`` is O(m): the entries (int32 addresses on the csr lane, with
+    its row pointer), the select's transients when the pass selects
+    (:func:`select_bytes`), and the value-sized buffers — in chunk mode
+    the chunk's coordinates, their kept copy and its values or output
+    slice, one-shot the forward output — plus the lane's per-RHS
+    scratch: one mat-vec result (csr forward), or the product scratch,
+    the forward's float64 per-sample sums and, at float32, the
+    adjoint ``bincount``'s float64 copy of the products.
+
+    Examples
+    --------
+    >>> fixed, plan = working_set(1000, 4096, 2, 6, np.complex128, backend="csr")
+    >>> fixed == 4096 * 16, plan > 1000 * 36 * 12
+    (True, True)
+    """
+    c = np.dtype(dtype).itemsize
+    r = c // 2
+    nnz = m * width ** ndim
+    csr = backend == "csr"
+    isize = 4 if csr and max(nnz, n_flat) < 2 ** 31 else 8
+    fixed = k_rhs * n_flat * c
+    plan = nnz * (isize + r) + (m * isize if csr else 0)
+    if select:
+        plan += select_bytes(m, ndim, width, r)
+    if chunked:
+        plan += m * (2 * ndim * 8 + k_rhs * c)
+    elif forward:
+        plan += m * k_rhs * c
+    if csr:
+        return fixed, plan + (m * c if forward else 0)
+    cast = 8 if r == 4 else 0
+    seed = n_flat if chunked else 0
+    fixed += seed * (8 + r)
+    plan += nnz * r
+    if forward:
+        return fixed, plan + m * 8
+    return fixed + n_flat * 8 + seed * cast, plan + nnz * cast
+
+
+def choose_chunk_samples(
+    m: int,
+    grid_shape: tuple[int, ...],
+    width: int,
+    dtype=np.complex128,
+    max_bytes: int | None = None,
+    k_rhs: int = 1,
+    tile_size: int = 8,
+) -> int:
+    """Largest chunk size that keeps a chunked pass under ``max_bytes``.
+
+    Uses :func:`working_set` — the model ``GriddingStats.peak_bytes``
+    and ``chunk_bytes`` report — taking the larger of both lanes and
+    both directions, so the budget holds for any backend.  Returns
+    ``m`` (one chunk) when the whole trajectory fits.  ``grid_shape``
+    is the grid the engine builds (a NuFFT plan's is padded to the
+    tile size: :func:`repro.nufft.plan_grid_shape`); the working set
+    does not depend on ``tile_size``.
+
+    Raises
+    ------
+    ValueError
+        If the fixed O(grid) part alone exceeds ``max_bytes`` — no
+        chunk size can satisfy the budget.
+
+    Examples
+    --------
+    >>> choose_chunk_samples(10**8, (256, 256), 4, max_bytes=2**30) > 0
+    True
+    >>> choose_chunk_samples(1000, (64, 64), 4, max_bytes=None)
+    1000
+    """
+    m = int(m)
+    if max_bytes is None:
+        return max(m, 1)
+    n_flat = int(np.prod(grid_shape))
+    models = [
+        working_set(
+            1, n_flat, len(grid_shape), int(width), dtype,
+            backend=backend, k_rhs=k_rhs, forward=forward, chunked=True,
+        )
+        for backend in _BACKENDS
+        for forward in (False, True)
+    ]
+    fixed = max(f for f, _ in models)
+    per_sample = max(p for _, p in models)
+    if fixed >= max_bytes:
+        raise ValueError(
+            f"grid-resident state ({fixed} bytes) alone exceeds "
+            f"max_bytes={max_bytes}; no chunk size can satisfy the budget"
+        )
+    chunk = int((max_bytes - fixed) // per_sample)
+    return max(1, min(chunk, max(m, 1)))
+
+
+def _check_chunk_samples(chunk_samples: int) -> int:
+    chunk_samples = int(chunk_samples)
+    if chunk_samples < 1:
+        raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
+    return chunk_samples
+
+
+# ----------------------------------------------------------------------
+# sample sources
+# ----------------------------------------------------------------------
+class SampleStream:
+    """A source of fixed-size ``(coords, values)`` sample chunks.
+
+    Construct via the classmethods; iterate with :meth:`chunks`.
+    Array- and file-backed streams are re-iterable; generator-backed
+    streams (:meth:`from_chunks`) are single-use, like the generator
+    they wrap.
+
+    Attributes
+    ----------
+    m:
+        Total samples when known (arrays/files), else ``None``
+        (generator sources) — the engine never needs it up front.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> coords = np.arange(10, dtype=np.float64).reshape(5, 2)
+    >>> values = np.ones(5, dtype=complex)
+    >>> stream = SampleStream.from_arrays(coords, values, chunk_samples=2)
+    >>> [c.shape[0] for c, v in stream.chunks()]
+    [2, 2, 1]
+    """
+
+    def __init__(self, factory, m: int | None = None, single_use: bool = False):
+        self._factory = factory
+        self._consumed = False
+        self.m = None if m is None else int(m)
+        self.single_use = bool(single_use)
+
+    def chunks(self):
+        """Iterate ``(coords, values_or_None)`` chunk pairs in order."""
+        if self.single_use and self._consumed:
+            raise RuntimeError(
+                "generator-backed SampleStream is single-use; rebuild it "
+                "(array/file streams are re-iterable)"
+            )
+        self._consumed = True
+        return self._factory()
+
+    @classmethod
+    def from_arrays(
+        cls,
+        coords: np.ndarray,
+        values: np.ndarray | None = None,
+        chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
+    ) -> "SampleStream":
+        """Chunk in-memory (or ``np.memmap``) arrays.
+
+        ``values`` may be ``(M,)`` or batched ``(K, M)``.  Each chunk
+        is lifted into a fresh in-RAM array (``np.ascontiguousarray``),
+        so a memmap source only ever has O(chunk) pages hot.
+        """
+        chunk_samples = _check_chunk_samples(chunk_samples)
+        m = int(coords.shape[0])
+        if values is not None and values.shape[-1] != m:
+            raise ValueError(
+                f"{values.shape[-1]} values but {m} coordinates"
+            )
+
+        def factory():
+            for lo in range(0, m, chunk_samples):
+                hi = min(lo + chunk_samples, m)
+                c = np.ascontiguousarray(coords[lo:hi])
+                v = (
+                    None
+                    if values is None
+                    else np.ascontiguousarray(values[..., lo:hi])
+                )
+                yield c, v
+
+        return cls(factory, m=m)
+
+    @classmethod
+    def from_chunks(cls, iterable, m: int | None = None) -> "SampleStream":
+        """Wrap an iterable/generator of ``(coords, values)`` pairs.
+
+        Chunks may be ragged; ``values`` may be ``None`` for
+        interpolation streams.  Single-use when given a generator.
+        """
+        it = iter(iterable)
+        return cls(lambda: it, m=m, single_use=True)
+
+    @classmethod
+    def from_file(
+        cls,
+        coords_path,
+        *,
+        m: int,
+        ndim: int,
+        values_path=None,
+        coords_dtype=np.float64,
+        values_dtype=np.complex128,
+        chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
+    ) -> "SampleStream":
+        """Stream raw binary files with O(chunk) resident bytes.
+
+        ``coords_path`` holds a C-order ``(m, ndim)`` array of
+        ``coords_dtype``; ``values_path`` (optional) a ``(m,)`` array
+        of ``values_dtype``.  Chunks are read with offset
+        ``np.fromfile`` reads, so — unlike an ``np.memmap`` over the
+        whole file — neither the virtual address space nor the resident
+        set ever holds more than one chunk.  This is the 10⁸-sample
+        path: the trajectory lives on disk, RSS stays O(chunk + grid).
+        """
+        chunk_samples = _check_chunk_samples(chunk_samples)
+        m = int(m)
+        ndim = int(ndim)
+        coords_path = Path(coords_path)
+        values_path = None if values_path is None else Path(values_path)
+        cdt = np.dtype(coords_dtype)
+        vdt = np.dtype(values_dtype)
+
+        def factory():
+            for lo in range(0, m, chunk_samples):
+                hi = min(lo + chunk_samples, m)
+                n = hi - lo
+                c = np.fromfile(
+                    coords_path,
+                    dtype=cdt,
+                    count=n * ndim,
+                    offset=lo * ndim * cdt.itemsize,
+                ).reshape(n, ndim)
+                v = None
+                if values_path is not None:
+                    v = np.fromfile(
+                        values_path,
+                        dtype=vdt,
+                        count=n,
+                        offset=lo * vdt.itemsize,
+                    )
+                yield c, v
+
+        return cls(factory, m=m)
+
+
+# ----------------------------------------------------------------------
+# the engine
+# ----------------------------------------------------------------------
 class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     """Slice-and-Dice with the select pass compiled per trajectory.
 
     The first call on a trajectory runs the table-driven select into a
     :class:`CompiledPlan` and caches it; every subsequent call — every
     further CG iteration, coil, or RHS — is one sparse mat-vec (or a
-    ``bincount`` pass) per RHS with **zero select work**.
+    ``bincount`` pass) per RHS with **zero select work**.  With
+    ``chunk_samples`` set, calls and :meth:`grid_stream` /
+    :meth:`interp_stream` run chunk by chunk into one pooled dice
+    (module docstring, *Chunk mode*).
 
     Parameters
     ----------
@@ -189,7 +501,12 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         ``"bincount"`` at complex64 (module docstring).
     plan_cache_size:
         Trajectories whose compiled plans are kept (true LRU; ``0``
-        disables plan caching and recompiles every call).
+        disables plan caching and recompiles every call).  One-shot
+        calls only.
+    chunk_samples:
+        ``None`` (default) runs each call as one plan; an integer runs
+        calls in chunks of that many samples, bounding peak memory by
+        the chunk size instead of ``M``.
 
     Examples
     --------
@@ -209,9 +526,23 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     >>> _ = com.grid(coords, values)
     >>> com.stats.cache_hits, com.stats.boundary_checks  # plan reuse
     (1, 0)
+    >>> stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=32)
+    >>> bool(np.array_equal(stm.grid(coords, values), ser.grid(coords, values)))
+    True
+    >>> stm.stats.chunks, stm.stats.plan_nnz, stm.stats.peak_bytes < com.stats.peak_bytes
+    (4, 3600, True)
     """
 
     name = "slice_and_dice_compiled"
+
+    #: :class:`~repro.robustness.CheckpointConfig` driving snapshot /
+    #: resume of chunked adjoints; set per call by the owner (the
+    #: service worker) and cleared in its ``finally``, like
+    #: ``cancel_token``
+    checkpoint = None
+    #: per-call resume record: ``{"chunk_cursor", "sample_cursor"}``
+    #: when the last adjoint was seeded from a checkpoint, else None
+    last_resume = None
 
     def __init__(
         self,
@@ -219,6 +550,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         tile_size: int = 8,
         backend: str | None = None,
         plan_cache_size: int = 4,
+        chunk_samples: int | None = None,
     ):
         super().__init__(
             setup, tile_size=tile_size, engine="columns", table_cache_size=0
@@ -235,27 +567,74 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             )
         self.backend = backend
         self.plan_cache_size = int(plan_cache_size)
+        self.chunk_samples = (
+            None if chunk_samples is None else _check_chunk_samples(chunk_samples)
+        )
+        self._n_flat = self.layout.n_columns * self.layout.n_tiles
         #: fingerprint -> CompiledPlan; dict order doubles as LRU order
         self._plan_cache: dict[tuple, CompiledPlan] = {}
-        #: the bincount lane's ``(nnz,)`` product scratch, reused across
-        #: RHS and calls; re-allocated only when the plan size changes
+        #: the bincount lane's product scratch, grown to the largest
+        #: plan; in chunk mode ``n_flat`` seed slots lead it
         self._products: np.ndarray | None = None
+        #: chunk mode's scratch plan storage, grown to the largest
+        #: chunk: addresses (after ``arange(n_flat)`` seed indices on
+        #: the bincount lane) and weights
+        self._chunk_flat: np.ndarray | None = None
+        self._chunk_weight: np.ndarray | None = None
+        #: ``(coords copy, plan)`` of the chunk the scratch holds
+        self._held: tuple[np.ndarray, CompiledPlan] | None = None
+        #: sticky record of every degradation this engine performed
+        self.degradations: tuple[DegradationEvent, ...] = ()
+        self._pending_events: list[DegradationEvent] = []
+        #: lane the last apply ran on (the jit engine's lanes vary)
+        self._used_lane = "numpy"
+
+    def _record(self, event: DegradationEvent) -> None:
+        self.degradations = self.degradations + (event,)
+        self._pending_events.append(event)
 
     # ------------------------------------------------------------------
-    # plan cache
+    # plans: the one-shot LRU and chunk mode's scratch plan
     # ------------------------------------------------------------------
     def invalidate_cache(self) -> None:
-        """Drop cached plans (and the parent's select-table cache)."""
+        """Drop cached plans, the chunk scratch and the parent's
+        select-table cache."""
         super().invalidate_cache()
         self._plan_cache.clear()
-        self._products = None
+        self._products = self._chunk_flat = self._chunk_weight = None
+        self._held = None
+
+    def _index_dtype(self, nnz: int) -> np.dtype:
+        """bincount wants intp indices; SciPy takes int32 ones, which
+        halve the index traffic of every mat-vec."""
+        fits = max(nnz, self._n_flat) < 2 ** 31
+        return np.dtype(np.int32 if self.backend == "csr" and fits else np.intp)
+
+    def _select_plan(
+        self, coords: np.ndarray, flat: np.ndarray, weight: np.ndarray
+    ) -> CompiledPlan:
+        """Run the select of ``coords`` into ``flat`` / ``weight``."""
+        t0 = time.perf_counter()
+        self._select_entries(coords, flat, weight)
+        plan = CompiledPlan(
+            flat=flat,
+            weight=weight,
+            m=coords.shape[0],
+            n_rows=self.layout.n_columns,
+            n_tiles=self.layout.n_tiles,
+            compile_seconds=0.0,
+        )
+        if self.backend == "csr":
+            plan.csr()
+        plan.compile_seconds = time.perf_counter() - t0
+        return plan
 
     def _fetch_plan(self, coords: np.ndarray) -> tuple[CompiledPlan, bool]:
-        """The trajectory's compiled plan plus whether it was a cache hit.
-
-        Fingerprint keying and LRU move-to-end as the parent's table
-        cache; the in-place-mutation contract is the same.
-        """
+        """The plan for one pass over ``coords`` plus whether it was
+        reused: from the fingerprint-keyed LRU one-shot, from the
+        scratch in chunk mode (:meth:`_chunk_plan`)."""
+        if self.chunk_samples is not None:
+            return self._chunk_plan(coords)
         key = self._coords_fingerprint(coords) if self.plan_cache_size else None
         if key is not None:
             cached = self._plan_cache.get(key)
@@ -263,96 +642,86 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                 self._plan_cache.pop(key)
                 self._plan_cache[key] = cached
                 return cached, True
-
-        setup = self.setup
-        m = coords.shape[0]
-        nnz = m * setup.width ** setup.ndim
-        n_flat = self.layout.n_columns * self.layout.n_tiles
-        # bincount wants intp indices; SciPy takes int32 ones, which
-        # halve the index traffic of every mat-vec
-        fits = max(nnz, n_flat) < 2 ** 31
-        idx_dtype = np.int32 if self.backend == "csr" and fits else np.intp
-        t0 = time.perf_counter()
-        flat = np.empty(nnz, dtype=idx_dtype)
-        weight = np.empty(nnz, dtype=setup.real_dtype)
-        if m:
-            self._select_entries(coords, flat, weight)
-        plan = CompiledPlan(
-            flat=flat,
-            weight=weight,
-            m=m,
-            n_rows=self.layout.n_columns,
-            n_tiles=self.layout.n_tiles,
-            compile_seconds=0.0,
-            select_bytes=select_bytes(
-                m, setup.ndim, setup.width, weight.itemsize
-            ),
+        nnz = coords.shape[0] * self.setup.width ** self.setup.ndim
+        plan = self._select_plan(
+            coords,
+            np.empty(nnz, dtype=self._index_dtype(nnz)),
+            np.empty(nnz, dtype=self.setup.real_dtype),
         )
-        if self.backend == "csr":
-            plan.csr()
-        plan.compile_seconds = time.perf_counter() - t0
         if key is not None:
             while len(self._plan_cache) >= self.plan_cache_size:
                 self._plan_cache.pop(next(iter(self._plan_cache)))
             self._plan_cache[key] = plan
         return plan, False
 
+    def _chunk_plan(self, coords: np.ndarray) -> tuple[CompiledPlan, bool]:
+        """One chunk's plan in the scratch.
+
+        Reused when the chunk selected last comes again (a trajectory
+        that fits in one chunk, reused by CG or warm service jobs).
+        The match is on all coordinates against a kept copy, as the
+        O(1) sampled fingerprint could alias two stream chunks.
+        """
+        held = self._held
+        if held is not None and np.array_equal(held[0], coords):
+            return held[1], True
+        self._held = None
+        nnz = coords.shape[0] * self.setup.width ** self.setup.ndim
+        seed = self._n_flat if self.backend == "bincount" else 0
+        if self._chunk_flat is None or self._chunk_flat.size < seed + nnz:
+            self._chunk_flat = np.empty(seed + nnz, dtype=self._index_dtype(nnz))
+            self._chunk_flat[:seed] = np.arange(seed)
+            self._chunk_weight = np.empty(nnz, dtype=self.setup.real_dtype)
+        plan = self._select_plan(
+            coords,
+            self._chunk_flat[seed:seed + nnz],
+            self._chunk_weight[:nnz],
+        )
+        self._held = (coords.copy(), plan)
+        return plan, False
+
     def _products_scratch(self, nnz: int) -> np.ndarray:
-        """The bincount lane's ``(nnz,)`` product scratch."""
-        if self._products is None or self._products.size != nnz:
-            self._products = np.empty(nnz, dtype=self.setup.real_dtype)
-        return self._products
+        """The bincount lane's ``(nnz,)`` product scratch (after the
+        ``n_flat`` seed slots in chunk mode)."""
+        seed = 0 if self.chunk_samples is None else self._n_flat
+        if self._products is None or self._products.size < seed + nnz:
+            self._products = np.empty(seed + nnz, dtype=self.setup.real_dtype)
+        return self._products[seed:seed + nnz]
 
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
-    def _pass_bytes(self, plan: CompiledPlan, k_rhs: int, forward: bool) -> int:
-        """Bytes a ``K``-RHS pass holds beside the plan: the dice, the
-        forward's output, one RHS's mat-vec result (csr) or float64
-        ``bincount`` output / per-sample sums (bincount), and the
-        bincount lane's product scratch with, at float32, ``bincount``'s
-        float64 copy of the products."""
-        c = self.setup.dtype.itemsize
-        r = self.setup.real_dtype.itemsize
-        n_flat = plan.n_rows * plan.n_tiles
-        total = k_rhs * n_flat * c
-        if forward:
-            total += k_rhs * plan.m * c
-        n_out = plan.m if forward else n_flat
-        if self.backend == "csr":
-            return total + n_out * c
-        total += n_out * 8 + plan.nnz * r
-        if not forward and r == 4:
-            total += plan.nnz * 8
-        return total
-
     def _plan_stats(
         self, plan: CompiledPlan, hit: bool, k_rhs: int, forward: bool
     ) -> GriddingStats:
-        """Per-call stats for a compiled-plan pass.
+        """Stats of one plan's pass (a whole call, or one chunk).
 
         A plan **miss** pays the select: ``W`` boundary checks and LUT
         reads per axis per sample, its wall time in
-        ``plan_compile_seconds``, and — in ``peak_bytes`` — the larger
-        of the select's high water (entries + select transients) and the
-        pass' (plan + :meth:`_pass_bytes`).  A plan **hit** is the
-        paper's select-unit-reuse payoff: zero boundary checks and LUT
-        reads.  Every issued lane slot does useful work either way
+        ``plan_compile_seconds``.  A plan **hit** is the paper's
+        select-unit-reuse payoff: zero boundary checks and LUT reads.
+        Every issued lane slot does useful work either way
         (``simd_active_lanes == simd_lane_slots == nnz``); value work
         (``interpolations`` MACs, dice accesses) scales with the batch.
-        ``table_bytes`` are the engine's resident ``(G, W)`` axis
-        tables, built once at construction.
+        ``peak_bytes`` is :func:`working_set` (plus the jit engine's
+        row-major view when built); in chunk mode ``chunk_bytes`` is
+        its O(chunk) part and ``chunks`` counts 1.  ``table_bytes`` are
+        the engine's resident ``(G, W)`` axis tables.
         """
-        checks = 0 if hit else plan.m * self.setup.width * self.setup.ndim
-        peak = plan.nbytes + self._pass_bytes(plan, k_rhs, forward)
-        if not hit:
-            entries = plan.flat.nbytes + plan.weight.nbytes
-            peak = max(peak, entries + plan.select_bytes)
+        setup = self.setup
+        chunked = self.chunk_samples is not None
+        checks = 0 if hit else plan.m * setup.width * setup.ndim
+        fixed, plan_bytes = working_set(
+            plan.m, plan.n_flat, setup.ndim, setup.width, setup.dtype,
+            backend=self.backend, k_rhs=k_rhs, forward=forward,
+            chunked=chunked, select=not hit,
+        )
+        if plan._row_view is not None:
+            plan_bytes += sum(a.nbytes for a in plan._row_view)
         return GriddingStats(
             boundary_checks=checks,
             interpolations=plan.nnz * k_rhs,
             samples_processed=plan.m,
-            presort_operations=0,
             grid_accesses=plan.nnz * k_rhs,
             lut_lookups=checks,
             simd_active_lanes=plan.nnz,
@@ -362,24 +731,37 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             table_bytes=sum(d.nbytes + a.nbytes for d, a in self._axis_tables),
             plan_compile_seconds=0.0 if hit else plan.compile_seconds,
             plan_nnz=plan.nnz,
-            peak_bytes=peak,
+            chunks=int(chunked),
+            chunk_bytes=plan_bytes if chunked else 0,
+            peak_bytes=fixed + plan_bytes,
         )
 
+    def _finish(self, total: GriddingStats, k_rhs: int) -> None:
+        """Install a call's summed stats: the pass' ``M * W^d`` entries,
+        the lane that ran and any degradation since the last call."""
+        total.plan_nnz = total.interpolations // k_rhs
+        total.exec_lane = self._used_lane
+        if self._pending_events:
+            total.degradations = total.degradations + tuple(self._pending_events)
+            self._pending_events = []
+        self.stats = total
+
+    def _pieces(self, coords: np.ndarray, values_stack: np.ndarray | None):
+        """A gated call's ``(coords, values)`` pieces: the whole call
+        one-shot, ``chunk_samples`` slices in chunk mode."""
+        m = coords.shape[0]
+        step = self.chunk_samples or m
+        for lo in range(0, m, step):
+            v = None if values_stack is None else values_stack[:, lo:lo + step]
+            yield coords[lo:lo + step], v
+
     # ------------------------------------------------------------------
-    # gridding (adjoint): A.T @ values per RHS
+    # gridding (adjoint): dice += A.T @ values per RHS
     # ------------------------------------------------------------------
     def _grid_impl(
         self, coords: np.ndarray, values: np.ndarray, grid: np.ndarray
     ) -> None:
-        plan, hit = self._fetch_plan(coords)
-        dice_flat = self._apply_grid(plan, values[None, :])
-        try:
-            grid += self.layout.dice_to_grid(
-                dice_flat[0].reshape(plan.n_rows, plan.n_tiles)
-            )
-        finally:
-            self._release_buffer(dice_flat)
-        self.stats = self._plan_stats(plan, hit, 1, forward=False)
+        self._grid_batch_impl(coords, values[None, :], grid[None])
 
     def _grid_batch_impl(
         self,
@@ -387,60 +769,148 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         values_stack: np.ndarray,
         out: np.ndarray,
     ) -> None:
-        """Batched adjoint gridding: one plan fetch (a hit after the
-        first call per trajectory), then one pass per RHS."""
+        """Batched adjoint gridding: one plan fetch per piece (a hit
+        after the first call per trajectory), then one pass per RHS."""
         k_rhs = values_stack.shape[0]
-        plan, hit = self._fetch_plan(coords)
-        dice_flat = self._apply_grid(plan, values_stack)
+        total = self._grid_pieces(self._pieces(coords, values_stack), k_rhs, out)
+        self._finish(total, k_rhs)
+
+    def _resume_snapshot(self, ckpt, k_rhs: int) -> StreamCheckpoint | None:
+        """The stored snapshot a checkpointed pass resumes from, if it
+        matches; a stale one is ignored with a recorded event — never
+        blended in."""
+        if ckpt is None or not ckpt.resume:
+            return None
+        snap = ckpt.store.load(ckpt.key)
+        if snap is None or snap.matches(ckpt.fingerprint, (k_rhs, self._n_flat)):
+            return snap
+        self._record(
+            DegradationEvent(
+                "checkpoint", "resume", "fresh",
+                f"stale snapshot for key {ckpt.key!r} ignored",
+            )
+        )
+        return None
+
+    def _grid_pieces(self, pieces, k_rhs: int, out: np.ndarray) -> GriddingStats:
+        """Accumulate gated ``(coords, values_stack)`` pieces into one
+        pooled dice, then unstack it into ``out`` (``(K,) + grid``).
+
+        The dice is released on *every* exit path — a mid-stream
+        failure (corrupted chunk under ``raise``, a source error) can
+        strand no pooled storage and leaves no partial accumulation
+        visible anywhere: the next call starts from a freshly zeroed
+        dice.
+
+        Lifecycle hooks, both opt-in via instance attributes:
+
+        - ``self.cancel_token`` is checked once per piece, *before* it
+          is selected and scattered — cancellation (or a deadline)
+          aborts at a chunk boundary with the dice released and, when
+          checkpointing is on, the latest snapshot still in the store.
+        - ``self.checkpoint`` (a
+          :class:`~repro.robustness.CheckpointConfig`) seeds the dice
+          from a matching stored snapshot and skips the first
+          ``chunk_cursor`` pieces of the replayed stream (skipped
+          pieces are never selected or scattered), then saves a fresh
+          snapshot every ``every`` pieces.  Every lane continues the
+          dice's partial sums exactly (module docstring), so the
+          resumed output is bit-identical to an uninterrupted run.
+        """
+        total = GriddingStats()
+        token = self.cancel_token
+        ckpt = self.checkpoint
+        self.last_resume = None
+        snap = self._resume_snapshot(ckpt, k_rhs)
+        cursor = sample_cursor = 0
+        dice_flat = self._acquire_buffer((k_rhs, self._n_flat), zero=True)
         try:
+            if snap is not None:
+                dice_flat[...] = snap.dice
+                cursor, sample_cursor = snap.chunk_cursor, snap.sample_cursor
+                self.last_resume = {
+                    "chunk_cursor": cursor,
+                    "sample_cursor": sample_cursor,
+                }
+            for index, (coords, values_stack) in enumerate(pieces):
+                if snap is not None and index < snap.chunk_cursor:
+                    continue
+                if token is not None:
+                    token.check()
+                if coords.shape[0]:
+                    plan, hit = self._fetch_plan(coords)
+                    self._apply_grid(
+                        plan, values_stack, dice_flat, fresh=sample_cursor == 0
+                    )
+                    total.accumulate(self._plan_stats(plan, hit, k_rhs, False))
+                    sample_cursor += coords.shape[0]
+                cursor += 1
+                if ckpt is not None and cursor % ckpt.every == 0:
+                    ckpt.store.save(
+                        ckpt.key,
+                        StreamCheckpoint(
+                            fingerprint=ckpt.fingerprint,
+                            chunk_cursor=cursor,
+                            sample_cursor=sample_cursor,
+                            dice=dice_flat.copy(),
+                        ),
+                    )
             for k in range(k_rhs):
                 out[k] = self.layout.dice_to_grid(
-                    dice_flat[k].reshape(plan.n_rows, plan.n_tiles)
+                    dice_flat[k].reshape(self.layout.n_columns, self.layout.n_tiles)
                 )
         finally:
             self._release_buffer(dice_flat)
-        self.stats = self._plan_stats(plan, hit, k_rhs, forward=False)
+        if ckpt is not None and ckpt.delete_on_success:
+            ckpt.store.delete(ckpt.key)
+        return total
 
     def _apply_grid(
-        self, plan: CompiledPlan, values_stack: np.ndarray
-    ) -> np.ndarray:
-        """``(K, n_rows * n_tiles)`` raveled dice for a value stack.
+        self,
+        plan: CompiledPlan,
+        values_stack: np.ndarray,
+        dice_flat: np.ndarray,
+        fresh: bool,
+    ) -> None:
+        """Accumulate ``plan`` applied to a ``(K, m)`` value stack into
+        the caller's ``(K, n_flat)`` raveled dice.
 
-        The dice always comes from :meth:`_acquire_buffer` and is
-        released back on any failure mid-fill, so the caller's release
-        keeps the pool's outstanding-balance accounting exact.
+        ``fresh`` says the dice holds nothing yet (all zeros): the
+        bincount lane then writes its sums straight in, and otherwise
+        seeds each ``bincount`` with the current dice words.  The csr
+        lane adds in place either way.
         """
-        k_rhs = values_stack.shape[0]
-        n_flat = plan.n_rows * plan.n_tiles
-        dice_flat = self._acquire_buffer((k_rhs, n_flat), zero=plan.nnz == 0)
-        if plan.nnz == 0:
-            return dice_flat
-        try:
-            if self.backend == "csr":
-                mat_t = plan.csr().T  # CSC view, no copy
-                for k in range(k_rhs):
-                    dice_flat[k] = _as_complex(
-                        mat_t @ _as_real(values_stack[k]), self.setup.dtype
-                    )
-            else:
-                products = self._products_scratch(plan.nnz)
-                rows = products.reshape(plan.m, -1)
-                wgt = plan.weight.reshape(plan.m, -1)
-                for k in range(k_rhs):
-                    for part in ("real", "imag"):
-                        # each sample's value times its W^d weights
-                        np.einsum(
-                            "i,ij->ij", getattr(values_stack[k], part), wgt,
-                            out=rows,
-                        )
-                        setattr(
-                            dice_flat[k], part,
-                            np.bincount(plan.flat, weights=products, minlength=n_flat),
-                        )
-        except BaseException:
-            self._release_buffer(dice_flat)
-            raise
-        return dice_flat
+        n_flat = plan.n_flat
+        if self.backend == "csr":
+            mat = plan.csr()
+            for k in range(values_stack.shape[0]):
+                # the transposed (CSC) view's mat-vec, adding in place
+                _sparsetools.csc_matvecs(
+                    n_flat, plan.m, 2, mat.indptr, mat.indices, mat.data,
+                    _as_real(values_stack[k]).ravel(),
+                    dice_flat[k].view(mat.data.dtype),
+                )
+            return
+        products = self._products_scratch(plan.nnz)
+        rows = products.reshape(plan.m, -1)
+        wgt = plan.weight.reshape(plan.m, -1)
+        if not fresh:
+            # chunk mode: the scratch plan's addresses and products
+            # follow the arange(n_flat) seed indices and seed slots
+            seeded_flat = self._chunk_flat[:n_flat + plan.nnz]
+            seeded = self._products[:n_flat + plan.nnz]
+        for k in range(values_stack.shape[0]):
+            for part in ("real", "imag"):
+                # each sample's value times its W^d weights
+                np.einsum(
+                    "i,ij->ij", getattr(values_stack[k], part), wgt, out=rows
+                )
+                if fresh:
+                    sums = np.bincount(plan.flat, weights=products, minlength=n_flat)
+                else:
+                    seeded[:n_flat] = getattr(dice_flat[k], part)
+                    sums = np.bincount(seeded_flat, weights=seeded, minlength=n_flat)
+                setattr(dice_flat[k], part, sums)
 
     # ------------------------------------------------------------------
     # interpolation (forward): A @ dice per RHS
@@ -448,49 +918,234 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     def _interp_batch_impl(
         self, grid_stack: np.ndarray, coords: np.ndarray
     ) -> np.ndarray:
-        """Batched forward interpolation from the compiled plan: the
-        transpose pass over the same entries."""
+        """Batched forward interpolation: the transpose pass over the
+        same plan (piece by piece into the output in chunk mode)."""
         k_rhs = grid_stack.shape[0]
-        m = coords.shape[0]
-        plan, hit = self._fetch_plan(coords)
-        dice_flat = self._acquire_buffer(
-            (k_rhs, plan.n_rows * plan.n_tiles), zero=False
-        )
+        out = np.empty((k_rhs, coords.shape[0]), dtype=self.setup.dtype)
+        total = GriddingStats()
+        dice_flat = self._stage_dice(grid_stack)
         try:
-            for k in range(k_rhs):
-                dice_flat[k] = self.layout.grid_to_dice(grid_stack[k]).reshape(-1)
-            out = self._apply_interp(plan, dice_flat, m)
+            lo = 0
+            for coords_c, _ in self._pieces(coords, None):
+                if self.cancel_token is not None:
+                    self.cancel_token.check()
+                hi = lo + coords_c.shape[0]
+                total.accumulate(self._interp_piece(coords_c, dice_flat, out[:, lo:hi]))
+                lo = hi
         finally:
             self._release_buffer(dice_flat)
-        self.stats = self._plan_stats(plan, hit, k_rhs, forward=True)
+        self._finish(total, k_rhs)
         return out
 
+    def _stage_dice(self, grid_stack: np.ndarray) -> np.ndarray:
+        """A pooled ``(K, n_flat)`` raveled dice holding ``grid_stack``."""
+        dice_flat = self._acquire_buffer(
+            (grid_stack.shape[0], self._n_flat), zero=False
+        )
+        for k in range(grid_stack.shape[0]):
+            dice_flat[k] = self.layout.grid_to_dice(grid_stack[k]).reshape(-1)
+        return dice_flat
+
+    def _interp_piece(
+        self, coords: np.ndarray, dice_flat: np.ndarray, out: np.ndarray
+    ) -> GriddingStats:
+        """Interpolate one nonempty piece into its ``(K, m)`` output slice."""
+        plan, hit = self._fetch_plan(coords)
+        self._apply_interp(plan, dice_flat, out)
+        return self._plan_stats(plan, hit, dice_flat.shape[0], True)
+
     def _apply_interp(
-        self, plan: CompiledPlan, dice_flat: np.ndarray, m: int
-    ) -> np.ndarray:
-        """``(K, m)`` interpolated samples from the raveled dice stack.
+        self, plan: CompiledPlan, dice_flat: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Fill ``out`` (``(K, m)``) with the plan applied to the raveled
+        dice stack.
 
         The forward counterpart of :meth:`_apply_grid`, split out so
         execution-lane subclasses (the numba JIT engine) can replace
-        the arithmetic while inheriting the dice staging, buffer
-        lifecycle, and stats bookkeeping above.
+        the arithmetic while inheriting the dice staging, chunking,
+        buffer lifecycle, and stats bookkeeping above.
         """
-        k_rhs = dice_flat.shape[0]
-        if plan.nnz == 0:
-            return np.zeros((k_rhs, m), dtype=self.setup.dtype)
-        out = np.empty((k_rhs, m), dtype=self.setup.dtype)
         if self.backend == "csr":
             mat = plan.csr()
-            for k in range(k_rhs):
+            for k in range(dice_flat.shape[0]):
                 out[k] = _as_complex(mat @ _as_real(dice_flat[k]), self.setup.dtype)
-            return out
+            return
         products = self._products_scratch(plan.nnz)
-        acc = np.empty(m, dtype=np.float64)
-        for k in range(k_rhs):
+        acc = np.empty(plan.m, dtype=np.float64)
+        for k in range(dice_flat.shape[0]):
             for part in ("real", "imag"):
                 gather_f64(
                     getattr(dice_flat[k], part), plan.flat, plan.weight,
                     products, acc,
                 )
                 setattr(out[k], part, acc)
-        return out
+
+    # ------------------------------------------------------------------
+    # stream entry points
+    # ------------------------------------------------------------------
+    def _gate_chunk(
+        self, index: int, coords: np.ndarray, values: np.ndarray | None
+    ):
+        """Per-chunk public-boundary gate for stream sources.
+
+        Corruption hook + quality policy + torus wrap, exactly the
+        :meth:`Gridder._gate_samples` contract applied chunk-wise —
+        under ``quality_policy="raise"`` a poisoned mid-stream chunk
+        aborts the pass (the caller's ``finally`` releases the dice,
+        leaving no partial accumulation behind).
+        """
+        coords = self.setup.coerce_coords(coords)
+        values_stack = None
+        if values is not None:
+            values_stack = np.asarray(values, dtype=self.setup.dtype)
+            if values_stack.ndim == 1:
+                values_stack = values_stack[None, :]
+            if values_stack.shape[-1] != coords.shape[0]:
+                raise ValueError(
+                    f"chunk {index}: {values_stack.shape[-1]} values but "
+                    f"{coords.shape[0]} coordinates"
+                )
+        coords, values_stack = corrupt_chunk(index, coords, values_stack)
+        coords, values_stack, bad, report = apply_quality_policy(
+            coords, values_stack, self.setup.quality_policy,
+            self.setup.grid_shape,
+        )
+        return self.setup.check_coords(coords), values_stack, bad, report
+
+    def _check_chunk_mode(self, entry: str) -> None:
+        """Stream chunks need chunk mode's exact-match plan reuse (the
+        one-shot fingerprint could alias two chunks)."""
+        if self.chunk_samples is None:
+            raise ValueError(
+                f"{entry} runs in chunk mode; construct the engine with "
+                "chunk_samples="
+            )
+
+    def grid_stream(
+        self, stream: SampleStream, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Adjoint gridding of a :class:`SampleStream`.
+
+        Each chunk passes the full public-boundary gate individually
+        (chunk corruption hook, quality policy, torus wrap).  The
+        output rank follows the stream's value chunks: ``(M,)`` chunks
+        produce one grid, ``(K, M)`` chunks a ``(K,)``-stacked grid.
+        Needs chunk mode; the stream's own chunks are the pieces,
+        whatever size ``chunk_samples`` says.
+
+        Under ``quality_policy="raise"`` a poisoned chunk aborts the
+        whole pass; under ``"drop"``/``"zero"`` the offending samples
+        degrade per policy and streaming continues, with the merged
+        :class:`~repro.robustness.DataQualityReport` in
+        ``stats.quality``.
+        """
+        self._check_chunk_mode("grid_stream")
+        total_quality = None
+        batched = False
+        k_rhs = 1
+
+        def gated():
+            nonlocal total_quality, batched, k_rhs
+            for index, (coords, values) in enumerate(stream.chunks()):
+                if values is None:
+                    raise ValueError(
+                        "grid_stream requires value chunks; this stream "
+                        "yields coordinates only"
+                    )
+                if index == 0:
+                    batched = np.asarray(values).ndim == 2
+                coords, values_stack, _, report = self._gate_chunk(
+                    index, coords, values
+                )
+                if index == 0:
+                    k_rhs = values_stack.shape[0]
+                elif values_stack.shape[0] != k_rhs:
+                    raise ValueError(
+                        f"chunk {index} has {values_stack.shape[0]} RHS, "
+                        f"expected {k_rhs}"
+                    )
+                if total_quality is None:
+                    total_quality = report
+                else:
+                    total_quality.accumulate(report)
+                yield coords, values_stack
+
+        gate = gated()
+        # pull the first chunk eagerly so K is known before the dice
+        # buffer is sized (also surfaces an empty stream cleanly)
+        first = next(gate, None)
+        shape = self.setup.grid_shape
+        if first is None:
+            grid = self._out_grid(out, shape)
+            self._finish(GriddingStats(), 1)
+            self._tag_stats()
+            return grid
+
+        def chunks_with_first():
+            yield first
+            yield from gate
+
+        stacked_shape = (k_rhs,) + shape
+        dtype = self.setup.dtype
+        if out is None:
+            grid_out = np.empty(stacked_shape, dtype=dtype)
+        else:
+            expect = stacked_shape if batched else shape
+            if tuple(out.shape) != expect or out.dtype != dtype:
+                raise ValueError(
+                    f"out must have dtype {dtype} and shape {expect}, got "
+                    f"dtype {out.dtype} and shape {out.shape}"
+                )
+            grid_out = out[None] if not batched else out
+        total = self._grid_pieces(chunks_with_first(), k_rhs, grid_out)
+        total.quality = total_quality
+        self._finish(total, k_rhs)
+        self._tag_stats()
+        return grid_out if batched else grid_out[0]
+
+    def interp_stream(self, grid_stack: np.ndarray, stream: SampleStream):
+        """Forward interpolation streamed back out in sample order.
+
+        A generator yielding one value array per chunk — ``(m_c,)`` for
+        an unstacked ``grid_stack``, ``(K, m_c)`` for a stacked one —
+        each chunk's slots aligned with its input coordinates (dropped/
+        zeroed samples yield ``0`` in place, as in :meth:`interp`).
+        The staged dice is released when the generator finishes *or*
+        is closed early, so abandoning a stream cannot strand pooled
+        storage.
+        """
+        self._check_chunk_mode("interp_stream")
+        batched = np.asarray(grid_stack).ndim == self.setup.ndim + 1
+        grid_stack = self._check_batch_grids(np.asarray(grid_stack))
+        k_rhs = grid_stack.shape[0]
+
+        def run():
+            total = GriddingStats()
+            total_quality = None
+            dice_flat = self._stage_dice(grid_stack)
+            try:
+                for index, (coords, _values) in enumerate(stream.chunks()):
+                    if self.cancel_token is not None:
+                        self.cancel_token.check()
+                    m_raw = np.atleast_2d(np.asarray(coords)).shape[0]
+                    coords_c, _, bad, report = self._gate_chunk(
+                        index, coords, None
+                    )
+                    if total_quality is None:
+                        total_quality = report
+                    else:
+                        total_quality.accumulate(report)
+                    vals = np.zeros((k_rhs, coords_c.shape[0]), dtype=self.setup.dtype)
+                    if coords_c.shape[0]:
+                        total.accumulate(self._interp_piece(coords_c, dice_flat, vals))
+                    vals = self._restore_sample_slots(
+                        vals, bad, report, m_raw, batched=True
+                    )
+                    yield vals if batched else vals[0]
+            finally:
+                self._release_buffer(dice_flat)
+                total.quality = total_quality
+                self._finish(total, k_rhs)
+                self._tag_stats()
+
+        return run()

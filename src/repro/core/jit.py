@@ -72,7 +72,6 @@ __all__ = [
     "JitSliceAndDiceGridder",
     "jit_available",
     "numba_version",
-    "plan_kernels",
     "scatter_plan_entries",
     "scatter_plan_rows",
     "gather_plan_entries",
@@ -175,24 +174,6 @@ def gather_plan_samples(dice_flat, flat, weight, out):
 _COMPILED: dict[str, object] | None = None
 
 
-def plan_kernels(jit: bool = True) -> dict[str, object]:
-    """Entry-order scatter/gather kernels for plan execution.
-
-    With ``jit=True`` (and numba importable / not disabled) the
-    returned callables are the njit dispatchers of :func:`_compiled`;
-    otherwise they are the raw Python loop bodies — same arithmetic in
-    the same order, just interpreted.  The streaming engine uses this
-    to run its per-chunk accumulates on whichever lane is available
-    without duplicating the loop bodies.
-    """
-    if jit and jit_available():
-        return dict(_compiled())
-    return {
-        "scatter-serial": scatter_plan_entries,
-        "gather-serial": gather_plan_entries,
-    }
-
-
 def _compiled() -> dict[str, object]:
     """The njit dispatchers, compiled once per process on first use.
 
@@ -232,7 +213,7 @@ _LANES = ("auto", "numba-parallel", "numba-serial", "numpy")
 class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
     """Compiled scatter-plan engine with numba-fused execution lanes.
 
-    Identical plan compilation, caching, and staging to
+    Identical plan compilation, caching, chunking, and staging to
     :class:`~repro.core.CompiledSliceAndDiceGridder`; only the per-call
     arithmetic over the plan entries is swapped for the fused loops of
     this module.  ``stats.exec_lane`` reports the lane every call
@@ -252,10 +233,12 @@ class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         comparison).  Requests for a numba lane degrade to ``"numpy"``
         with a recorded :class:`~repro.errors.DegradationEvent` when
         numba is unavailable, and stickily on a runtime JIT failure.
+        Chunk plans are used once, so chunked passes run the serial
+        kernels (no per-chunk row-major argsort).
     parallel_threshold:
         Plan-entry count at which ``lane="auto"`` switches from the
         serial to the parallel kernels.
-    plan_cache_size:
+    plan_cache_size, chunk_samples:
         As in the parent.
 
     Examples
@@ -285,18 +268,16 @@ class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         lane: str = "auto",
         parallel_threshold: int = 1 << 15,
         plan_cache_size: int = 4,
+        chunk_samples: int | None = None,
     ):
         super().__init__(
-            setup, tile_size=tile_size, plan_cache_size=plan_cache_size
+            setup, tile_size=tile_size, plan_cache_size=plan_cache_size,
+            chunk_samples=chunk_samples,
         )
         if lane not in _LANES:
             raise ValueError(f"lane must be one of {_LANES}, got {lane!r}")
         self.requested_lane = lane
         self.parallel_threshold = int(parallel_threshold)
-        #: sticky record of every demotion this engine performed
-        self.degradations: tuple[DegradationEvent, ...] = ()
-        self._pending_events: list[DegradationEvent] = []
-        self._used_lane = "numpy"
         if lane != "numpy" and not jit_available():
             reason = (
                 f"numba disabled via {JIT_DISABLE_ENV}"
@@ -309,10 +290,6 @@ class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
             self._lane = lane
 
     # -- supervised demotion -------------------------------------------
-    def _record(self, event: DegradationEvent) -> None:
-        self.degradations = self.degradations + (event,)
-        self._pending_events.append(event)
-
     def _demote(self, lane: str, exc: BaseException) -> None:
         """Sticky demotion to the parent's NumPy path (PR 5 contract):
         record once, never retry the failed lane on this instance."""
@@ -320,87 +297,65 @@ class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         self._lane = "numpy"
 
     def _select_lane(self, nnz: int) -> str:
-        if self._lane == "auto":
-            if nnz >= self.parallel_threshold:
-                return "numba-parallel"
+        lane = self._lane
+        if lane == "auto":
+            big = nnz >= self.parallel_threshold
+            lane = "numba-parallel" if big else "numba-serial"
+        if lane == "numba-parallel" and self.chunk_samples is not None:
             return "numba-serial"
-        return self._lane
+        return lane
 
     # -- fused plan execution ------------------------------------------
     def _apply_grid(
-        self, plan: CompiledPlan, values_stack: np.ndarray
-    ) -> np.ndarray:
+        self,
+        plan: CompiledPlan,
+        values_stack: np.ndarray,
+        dice_flat: np.ndarray,
+        fresh: bool,
+    ) -> None:
+        """The kernels add into the dice in entry order.  Dispatch and
+        compile failures (and the injected fault) fire before any entry
+        is written, so a demoted call re-runs on NumPy without
+        double-counting."""
         lane = self._select_lane(plan.nnz)
-        if lane == "numpy" or plan.nnz == 0:
-            self._used_lane = "numpy"
-            return super()._apply_grid(plan, values_stack)
-        k_rhs = values_stack.shape[0]
-        n_flat = plan.n_rows * plan.n_tiles
-        dice_flat = self._acquire_buffer((k_rhs, n_flat), zero=True)
-        try:
-            fault_point("jit:scatter")
-            kernels = _compiled()
-            flat, weight = _entries(plan)
-            if lane == "numba-parallel":
-                order, starts = plan.row_view()
-                kernels["scatter-parallel"](
-                    values_stack, flat, weight, order, starts, dice_flat
-                )
-            else:
-                kernels["scatter-serial"](values_stack, flat, weight, dice_flat)
-        except (KeyboardInterrupt, SystemExit):
-            self._release_buffer(dice_flat)
-            raise
-        except BaseException as exc:
-            self._release_buffer(dice_flat)
-            self._demote(lane, exc)
-            self._used_lane = "numpy"
-            return super()._apply_grid(plan, values_stack)
-        self._used_lane = lane
-        return dice_flat
+        if lane != "numpy":
+            try:
+                fault_point("jit:scatter")
+                kernels = _compiled()
+                flat, weight = _entries(plan)
+                if lane == "numba-parallel":
+                    order, starts = plan.row_view()
+                    kernels["scatter-parallel"](
+                        values_stack, flat, weight, order, starts, dice_flat
+                    )
+                else:
+                    kernels["scatter-serial"](values_stack, flat, weight, dice_flat)
+                self._used_lane = lane
+                return
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except BaseException as exc:
+                self._demote(lane, exc)
+                if fresh:
+                    dice_flat[...] = 0
+        self._used_lane = "numpy"
+        super()._apply_grid(plan, values_stack, dice_flat, fresh)
 
     def _apply_interp(
-        self, plan: CompiledPlan, dice_flat: np.ndarray, m: int
-    ) -> np.ndarray:
+        self, plan: CompiledPlan, dice_flat: np.ndarray, out: np.ndarray
+    ) -> None:
         lane = self._select_lane(plan.nnz)
-        if lane == "numpy" or plan.nnz == 0:
-            self._used_lane = "numpy"
-            return super()._apply_interp(plan, dice_flat, m)
-        out = np.zeros((dice_flat.shape[0], m), dtype=self.setup.dtype)
-        try:
-            fault_point("jit:gather")
-            kind = "parallel" if lane == "numba-parallel" else "serial"
-            _compiled()[f"gather-{kind}"](dice_flat, *_entries(plan), out)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:
-            self._demote(lane, exc)
-            self._used_lane = "numpy"
-            return super()._apply_interp(plan, dice_flat, m)
-        self._used_lane = lane
-        return out
-
-    # -- stats stamping -------------------------------------------------
-    def _stamp_lane(self) -> None:
-        """Attach the executed lane and any degradation events fired
-        since the last stamp to the freshly-built stats (the parent
-        impls replace ``self.stats`` after plan execution)."""
-        self.stats.exec_lane = self._used_lane
-        if self._pending_events:
-            self.stats.degradations = self.stats.degradations + tuple(
-                self._pending_events
-            )
-            self._pending_events = []
-
-    def _grid_impl(self, coords, values, grid) -> None:
-        super()._grid_impl(coords, values, grid)
-        self._stamp_lane()
-
-    def _grid_batch_impl(self, coords, values_stack, out) -> None:
-        super()._grid_batch_impl(coords, values_stack, out)
-        self._stamp_lane()
-
-    def _interp_batch_impl(self, grid_stack, coords) -> np.ndarray:
-        out = super()._interp_batch_impl(grid_stack, coords)
-        self._stamp_lane()
-        return out
+        if lane != "numpy":
+            try:
+                fault_point("jit:gather")
+                kind = "parallel" if lane == "numba-parallel" else "serial"
+                out[...] = 0  # the kernels seed each sample's sum from it
+                _compiled()[f"gather-{kind}"](dice_flat, *_entries(plan), out)
+                self._used_lane = lane
+                return
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except BaseException as exc:
+                self._demote(lane, exc)
+        self._used_lane = "numpy"
+        super()._apply_interp(plan, dice_flat, out)

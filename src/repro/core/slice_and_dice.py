@@ -46,7 +46,7 @@ The select pass also has a *table-driven* form:
 as fixed-width, sample-major dice-address/weight arrays from two small
 ``(G, W)`` tables per axis (:attr:`_axis_tables`).  The compiled
 engine (:class:`repro.core.compiled.CompiledSliceAndDiceGridder`) runs
-it once per trajectory, the streaming engine once per chunk.
+it once per trajectory, or once per chunk in its chunk mode.
 """
 
 from __future__ import annotations

@@ -151,10 +151,11 @@ class DegradationEvent:
     Attributes
     ----------
     component:
-        Which chain degraded: ``"jit"`` / ``"streaming"`` (gridding
-        execution lane), ``"fft"`` (backend registry), ``"normal"``
-        (Toeplitz vs gridding normal operator), ``"cg"`` (solver
-        restart), ``"service"`` (circuit-breaker demotion).
+        Which chain degraded: ``"jit"`` (gridding execution lane),
+        ``"checkpoint"`` (a stale snapshot ignored), ``"fft"`` (backend
+        registry), ``"normal"`` (Toeplitz vs gridding normal operator),
+        ``"cg"`` (solver restart), ``"service"`` (circuit-breaker
+        demotion).
     from_stage / to_stage:
         The rung stepped off and the rung landed on (e.g.
         ``"scipy"`` -> ``"numpy"``).

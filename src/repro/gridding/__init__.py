@@ -16,10 +16,11 @@ reproduce the paper's operation-count and locality arguments:
   (§VII.A).
 
 The paper's own contribution, Slice-and-Dice (the serial reference and
-its compiled and jit engines), lives in :mod:`repro.core`; its
-bounded-memory streaming engine lives in :mod:`repro.gridding.streaming`.
-All implement the same :class:`Gridder` interface.  All engines — including those — are reachable by name
-through the registry (:func:`available_gridders`, :func:`make_gridder`,
+its compiled and jit engines, with their bounded-memory chunk mode and
+:class:`SampleStream` sources), lives in :mod:`repro.core`.  All
+implement the same :class:`Gridder` interface.  All engines — including
+those — are reachable by name through the registry
+(:func:`available_gridders`, :func:`make_gridder`,
 :func:`register_gridder`); see ``docs/engines.md`` for the full guide.
 """
 
@@ -35,21 +36,17 @@ from .registry import (
     make_gridder,
     register_gridder,
 )
-#: streaming exports resolved lazily (PEP 562): ``streaming`` builds on
+#: chunk-mode exports resolved lazily (PEP 562): they live in
 #: :mod:`repro.core.compiled`, which itself imports ``gridding.base`` —
 #: an eager import here would close that cycle mid-initialization
-_STREAMING_EXPORTS = (
-    "SampleStream",
-    "StreamingSliceAndDiceGridder",
-    "choose_chunk_samples",
-)
+_CHUNK_EXPORTS = ("SampleStream", "choose_chunk_samples")
 
 
 def __getattr__(name):
-    if name in _STREAMING_EXPORTS:
-        from . import streaming
+    if name in _CHUNK_EXPORTS:
+        from ..core import compiled
 
-        return getattr(streaming, name)
+        return getattr(compiled, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -65,7 +62,6 @@ __all__ = [
     "BinningGridder",
     "SparseMatrixGridder",
     "SampleStream",
-    "StreamingSliceAndDiceGridder",
     "choose_chunk_samples",
     "available_gridders",
     "default_gridder",

@@ -92,27 +92,27 @@ class GriddingStats:
     table_bytes:
         Resident bytes of the per-axis select tables this call used:
         the serial engine's ``(T, M)`` masks + weights + tile indices,
-        or the compiled and streaming engines' ``(G, W)`` tables of the
-        table-driven select.  Zero for gridders without tables.
+        or the compiled engines' ``(G, W)`` tables of the table-driven
+        select.  Zero for gridders without tables.
     plan_compile_seconds:
         Wall-clock seconds spent compiling a trajectory scatter plan
         during this call (the ``slice_and_dice_compiled`` engine: its
-        select plus the CSR wrap); 0.0 on a plan-cache hit.  The
-        streaming engine reports its per-chunk select time here.
+        select plus the CSR wrap); 0.0 on a plan-cache hit.  In chunk
+        mode, the sum of the chunks' select times.
     plan_nnz:
         Nonzeros of the compiled scatter plan the call executed —
-        exactly the ``M * W^d`` passing checks (the streaming engine:
-        the pass's ``M * W^d`` select entries).  Zero for engines
-        without a compiled plan.
+        exactly the ``M * W^d`` passing checks (in chunk mode: the
+        pass's ``M * W^d`` select entries over all chunks).  Zero for
+        engines without a compiled plan.
     chunks:
         Fixed-size sample chunks the pass was streamed in (the
-        ``slice_and_dice_streaming`` engine); ``0`` for one-shot
-        engines, whose whole trajectory is one implicit chunk.
+        compiled engines with ``chunk_samples=``); ``0`` for one-shot
+        passes, whose whole trajectory is one implicit chunk.
     chunk_bytes:
         Per-chunk working-set bytes of the most recent streamed pass
-        (chunk coordinate/value slices, the seeded-``bincount`` entry
-        slots and weights, and the select temporaries) — the quantity
-        the chunk size bounds.
+        (chunk coordinate/value slices, the chunk's plan entries and
+        lane scratch, and the select temporaries) — the quantity the
+        chunk size bounds (:func:`repro.core.compiled.working_set`).
     peak_bytes:
         True high-water transient bytes of the pass: the dice
         accumulator plus the largest simultaneous plan/table/scratch
@@ -492,8 +492,9 @@ class Gridder(abc.ABC):
 
     #: optional :class:`repro.robustness.CancelToken` set per call by
     #: the owner (a :class:`~repro.nufft.NufftPlan` or service worker)
-    #: and cleared in its ``finally``.  One-shot engines run atomically
-    #: and ignore it; the streaming engine checks it between chunks.
+    #: and cleared in its ``finally``.  Most engines run a call
+    #: atomically and ignore it; the compiled engines check it before
+    #: each chunk (once per one-shot call).
     cancel_token = None
 
     def __init__(self, setup: GriddingSetup):

@@ -16,16 +16,13 @@ asserts identical output grids).  Registered engines (see
   complex128),
 - ``"slice_and_dice_jit"`` — the compiled plan executed by numba-fused
   scatter/gather loops when numba is importable (supervised
-  degradation to the pure-NumPy compiled path when it is not),
-- ``"slice_and_dice_streaming"`` — fixed-size sample chunks, each
-  selected once by a table-driven pass and accumulated into one pooled
-  dice; peak memory O(chunk + grid) instead of O(M * W^d).
+  degradation to the pure-NumPy compiled path when it is not).
 
-Any Slice-and-Dice engine name also accepts ``chunk_samples=N``:
-:func:`make_gridder` then routes to the streaming engine with the
-execution lane matching the requested engine family (serial reference
--> ``"serial"``, compiled -> ``"numpy"``, jit -> ``"auto"``),
-so callers opt into bounded memory without changing engine names.
+The compiled and jit engines also take ``chunk_samples=N``: calls then
+run in fixed-size sample chunks, each selected once by a table-driven
+pass and accumulated into one pooled dice, so peak memory is
+O(chunk + grid) instead of O(M * W^d).  The serial reference has no
+chunk mode and rejects the option.
 
 :func:`default_gridder` names the best compiled engine for the current
 environment, which is how the NuFFT service picks its default.
@@ -119,18 +116,17 @@ def make_gridder(name: str, setup: GriddingSetup, **kwargs) -> Gridder:
     >>> make_gridder("slice_and_dice_compiled", setup, backend="csr").name
     'slice_and_dice_compiled'
 
-    Passing ``chunk_samples=`` with any Slice-and-Dice engine name
-    selects the bounded-memory streaming engine on the matching lane:
+    ``chunk_samples=`` runs the compiled engines chunk by chunk:
 
-    >>> make_gridder("slice_and_dice_compiled", setup, chunk_samples=4096).name
-    'slice_and_dice_streaming'
+    >>> make_gridder("slice_and_dice_compiled", setup, chunk_samples=4096).chunk_samples
+    4096
     """
     _ensure_core()
-    if "chunk_samples" in kwargs and name in _STREAM_LANE_FOR:
-        from .streaming import StreamingSliceAndDiceGridder
-
-        kwargs.setdefault("lane", _STREAM_LANE_FOR[name])
-        return StreamingSliceAndDiceGridder(setup, **kwargs)
+    if name == "slice_and_dice" and "chunk_samples" in kwargs:
+        raise ValueError(
+            "the serial slice_and_dice engine has no chunk mode; use "
+            "'slice_and_dice_compiled' with chunk_samples="
+        )
     try:
         factory = _REGISTRY[name]
     except KeyError:
@@ -160,17 +156,6 @@ def default_gridder() -> str:
     return "slice_and_dice_jit" if jit_available() else "slice_and_dice_compiled"
 
 
-#: execution lane the streaming engine adopts when ``chunk_samples=``
-#: retargets an engine-family name (matches the family's arithmetic:
-#: the streamed result stays bit-compatible with the requested engine)
-_STREAM_LANE_FOR = {
-    "slice_and_dice": "serial",
-    "slice_and_dice_compiled": "numpy",
-    "slice_and_dice_jit": "auto",
-    "slice_and_dice_streaming": "auto",
-}
-
-
 def _ensure_core() -> None:
     """Register the Slice-and-Dice gridders lazily (avoids import cycle)."""
     if "slice_and_dice" not in _REGISTRY:
@@ -179,12 +164,10 @@ def _ensure_core() -> None:
             JitSliceAndDiceGridder,
             SliceAndDiceGridder,
         )
-        from .streaming import StreamingSliceAndDiceGridder
 
         register_gridder("slice_and_dice", SliceAndDiceGridder)
         register_gridder("slice_and_dice_compiled", CompiledSliceAndDiceGridder)
         register_gridder("slice_and_dice_jit", JitSliceAndDiceGridder)
-        register_gridder("slice_and_dice_streaming", StreamingSliceAndDiceGridder)
 
 
 register_gridder("naive", NaiveGridder)

@@ -78,8 +78,9 @@ class NufftTimings:
     #: execution lane the gridding arithmetic ran on (``numpy`` /
     #: ``numba-serial`` / ``numba-parallel`` — see GriddingStats)
     exec_lane: str = ""
-    #: streamed sample chunks the gridding pass consumed (0 for the
-    #: one-shot engines — nonzero only on the streaming engine)
+    #: streamed sample chunks the gridding pass consumed (0 for
+    #: one-shot passes — nonzero only in the compiled engines' chunk
+    #: mode)
     chunks: int = 0
 
     @property
@@ -381,7 +382,7 @@ class NufftPlan:
         self._corner_blocks_cache: list | None = None
         #: optional :class:`~repro.robustness.CancelToken` — checked on
         #: entry to every transform and propagated to the gridder (the
-        #: streaming engine re-checks between chunks).  Set per job by
+        #: chunked engines re-check between chunks).  Set per job by
         #: the owner and cleared in its ``finally`` so warm cached
         #: plans never retain a stale token.
         self.cancel_token = None

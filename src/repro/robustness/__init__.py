@@ -19,7 +19,7 @@ failure story the performance stack needed:
 - :mod:`repro.robustness.deadline` — :class:`Deadline` and the
   cooperative :class:`CancelToken` the engines check between chunks /
   iterations (doubling as the service worker heartbeat);
-- :mod:`repro.robustness.checkpoint` — streaming-accumulation
+- :mod:`repro.robustness.checkpoint` — chunked-accumulation
   snapshots (:class:`StreamCheckpoint`) with in-memory
   (:class:`CheckpointStore`) and file-backed
   (:class:`FileCheckpointStore`) stores, exact-resume by the

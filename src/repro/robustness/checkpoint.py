@@ -1,17 +1,18 @@
-"""Streaming-accumulation checkpoints: snapshot, stores, config.
+"""Chunked-accumulation checkpoints: snapshot, stores, config.
 
-PR 9's streaming gridder accumulates 10^8-sample adjoints chunk by
-chunk into one pooled dice buffer — and a crash at chunk 381 of 382
-used to throw every partial sum away.  This module makes the partial
-sums durable.
+A chunked gridder (a compiled engine with ``chunk_samples=``)
+accumulates 10^8-sample adjoints chunk by chunk into one pooled dice
+buffer — and a crash at chunk 381 of 382 would throw every partial sum
+away.  This module makes the partial sums durable.
 
-Why resume is *exact*, not approximate: the streaming engine's
-accumulation is seeded — each chunk's ``bincount`` partial sums are
-seeded with the dice contents so far, so every grid word's float64
-summation chain is the one-shot chain, chunk boundaries invisible
-(``docs/algorithm.md``).  A checkpoint therefore captures the entire
-computation state in ``(dice copy, chunk cursor)``: restore the dice,
-skip the first ``chunk_cursor`` chunks of a deterministic stream
+Why resume is *exact*, not approximate: every lane of the chunked
+adjoint continues each dice word's summation chain from the value in
+the dice (SciPy's in-place ``csc_matvecs``, a ``bincount`` seeded with
+the dice contents, or the jit kernels' in-place adds), so every grid
+word's summation chain is the one-shot chain, chunk boundaries
+invisible (``docs/algorithm.md``).  A checkpoint therefore captures the
+entire computation state in ``(dice copy, chunk cursor)``: restore the
+dice, skip the first ``chunk_cursor`` chunks of a deterministic stream
 replay, and the remaining chunks continue the identical summation
 chain.  The resumed output is ``np.array_equal`` to an uninterrupted
 run — bit-identity, the same property the engine zoo is tested for.
@@ -20,7 +21,7 @@ Pieces:
 
 - :class:`StreamCheckpoint` — one snapshot: ``(fingerprint,
   chunk_cursor, sample_cursor, dice)`` plus shape metadata for
-  validation.  RNG-free: nothing in the streaming adjoint draws
+  validation.  RNG-free: nothing in the chunked adjoint draws
   random numbers, so no generator state needs saving.
 - :class:`CheckpointStore` — thread-safe, LRU-bounded in-memory store
   (the service default: checkpoints live exactly as long as the
@@ -28,7 +29,7 @@ Pieces:
 - :class:`FileCheckpointStore` — ``.npz``-per-key directory store with
   atomic tmp + ``os.replace`` writes, for resumes that must survive
   the process.
-- :class:`CheckpointConfig` — what the streaming gridder reads:
+- :class:`CheckpointConfig` — what the chunked gridder reads:
   which store, which key, snapshot every N chunks, whether to resume
   and whether to delete on success.
 
@@ -70,7 +71,7 @@ __all__ = [
 
 @dataclass
 class StreamCheckpoint:
-    """One snapshot of a streaming accumulation in progress.
+    """One snapshot of a chunked accumulation in progress.
 
     Attributes
     ----------
@@ -211,7 +212,7 @@ class FileCheckpointStore:
 
 @dataclass
 class CheckpointConfig:
-    """What the streaming gridder needs to checkpoint one run.
+    """What a chunked gridder needs to checkpoint one run.
 
     Attach an instance as ``gridder.checkpoint`` (the service worker
     does this per job and clears it in a ``finally``).  The gridder:

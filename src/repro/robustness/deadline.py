@@ -4,7 +4,7 @@ Long streamed reconstructions (10^8 samples, hundreds of chunks) and
 deep CG solves run for minutes inside worker threads that Python
 cannot kill.  The only safe way to stop them is *cooperation*: the
 engines check a :class:`CancelToken` at their natural boundaries — the
-streaming gridder between chunks, CG between iterations, the NuFFT
+chunked gridder between chunks, CG between iterations, the NuFFT
 plan on entry — and raise a typed error
 (:class:`repro.errors.JobCancelled` /
 :class:`repro.errors.DeadlineExceeded`) the moment the token is set.

@@ -21,8 +21,8 @@ when no injector is active.  Faults available:
   with NaN on entry to the gridding public API, exercising the
   quality-gate policies end to end.
 - **corrupted stream chunks** — ``corrupt_chunk_index=K`` poisons the
-  whole ``K``-th chunk (coords and values NaN) at the streaming
-  engine's per-chunk gate (:func:`corrupt_chunk`), exercising the
+  whole ``K``-th chunk (coords and values NaN) at a chunked
+  engine's per-chunk stream gate (:func:`corrupt_chunk`), exercising the
   mid-stream quality policies: ``raise`` must abort with no partial
   accumulation left behind, ``drop``/``zero`` must skip the chunk and
   keep streaming.  One-shot: the directive clears after firing.
@@ -284,7 +284,7 @@ def corrupt_chunk(
     coords: np.ndarray,
     values_stack: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Called at the streaming engine's per-chunk gate; poisons the
+    """Called at a chunked engine's per-chunk stream gate; poisons the
     whole chunk (NaN copies) when ``corrupt_chunk_index`` matches."""
     if _ACTIVE is None:
         return coords, values_stack

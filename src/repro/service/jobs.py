@@ -49,9 +49,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.compiled import choose_chunk_samples
 from ..gridding.base import GriddingSetup
 from ..gridding.registry import available_gridders, default_gridder, make_gridder
-from ..gridding.streaming import choose_chunk_samples
 from ..kernels import KernelLUT, beatty_kernel
 from ..nufft.plan import PRECISIONS, plan_grid_shape
 from ..robustness.deadline import CancelToken, Deadline
@@ -164,11 +164,11 @@ class JobSpec:
     precision: str = "double"
     fft_backend: str = "auto"
     quality_policy: str = "raise"
-    #: per-job gridding memory budget (bytes).  When set, the worker
-    #: sizes a streamed chunk via
-    #: :func:`repro.gridding.choose_chunk_samples` and routes the job
-    #: through the streaming engine — plan-shaped because the chunked
-    #: plan cache differs from the one-shot plan.
+    #: per-job gridding memory budget (bytes).  When set, the job's
+    #: engine runs in chunk mode, with the chunk sized by
+    #: :func:`repro.gridding.choose_chunk_samples` — plan-shaped
+    #: because a chunked engine keeps no one-shot plan.  Only the
+    #: compiled engines have a chunk mode.
     max_bytes: int | None = None
     # ---- solver-shaped options (per call) ----
     n_iterations: int = 10
@@ -238,15 +238,14 @@ class JobSpec:
 
     def plan_gridder_options(self) -> dict:
         """The gridder options the job's plan is built with: the
-        client's, plus under a ``max_bytes`` budget the streamed chunk
-        size sized from the plan's default geometry (2x oversampled
-        grid, W=6), which makes the registry route the engine family
-        onto the streaming lane."""
+        client's, plus under a ``max_bytes`` budget the chunk size for
+        the plan's grid (2x oversampled, padded to the tile size) and
+        default window (W=6), which puts the engine in chunk mode."""
         options = dict(self.gridder_options)
         if self.max_bytes is not None and "chunk_samples" not in options:
             options["chunk_samples"] = choose_chunk_samples(
                 self.coords.shape[0],
-                tuple(2 * n for n in self.image_shape),
+                plan_grid_shape(self.image_shape, 2.0, self.gridder, options),
                 6,
                 dtype=self.dtype,
                 max_bytes=self.max_bytes,

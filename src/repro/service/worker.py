@@ -34,7 +34,6 @@ import numpy as np
 
 from ..errors import DeadlineExceeded, DegradationEvent, JobCancelled, ReproError
 from ..gridding.buffers import GridBufferPool
-from ..gridding.streaming import StreamingSliceAndDiceGridder
 from ..nufft import NufftPlan, ToeplitzNormalOperator
 from ..recon import cg_reconstruction
 from ..robustness.checkpoint import CheckpointConfig
@@ -372,7 +371,7 @@ class ReconWorker:
         checkpointing = (
             self.checkpoint_store is not None
             and spec.method == "adjoint"
-            and isinstance(gridder, StreamingSliceAndDiceGridder)
+            and getattr(gridder, "chunk_samples", None) is not None
         )
         if checkpointing:
             gridder.checkpoint = CheckpointConfig(

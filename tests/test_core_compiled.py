@@ -146,13 +146,11 @@ class TestIdentityCells:
     def test_complex64_default(self, geometry):
         """The complex64 default is the bincount lane: its adjoint sums
         each dice word in float64 like the serial engine; its forward
-        sums each sample in float64 like the streaming NumPy lane (the
-        serial forward accumulates in complex64: close, not equal)."""
+        sums each sample in float64 like its chunk mode (the serial
+        forward accumulates in complex64: close, not equal)."""
         setup, coords, values, grids = identity_problem(geometry, np.complex64)
         ser = SliceAndDiceGridder(setup)
-        stm = make_gridder(
-            "slice_and_dice_streaming", setup, chunk_samples=10**6, lane="numpy"
-        )
+        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=7)
         com = CompiledSliceAndDiceGridder(setup)
         assert com.backend == "bincount"
         for _ in range(2):
@@ -212,6 +210,57 @@ class TestCsrBackend:
     def test_invalid_backend_rejected(self, tiny_setup):
         with pytest.raises(ValueError, match="backend"):
             CompiledSliceAndDiceGridder(tiny_setup, backend="dense")
+
+
+class TestSparsetoolsPin:
+    """The csr lane's adjoint calls SciPy's private
+    ``_sparsetools.csc_matvecs`` directly: pin that it adds into the
+    output it is handed, in sample order (CI runs this at the SciPy
+    1.10 floor too)."""
+
+    @staticmethod
+    def _matrix(rng, m=60, n=50, per=4):
+        flat = np.concatenate(
+            [np.sort(rng.choice(n, per, replace=False)) for _ in range(m)]
+        ).astype(np.int32)
+        indptr = np.arange(0, m * per + 1, per, dtype=np.int32)
+        return flat, rng.standard_normal(m * per), indptr, (m, n, per)
+
+    def test_csc_matvecs_adds_in_place(self, rng):
+        from scipy import sparse
+        from scipy.sparse import _sparsetools
+
+        flat, weight, indptr, (m, n, _) = self._matrix(rng)
+        a_t = sparse.csr_matrix((weight, flat, indptr), shape=(m, n)).T
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = start.copy()
+        _sparsetools.csc_matvecs(
+            n, m, 2, indptr, flat, weight, v.view(np.float64), y.view(np.float64)
+        )
+        want = start + (a_t @ v.view(np.float64).reshape(-1, 2)).view(complex).ravel()
+        np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("chunk", (1, 7, 60))
+    def test_chunked_csc_matvecs_equals_transpose_product(self, rng, chunk):
+        """Chunks added in place onto one output are the one-shot
+        ``A.T @ v`` bit for bit: each word's chain continues."""
+        from scipy import sparse
+        from scipy.sparse import _sparsetools
+
+        flat, weight, indptr, (m, n, per) = self._matrix(rng)
+        a_t = sparse.csr_matrix((weight, flat, indptr), shape=(m, n)).T
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        y = np.zeros(n, dtype=complex)
+        for lo in range(0, m, chunk):
+            hi = min(lo + chunk, m)
+            _sparsetools.csc_matvecs(
+                n, hi - lo, 2, indptr[:hi - lo + 1],
+                flat[lo * per:hi * per], weight[lo * per:hi * per],
+                v[lo:hi].view(np.float64), y.view(np.float64),
+            )
+        want = (a_t @ v.view(np.float64).reshape(-1, 2)).view(complex).ravel()
+        assert np.array_equal(y, want)
 
 
 # ----------------------------------------------------------------------

@@ -1,41 +1,45 @@
-"""Streaming chunked gridding: bit-identity, memory, chaos, service.
+"""Chunk mode of the compiled engines: bit-identity, memory, chaos, service.
 
-The contract under test (``repro.gridding.streaming``):
+The contract under test (``chunk_samples=`` of
+``repro.core.CompiledSliceAndDiceGridder`` and the jit engine):
 
-- chunked incremental accumulation is **bit-identical**
-  (``np.array_equal``) to the one-shot compiled engine at complex128
-  for *any* chunk size — non-dividing, ``chunk=1``, ``chunk >= M`` —
-  in 2-D and 3-D, single and batched RHS, on every lane;
-- ``SampleStream`` sources (arrays, memmap, generator chunks, raw
-  files) all produce the same result, and the file source never holds
-  more than one chunk resident;
+- a chunked pass is **bit-identical** (``np.array_equal``) to the
+  one-shot compiled engine at complex128 for *any* chunk size —
+  ``chunk=1``, non-dividing, dividing, ``chunk >= M`` — in 2-D and 3-D,
+  single and batched RHS, in both directions, on every lane of the
+  identity table below;
 - the same holds on rectangular grids, for the ES window, for samples
   on the torus edges (``0`` and ``G - eps``) and at the forward-distance
-  rounding edge, in both directions, and for the forward direction at
-  complex64;
+  rounding edge;
+- at complex64 the forward is bit-identical on every lane, and so is
+  the adjoint on the lanes that accumulate in the working dtype (csr,
+  the jit kernels); the bincount lane rounds the dice to float32
+  between chunks, so its chunked adjoint is ``allclose``;
+- ``SampleStream`` sources (arrays, memmap, generator chunks, raw
+  files) all produce the same result;
 - the reported ``peak_bytes`` is a true high-water mark
   (tracemalloc-cross-checked) and shrinks with the chunk size while
-  the one-shot engine's does not;
+  the one-shot engine's does not, and ``max_bytes`` budgets hold;
 - chaos: a corrupted mid-stream chunk aborts with no partial
   accumulation and a balanced buffer pool.
 """
 
 from __future__ import annotations
 
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import CompiledSliceAndDiceGridder
+from repro.core import jit as jitmod
 from repro.core.jit import jit_available
 from repro.errors import CoordinateError
 from repro.gridding import (
     GridBufferPool,
     GriddingSetup,
     SampleStream,
-    StreamingSliceAndDiceGridder,
     choose_chunk_samples,
     make_gridder,
 )
@@ -44,7 +48,28 @@ from repro.robustness import inject_faults
 from tests.conftest import random_samples
 
 CHUNK_SIZES = (1, 7, 100, 1000, 5000)  # 1, non-dividing, dividing, >= M
-LANES = ("numpy", "serial") + (("jit",) if jit_available() else ())
+
+#: the identity table's lanes: id -> (engine, options).
+#:
+#: - ``"numpy"``: the compiled engine's csr backend (SciPy mat-vecs; its
+#:   stats report ``exec_lane="numpy"``), the complex128 default;
+#: - ``"bincount"``: the compiled engine's NumPy bincount backend, the
+#:   complex64 default;
+#: - ``"serial"``: the jit engine's entry-order kernels run as plain
+#:   Python (:func:`interpret_jit_kernels`) — the same arithmetic as
+#:   the numba lane, checked without numba;
+#: - ``"jit"``: the same kernels compiled by numba (skipped without it).
+LANE_ENGINES = {
+    "numpy": ("slice_and_dice_compiled", {"backend": "csr"}),
+    "bincount": ("slice_and_dice_compiled", {"backend": "bincount"}),
+    "serial": ("slice_and_dice_jit", {"lane": "numba-serial"}),
+    "jit": ("slice_and_dice_jit", {"lane": "numba-serial"}),
+}
+NEEDS_NUMBA = pytest.mark.skipif(not jit_available(), reason="requires numba")
+LANES = [
+    pytest.param(lane, marks=NEEDS_NUMBA) if lane == "jit" else lane
+    for lane in LANE_ENGINES
+]
 
 #: geometry -> (grid shape, window kernel, W); "square" is the
 #: ``small_setup`` fixture's problem
@@ -55,8 +80,8 @@ GEOMETRIES = {
     "edge": ((32, 32), "kb", 3),
 }
 
-#: (chunk, geometry) cases: every chunk size on the square grid (ids
-#: unchanged), plus chunk 1 and chunk > M on every other geometry
+#: (chunk, geometry) cases: every chunk size on the square grid, plus
+#: chunk 1 and chunk > M on every other geometry
 BIT_CASES = [pytest.param(c, "square", id=str(c)) for c in CHUNK_SIZES] + [
     pytest.param(c, g, id=f"{g}-{c}")
     for g in ("rect", "es", "edge")
@@ -64,8 +89,46 @@ BIT_CASES = [pytest.param(c, "square", id=str(c)) for c in CHUNK_SIZES] + [
 ]
 
 
-def setup_3d() -> GriddingSetup:
-    return GriddingSetup((16, 16, 16), KernelLUT(beatty_kernel(4, 2.0), 32))
+def lane_cells(chunks, default: str):
+    """``(chunk, lane)`` cells of every lane; the ``default`` lane's
+    cells are keyed by the chunk alone."""
+    return [
+        pytest.param(
+            c, lane,
+            id=str(c) if lane == default else f"{lane}-{c}",
+            marks=NEEDS_NUMBA if lane == "jit" else (),
+        )
+        for lane in LANE_ENGINES
+        for c in chunks
+    ]
+
+
+def interpret_jit_kernels(monkeypatch) -> None:
+    """Run the jit engine's numba lanes on the raw Python loop bodies:
+    numba reads as importable and the kernel table holds the plain
+    functions ``njit`` would compile."""
+    monkeypatch.setattr(jitmod, "_numba", object())
+    monkeypatch.delenv(jitmod.JIT_DISABLE_ENV, raising=False)
+    monkeypatch.setattr(jitmod, "_COMPILED", {
+        "scatter-serial": jitmod.scatter_plan_entries,
+        "scatter-parallel": jitmod.scatter_plan_rows,
+        "gather-serial": jitmod.gather_plan_entries,
+        "gather-parallel": jitmod.gather_plan_samples,
+    })
+
+
+def lane_engine(lane, setup, monkeypatch, **options):
+    """The ``lane`` engine of the identity table for ``setup``."""
+    if lane == "serial":
+        interpret_jit_kernels(monkeypatch)
+    name, lane_options = LANE_ENGINES[lane]
+    return make_gridder(name, setup, **lane_options, **options)
+
+
+def setup_3d(dtype=np.complex128) -> GriddingSetup:
+    return GriddingSetup(
+        (16, 16, 16), KernelLUT(beatty_kernel(4, 2.0), 32), dtype=dtype
+    )
 
 
 def geometry_problem(rng, geometry: str, dtype=np.complex128):
@@ -89,19 +152,20 @@ def geometry_problem(rng, geometry: str, dtype=np.complex128):
     return setup, coords, values.astype(dtype)
 
 
+def random_grid(rng, shape, dtype=np.complex128):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+
+
 # ----------------------------------------------------------------------
-# bit-identity streamed vs one-shot (the tentpole's numerical contract)
+# bit-identity chunked vs one-shot (the identity table)
 # ----------------------------------------------------------------------
 class TestBitIdentity:
     @pytest.mark.parametrize("chunk,geometry", BIT_CASES)
     @pytest.mark.parametrize("lane", LANES)
-    def test_grid_2d(self, rng, chunk, geometry, lane):
+    def test_grid_2d(self, rng, monkeypatch, chunk, geometry, lane):
         setup, coords, values = geometry_problem(rng, geometry)
         ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = make_gridder(
-            "slice_and_dice_streaming", setup,
-            chunk_samples=chunk, lane=lane,
-        )
+        stm = lane_engine(lane, setup, monkeypatch, chunk_samples=chunk)
         assert np.array_equal(
             stm.grid(coords, values), ref.grid(coords, values)
         )
@@ -109,76 +173,46 @@ class TestBitIdentity:
         assert np.array_equal(
             stm.grid(coords, values), ref.grid(coords, values)
         )
+        assert stm.stats.chunks == -(-coords.shape[0] // chunk)
 
-    @pytest.mark.parametrize("chunk", (1, 37, 500))
-    def test_grid_3d(self, rng, chunk):
+    @pytest.mark.parametrize("chunk,lane", lane_cells((1, 37, 500), "numpy"))
+    def test_grid_3d(self, rng, monkeypatch, chunk, lane):
         setup = setup_3d()
         coords, values = random_samples(rng, 300, setup.grid_shape)
         ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = make_gridder(
-            "slice_and_dice_streaming", setup, chunk_samples=chunk
-        )
+        stm = lane_engine(lane, setup, monkeypatch, chunk_samples=chunk)
         assert np.array_equal(
             stm.grid(coords, values), ref.grid(coords, values)
         )
 
-    @pytest.mark.parametrize("chunk", (13, 128))
-    def test_grid_batch(self, small_setup, rng, chunk):
+    @pytest.mark.parametrize("chunk,lane", lane_cells((13, 128), "numpy"))
+    def test_grid_batch(self, small_setup, rng, monkeypatch, chunk, lane):
         coords, values = random_samples(rng, 300, small_setup.grid_shape)
         stack = np.stack([values, 2.0 * values - 1j, values[::-1]])
         ref = make_gridder("slice_and_dice_compiled", small_setup)
-        stm = make_gridder(
-            "slice_and_dice_streaming", small_setup, chunk_samples=chunk
-        )
+        stm = lane_engine(lane, small_setup, monkeypatch, chunk_samples=chunk)
         assert np.array_equal(
             stm.grid_batch(coords, stack), ref.grid_batch(coords, stack)
         )
 
     @pytest.mark.parametrize("chunk,geometry", BIT_CASES)
     @pytest.mark.parametrize("lane", LANES)
-    def test_interp_2d(self, rng, chunk, geometry, lane):
+    def test_interp_2d(self, rng, monkeypatch, chunk, geometry, lane):
         setup, coords, _ = geometry_problem(rng, geometry)
-        grid = rng.standard_normal(setup.grid_shape) + 1j * (
-            rng.standard_normal(setup.grid_shape)
-        )
+        grid = random_grid(rng, setup.grid_shape)
         ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = make_gridder(
-            "slice_and_dice_streaming", setup,
-            chunk_samples=chunk, lane=lane,
-        )
+        stm = lane_engine(lane, setup, monkeypatch, chunk_samples=chunk)
         assert np.array_equal(
             stm.interp(grid, coords), ref.interp(grid, coords)
         )
 
-    @pytest.mark.parametrize("chunk,geometry", BIT_CASES)
-    def test_interp_complex64(self, rng, chunk, geometry):
-        """The NumPy lane's forward sums each sample in float64 from
-        0.0, like the one-shot bincount, so it is bit-identical at
-        complex64 too."""
-        setup, coords, _ = geometry_problem(rng, geometry, np.complex64)
-        grid = (
-            rng.standard_normal(setup.grid_shape)
-            + 1j * rng.standard_normal(setup.grid_shape)
-        ).astype(np.complex64)
-        ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = make_gridder(
-            "slice_and_dice_streaming", setup, chunk_samples=chunk, lane="numpy"
-        )
-        assert np.array_equal(
-            stm.interp(grid, coords), ref.interp(grid, coords)
-        )
-
-    @pytest.mark.parametrize("chunk", (1, 37, 500))
-    def test_interp_3d(self, rng, chunk):
+    @pytest.mark.parametrize("chunk,lane", lane_cells((1, 37, 500), "numpy"))
+    def test_interp_3d(self, rng, monkeypatch, chunk, lane):
         setup = setup_3d()
         coords, _ = random_samples(rng, 300, setup.grid_shape)
-        grid = rng.standard_normal(setup.grid_shape) + 1j * (
-            rng.standard_normal(setup.grid_shape)
-        )
+        grid = random_grid(rng, setup.grid_shape)
         ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = make_gridder(
-            "slice_and_dice_streaming", setup, chunk_samples=chunk
-        )
+        stm = lane_engine(lane, setup, monkeypatch, chunk_samples=chunk)
         assert np.array_equal(
             stm.interp(grid, coords), ref.interp(grid, coords)
         )
@@ -187,16 +221,55 @@ class TestBitIdentity:
         coords, _ = random_samples(rng, 300, small_setup.grid_shape)
         grids = rng.standard_normal((2,) + small_setup.grid_shape) + 0j
         ref = make_gridder("slice_and_dice_compiled", small_setup)
-        stm = make_gridder(
-            "slice_and_dice_streaming", small_setup, chunk_samples=77
+        for backend in ("csr", "bincount"):
+            stm = make_gridder(
+                "slice_and_dice_compiled", small_setup,
+                backend=backend, chunk_samples=77,
+            )
+            assert np.array_equal(
+                stm.interp_batch(grids, coords), ref.interp_batch(grids, coords)
+            )
+
+    @pytest.mark.parametrize("chunk,geometry", BIT_CASES)
+    def test_interp_complex64(self, rng, chunk, geometry):
+        """Both backends' chunked forward sums each sample like their
+        one-shot pass (bincount in float64 from 0.0), so it is
+        bit-identical at complex64 too."""
+        setup, coords, _ = geometry_problem(rng, geometry, np.complex64)
+        grid = random_grid(rng, setup.grid_shape, np.complex64)
+        for backend in ("bincount", "csr"):
+            ref = make_gridder("slice_and_dice_compiled", setup, backend=backend)
+            stm = make_gridder(
+                "slice_and_dice_compiled", setup,
+                backend=backend, chunk_samples=chunk,
+            )
+            assert np.array_equal(
+                stm.interp(grid, coords), ref.interp(grid, coords)
+            )
+
+    @pytest.mark.parametrize("chunk,lane", lane_cells((1, 37, 500), "numpy"))
+    def test_grid_complex64(self, rng, monkeypatch, chunk, lane):
+        """At complex64 the lanes that accumulate in the working dtype
+        (csr, the jit kernels) continue the one-shot chain exactly; the
+        bincount lane sums each chunk in float64 and rounds the dice to
+        float32 between chunks, so it is close — and exact in one chunk."""
+        setup = GriddingSetup(
+            (32, 32), KernelLUT(beatty_kernel(6, 2.0), 64), dtype=np.complex64
         )
-        assert np.array_equal(
-            stm.interp_batch(grids, coords), ref.interp_batch(grids, coords)
-        )
+        coords, values = random_samples(rng, 400, setup.grid_shape)
+        values = values.astype(np.complex64)
+        ref = lane_engine(lane, setup, monkeypatch)
+        stm = lane_engine(lane, setup, monkeypatch, chunk_samples=chunk)
+        got, want = stm.grid(coords, values), ref.grid(coords, values)
+        assert got.dtype == np.complex64
+        if lane == "bincount" and chunk < 400:
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+        else:
+            assert np.array_equal(got, want)
 
     def test_complex64_numpy_lane_close(self, rng):
-        """The numpy lane rounds the dice to float32 per chunk at
-        complex64 (bincount accumulates in float64 internally), so it
+        """The complex64 default (bincount) rounds the dice to float32
+        per chunk (bincount accumulates in float64 internally), so it
         is allclose — the exact-chain guarantee is complex128-only."""
         setup = GriddingSetup(
             (32, 32), KernelLUT(beatty_kernel(6, 2.0), 64),
@@ -205,8 +278,9 @@ class TestBitIdentity:
         coords, values = random_samples(rng, 400, setup.grid_shape)
         ref = make_gridder("slice_and_dice_compiled", setup)
         stm = make_gridder(
-            "slice_and_dice_streaming", setup, chunk_samples=64
+            "slice_and_dice_compiled", setup, chunk_samples=64
         )
+        assert stm.backend == "bincount"
         np.testing.assert_allclose(
             stm.grid(coords, values), ref.grid(coords, values),
             rtol=1e-5, atol=1e-5,
@@ -216,19 +290,18 @@ class TestBitIdentity:
     def test_complex64_jit_lane_bit_identical(self, rng):
         """The jit lane accumulates natively in the working dtype in
         entry order — bit-identical to the one-shot jit engine at
-        *both* precisions."""
+        *both* precisions, whichever kernels the one-shot pass ran."""
         setup = GriddingSetup(
             (32, 32), KernelLUT(beatty_kernel(6, 2.0), 64),
             dtype=np.complex64,
         )
         coords, values = random_samples(rng, 400, setup.grid_shape)
         ref = make_gridder("slice_and_dice_jit", setup, parallel_threshold=0)
-        stm = make_gridder(
-            "slice_and_dice_streaming", setup, chunk_samples=64, lane="jit"
-        )
+        stm = make_gridder("slice_and_dice_jit", setup, chunk_samples=64)
         assert np.array_equal(
             stm.grid(coords, values), ref.grid(coords, values)
         )
+        assert stm.stats.exec_lane == "numba-serial"
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +324,7 @@ class TestSampleStream:
         np.save(path, coords)
         mm = np.load(path, mmap_mode="r")
         stm = make_gridder(
-            "slice_and_dice_streaming", small_setup, chunk_samples=50
+            "slice_and_dice_compiled", small_setup, chunk_samples=50
         )
         ref = make_gridder("slice_and_dice_compiled", small_setup)
         got = stm.grid_stream(SampleStream.from_arrays(mm, values, chunk_samples=50))
@@ -266,7 +339,7 @@ class TestSampleStream:
             cp, m=451, ndim=2, values_path=vp, chunk_samples=100
         )
         stm = make_gridder(
-            "slice_and_dice_streaming", small_setup, chunk_samples=100
+            "slice_and_dice_compiled", small_setup, chunk_samples=100
         )
         ref = make_gridder("slice_and_dice_compiled", small_setup)
         assert np.array_equal(
@@ -284,7 +357,7 @@ class TestSampleStream:
 
         s = SampleStream.from_chunks(gen(), m=200)
         stm = make_gridder(
-            "slice_and_dice_streaming", small_setup, chunk_samples=61
+            "slice_and_dice_compiled", small_setup, chunk_samples=61
         )
         ref = make_gridder("slice_and_dice_compiled", small_setup)
         assert np.array_equal(stm.grid_stream(s), ref.grid(coords, values))
@@ -295,7 +368,7 @@ class TestSampleStream:
         coords, values = random_samples(rng, 150, small_setup.grid_shape)
         stack = np.stack([values, -values])
         stm = make_gridder(
-            "slice_and_dice_streaming", small_setup, chunk_samples=40
+            "slice_and_dice_compiled", small_setup, chunk_samples=40
         )
         ref = make_gridder("slice_and_dice_compiled", small_setup)
         got = stm.grid_stream(SampleStream.from_arrays(coords, stack, chunk_samples=40))
@@ -306,7 +379,7 @@ class TestSampleStream:
         coords, _ = random_samples(rng, 300, small_setup.grid_shape)
         grid = rng.standard_normal(small_setup.grid_shape) + 0j
         stm = make_gridder(
-            "slice_and_dice_streaming", small_setup, chunk_samples=71
+            "slice_and_dice_compiled", small_setup, chunk_samples=71
         )
         ref = make_gridder("slice_and_dice_compiled", small_setup)
         chunks = list(
@@ -320,7 +393,9 @@ class TestSampleStream:
         )
 
     def test_empty_stream(self, small_setup):
-        stm = make_gridder("slice_and_dice_streaming", small_setup)
+        stm = make_gridder(
+            "slice_and_dice_compiled", small_setup, chunk_samples=64
+        )
         got = stm.grid_stream(
             SampleStream.from_arrays(
                 np.zeros((0, 2)), np.zeros(0, dtype=complex)
@@ -331,7 +406,9 @@ class TestSampleStream:
 
     def test_grid_stream_requires_values(self, small_setup, rng):
         coords, _ = random_samples(rng, 50, small_setup.grid_shape)
-        stm = make_gridder("slice_and_dice_streaming", small_setup)
+        stm = make_gridder(
+            "slice_and_dice_compiled", small_setup, chunk_samples=64
+        )
         with pytest.raises(ValueError, match="value chunks"):
             stm.grid_stream(SampleStream.from_arrays(coords, chunk_samples=10))
 
@@ -358,7 +435,7 @@ class TestAdjointness:
             rng.standard_normal(setup.grid_shape)
         )
         stm = make_gridder(
-            "slice_and_dice_streaming", setup, chunk_samples=chunk
+            "slice_and_dice_compiled", setup, chunk_samples=chunk
         )
         lhs = np.vdot(grid, stm.grid(coords, values))
         rhs = np.vdot(stm.interp(grid, coords), values)
@@ -372,7 +449,7 @@ class TestMemory:
     def test_stats_fields(self, small_setup, rng):
         coords, values = random_samples(rng, 500, small_setup.grid_shape)
         stm = make_gridder(
-            "slice_and_dice_streaming", small_setup, chunk_samples=64
+            "slice_and_dice_compiled", small_setup, chunk_samples=64
         )
         stm.grid(coords, values)
         st_ = stm.stats
@@ -392,7 +469,7 @@ class TestMemory:
         grid = rng.standard_normal(small_setup.grid_shape) + 0j
         ref = make_gridder("slice_and_dice_compiled", small_setup)
         stm = make_gridder(
-            "slice_and_dice_streaming", small_setup, chunk_samples=500
+            "slice_and_dice_compiled", small_setup, chunk_samples=500
         )
         for call in range(2):
             assert np.array_equal(stm.grid(coords, values), ref.grid(coords, values))
@@ -415,7 +492,7 @@ class TestMemory:
         peaks = {}
         for chunk in (50, 2000):
             stm = make_gridder(
-                "slice_and_dice_streaming", small_setup, chunk_samples=chunk
+                "slice_and_dice_compiled", small_setup, chunk_samples=chunk
             )
             stm.grid(coords, values)
             peaks[chunk] = stm.stats.peak_bytes
@@ -443,12 +520,14 @@ class TestMemory:
         peak for the pass: never under by more than the interpreter
         noise floor, never over by 2x.  Each case's working set is many
         times that floor, so an undercount in the model shows."""
-        cases = [  # (grid shape, W, dtype, chunk samples)
-            ((64, 64), 6, np.complex128, 8192),
-            ((64, 64), 6, np.complex64, 8192),
-            ((32, 32, 32), 4, np.complex128, 4096),
+        cases = [  # (grid shape, W, dtype, chunk samples, backend)
+            ((64, 64), 6, np.complex128, 12288, "csr"),
+            ((64, 64), 6, np.complex128, 8192, "bincount"),
+            ((64, 64), 6, np.complex64, 8192, "bincount"),
+            ((64, 64), 6, np.complex64, 16384, "csr"),
+            ((32, 32, 32), 4, np.complex128, 6144, "csr"),
         ]
-        for shape, width, dtype, chunk in cases:
+        for shape, width, dtype, chunk, backend in cases:
             setup = GriddingSetup(
                 shape, KernelLUT(beatty_kernel(width, 2.0), 64), dtype=dtype
             )
@@ -458,7 +537,8 @@ class TestMemory:
             # allocated inside the trace, with every chunk's select
             # transients
             stm = make_gridder(
-                "slice_and_dice_streaming", setup, chunk_samples=chunk
+                "slice_and_dice_compiled", setup,
+                chunk_samples=chunk, backend=backend,
             )
             tracemalloc.start()
             tracemalloc.reset_peak()
@@ -468,7 +548,7 @@ class TestMemory:
             peak = stm.stats.peak_bytes
             assert peak > 8_000_000
             assert 0.5 * peak <= traced_peak <= peak + 1_000_000, (
-                shape, dtype, traced_peak, peak
+                shape, dtype, backend, traced_peak, peak
             )
 
     def test_choose_chunk_samples(self):
@@ -487,11 +567,16 @@ class TestMemory:
         chunk = choose_chunk_samples(
             5000, small_setup.grid_shape, 6, max_bytes=budget
         )
-        stm = make_gridder(
-            "slice_and_dice_streaming", small_setup, chunk_samples=chunk
-        )
-        stm.grid(coords, values)
-        assert stm.stats.peak_bytes <= budget
+        grid = rng.standard_normal(small_setup.grid_shape) + 0j
+        for backend in ("csr", "bincount"):
+            stm = make_gridder(
+                "slice_and_dice_compiled", small_setup,
+                chunk_samples=chunk, backend=backend,
+            )
+            stm.grid(coords, values)
+            assert stm.stats.peak_bytes <= budget
+            stm.interp(grid, coords)
+            assert stm.stats.peak_bytes <= budget
 
 
 # ----------------------------------------------------------------------
@@ -499,41 +584,76 @@ class TestMemory:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_registered(self, small_setup):
+        """Chunk mode is the compiled engines' option, not an engine of
+        its own."""
         from repro.gridding import available_gridders
 
-        assert "slice_and_dice_streaming" in available_gridders()
-        stm = make_gridder("slice_and_dice_streaming", small_setup)
-        assert isinstance(stm, StreamingSliceAndDiceGridder)
+        assert "slice_and_dice_streaming" not in available_gridders()
+        stm = make_gridder(
+            "slice_and_dice_compiled", small_setup, chunk_samples=64
+        )
+        assert isinstance(stm, CompiledSliceAndDiceGridder)
+        assert make_gridder("slice_and_dice_compiled", small_setup).chunk_samples is None
 
     @pytest.mark.parametrize(
         "name,lane",
         [
-            ("slice_and_dice", "serial"),
             ("slice_and_dice_compiled", "numpy"),
             ("slice_and_dice_jit", "auto"),
         ],
     )
-    def test_chunk_samples_retargets(self, small_setup, name, lane):
+    def test_chunk_samples_retargets(self, small_setup, rng, name, lane):
+        """``chunk_samples=`` keeps the engine and its lane and puts it
+        in chunk mode."""
         g = make_gridder(name, small_setup, chunk_samples=128)
-        assert g.name == "slice_and_dice_streaming"
-        assert g.requested_lane == lane
+        assert g.name == name
+        assert getattr(g, "requested_lane", "numpy") == lane
         assert g.chunk_samples == 128
+        coords, values = random_samples(rng, 300, small_setup.grid_shape)
+        g.grid(coords, values)
+        assert g.stats.chunks == 3
+
+    def test_serial_engine_rejects_chunk_samples(self, small_setup):
+        with pytest.raises(ValueError, match="chunk mode"):
+            make_gridder("slice_and_dice", small_setup, chunk_samples=128)
 
     def test_bad_lane_rejected(self, small_setup):
-        with pytest.raises(ValueError, match="lane"):
-            StreamingSliceAndDiceGridder(small_setup, lane="cuda")
+        """The compiled engine has backends, not lanes; bad values of
+        either are rejected in chunk mode too."""
+        with pytest.raises(TypeError, match="lane"):
+            make_gridder(
+                "slice_and_dice_compiled", small_setup,
+                chunk_samples=64, lane="numpy",
+            )
+        with pytest.raises(ValueError, match="backend"):
+            make_gridder(
+                "slice_and_dice_compiled", small_setup,
+                chunk_samples=64, backend="cuda",
+            )
+        with pytest.raises(ValueError, match="chunk_samples"):
+            make_gridder("slice_and_dice_compiled", small_setup, chunk_samples=0)
+
+    def test_streams_need_chunk_mode(self, small_setup, rng):
+        coords, values = random_samples(rng, 50, small_setup.grid_shape)
+        one_shot = make_gridder("slice_and_dice_compiled", small_setup)
+        with pytest.raises(ValueError, match="chunk mode"):
+            one_shot.grid_stream(SampleStream.from_arrays(coords, values))
 
     def test_jit_lane_degrades_without_numba(self, small_setup, rng):
         if jit_available():
             pytest.skip("numba importable — degradation path not reachable")
-        stm = StreamingSliceAndDiceGridder(small_setup, lane="jit")
+        stm = make_gridder(
+            "slice_and_dice_jit", small_setup, chunk_samples=32,
+            lane="numba-serial",
+        )
         assert stm.degradations
-        assert stm.degradations[0].from_stage == "jit"
+        assert stm.degradations[0].from_stage == "numba-serial"
         coords, values = random_samples(rng, 100, small_setup.grid_shape)
         ref = make_gridder("slice_and_dice_compiled", small_setup)
         assert np.array_equal(
             stm.grid(coords, values), ref.grid(coords, values)
         )
+        assert stm.stats.exec_lane == "numpy"
 
     def test_nufft_plan_reports_chunks(self, rng):
         from repro.nufft import NufftPlan
@@ -560,7 +680,7 @@ class TestChaos:
         coords, values = random_samples(rng, 500, small_setup.grid_shape)
         pool = GridBufferPool()
         stm = make_gridder(
-            "slice_and_dice_streaming", small_setup, chunk_samples=100
+            "slice_and_dice_compiled", small_setup, chunk_samples=100
         )
         stm.buffer_pool = pool
         ref = make_gridder("slice_and_dice_compiled", small_setup)
@@ -588,7 +708,7 @@ class TestChaos:
         )
         coords, values = random_samples(rng, 500, setup.grid_shape)
         stm = make_gridder(
-            "slice_and_dice_streaming", setup, chunk_samples=100
+            "slice_and_dice_compiled", setup, chunk_samples=100
         )
         ref = make_gridder("slice_and_dice_compiled", setup)
         if policy == "drop":
@@ -656,6 +776,67 @@ class TestService:
             assert r_budget.as_dict()["chunks"] == r_budget.chunks
             stats = svc.stats()
             assert stats["workers"][0]["jobs_chunked"] == 1
+
+    @staticmethod
+    def _run(svc, spec):
+        job = svc.submit(spec)
+        svc.wait(job.id, 60)
+        assert job.state == "done", job.error
+        return job.result
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"backend": "csr"}, {"backend": "bincount"}, {"plan_cache_size": 2}],
+        ids=["csr", "bincount", "plan_cache_size"],
+    )
+    def test_max_bytes_keeps_engine_options(self, rng, options):
+        """A budget puts the client's engine, with the client's
+        options, in chunk mode: the image is the unbudgeted one."""
+        from repro.service import ReconService
+        from repro.service.jobs import JobSpec
+
+        coords = rng.uniform(-0.5, 0.5, (3000, 2))
+        samples = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+
+        def spec(**kw):
+            return JobSpec(
+                (32, 32), coords, samples, method="adjoint",
+                gridder="slice_and_dice_compiled",
+                gridder_options=dict(options), **kw,
+            )
+
+        with ReconService(workers=1) as svc:
+            plain = self._run(svc, spec())
+            budgeted = self._run(svc, spec(max_bytes=10**7))
+        assert plain.chunks == 0 and budgeted.chunks >= 1
+        assert np.array_equal(plain.image, budgeted.image)
+
+    @pytest.mark.parametrize("budget", (3_000_000, 5_000_000, 8_000_000))
+    def test_max_bytes_holds_on_padded_grid(self, rng, budget):
+        """A 30x30 image builds a 64x64 grid (60 padded to the tile
+        size): the chunk is sized for that grid, so the budget holds."""
+        from repro.service import ReconService
+        from repro.service.jobs import JobSpec
+
+        coords = rng.uniform(-0.5, 0.5, (20_000, 2))
+        samples = rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)
+        with ReconService(workers=1) as svc:
+            result = self._run(svc, JobSpec(
+                (30, 30), coords, samples, method="adjoint",
+                gridder="slice_and_dice_compiled", max_bytes=budget,
+            ))
+        assert result.chunks > 1
+        assert result.peak_bytes <= budget
+
+    def test_serial_engine_budget_rejected_at_submit(self, rng):
+        from repro.service.jobs import JobSpec
+
+        coords = rng.uniform(-0.5, 0.5, (100, 2))
+        with pytest.raises(ValueError, match="chunk mode"):
+            JobSpec(
+                (16, 16), coords, np.ones(100, complex),
+                gridder="slice_and_dice", max_bytes=10**7,
+            )
 
     def test_max_bytes_is_plan_shaped(self, rng):
         from repro.service.jobs import JobSpec

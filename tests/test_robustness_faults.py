@@ -295,7 +295,7 @@ class TestCorruptedStream:
         coords = rng.uniform(0, 16, size=(100, 2))
         values = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         gridder = make_gridder(
-            "slice_and_dice_streaming",
+            "slice_and_dice_compiled",
             build_setup(policy="raise"),
             chunk_samples=25,
         )

@@ -3,15 +3,15 @@ and the supervised worker pool.
 
 The contracts under test:
 
-1. deadlines and cancellation are *cooperative*: the streaming engine
+1. deadlines and cancellation are *cooperative*: a chunked engine
    checks between chunks and CG between iterations, raising the typed
    :class:`~repro.errors.DeadlineExceeded` /
    :class:`~repro.errors.JobCancelled` — never a silently truncated
    result;
 2. checkpoint/resume is *exact*: a streamed adjoint interrupted after
    >= 3 checkpoint intervals and resumed from its snapshot produces
-   ``np.array_equal`` output vs an uninterrupted run, on both the
-   seeded-bincount numpy lane and the jit lane;
+   ``np.array_equal`` output vs an uninterrupted run, on the compiled
+   engine's chunk mode and the jit engine's;
 3. supervision frees wedged workers: an injected hang or crash is
    detected within one watchdog period, the worker is replaced, and
    the wedged job is requeued (resuming mid-stream from its
@@ -57,12 +57,17 @@ def _problem(spokes=16, readout=24, seed=7):
     return coords, samples
 
 
+#: lane -> chunk-mode engine: the compiled engine ("numpy") and the
+#: jit engine ("jit", when numba is importable)
+_ENGINES = {"numpy": "slice_and_dice_compiled", "jit": "slice_and_dice_jit"}
+
+
 def _stream_plan(coords, lane="numpy", n=24, chunk=48):
     return NufftPlan(
         (n, n),
         coords,
-        gridder="slice_and_dice_streaming",
-        gridder_options={"chunk_samples": chunk, "lane": lane},
+        gridder=_ENGINES[lane],
+        gridder_options={"chunk_samples": chunk},
     )
 
 
@@ -488,8 +493,8 @@ class TestSupervisionChaos:
     def _spec(self, coords, samples, **kw):
         return JobSpec(
             (24, 24), coords, samples, method="adjoint",
-            gridder="slice_and_dice_streaming",
-            gridder_options={"chunk_samples": 32, "lane": "numpy"},
+            gridder="slice_and_dice_compiled",
+            gridder_options={"chunk_samples": 32},
             **kw,
         )
 
@@ -526,13 +531,13 @@ class TestSupervisionChaos:
         from its snapshot, and the image is ``np.array_equal`` to an
         uninterrupted run."""
         coords, samples = _problem()
-        opts = {"chunk_samples": 32, "lane": lane}
+        opts = {"chunk_samples": 32}
         svc = ReconService(workers=1, watchdog_period=0.05,
                            watchdog_stale_after=0.3, checkpoint_every=1)
         try:
             ref_job = svc.submit(
                 JobSpec((24, 24), coords, samples, method="adjoint",
-                        gridder="slice_and_dice_streaming",
+                        gridder=_ENGINES[lane],
                         gridder_options=dict(opts))
             )
             assert ref_job.wait(timeout=30)
@@ -543,7 +548,7 @@ class TestSupervisionChaos:
                                worker_fault_delay=4) as inj:
                 job = svc.submit(
                     JobSpec((24, 24), coords, samples, method="adjoint",
-                            gridder="slice_and_dice_streaming",
+                            gridder=_ENGINES[lane],
                             gridder_options=dict(opts))
                 )
                 assert job.wait(timeout=30)

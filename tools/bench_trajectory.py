@@ -38,8 +38,8 @@ same lane* so the two lanes stay comparable over time.
 ``--stream`` switches to the bounded-memory streaming benchmark: the
 trajectory is *generated to disk* block by block (never resident), then
 gridded from the raw files through
-:class:`repro.gridding.SampleStream.from_file` with a fixed
-``--chunk-samples`` chunk.  The record carries ``chunks``,
+:class:`repro.gridding.SampleStream.from_file` by the compiled engine's
+chunk mode with a fixed ``--chunk-samples`` chunk.  The record carries ``chunks``,
 ``peak_bytes`` (the engine's own transient high water) and ``rss_mb``
 (``ru_maxrss`` — the whole process).  ``--samples 1e8``
 reproduces the paper-scale run; ``--max-rss-mb`` turns the RSS into a
@@ -200,7 +200,7 @@ def run_stream_benchmark(
 
     setup = GriddingSetup((g, g), KernelLUT(make_kernel("kb", w), 64))
     gridder = make_gridder(
-        "slice_and_dice_streaming", setup, chunk_samples=chunk_samples
+        "slice_and_dice_compiled", setup, chunk_samples=chunk_samples
     )
     stream = SampleStream.from_file(
         coords_path,
@@ -217,7 +217,7 @@ def run_stream_benchmark(
         {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
             "mode": "stream",
-            "engine": "slice_and_dice_streaming",
+            "engine": "slice_and_dice_compiled[chunked]",
             "m": samples,
             "grid": g,
             "width": w,
