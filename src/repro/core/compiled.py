@@ -1010,7 +1010,9 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             coords, values_stack, self.setup.quality_policy,
             self.setup.grid_shape,
         )
-        return self.setup.check_coords(coords), values_stack, bad, report
+        if report.wrapped:
+            coords = self.setup.check_coords(coords)
+        return coords, values_stack, bad, report
 
     def _check_chunk_mode(self, entry: str) -> None:
         """Stream chunks need chunk mode's exact-match plan reuse (the

@@ -34,6 +34,7 @@ from ..robustness.faults import corrupt_stream
 from ..robustness.validate import (
     DataQualityReport,
     apply_quality_policy,
+    coords_in_range,
     validate_policy,
 )
 from .buffers import GridBufferPool
@@ -358,7 +359,9 @@ class GriddingSetup:
 
         Coordinates already in range are returned as-is (no copy —
         ``fmod`` on every call costs more than the whole compiled-plan
-        dispatch); out-of-range coordinates take the torus-wrap path
+        dispatch); the check is the quality gate's own
+        :func:`~repro.robustness.validate.coords_in_range`, two flat
+        reductions.  Out-of-range coordinates take the torus-wrap path
         and get a fresh array.
 
         Non-finite coordinates can never reach ``np.mod`` (which would
@@ -367,29 +370,12 @@ class GriddingSetup:
         :class:`repro.errors.CoordinateError`; under ``"drop"``/
         ``"zero"`` the offending *entries* are pinned to ``0.0`` here as
         a backstop — the public :class:`Gridder` entry points run the
-        full gate first, so samples only take this backstop when
-        ``check_coords`` is called directly.
+        quality gate first, so samples only take this backstop when
+        ``check_coords`` is called directly.  After the gate this is the
+        torus-wrap backstop: it wraps what the gate let through.
         """
         coords = self.coerce_coords(coords)
-        if coords.size == 0:
-            return coords
-        # Two-stage in-range check.  The flat amin/amax is one
-        # contiguous SIMD reduce; an axis-0 reduce on (M, d) is ~30x
-        # slower, so it only runs when the flat bound fails — which on
-        # a square grid means some coordinate really is out of range,
-        # and on a rectangular grid catches coordinates that are valid
-        # per axis but exceed the smallest dim.  NaN poisons amin/amax,
-        # so non-finite input always falls through to the slow path.
-        lo, hi = np.amin(coords), np.amax(coords)
-        if lo >= 0.0 and hi < min(self.grid_shape):
-            return coords
-        if (
-            lo >= 0.0
-            and hi < max(self.grid_shape)
-            and bool(
-                np.all(np.amax(coords, axis=0) < np.asarray(self.grid_shape))
-            )
-        ):
+        if coords_in_range(coords, self.grid_shape):
             return coords
         finite = np.isfinite(coords)
         if not finite.all():
@@ -549,13 +535,18 @@ class Gridder(abc.ABC):
         Returns ``(coords, values_stack, bad_mask, report)`` with
         coordinates finite and canonicalized to ``[0, G)``.  Clean
         in-range inputs pass through as the *same objects* (bit-identity
-        and table-cache fingerprint stability are preserved).
+        and table-cache fingerprint stability are preserved).  The gate
+        leaves only finite coordinates behind, so when its report counts
+        no wrapped sample they are already in range and the torus wrap
+        is skipped.
         """
         coords, values_stack = corrupt_stream(coords, values_stack)
         coords, values_stack, bad, report = apply_quality_policy(
             coords, values_stack, self.setup.quality_policy, self.setup.grid_shape
         )
-        return self.setup.check_coords(coords), values_stack, bad, report
+        if report.wrapped:
+            coords = self.setup.check_coords(coords)
+        return coords, values_stack, bad, report
 
     # ------------------------------------------------------------------
     @abc.abstractmethod

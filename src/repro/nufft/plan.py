@@ -131,6 +131,14 @@ class NufftPlan:
         gridder's tile constraints satisfiable).
     coords:
         ``(M, d)`` normalized sample coordinates in ``[-0.5, 0.5)``.
+        The plan maps them once, at construction, to
+        :attr:`grid_coords`: grid units wrapped to the canonical
+        ``[0, G)`` and read-only (an in-place write raises
+        ``ValueError``).  The gridder therefore never wraps a plan
+        sample, and ``timings.quality.wrapped`` stays 0 on the plan
+        path; samples the caller's own ``omega mod 1`` rounding put at
+        exactly ``G`` are canonicalized to 0 up front, not counted per
+        call.
     oversampling:
         Grid oversampling factor ``sigma`` (grid is ``sigma * N`` per
         axis, rounded to an even integer).
@@ -317,10 +325,17 @@ class NufftPlan:
         self.coords = coords
         #: coordinates mapped to grid units [0, G); omega and omega + 1
         #: are the same frequency for integer pixel positions, so the
-        #: torus mapping is exact (no phase correction needed)
-        self.grid_coords = np.mod(coords, 1.0) * np.asarray(
-            self.grid_shape, dtype=np.float64
+        #: torus mapping is exact (no phase correction needed).  A tiny
+        #: negative omega rounds to exactly 1.0 under ``mod 1``, landing
+        #: on G: those entries get, once and in place, the ``np.mod`` the
+        #: gridder's torus wrap would otherwise apply on every call.
+        shape = np.asarray(self.grid_shape, dtype=np.float64)
+        self.grid_coords = np.mod(coords, 1.0) * shape
+        np.mod(
+            self.grid_coords, shape, out=self.grid_coords,
+            where=self.grid_coords >= shape,
         )
+        self.grid_coords.setflags(write=False)
 
         validate_policy(quality_policy)
         if isinstance(gridder, Gridder):

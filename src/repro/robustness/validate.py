@@ -28,6 +28,14 @@ dropped / zeroed / wrapped samples) surfaced through
 ``GriddingStats.quality`` and ``NufftTimings.quality``, so degraded
 data is observable, never silent.
 
+The coordinate half of the gate is two reductions when the trajectory
+is in range: :func:`coords_in_range` takes one flat ``amin``/``amax``
+(plus a per-axis ``amax`` on rectangular grids).  A NaN poisons both
+reductions and an Inf fails the bound, so only inputs that fail it pay
+the full per-sample scan that counts wrapped and non-finite samples.
+Reports are the same either way.  The values check (values change on
+every call) runs on every call.
+
 Examples
 --------
 >>> import numpy as np
@@ -56,6 +64,7 @@ __all__ = [
     "DataQualityReport",
     "validate_policy",
     "count_nonfinite_rows",
+    "coords_in_range",
     "apply_quality_policy",
 ]
 
@@ -147,6 +156,42 @@ def count_nonfinite_rows(array: np.ndarray) -> int:
     return int(np.count_nonzero(~np.isfinite(array).all(axis=1)))
 
 
+def coords_in_range(coords: np.ndarray, grid_shape) -> bool:
+    """True when every coordinate of ``(M, d)`` ``coords`` is finite and
+    in ``[0, G)`` on its axis (vacuously true when ``coords`` is empty).
+
+    Two-stage check.  The flat ``amin``/``amax`` is one contiguous SIMD
+    reduce each; an axis-0 reduce on ``(M, d)`` is ~30x slower, so it
+    only runs when the flat bound fails -- which on a square grid means
+    some coordinate really is out of range, and on a rectangular grid
+    catches coordinates that are valid per axis but exceed the smallest
+    dim.  NaN poisons ``amin``/``amax`` and +-Inf fails the bound, so a
+    ``False`` is all non-finite input can produce.
+
+    Examples
+    --------
+    >>> coords_in_range(np.array([[0.0, 7.5], [-0.0, 3.0]]), (8, 8))
+    True
+    >>> coords_in_range(np.array([[0.0, 8.0]]), (8, 8))
+    False
+    >>> coords_in_range(np.array([[2.0, 12.0]]), (8, 16))
+    True
+    >>> coords_in_range(np.array([[np.nan, 1.0]]), (8, 8))
+    False
+    """
+    if coords.size == 0:
+        return True
+    lo, hi = np.amin(coords), np.amax(coords)
+    if not lo >= 0.0:
+        return False
+    if hi < min(grid_shape):
+        return True
+    return bool(
+        hi < max(grid_shape)
+        and np.all(np.amax(coords, axis=0) < np.asarray(grid_shape))
+    )
+
+
 def _count_wrapped(coords: np.ndarray, grid_shape) -> int:
     """Finite samples with any axis outside ``[0, G)`` (will be wrapped)."""
     if coords.size == 0:
@@ -187,11 +232,16 @@ def apply_quality_policy(
     """
     validate_policy(policy)
     report = DataQualityReport(policy=policy, n_samples=int(coords.shape[0]))
-    report.wrapped = _count_wrapped(coords, grid_shape)
-
-    coords_finite = np.isfinite(coords).all(axis=1)
-    n_bad_coords = int(coords.shape[0] - np.count_nonzero(coords_finite))
-    report.nonfinite_coords = n_bad_coords
+    if coords_in_range(coords, grid_shape):
+        # every coordinate is finite and inside [0, G): nothing to wrap
+        # or flag, so skip the per-sample scan
+        coords_finite = np.ones(coords.shape[0], dtype=bool)
+        n_bad_coords = 0
+    else:
+        report.wrapped = _count_wrapped(coords, grid_shape)
+        coords_finite = np.isfinite(coords).all(axis=1)
+        n_bad_coords = int(coords.shape[0] - np.count_nonzero(coords_finite))
+        report.nonfinite_coords = n_bad_coords
 
     if values_stack is not None:
         values_finite = np.isfinite(values_stack.real).all(axis=0) & np.isfinite(

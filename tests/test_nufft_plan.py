@@ -5,7 +5,11 @@ import pytest
 
 from repro.nufft import NufftPlan
 from repro.kernels import GaussianKernel
-from repro.trajectories import random_trajectory
+from repro.trajectories import (
+    radial_trajectory,
+    random_trajectory,
+    spiral_trajectory,
+)
 
 
 @pytest.fixture
@@ -54,6 +58,56 @@ class TestConstruction:
 
     def test_n_samples(self, coords):
         assert NufftPlan((32, 32), coords).n_samples == 100
+
+
+class TestCanonicalGridCoords:
+    """``omega mod 1`` rounds a tiny negative omega to exactly 1.0, so
+    ``(omega mod 1) * G`` lands on ``G``.  The plan wraps those samples
+    once, at construction, to the value the gridder's torus wrap gives
+    them, instead of the gridder re-wrapping (and reporting) them on
+    every call."""
+
+    @pytest.mark.parametrize(
+        "image,make_coords,n_at_g,gridder",
+        [
+            ((64, 64), lambda: radial_trajectory(64, 128), 64, "slice_and_dice"),
+            ((64, 64), lambda: spiral_trajectory(64, 128), 69, "slice_and_dice"),
+            ((64, 64), lambda: radial_trajectory(64, 128), 64,
+             "slice_and_dice_compiled"),
+            ((256, 256), lambda: radial_trajectory(402, 512), 256,
+             "slice_and_dice_compiled"),
+        ],
+        ids=["radial64", "spiral64", "radial64-compiled", "radial256-compiled"],
+    )
+    def test_repo_trajectories_stay_below_g(self, image, make_coords, n_at_g, gridder):
+        coords = make_coords()
+        plan = NufftPlan(image, coords, gridder=gridder)
+        g = np.asarray(plan.grid_shape, dtype=np.float64)
+        unwrapped = np.mod(coords, 1.0) * g
+        assert np.count_nonzero((unwrapped >= g).any(axis=1)) == n_at_g
+        assert (plan.grid_coords >= 0).all() and (plan.grid_coords < g).all()
+        assert plan.grid_coords.tobytes() == np.mod(unwrapped, g).tobytes()
+
+        # reference: the same plan handed the unwrapped coordinates, so
+        # the gridder applies np.mod(unwrapped, G) on every call
+        ref = NufftPlan(image, coords, gridder=gridder)
+        ref.grid_coords = unwrapped
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(len(coords)) + 1j * rng.standard_normal(len(coords))
+        img = rng.standard_normal(image) + 1j * rng.standard_normal(image)
+
+        assert np.array_equal(plan.adjoint(values), ref.adjoint(values))
+        assert plan.timings.quality.wrapped == 0
+        assert ref.timings.quality.wrapped == n_at_g
+        assert np.array_equal(plan.forward(img), ref.forward(img))
+        assert plan.timings.quality.wrapped == 0
+
+    def test_grid_coords_read_only(self, coords):
+        plan = NufftPlan((32, 32), coords)
+        with pytest.raises(ValueError):
+            plan.grid_coords[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            plan.grid_coords += 1.0
 
 
 class TestShapesAndValidation:

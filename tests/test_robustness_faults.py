@@ -226,6 +226,173 @@ class TestCleanPassthrough:
 
 
 # ---------------------------------------------------------------------------
+# the gate's in-range fast path is indistinguishable from the full scan
+# ---------------------------------------------------------------------------
+def _full_scan_gate(coords, values_stack, policy, grid_shape):
+    """The gate as it was before its in-range fast path: every call
+    counts wrapped and non-finite samples row by row.  The oracle for
+    :func:`apply_quality_policy`."""
+    report = DataQualityReport(policy=policy, n_samples=int(coords.shape[0]))
+    if coords.size:
+        shape = np.asarray(grid_shape, dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            out_of_range = (coords < 0.0) | (coords >= shape)
+        finite_rows = np.isfinite(coords).all(axis=1)
+        report.wrapped = int(np.count_nonzero(out_of_range.any(axis=1) & finite_rows))
+    coords_finite = np.isfinite(coords).all(axis=1)
+    n_bad_coords = int(coords.shape[0] - np.count_nonzero(coords_finite))
+    report.nonfinite_coords = n_bad_coords
+    if values_stack is not None:
+        values_finite = np.isfinite(values_stack.real).all(axis=0) & np.isfinite(
+            values_stack.imag
+        ).all(axis=0)
+        report.nonfinite_values = int(np.count_nonzero(~values_finite))
+    else:
+        values_finite = None
+    if n_bad_coords == 0 and report.nonfinite_values == 0:
+        return coords, values_stack, None, report
+    if policy == "raise":
+        if n_bad_coords:
+            idx = np.flatnonzero(~coords_finite)
+            raise CoordinateError(
+                f"{n_bad_coords} sample(s) have non-finite coordinates "
+                f"(first at index {int(idx[0])}); pass policy='drop' or "
+                "'zero' to degrade instead"
+            )
+        idx = np.flatnonzero(~values_finite)
+        raise DataQualityError(
+            f"{report.nonfinite_values} sample(s) have non-finite values "
+            f"(first at index {int(idx[0])}); pass policy='drop' or "
+            "'zero' to degrade instead"
+        )
+    bad = ~coords_finite
+    if values_finite is not None:
+        bad = bad | ~values_finite
+    if policy == "drop":
+        keep = ~bad
+        report.dropped = int(np.count_nonzero(bad))
+        coords = coords[keep]
+        if values_stack is not None:
+            values_stack = values_stack[:, keep]
+        return coords, values_stack, bad, report
+    report.zeroed = int(np.count_nonzero(bad))
+    coords = coords.copy()
+    coords[~coords_finite] = 0.0
+    if values_stack is not None:
+        values_stack = values_stack.copy()
+        values_stack[:, bad] = 0.0
+    return coords, values_stack, bad, report
+
+
+def _gate_outcome(gate, coords, values, policy, grid_shape):
+    """Everything a caller can observe of one gate pass, comparably:
+    the exception, or returned-object identity, exact bytes (NaN and
+    -0.0 included), the bad mask and the report."""
+    try:
+        c, v, bad, report = gate(coords, values, policy, grid_shape)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(exc), str(exc))
+
+    def exact(a):
+        return None if a is None else (a.shape, a.dtype.str, a.tobytes())
+
+    return (
+        "returned", c is coords, v is values,
+        exact(c), exact(v), exact(bad), report.as_dict(),
+    )
+
+
+def _assert_gate_matches_full_scan(coords, values, grid_shape):
+    for policy in ("raise", "drop", "zero"):
+        for vals in (values, None):
+            got = _gate_outcome(apply_quality_policy, coords, vals, policy, grid_shape)
+            want = _gate_outcome(_full_scan_gate, coords, vals, policy, grid_shape)
+            assert got == want, (policy, vals is None)
+
+
+def _gate_case(rows, grid_shape, bad_values=()):
+    coords = np.array(rows, dtype=np.float64).reshape(-1, len(grid_shape))
+    values = np.arange(1, coords.shape[0] + 1, dtype=np.complex128)
+    for i, v in bad_values:
+        values[i] = v
+    return coords, values[None, :], grid_shape
+
+
+_G_ULP = np.nextafter(16.0, 0.0)
+FAST_PATH_CASES = {
+    "in_range": _gate_case([[1.0, 2.0], [15.5, 0.0]], (16, 16)),
+    "nan": _gate_case([[1.0, 2.0], [np.nan, 3.0]], (16, 16)),
+    "pos_inf": _gate_case([[1.0, np.inf], [2.0, 3.0]], (16, 16)),
+    "neg_inf": _gate_case([[-np.inf, 2.0], [2.0, 3.0]], (16, 16)),
+    "neg_zero": _gate_case([[-0.0, 2.0], [3.0, -0.0]], (16, 16)),
+    "exactly_g": _gate_case([[16.0, 2.0], [3.0, 4.0]], (16, 16)),
+    "g_minus_ulp": _gate_case([[_G_ULP, _G_ULP], [0.0, 4.0]], (16, 16)),
+    "negative": _gate_case([[-1e-300, 2.0], [3.0, 4.0]], (16, 16)),
+    "above_g": _gate_case([[33.0, -1.0], [3.0, 4.0]], (16, 16)),
+    "nan_and_wrapped": _gate_case([[np.nan, 40.0], [17.0, 4.0]], (16, 16)),
+    "rect_valid_above_min_g": _gate_case([[7.0, 30.0], [0.0, 31.5]], (8, 32)),
+    "rect_wrong_axis": _gate_case([[30.0, 7.0], [0.0, 1.0]], (8, 32)),
+    "rect_exactly_max_g": _gate_case([[7.0, 32.0]], (8, 32)),
+    "1d_in_range": _gate_case([[0.0], [3.5], [-0.0]], (8,)),
+    "1d_out_of_range": _gate_case([[8.0], [3.5], [np.inf]], (8,)),
+    "3d_in_range": _gate_case([[1.0, 2.0, 3.0], [7.0, 0.0, 15.0]], (8, 8, 16)),
+    "3d_rect_wrapped": _gate_case([[1.0, 9.0, 3.0], [7.0, 0.0, 15.0]], (8, 8, 16)),
+    "3d_nan": _gate_case([[1.0, 2.0, np.nan], [7.0, 0.0, 15.0]], (8, 8, 16)),
+    "empty": _gate_case([], (16, 16)),
+    "empty_3d": _gate_case([], (8, 8, 16)),
+    "bad_values_clean_coords": _gate_case(
+        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], (16, 16),
+        bad_values=[(0, np.nan), (2, complex(1.0, np.inf))],
+    ),
+    "bad_values_wrapped_coords": _gate_case(
+        [[1.0, 2.0], [16.0, 4.0], [5.0, 6.0]], (16, 16), bad_values=[(1, np.inf)],
+    ),
+    "bad_values_and_coords": _gate_case(
+        [[np.nan, 2.0], [3.0, 4.0], [5.0, 6.0]], (16, 16),
+        bad_values=[(2, -np.inf)],
+    ),
+}
+
+
+class TestQualityGateFastPath:
+    """``apply_quality_policy`` skips the per-sample coordinate scan when
+    two reductions prove the trajectory finite and in range.  Callers
+    must not be able to tell: same report, same returned objects, same
+    bad mask, same exception, under every policy."""
+
+    @pytest.mark.parametrize("case", sorted(FAST_PATH_CASES))
+    def test_matches_full_scan(self, case):
+        _assert_gate_matches_full_scan(*FAST_PATH_CASES[case])
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_scan_property(self, data):
+        grid_shape = tuple(
+            data.draw(st.lists(st.sampled_from([4, 8, 16]), min_size=1, max_size=3))
+        )
+        m = data.draw(st.integers(min_value=0, max_value=12))
+        d = len(grid_shape)
+        # each entry is drawn from the edges of its own axis' [0, G)
+        kinds = data.draw(st.lists(st.integers(0, 11), min_size=m * d, max_size=m * d))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        coords = np.empty((m, d))
+        for flat, kind in enumerate(kinds):
+            g = float(grid_shape[flat % d])
+            coords.flat[flat] = [
+                rng.uniform(0.0, g), rng.uniform(0.0, g), rng.uniform(0.0, g),
+                0.0, -0.0, g, np.nextafter(g, 0.0), np.nextafter(0.0, -1.0),
+                rng.uniform(-2 * g, 3 * g), np.nan, np.inf, -np.inf,
+            ][kind]
+        values = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for i in data.draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=2)):
+            if m:
+                values[i] = data.draw(st.sampled_from(
+                    [np.nan, complex(0.0, np.inf), complex(-np.inf, 1.0)]
+                ))
+        _assert_gate_matches_full_scan(coords, values[None, :], grid_shape)
+
+
+# ---------------------------------------------------------------------------
 # corrupted-stream injection
 # ---------------------------------------------------------------------------
 class TestCorruptedStream:
