@@ -29,15 +29,14 @@ Public surface:
   bit-identical to the serial gridder at complex128.  With
   ``chunk_samples=`` it runs calls and ``SampleStream`` sources in
   bounded-memory chunks into one dice, bit-identical to its one-shot
-  pass at complex128.
-- :class:`~repro.core.JitSliceAndDiceGridder` — the compiled plan
-  executed by numba-fused scatter/gather loops (serial and
-  row/sample-sharded ``prange`` lanes), degrading to the pure-NumPy
-  compiled path when numba is absent.
+  pass at complex128.  Its ``backend="numba"`` lane executes the plan
+  with the numba-fused scatter/gather loops of :mod:`~repro.core.jit`
+  (serial and row/sample-sharded ``prange`` kernels), demoting to the
+  NumPy lane when numba is absent.
 """
 
 from .compiled import CompiledPlan, CompiledSliceAndDiceGridder
-from .jit import JitSliceAndDiceGridder, jit_available
+from .jit import jit_available
 from .decomposition import (
     CoordinateDecomposition,
     decompose_coordinates,
@@ -55,7 +54,6 @@ __all__ = [
     "column_forward_distance",
     "column_tile_index",
     "DiceLayout",
-    "JitSliceAndDiceGridder",
     "jit_available",
     "SliceAndDiceGridder",
     "TableFetch",

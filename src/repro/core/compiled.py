@@ -81,6 +81,20 @@ not equal).  ``backend="csr"`` at complex64 is ``allclose``, not
 bit-exact.  ``backend="bincount"`` at complex128 is bit-identical too,
 just slower.
 
+numba lane
+----------
+``backend="numba"`` runs the same plans through the fused kernels of
+:mod:`repro.core.jit`: bit-identical to the NumPy lanes at complex128,
+accumulating natively in float32 at complex64 (NRMSD <= 1e-6).  Its
+plans are laid out for the dtype's NumPy lane (``csr`` at complex128,
+``bincount`` at complex64: index dtype and chunk seed slots), so when
+numba is absent or disabled, or a kernel fails, the engine demotes
+stickily to that lane — recorded as a ``jit`` ->
+``numpy`` :class:`~repro.errors.DegradationEvent` — and re-runs the
+same plan there.  The default (``backend=None``) resolves once, at
+construction: ``"numba"`` when :func:`~repro.core.jit.jit_available`,
+else the dtype's NumPy lane.
+
 Plan cache
 ----------
 One-shot plans are memoized per trajectory with the O(1)
@@ -105,6 +119,7 @@ from ..gridding.base import GriddingSetup, GriddingStats
 from ..robustness.checkpoint import StreamCheckpoint
 from ..robustness.faults import corrupt_chunk
 from ..robustness.validate import apply_quality_policy
+from . import jit
 from .slice_and_dice import SliceAndDiceGridder, gather_f64, select_bytes
 
 __all__ = [
@@ -115,8 +130,10 @@ __all__ = [
     "working_set",
 ]
 
+#: the NumPy execution lanes, which are also the two plan layouts
+_NUMPY_LANES = ("bincount", "csr")
 #: execution lanes of the compiled engine
-_BACKENDS = ("bincount", "csr")
+_BACKENDS = _NUMPY_LANES + ("numba",)
 
 #: default fixed chunk size (samples) of a :class:`SampleStream` —
 #: large enough that per-chunk Python overhead amortizes, small enough
@@ -188,7 +205,7 @@ class CompiledPlan:
         ``order`` is the **stable** argsort of the entries by dice row —
         within one row, entries keep their ascending-sample plan order —
         and ``order[starts[r]:starts[r + 1]]`` are row ``r``'s entries.
-        This is the slab structure the jit engine's row-sharded scatter
+        This is the slab structure the numba lane's row-sharded scatter
         uses (the mirror of sample-major order).
         """
         if self._row_view is None:
@@ -229,6 +246,8 @@ def working_set(
     """``(fixed, plan)`` modelled high-water bytes of one pass over an
     ``m``-sample plan (the whole trajectory, or one chunk).
 
+    ``backend`` is the plan layout, ``"csr"`` or ``"bincount"`` (the
+    numba lane is modelled by its layout's).
     ``fixed`` is O(grid): the ``K``-RHS dice; on the bincount lane
     ``bincount``'s float64 output and, in chunk mode, the
     ``arange(n_flat)`` seed slots of the index and product scratch
@@ -313,7 +332,7 @@ def choose_chunk_samples(
             1, n_flat, len(grid_shape), int(width), dtype,
             backend=backend, k_rhs=k_rhs, forward=forward, chunked=True,
         )
-        for backend in _BACKENDS
+        for backend in _NUMPY_LANES
         for forward in (False, True)
     ]
     fixed = max(f for f, _ in models)
@@ -495,10 +514,15 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     tile_size:
         Virtual tile dimension ``T`` (8 in the paper).
     backend:
-        ``"csr"`` (SciPy sparse mat-vec) or ``"bincount"`` (NumPy
-        gather + ``bincount``).  Default: the fastest lane that is
-        bit-identical at the setup's dtype — ``"csr"`` at complex128,
-        ``"bincount"`` at complex64 (module docstring).
+        ``"csr"`` (SciPy sparse mat-vec), ``"bincount"`` (NumPy
+        gather + ``bincount``) or ``"numba"`` (the fused kernels of
+        :mod:`repro.core.jit`; demotes to the dtype's NumPy lane when
+        numba is unavailable or fails, module docstring).  Default:
+        ``"numba"`` when numba is available, else the fastest NumPy
+        lane that is bit-identical at the setup's dtype — ``"csr"`` at
+        complex128, ``"bincount"`` at complex64.  ``backend`` names the
+        lane the engine runs, so it reads the NumPy lane after a
+        demotion.
     plan_cache_size:
         Trajectories whose compiled plans are kept (true LRU; ``0``
         disables plan caching and recompiles every call).  One-shot
@@ -521,8 +545,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     >>> values = rng.standard_normal(100) + 1j * rng.standard_normal(100)
     >>> bool(np.array_equal(com.grid(coords, values), ser.grid(coords, values)))
     True
-    >>> com.backend, com.stats.cache_misses, com.stats.plan_nnz  # compile call
-    ('csr', 1, 3600)
+    >>> com.stats.cache_misses, com.stats.plan_nnz  # compile call
+    (1, 3600)
     >>> _ = com.grid(coords, values)
     >>> com.stats.cache_hits, com.stats.boundary_checks  # plan reuse
     (1, 0)
@@ -555,8 +579,9 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         super().__init__(
             setup, tile_size=tile_size, engine="columns", table_cache_size=0
         )
+        numpy_lane = "csr" if setup.dtype == np.complex128 else "bincount"
         if backend is None:
-            backend = "csr" if setup.dtype == np.complex128 else "bincount"
+            backend = "numba" if jit.jit_available() else numpy_lane
         if backend not in _BACKENDS:
             raise ValueError(
                 f"backend must be one of {_BACKENDS}, got {backend!r}"
@@ -566,6 +591,9 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                 f"plan_cache_size must be >= 0, got {plan_cache_size}"
             )
         self.backend = backend
+        #: the NumPy lane whose plan layout the engine builds, and the
+        #: lane the numba backend demotes to
+        self._layout = numpy_lane if backend == "numba" else backend
         self.plan_cache_size = int(plan_cache_size)
         self.chunk_samples = (
             None if chunk_samples is None else _check_chunk_samples(chunk_samples)
@@ -586,12 +614,40 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         #: sticky record of every degradation this engine performed
         self.degradations: tuple[DegradationEvent, ...] = ()
         self._pending_events: list[DegradationEvent] = []
-        #: lane the last apply ran on (the jit engine's lanes vary)
+        #: lane the last apply ran on: ``numpy`` or a numba lane
         self._used_lane = "numpy"
+        if backend == "numba" and not jit.jit_available():
+            self._demote("numba", (
+                f"numba disabled via {jit.JIT_DISABLE_ENV}"
+                if jit._numba is not None
+                else "numba not importable"
+            ))
 
     def _record(self, event: DegradationEvent) -> None:
         self.degradations = self.degradations + (event,)
         self._pending_events.append(event)
+
+    def _demote(self, lane: str, reason: str) -> None:
+        """Sticky demotion of the numba lane to the NumPy lane of the
+        plan layout: recorded once, never retried on this instance."""
+        self._record(DegradationEvent("jit", lane, "numpy", reason))
+        self.backend = self._layout
+        self._used_lane = "numpy"
+
+    def _run_numba(self, kernel, plan: CompiledPlan, *args) -> bool:
+        """Run one :mod:`~repro.core.jit` pass over ``plan``; ``False``
+        after demoting on a failure.  One-shot plans of at least
+        :data:`~repro.core.jit.PARALLEL_MIN_NNZ` entries run the
+        parallel kernels, smaller and chunk plans the serial ones."""
+        parallel = self.chunk_samples is None and plan.nnz >= jit.PARALLEL_MIN_NNZ
+        lane = "numba-parallel" if parallel else "numba-serial"
+        try:
+            kernel(plan, *args, parallel=parallel)
+        except Exception as exc:  # noqa: BLE001 - supervised demotion
+            self._demote(lane, repr(exc))
+            return False
+        self._used_lane = lane
+        return True
 
     # ------------------------------------------------------------------
     # plans: the one-shot LRU and chunk mode's scratch plan
@@ -608,7 +664,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         """bincount wants intp indices; SciPy takes int32 ones, which
         halve the index traffic of every mat-vec."""
         fits = max(nnz, self._n_flat) < 2 ** 31
-        return np.dtype(np.int32 if self.backend == "csr" and fits else np.intp)
+        return np.dtype(np.int32 if self._layout == "csr" and fits else np.intp)
 
     def _select_plan(
         self, coords: np.ndarray, flat: np.ndarray, weight: np.ndarray
@@ -667,7 +723,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             return held[1], True
         self._held = None
         nnz = coords.shape[0] * self.setup.width ** self.setup.ndim
-        seed = self._n_flat if self.backend == "bincount" else 0
+        seed = self._n_flat if self._layout == "bincount" else 0
         if self._chunk_flat is None or self._chunk_flat.size < seed + nnz:
             self._chunk_flat = np.empty(seed + nnz, dtype=self._index_dtype(nnz))
             self._chunk_flat[:seed] = np.arange(seed)
@@ -703,17 +759,18 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         Every issued lane slot does useful work either way
         (``simd_active_lanes == simd_lane_slots == nnz``); value work
         (``interpolations`` MACs, dice accesses) scales with the batch.
-        ``peak_bytes`` is :func:`working_set` (plus the jit engine's
-        row-major view when built); in chunk mode ``chunk_bytes`` is
-        its O(chunk) part and ``chunks`` counts 1.  ``table_bytes`` are
-        the engine's resident ``(G, W)`` axis tables.
+        ``peak_bytes`` is :func:`working_set` of the plan layout (plus
+        the numba lane's row-major view when built); in chunk mode
+        ``chunk_bytes`` is its O(chunk) part and ``chunks`` counts 1.
+        ``table_bytes`` are the engine's resident ``(G, W)`` axis
+        tables.
         """
         setup = self.setup
         chunked = self.chunk_samples is not None
         checks = 0 if hit else plan.m * setup.width * setup.ndim
         fixed, plan_bytes = working_set(
             plan.m, plan.n_flat, setup.ndim, setup.width, setup.dtype,
-            backend=self.backend, k_rhs=k_rhs, forward=forward,
+            backend=self._layout, k_rhs=k_rhs, forward=forward,
             chunked=chunked, select=not hit,
         )
         if plan._row_view is not None:
@@ -878,8 +935,13 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         ``fresh`` says the dice holds nothing yet (all zeros): the
         bincount lane then writes its sums straight in, and otherwise
         seeds each ``bincount`` with the current dice words.  The csr
-        lane adds in place either way.
+        and numba lanes add in place either way.
         """
+        if self.backend == "numba":
+            if self._run_numba(jit.scatter, plan, values_stack, dice_flat):
+                return
+            if fresh:
+                dice_flat[...] = 0
         n_flat = plan.n_flat
         if self.backend == "csr":
             mat = plan.csr()
@@ -958,13 +1020,10 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         self, plan: CompiledPlan, dice_flat: np.ndarray, out: np.ndarray
     ) -> None:
         """Fill ``out`` (``(K, m)``) with the plan applied to the raveled
-        dice stack.
-
-        The forward counterpart of :meth:`_apply_grid`, split out so
-        execution-lane subclasses (the numba JIT engine) can replace
-        the arithmetic while inheriting the dice staging, chunking,
-        buffer lifecycle, and stats bookkeeping above.
-        """
+        dice stack: the forward counterpart of :meth:`_apply_grid`."""
+        if self.backend == "numba":
+            if self._run_numba(jit.gather, plan, dice_flat, out):
+                return
         if self.backend == "csr":
             mat = plan.csr()
             for k in range(dice_flat.shape[0]):

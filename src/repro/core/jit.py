@@ -1,10 +1,11 @@
-"""Numba-JIT execution lanes for the compiled scatter-plan engine.
+"""Numba lane of the compiled scatter-plan engine (``backend="numba"``).
 
 The compiled engine (:mod:`repro.core.compiled`) runs a warm call as
 one SciPy sparse mat-vec per RHS at complex128, and as a gather plus
-float64 ``bincount`` passes at complex64.  This module fuses each
-direction into a single compiled loop over the plan's fixed-width,
-sample-major entries (``flat`` / ``weight`` viewed as ``(M, W^d)``):
+float64 ``bincount`` passes at complex64.  Its ``backend="numba"`` lane
+fuses each direction into a single compiled loop over the plan's
+fixed-width, sample-major entries (``flat`` / ``weight`` viewed as
+``(M, W^d)``):
 
 - **adjoint** (``scatter``): ``dice[k, flat[s, j]] +=
   values[k, s] * weight[s, j]``, one complex accumulate pass;
@@ -17,32 +18,36 @@ slab structure: **rows** for the adjoint (the stable row-major
 :meth:`~repro.core.compiled.CompiledPlan.row_view` — each dice row is
 owned by exactly one slab of it, so row-sharded scatters never race)
 and **samples** for the forward (each sample's entries are one
-contiguous row of the plan).
+contiguous row of the plan).  One-shot plans of at least
+:data:`PARALLEL_MIN_NNZ` entries run the parallel kernels; smaller
+plans, where thread launch overhead would dominate, and chunk plans,
+which are used once (no per-chunk row-major argsort), run the serial
+ones.
 
 Numerics
 --------
 Per dice word the entries run in ascending sample order and per sample
 in ascending dice row, so the serial entry-order loops perform the
 same additions on the same products in the same order as
-``np.bincount`` and SciPy's mat-vec loops — the serial JIT lane is
+``np.bincount`` and SciPy's mat-vec loops — the serial numba lane is
 **bit-identical** to the NumPy lanes at complex128.  The parallel
 variants preserve *per-accumulator* addition order (rows keep
 ascending samples inside their slab; samples accumulate their
 contiguous row in order), so they are bit-identical to the serial lane
 as well.  At complex64 the lanes differ by design: ``np.bincount``
 up-casts float32 products and accumulates in float64 before rounding
-back, while the JIT lanes accumulate natively in float32 — the
+back, while the numba kernels accumulate natively in float32 — the
 difference is bounded by the usual ``O(sqrt(nnz/m)) * eps_f32``
 segment-sum error and gated at NRMSD <= 1e-6 in the identity tests.
 
 Degradation
 -----------
 numba is an **optional** dependency.  When it is not importable (or
-disabled via ``REPRO_JIT_DISABLE=numba``), the engine constructs fine,
-records a :class:`repro.errors.DegradationEvent` (``jit`` ->
-``numpy``), and runs every call on the parent's pure-NumPy path — same
-supervised-demotion contract as the FFT and worker chains (PR 5).  A
-runtime JIT failure (including the chaos suite's ``jit:scatter`` /
+disabled via ``REPRO_JIT_DISABLE=numba``), a ``backend="numba"`` engine
+constructs fine, records a :class:`repro.errors.DegradationEvent`
+(``jit`` -> ``numpy``), and runs every call on the NumPy lane of its
+dtype — same supervised-demotion contract as the FFT chain.  A runtime
+kernel failure (including the chaos suite's ``jit:scatter`` /
 ``jit:gather`` injection sites) demotes stickily the same way and the
 call is transparently re-run on NumPy.  The raw loop bodies below are
 plain Python functions wrapped by ``njit`` only at first use, so this
@@ -56,10 +61,7 @@ import os
 
 import numpy as np
 
-from ..errors import DegradationEvent
-from ..gridding.base import GriddingSetup
 from ..robustness.faults import fault_point
-from .compiled import CompiledPlan, CompiledSliceAndDiceGridder
 
 try:  # pragma: no cover - exercised via the CI jit job's numba leg
     import numba as _numba
@@ -69,9 +71,11 @@ except ImportError:
     _prange = range
 
 __all__ = [
-    "JitSliceAndDiceGridder",
+    "PARALLEL_MIN_NNZ",
+    "gather",
     "jit_available",
     "numba_version",
+    "scatter",
     "scatter_plan_entries",
     "scatter_plan_rows",
     "gather_plan_entries",
@@ -82,6 +86,10 @@ __all__ = [
 #: uninstalling them (mirrors ``REPRO_FFT_DISABLE``); ``numba`` is the
 #: only recognized token today
 JIT_DISABLE_ENV = "REPRO_JIT_DISABLE"
+
+#: plan entries at which a one-shot pass switches from the serial to
+#: the ``prange``-sharded kernels
+PARALLEL_MIN_NNZ = 1 << 15
 
 
 def jit_available() -> bool:
@@ -198,164 +206,38 @@ def _compiled() -> dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# the engine
+# plan execution
 # ----------------------------------------------------------------------
 
 
-def _entries(plan: CompiledPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The plan's ``(M, W^d)`` sample-major ``(flat, weight)`` views."""
+def _entries(plan) -> tuple[np.ndarray, np.ndarray]:
+    """A :class:`~repro.core.compiled.CompiledPlan`'s ``(M, W^d)``
+    sample-major ``(flat, weight)`` views."""
     return plan.flat.reshape(plan.m, -1), plan.weight.reshape(plan.m, -1)
 
 
-_LANES = ("auto", "numba-parallel", "numba-serial", "numpy")
+def scatter(plan, values_stack, dice_flat, parallel: bool) -> None:
+    """Add ``plan`` applied to a ``(K, m)`` value stack into the
+    ``(K, n_flat)`` raveled dice, in entry order.
 
-
-class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
-    """Compiled scatter-plan engine with numba-fused execution lanes.
-
-    Identical plan compilation, caching, chunking, and staging to
-    :class:`~repro.core.CompiledSliceAndDiceGridder`; only the per-call
-    arithmetic over the plan entries is swapped for the fused loops of
-    this module.  ``stats.exec_lane`` reports the lane every call
-    actually ran on.
-
-    Parameters
-    ----------
-    setup:
-        Shared problem description (same constraints as the parent).
-    tile_size:
-        Virtual tile dimension ``T`` (8 in the paper).
-    lane:
-        ``"auto"`` (default — parallel for plans at or above
-        ``parallel_threshold`` entries, serial below, where thread
-        launch overhead would dominate), ``"numba-parallel"``,
-        ``"numba-serial"``, or ``"numpy"`` (parent path, for A/B
-        comparison).  Requests for a numba lane degrade to ``"numpy"``
-        with a recorded :class:`~repro.errors.DegradationEvent` when
-        numba is unavailable, and stickily on a runtime JIT failure.
-        Chunk plans are used once, so chunked passes run the serial
-        kernels (no per-chunk row-major argsort).
-    parallel_threshold:
-        Plan-entry count at which ``lane="auto"`` switches from the
-        serial to the parallel kernels.
-    plan_cache_size, chunk_samples:
-        As in the parent.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.gridding import GriddingSetup, make_gridder
-    >>> from repro.kernels import KernelLUT, beatty_kernel
-    >>> setup = GriddingSetup((32, 32), KernelLUT(beatty_kernel(6, 2.0), 64))
-    >>> jit = make_gridder("slice_and_dice_jit", setup)
-    >>> ref = make_gridder("slice_and_dice_compiled", setup)
-    >>> rng = np.random.default_rng(0)
-    >>> coords = rng.uniform(0, 32, (100, 2))
-    >>> values = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    >>> bool(np.allclose(jit.grid(coords, values),
-    ...                  ref.grid(coords, values), rtol=1e-12, atol=0))
-    True
-    >>> jit.stats.exec_lane in ("numba-serial", "numba-parallel", "numpy")
-    True
+    Dispatch and compile failures (and the injected ``jit:scatter``
+    fault) raise before any entry is written, so the caller can re-run
+    the pass on NumPy without double-counting.
     """
+    fault_point("jit:scatter")
+    kernels = _compiled()
+    flat, weight = _entries(plan)
+    if parallel:
+        order, starts = plan.row_view()
+        kernels["scatter-parallel"](values_stack, flat, weight, order, starts, dice_flat)
+    else:
+        kernels["scatter-serial"](values_stack, flat, weight, dice_flat)
 
-    name = "slice_and_dice_jit"
 
-    def __init__(
-        self,
-        setup: GriddingSetup,
-        tile_size: int = 8,
-        lane: str = "auto",
-        parallel_threshold: int = 1 << 15,
-        plan_cache_size: int = 4,
-        chunk_samples: int | None = None,
-    ):
-        super().__init__(
-            setup, tile_size=tile_size, plan_cache_size=plan_cache_size,
-            chunk_samples=chunk_samples,
-        )
-        if lane not in _LANES:
-            raise ValueError(f"lane must be one of {_LANES}, got {lane!r}")
-        self.requested_lane = lane
-        self.parallel_threshold = int(parallel_threshold)
-        if lane != "numpy" and not jit_available():
-            reason = (
-                f"numba disabled via {JIT_DISABLE_ENV}"
-                if _numba is not None
-                else "numba not importable"
-            )
-            self._record(DegradationEvent("jit", lane, "numpy", reason))
-            self._lane = "numpy"
-        else:
-            self._lane = lane
-
-    # -- supervised demotion -------------------------------------------
-    def _demote(self, lane: str, exc: BaseException) -> None:
-        """Sticky demotion to the parent's NumPy path (PR 5 contract):
-        record once, never retry the failed lane on this instance."""
-        self._record(DegradationEvent("jit", lane, "numpy", repr(exc)))
-        self._lane = "numpy"
-
-    def _select_lane(self, nnz: int) -> str:
-        lane = self._lane
-        if lane == "auto":
-            big = nnz >= self.parallel_threshold
-            lane = "numba-parallel" if big else "numba-serial"
-        if lane == "numba-parallel" and self.chunk_samples is not None:
-            return "numba-serial"
-        return lane
-
-    # -- fused plan execution ------------------------------------------
-    def _apply_grid(
-        self,
-        plan: CompiledPlan,
-        values_stack: np.ndarray,
-        dice_flat: np.ndarray,
-        fresh: bool,
-    ) -> None:
-        """The kernels add into the dice in entry order.  Dispatch and
-        compile failures (and the injected fault) fire before any entry
-        is written, so a demoted call re-runs on NumPy without
-        double-counting."""
-        lane = self._select_lane(plan.nnz)
-        if lane != "numpy":
-            try:
-                fault_point("jit:scatter")
-                kernels = _compiled()
-                flat, weight = _entries(plan)
-                if lane == "numba-parallel":
-                    order, starts = plan.row_view()
-                    kernels["scatter-parallel"](
-                        values_stack, flat, weight, order, starts, dice_flat
-                    )
-                else:
-                    kernels["scatter-serial"](values_stack, flat, weight, dice_flat)
-                self._used_lane = lane
-                return
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                self._demote(lane, exc)
-                if fresh:
-                    dice_flat[...] = 0
-        self._used_lane = "numpy"
-        super()._apply_grid(plan, values_stack, dice_flat, fresh)
-
-    def _apply_interp(
-        self, plan: CompiledPlan, dice_flat: np.ndarray, out: np.ndarray
-    ) -> None:
-        lane = self._select_lane(plan.nnz)
-        if lane != "numpy":
-            try:
-                fault_point("jit:gather")
-                kind = "parallel" if lane == "numba-parallel" else "serial"
-                out[...] = 0  # the kernels seed each sample's sum from it
-                _compiled()[f"gather-{kind}"](dice_flat, *_entries(plan), out)
-                self._used_lane = lane
-                return
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                self._demote(lane, exc)
-        self._used_lane = "numpy"
-        super()._apply_interp(plan, dice_flat, out)
+def gather(plan, dice_flat, out, parallel: bool) -> None:
+    """Fill ``out`` (``(K, m)``) with ``plan`` applied to the raveled
+    dice stack (the injected fault site is ``jit:gather``)."""
+    fault_point("jit:gather")
+    kernel = _compiled()["gather-parallel" if parallel else "gather-serial"]
+    out[...] = 0  # the kernels seed each sample's sum from it
+    kernel(dice_flat, *_entries(plan), out)

@@ -16,8 +16,8 @@ reproduce the paper's operation-count and locality arguments:
   (§VII.A).
 
 The paper's own contribution, Slice-and-Dice (the serial reference and
-its compiled and jit engines, with their bounded-memory chunk mode and
-:class:`SampleStream` sources), lives in :mod:`repro.core`.  All
+its compiled engine, with its numba lane, its bounded-memory chunk
+mode and :class:`SampleStream` sources), lives in :mod:`repro.core`.  All
 implement the same :class:`Gridder` interface.  All engines — including
 those — are reachable by name through the registry
 (:func:`available_gridders`, :func:`make_gridder`,

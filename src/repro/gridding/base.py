@@ -127,9 +127,10 @@ class GriddingStats:
         ``setup.kernel_name``.
     exec_lane:
         How the scatter/gather arithmetic actually executed:
-        ``"numpy"`` (vectorized gather + bincount / CSR), or the JIT
-        engine's ``"numba-serial"`` / ``"numba-parallel"`` lanes.
-        This reports the lane that *ran*, after auto-selection and
+        ``"numpy"`` (vectorized gather + bincount / CSR), or the
+        compiled engine's ``backend="numba"`` kernels,
+        ``"numba-serial"`` / ``"numba-parallel"``.  This reports the
+        lane that *ran*, after the serial/parallel choice and any
         degradation.
     quality:
         The :class:`repro.robustness.DataQualityReport` of this call's

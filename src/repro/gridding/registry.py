@@ -13,19 +13,18 @@ asserts identical output grids).  Registered engines (see
 - ``"slice_and_dice_compiled"`` — the table-driven select run once per
   trajectory into a sample-major scatter plan; repeat calls are one
   SciPy CSR mat-vec per RHS (bit-identical to the serial engine at
-  complex128),
-- ``"slice_and_dice_jit"`` — the compiled plan executed by numba-fused
-  scatter/gather loops when numba is importable (supervised
-  degradation to the pure-NumPy compiled path when it is not).
+  complex128); ``backend="numba"`` executes the plan with numba-fused
+  scatter/gather loops (supervised demotion to the NumPy lane when
+  numba is absent or fails), and is its default when numba imports.
 
-The compiled and jit engines also take ``chunk_samples=N``: calls then
+The compiled engine also takes ``chunk_samples=N``: calls then
 run in fixed-size sample chunks, each selected once by a table-driven
 pass and accumulated into one pooled dice, so peak memory is
 O(chunk + grid) instead of O(M * W^d).  The serial reference has no
 chunk mode and rejects the option.
 
-:func:`default_gridder` names the best compiled engine for the current
-environment, which is how the NuFFT service picks its default.
+:func:`default_gridder` names the engine the NuFFT service uses by
+default.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ def make_gridder(name: str, setup: GriddingSetup, **kwargs) -> Gridder:
     >>> make_gridder("slice_and_dice_compiled", setup, backend="csr").name
     'slice_and_dice_compiled'
 
-    ``chunk_samples=`` runs the compiled engines chunk by chunk:
+    ``chunk_samples=`` runs the compiled engine chunk by chunk:
 
     >>> make_gridder("slice_and_dice_compiled", setup, chunk_samples=4096).chunk_samples
     4096
@@ -137,13 +136,12 @@ def make_gridder(name: str, setup: GriddingSetup, **kwargs) -> Gridder:
 
 
 def default_gridder() -> str:
-    """Name of the best compiled engine available right now.
+    """Name of the default engine: ``"slice_and_dice_compiled"``.
 
-    ``"slice_and_dice_jit"`` when numba is importable (and not disabled
-    via ``REPRO_JIT_DISABLE``), else ``"slice_and_dice_compiled"`` —
-    both run warm calls with zero select work; the JIT engine adds the
-    fused numba scatter/gather lanes.  Checked per call, so environment
-    changes take effect without reimports.
+    Warm calls do zero select work.  The engine picks its own lane at
+    construction — ``backend="numba"`` when numba is importable (and
+    not disabled via ``REPRO_JIT_DISABLE``), else the dtype's NumPy
+    lane — so environment changes take effect without reimports.
 
     Examples
     --------
@@ -151,23 +149,16 @@ def default_gridder() -> str:
     >>> default_gridder() in available_gridders()
     True
     """
-    from ..core.jit import jit_available
-
-    return "slice_and_dice_jit" if jit_available() else "slice_and_dice_compiled"
+    return "slice_and_dice_compiled"
 
 
 def _ensure_core() -> None:
     """Register the Slice-and-Dice gridders lazily (avoids import cycle)."""
     if "slice_and_dice" not in _REGISTRY:
-        from ..core import (
-            CompiledSliceAndDiceGridder,
-            JitSliceAndDiceGridder,
-            SliceAndDiceGridder,
-        )
+        from ..core import CompiledSliceAndDiceGridder, SliceAndDiceGridder
 
         register_gridder("slice_and_dice", SliceAndDiceGridder)
         register_gridder("slice_and_dice_compiled", CompiledSliceAndDiceGridder)
-        register_gridder("slice_and_dice_jit", JitSliceAndDiceGridder)
 
 
 register_gridder("naive", NaiveGridder)

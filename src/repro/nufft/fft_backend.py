@@ -52,7 +52,9 @@ __all__ = [
     "ScipyFftBackend",
     "PyfftwFftBackend",
     "FallbackFftBackend",
+    "FFT_DEMOTION_ORDER",
     "GridBufferPool",
+    "fft_demotion_chain",
     "register_fft_backend",
     "available_fft_backends",
     "fft_backend_available",
@@ -176,12 +178,35 @@ class PyfftwFftBackend(FftBackend):
         return self._fft.ifftn(a, axes=axes, norm=norm, threads=self.workers)
 
 
+#: the one FFT demotion order, strictly downward: a failing backend
+#: (:class:`FallbackFftBackend`) and an open circuit breaker (the
+#: service worker) both step to the next entry; ``numpy``, always
+#: available, is the floor
+FFT_DEMOTION_ORDER = ("pyfftw", "scipy", "numpy")
+
+
+def fft_demotion_chain(name: str) -> tuple[str, ...]:
+    """``name`` followed by the backends it demotes to, in order.
+
+    A backend outside :data:`FFT_DEMOTION_ORDER` (a custom registered
+    one) demotes straight to the ``numpy`` floor.
+
+    Examples
+    --------
+    >>> fft_demotion_chain("scipy"), fft_demotion_chain("numpy")
+    (('scipy', 'numpy'), ('numpy',))
+    """
+    if name in FFT_DEMOTION_ORDER:
+        return FFT_DEMOTION_ORDER[FFT_DEMOTION_ORDER.index(name):]
+    return (name, "numpy")
+
+
 class FallbackFftBackend(FftBackend):
     """Supervised chain of concrete backends with sticky degradation.
 
-    Wraps a primary backend plus an ordered fallback chain (default:
-    every other available backend in ``auto`` preference order, ending
-    at ``numpy``, the always-available reference).  A runtime exception
+    Wraps a primary backend plus its :func:`fft_demotion_chain`: the
+    backends below it in :data:`FFT_DEMOTION_ORDER`, ending at
+    ``numpy``, the always-available reference.  A runtime exception
     from the active backend — FFTW wisdom corruption, a thread-pool
     crash, an injected fault — permanently demotes to the next backend
     in the chain, records a :class:`~repro.errors.DegradationEvent` in
@@ -202,23 +227,12 @@ class FallbackFftBackend(FftBackend):
         self,
         primary: str | FftBackend = "auto",
         workers: int | None = None,
-        chain: tuple[str, ...] | None = None,
     ):
         first = get_fft_backend(primary, workers=workers)
         if isinstance(first, FallbackFftBackend):
             raise ValueError("FallbackFftBackend cannot wrap another fallback chain")
         self._workers_arg = workers
-        if chain is None:
-            order = [n for n in _REGISTRY if fft_backend_available(n)]
-            names = [first.name] + [n for n in order if n != first.name]
-            if "numpy" not in names:
-                names.append("numpy")
-            chain = tuple(names)
-        else:
-            chain = tuple(chain)
-            if not chain or chain[0] != first.name:
-                chain = (first.name,) + tuple(n for n in chain if n != first.name)
-        self._chain = chain
+        self._chain = fft_demotion_chain(first.name)
         self._pos = 0
         self._active = first
         #: DegradationEvent records, one per demotion, oldest first

@@ -75,8 +75,9 @@ class NufftTimings:
     fused: bool = False
     #: short window-kernel identifier of the plan (``kb``/``es``/...)
     kernel: str = ""
-    #: execution lane the gridding arithmetic ran on (``numpy`` /
-    #: ``numba-serial`` / ``numba-parallel`` — see GriddingStats)
+    #: execution lane the gridding arithmetic ran on (``numpy``, or the
+    #: compiled engine's ``backend="numba"`` kernels: ``numba-serial`` /
+    #: ``numba-parallel`` — see GriddingStats)
     exec_lane: str = ""
     #: streamed sample chunks the gridding pass consumed (0 for
     #: one-shot passes — nonzero only in the compiled engines' chunk
@@ -154,8 +155,8 @@ class NufftPlan:
         LUT oversampling factor ``L``.
     gridder:
         Registered gridder name (``"naive"``, ``"binning"``,
-        ``"slice_and_dice"``, ``"slice_and_dice_compiled"``,
-        ``"slice_and_dice_jit"``, ...) or an already-built
+        ``"slice_and_dice"``, ``"slice_and_dice_compiled"``, ...) or
+        an already-built
         :class:`Gridder`.  The compiled engine runs the select pass
         once, on the first forward/adjoint call, into a sample-major
         scatter plan that doubles as a CSR matrix, and makes every
@@ -166,7 +167,8 @@ class NufftPlan:
     gridder_options:
         Extra keyword arguments for the gridder factory, e.g.
         ``{"tile_size": 8}`` for the tiled engines or
-        ``{"backend": "bincount"}`` for ``"slice_and_dice_compiled"``.
+        ``{"backend": "bincount"}`` (or ``"numba"``) for
+        ``"slice_and_dice_compiled"``.
     precision:
         ``"double"`` (default), ``"single"``, or ``"simulate-single"``.
         ``"single"`` is a true complex64 compute lane matching the

@@ -14,8 +14,8 @@ when no injector is active.  Faults available:
   fallback in CG.
 - **JIT kernel failure** — ``jit_errors=N`` fails the next N numba
   scatter/gather kernel launches (sites ``jit:scatter`` /
-  ``jit:gather``), exercising the JIT engine's sticky demotion to the
-  pure-NumPy compiled path.
+  ``jit:gather``), exercising the sticky demotion of the compiled
+  engine's ``backend="numba"`` lane to its NumPy lane.
 - **corrupted sample streams** — ``corrupt_coords=N`` /
   ``corrupt_values=N`` poison that many entries (seeded positions)
   with NaN on entry to the gridding public API, exercising the

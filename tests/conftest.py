@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import jit as jitmod
 from repro.gridding import GriddingSetup
 from repro.kernels import KernelLUT, beatty_kernel
 
@@ -24,6 +25,21 @@ def small_setup() -> GriddingSetup:
 def tiny_setup() -> GriddingSetup:
     """A 16x16 grid with a narrow W=4 kernel (fast tests)."""
     return GriddingSetup((16, 16), KernelLUT(beatty_kernel(4, 2.0), 32))
+
+
+def interpret_jit_kernels(monkeypatch) -> None:
+    """Run the compiled engine's ``backend="numba"`` lane on the raw
+    Python loop bodies: numba reads as importable and the kernel table
+    holds the plain functions ``njit`` would compile — the same
+    arithmetic as the numba lane, checked without numba."""
+    monkeypatch.setattr(jitmod, "_numba", object())
+    monkeypatch.delenv(jitmod.JIT_DISABLE_ENV, raising=False)
+    monkeypatch.setattr(jitmod, "_COMPILED", {
+        "scatter-serial": jitmod.scatter_plan_entries,
+        "scatter-parallel": jitmod.scatter_plan_rows,
+        "gather-serial": jitmod.gather_plan_entries,
+        "gather-parallel": jitmod.gather_plan_samples,
+    })
 
 
 def random_samples(

@@ -1,12 +1,13 @@
-"""Numba JIT execution lanes: identity, degradation, and registry.
+"""The compiled engine's numba lane: identity, degradation, registry.
 
 The raw loop bodies in :mod:`repro.core.jit` are plain Python wrapped
 by ``njit`` only at first use, so the numerics contract — serial and
-sharded lanes bit-identical to the NumPy ``bincount`` path at
+sharded kernels bit-identical to the NumPy ``bincount`` path at
 complex128, NRMSD <= 1e-6 at complex64 — is testable here without
-numba installed.  The CI ``jit`` job re-runs this file with numba
-present, where the same assertions cover the compiled dispatchers via
-the engine itself.
+numba installed: ``backend="numba"`` engines run them through
+:func:`~tests.conftest.interpret_jit_kernels`.  The CI ``jit`` job
+re-runs this file with numba present, where the engine tests run the
+compiled dispatchers.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core
 import repro.core.jit as jitmod
 from repro.core.jit import (
     JIT_DISABLE_ENV,
-    JitSliceAndDiceGridder,
     _entries,
     gather_plan_entries,
     gather_plan_samples,
@@ -34,6 +35,9 @@ from repro.gridding import (
 from repro.kernels import KernelLUT, beatty_kernel
 from repro.robustness import inject_faults
 from repro.robustness.faults import InjectedFault
+from tests.conftest import interpret_jit_kernels
+
+NUMBA_LANES = ("numba-serial", "numba-parallel")
 
 
 def _setup(dtype=np.complex128, shape=(32, 32)):
@@ -51,6 +55,14 @@ def _problem(setup, m=500, k=3, seed=11):
         + 1j * rng.standard_normal((k,) + setup.grid_shape)
     ).astype(setup.dtype)
     return coords, stack, grids
+
+
+def numba_engine(setup, monkeypatch, **options):
+    """A ``backend="numba"`` engine on the compiled kernels when numba
+    is importable, else on the raw Python loop bodies."""
+    if not jit_available():
+        interpret_jit_kernels(monkeypatch)
+    return make_gridder("slice_and_dice_compiled", setup, backend="numba", **options)
 
 
 def nrmsd(a, b):
@@ -174,47 +186,62 @@ class TestRawLaneIdentity:
 
 
 # ----------------------------------------------------------------------
-# the engine: registry, equivalence, stats
+# the lane: registry, equivalence, stats
 # ----------------------------------------------------------------------
 class TestJitEngine:
-    def test_registered(self):
-        assert "slice_and_dice_jit" in available_gridders()
+    def test_numba_is_a_backend_not_an_engine(self):
+        assert "slice_and_dice_jit" not in available_gridders()
+        assert not hasattr(repro.core, "JitSliceAndDiceGridder")
+        g = make_gridder("slice_and_dice_compiled", _setup(), backend="numba")
+        assert g.name == "slice_and_dice_compiled"
 
     def test_default_gridder_tracks_numba(self, monkeypatch):
-        assert default_gridder() in available_gridders()
+        """The default engine is always the compiled one; its default
+        backend is numba exactly when numba is available."""
+        assert default_gridder() == "slice_and_dice_compiled"
         monkeypatch.setenv(JIT_DISABLE_ENV, "numba")
         assert default_gridder() == "slice_and_dice_compiled"
+        assert make_gridder(default_gridder(), _setup()).backend == "csr"
+        assert make_gridder(
+            default_gridder(), _setup(np.complex64)
+        ).backend == "bincount"
         monkeypatch.delenv(JIT_DISABLE_ENV)
         monkeypatch.setattr(jitmod, "_numba", object())
-        assert default_gridder() == "slice_and_dice_jit"
+        assert default_gridder() == "slice_and_dice_compiled"
+        g = make_gridder(default_gridder(), _setup())
+        assert g.backend == "numba" and g.degradations == ()
 
     def test_bad_lane_rejected(self):
-        with pytest.raises(ValueError, match="lane"):
-            JitSliceAndDiceGridder(_setup(), lane="cuda")
+        """``lane=`` and ``parallel_threshold=`` left with the jit
+        engine; unknown backends are rejected."""
+        for option in ({"lane": "numba-serial"}, {"parallel_threshold": 0}):
+            with pytest.raises(TypeError):
+                make_gridder("slice_and_dice_compiled", _setup(), **option)
+        with pytest.raises(ValueError, match="backend"):
+            make_gridder("slice_and_dice_compiled", _setup(), backend="cuda")
 
-    def test_matches_compiled_engine(self):
-        """Whatever lane actually runs (numpy fallback locally, numba
-        in the CI jit job), results track the parent engine."""
+    def test_matches_compiled_engine(self, monkeypatch):
         setup = _setup()
-        jit = make_gridder("slice_and_dice_jit", setup)
-        ref = make_gridder("slice_and_dice_compiled", setup)
+        jit = numba_engine(setup, monkeypatch)
+        ref = make_gridder("slice_and_dice_compiled", setup, backend="csr")
         coords, stack, grids = _problem(setup)
         np.testing.assert_allclose(
             jit.grid_batch(coords, stack), ref.grid_batch(coords, stack),
             rtol=1e-12, atol=0,
         )
-        assert jit.stats.exec_lane in ("numpy", "numba-serial", "numba-parallel")
+        assert jit.stats.exec_lane in NUMBA_LANES
         assert jit.stats.kernel == "kb"
         np.testing.assert_allclose(
             jit.interp_batch(grids, coords), ref.interp_batch(grids, coords),
             rtol=1e-12, atol=0,
         )
-        assert jit.stats.exec_lane in ("numpy", "numba-serial", "numba-parallel")
+        assert jit.stats.exec_lane in NUMBA_LANES
+        assert jit.degradations == ()
 
-    def test_single_rhs_grid_and_interp(self):
+    def test_single_rhs_grid_and_interp(self, monkeypatch):
         setup = _setup()
-        jit = make_gridder("slice_and_dice_jit", setup)
-        ref = make_gridder("slice_and_dice_compiled", setup)
+        jit = numba_engine(setup, monkeypatch)
+        ref = make_gridder("slice_and_dice_compiled", setup, backend="csr")
         coords, stack, grids = _problem(setup, k=1)
         np.testing.assert_allclose(
             jit.grid(coords, stack[0]), ref.grid(coords, stack[0]),
@@ -225,12 +252,56 @@ class TestJitEngine:
             rtol=1e-12, atol=0,
         )
 
-    def test_empty_trajectory(self):
+    def test_empty_trajectory(self, monkeypatch):
         setup = _setup()
-        jit = make_gridder("slice_and_dice_jit", setup)
+        jit = numba_engine(setup, monkeypatch)
         out = jit.grid(np.zeros((0, 2)), np.zeros(0, dtype=np.complex128))
         assert out.shape == setup.grid_shape
         assert not out.any()
+
+    @pytest.mark.parametrize("chunk", [None, 64])
+    def test_parallel_kernels_above_the_threshold(self, monkeypatch, chunk):
+        """One-shot plans of at least ``PARALLEL_MIN_NNZ`` entries run
+        the sharded kernels, bit-identical to the csr lane; chunk plans
+        are used once and always run the serial ones."""
+        monkeypatch.setattr(jitmod, "PARALLEL_MIN_NNZ", 0)
+        setup = _setup()
+        jit = numba_engine(setup, monkeypatch, chunk_samples=chunk)
+        ref = make_gridder("slice_and_dice_compiled", setup, backend="csr")
+        coords, stack, grids = _problem(setup)
+        lane = "numba-parallel" if chunk is None else "numba-serial"
+        assert np.array_equal(jit.grid_batch(coords, stack), ref.grid_batch(coords, stack))
+        assert jit.stats.exec_lane == lane
+        assert np.array_equal(
+            jit.interp_batch(grids, coords), ref.interp_batch(grids, coords)
+        )
+        assert jit.stats.exec_lane == lane
+
+    @pytest.mark.parametrize("dtype,layout", [
+        (np.complex128, "csr"), (np.complex64, "bincount"),
+    ])
+    def test_plan_has_the_numpy_lane_layout(self, monkeypatch, dtype, layout):
+        """A numba plan is laid out for the dtype's NumPy lane — index
+        dtype, and chunk seed slots on the bincount layout — which is
+        what lets a demotion re-run the same plan."""
+        setup = _setup(dtype)
+        coords, stack, _ = _problem(setup)
+        for chunk in (None, 128):
+            jit = numba_engine(setup, monkeypatch, chunk_samples=chunk)
+            ref = make_gridder(
+                "slice_and_dice_compiled", setup, backend=layout,
+                chunk_samples=chunk,
+            )
+            jit.grid_batch(coords, stack)
+            ref.grid_batch(coords, stack)
+            if chunk is None:
+                [plan] = jit._plan_cache.values()
+                [ref_plan] = ref._plan_cache.values()
+                assert plan.flat.dtype == ref_plan.flat.dtype
+            else:
+                assert jit._chunk_flat.dtype == ref._chunk_flat.dtype
+                assert jit._chunk_flat.size == ref._chunk_flat.size
+            assert jit.stats.peak_bytes == ref.stats.peak_bytes
 
 
 # ----------------------------------------------------------------------
@@ -239,34 +310,40 @@ class TestJitEngine:
 class TestDegradation:
     def test_construction_records_event_without_numba(self, monkeypatch):
         monkeypatch.setattr(jitmod, "_numba", None)
-        g = JitSliceAndDiceGridder(_setup())
-        assert g._lane == "numpy"
+        g = make_gridder("slice_and_dice_compiled", _setup(), backend="numba")
+        assert g.backend == "csr"
         assert len(g.degradations) == 1
         ev = g.degradations[0]
         assert ev.component == "jit"
-        assert ev.to_stage == "numpy"
+        assert (ev.from_stage, ev.to_stage) == ("numba", "numpy")
         assert "not importable" in ev.reason
 
     def test_env_disable_records_event(self, monkeypatch):
         monkeypatch.setattr(jitmod, "_numba", object())
         monkeypatch.setenv(JIT_DISABLE_ENV, "other, numba")
         assert not jit_available()
-        g = JitSliceAndDiceGridder(_setup())
-        assert g._lane == "numpy"
+        g = make_gridder(
+            "slice_and_dice_compiled", _setup(np.complex64), backend="numba"
+        )
+        assert g.backend == "bincount"
         assert JIT_DISABLE_ENV in g.degradations[0].reason
 
-    def test_explicit_numpy_lane_is_not_a_degradation(self):
-        g = JitSliceAndDiceGridder(_setup(), lane="numpy")
-        assert g.degradations == ()
-        coords, stack, _ = _problem(_setup())
-        g.grid_batch(coords, stack)
-        assert g.stats.exec_lane == "numpy"
-        assert g.stats.degradations == ()
+    def test_explicit_numpy_lane_is_not_a_degradation(self, monkeypatch):
+        """A NumPy backend — named, or the default without numba — is
+        not a demotion."""
+        monkeypatch.setattr(jitmod, "_numba", None)
+        for backend in ("csr", None):
+            g = make_gridder("slice_and_dice_compiled", _setup(), backend=backend)
+            assert g.degradations == ()
+            coords, stack, _ = _problem(_setup())
+            g.grid_batch(coords, stack)
+            assert g.stats.exec_lane == "numpy"
+            assert g.stats.degradations == ()
 
     def test_degradation_event_lands_in_stats_once(self, monkeypatch):
         monkeypatch.setattr(jitmod, "_numba", None)
         setup = _setup()
-        g = JitSliceAndDiceGridder(setup)
+        g = make_gridder("slice_and_dice_compiled", setup, backend="numba")
         coords, stack, _ = _problem(setup)
         g.grid_batch(coords, stack)
         assert g.stats.exec_lane == "numpy"
@@ -275,46 +352,41 @@ class TestDegradation:
         assert g.stats.degradations == ()
 
     def test_injected_scatter_fault_demotes_stickily(self, monkeypatch):
-        """Chaos leg: jit "available" (fake numba object), scatter
-        fault fires at the injection site before compilation is ever
-        reached, the call transparently re-runs on NumPy, and the lane
-        never comes back."""
-        monkeypatch.setattr(jitmod, "_numba", object())
-        monkeypatch.delenv(JIT_DISABLE_ENV, raising=False)
-        setup = _setup()
-        g = JitSliceAndDiceGridder(setup)
-        ref = make_gridder("slice_and_dice_compiled", setup)
-        coords, stack, grids = _problem(setup)
-        with inject_faults(jit_errors=1) as inj:
-            out = g.grid_batch(coords, stack)
-            assert inj.jit_errors == 0
-        np.testing.assert_allclose(
-            out, ref.grid_batch(coords, stack), rtol=1e-12, atol=0
-        )
-        assert g.stats.exec_lane == "numpy"
-        assert len(g.degradations) == 1
-        assert g.degradations[0].from_stage in ("numba-serial", "numba-parallel")
-        assert "InjectedFault" in g.degradations[0].reason
-        # sticky: later calls run numpy without touching the jit path
-        np.testing.assert_allclose(
-            g.interp_batch(grids, coords), ref.interp_batch(grids, coords),
-            rtol=1e-12, atol=0,
-        )
-        assert g.stats.exec_lane == "numpy"
-        assert len(g.degradations) == 1
+        """Chaos leg: the scatter fault fires at the injection site
+        before any entry is written, the call transparently re-runs the
+        same plan on the dtype's NumPy lane — bit-identical to that
+        lane — and the numba lane never comes back."""
+        for dtype, layout in ((np.complex128, "csr"), (np.complex64, "bincount")):
+            setup = _setup(dtype)
+            g = numba_engine(setup, monkeypatch)
+            ref = make_gridder("slice_and_dice_compiled", setup, backend=layout)
+            coords, stack, grids = _problem(setup)
+            g.interp_batch(grids, coords)  # compiles the plan on the numba lane
+            with inject_faults(jit_errors=1) as inj:
+                out = g.grid_batch(coords, stack)
+                assert inj.jit_errors == 0
+            assert g.stats.cache_hits == 1  # the same plan, re-run on NumPy
+            assert np.array_equal(out, ref.grid_batch(coords, stack))
+            assert g.stats.exec_lane == "numpy"
+            assert g.backend == layout
+            assert len(g.degradations) == 1
+            assert g.degradations[0].from_stage in NUMBA_LANES
+            assert "InjectedFault" in g.degradations[0].reason
+            # sticky: later calls run numpy without touching the jit path
+            assert np.array_equal(
+                g.interp_batch(grids, coords), ref.interp_batch(grids, coords)
+            )
+            assert g.stats.exec_lane == "numpy"
+            assert len(g.degradations) == 1
 
     def test_injected_gather_fault_demotes(self, monkeypatch):
-        monkeypatch.setattr(jitmod, "_numba", object())
-        monkeypatch.delenv(JIT_DISABLE_ENV, raising=False)
         setup = _setup()
-        g = JitSliceAndDiceGridder(setup)
-        ref = make_gridder("slice_and_dice_compiled", setup)
+        g = numba_engine(setup, monkeypatch)
+        ref = make_gridder("slice_and_dice_compiled", setup, backend="csr")
         coords, _, grids = _problem(setup)
         with inject_faults(jit_errors=1):
             out = g.interp_batch(grids, coords)
-        np.testing.assert_allclose(
-            out, ref.interp_batch(grids, coords), rtol=1e-12, atol=0
-        )
+        assert np.array_equal(out, ref.interp_batch(grids, coords))
         assert g.stats.exec_lane == "numpy"
         assert g.degradations[0].component == "jit"
 
@@ -323,16 +395,16 @@ class TestDegradation:
         way an execution failure would (the fake object has no .njit,
         so _compiled() raises AttributeError)."""
         monkeypatch.setattr(jitmod, "_numba", object())
+        monkeypatch.setattr(jitmod, "_COMPILED", None)  # not yet compiled
         monkeypatch.delenv(JIT_DISABLE_ENV, raising=False)
         setup = _setup()
-        g = JitSliceAndDiceGridder(setup)
-        ref = make_gridder("slice_and_dice_compiled", setup)
+        g = make_gridder("slice_and_dice_compiled", setup, backend="numba")
+        ref = make_gridder("slice_and_dice_compiled", setup, backend="csr")
         coords, stack, _ = _problem(setup)
-        np.testing.assert_allclose(
-            g.grid_batch(coords, stack), ref.grid_batch(coords, stack),
-            rtol=1e-12, atol=0,
+        assert np.array_equal(
+            g.grid_batch(coords, stack), ref.grid_batch(coords, stack)
         )
-        assert g._lane == "numpy"
+        assert g.backend == "csr"
         assert "AttributeError" in g.degradations[0].reason
 
     def test_fault_site_raises_when_unhandled(self):

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.jit import jit_available
 from repro.kernels import (
     ExponentialSemicircleKernel,
     KaiserBesselKernel,
@@ -30,6 +31,7 @@ from repro.gridding import GriddingSetup, make_gridder
 from repro.nudft import nudft_adjoint, nudft_forward
 from repro.nufft import NufftPlan, ToeplitzNormalOperator
 from repro.trajectories import random_trajectory
+from tests.conftest import interpret_jit_kernels
 
 
 def rel_err(a, b):
@@ -214,7 +216,11 @@ _ES_SETUPS = {
 
 
 @pytest.mark.parametrize(
-    "engine", ["slice_and_dice_compiled", "slice_and_dice_jit"]
+    "backend",
+    [
+        pytest.param(None, id="slice_and_dice_compiled"),
+        pytest.param("numba", id="slice_and_dice_compiled-numba"),
+    ],
 )
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -222,7 +228,7 @@ _ES_SETUPS = {
     ndim=st.sampled_from([2, 3]),
 )
 @settings(max_examples=20, deadline=None)
-def test_es_grid_interp_adjoint(engine, seed, m, ndim):
+def test_es_grid_interp_adjoint(backend, seed, m, ndim):
     setup = _ES_SETUPS[ndim]
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0, 1, size=(m, ndim)) * np.asarray(setup.grid_shape)
@@ -230,8 +236,13 @@ def test_es_grid_interp_adjoint(engine, seed, m, ndim):
     grid = rng.standard_normal(setup.grid_shape) + 1j * rng.standard_normal(
         setup.grid_shape
     )
-    g = make_gridder(engine, setup)
-    lhs = complex(np.vdot(g.grid(coords, values), grid))
-    rhs = complex(np.vdot(values, g.interp(grid, coords)))
+    with pytest.MonkeyPatch.context() as mp:
+        if backend == "numba" and not jit_available():
+            interpret_jit_kernels(mp)
+        g = make_gridder("slice_and_dice_compiled", setup, backend=backend)
+        lhs = complex(np.vdot(g.grid(coords, values), grid))
+        rhs = complex(np.vdot(values, g.interp(grid, coords)))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
     assert g.stats.kernel == "es"
+    if backend == "numba":
+        assert g.stats.exec_lane == "numba-serial"

@@ -504,7 +504,8 @@ class TestFftFallback:
 
     def test_exhausted_chain_raises_backend_failure_and_pool_balanced(self):
         coords = radial_trajectory(16, 32)
-        chain = FallbackFftBackend("numpy", chain=("numpy",))
+        chain = FallbackFftBackend("numpy")
+        assert chain.chain == ("numpy",)  # the floor demotes nowhere
         plan = NufftPlan((16, 16), coords, fft_backend=chain)
         values = np.ones(coords.shape[0], dtype=complex)
         with inject_faults(seed=0, fft_errors={"numpy": 1}):
@@ -515,6 +516,44 @@ class TestFftFallback:
         # and the plan still works once the fault budget is exhausted
         ref = NufftPlan((16, 16), coords, fft_backend="numpy").adjoint(values)
         assert np.array_equal(plan.adjoint(values), ref)
+
+    @pytest.mark.parametrize("start,chain", [
+        ("pyfftw", ("pyfftw", "scipy", "numpy")),
+        ("scipy", ("scipy", "numpy")),
+        ("numpy", ("numpy",)),
+    ], ids=["pyfftw", "scipy", "numpy"])
+    def test_one_demotion_order_for_runtime_and_breakers(
+        self, monkeypatch, start, chain
+    ):
+        """The runtime fallback and the service's breaker walk step down
+        one order, strictly downward, whatever else is importable."""
+        from repro.nufft import fft_backend as fb
+        from repro.robustness import BreakerBoard
+        from repro.service import JobSpec
+        from repro.service.worker import ReconWorker
+
+        class StandInFftw(fb.NumpyFftBackend):
+            name = "pyfftw"
+
+        # pyfftw "importable": its probe passes, numpy.fft stands in
+        monkeypatch.setattr(fb, "_probe_pyfftw", lambda: True)
+        monkeypatch.setitem(fb._REGISTRY, "pyfftw", (StandInFftw, fb._probe_pyfftw))
+        monkeypatch.delenv("REPRO_FFT_DISABLE", raising=False)
+        if not fft_backend_available("scipy"):
+            pytest.skip("needs a scipy FFT backend")
+        assert fft_backend_available("pyfftw")
+        assert FallbackFftBackend(start).chain == chain
+
+        board = BreakerBoard(failure_threshold=1, cooldown_seconds=30.0)
+        for name in chain:
+            board.record_failure(f"fft:{name}")
+        coords = radial_trajectory(8, 16)
+        spec = JobSpec((16, 16), coords, np.ones(coords.shape[0], complex),
+                       fft_backend=start)
+        demoted, events = ReconWorker("w0", breakers=board)._apply_breakers(spec)
+        walked = (start,) + tuple(e.to_stage.removeprefix("fft:") for e in events)
+        assert walked == chain
+        assert demoted.fft_backend == "numpy"
 
     def test_nested_fallback_rejected(self):
         inner = FallbackFftBackend("numpy")

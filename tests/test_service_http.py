@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro import NufftPlan
+from repro.core.jit import JIT_DISABLE_ENV
 from repro.errors import ServiceOverloaded
 from repro.gridding import available_gridders
 from repro.service import (
@@ -127,6 +128,50 @@ class TestRoutes:
         stats = ReconClient(server.url).stats()
         assert stats["accepted"] == 0
         assert "lane:slice_and_dice_parallel" not in stats["breakers"]
+
+    def test_removed_jit_engine_400_without_breaker(self, server):
+        """The numba lane is a backend of the compiled engine, not an
+        engine: the old name is an unknown gridder."""
+        coords, samples, _ = _problem()
+        status, body, _ = _post_json(server.url + "/jobs", {
+            "image_shape": [32, 32],
+            "coords": encode_array(coords),
+            "samples": encode_array(samples),
+            "options": {"gridder": "slice_and_dice_jit"},
+        })
+        assert status == 400
+        assert "slice_and_dice_jit" in body["error"]
+        for name in available_gridders():
+            assert name in body["error"]
+        stats = ReconClient(server.url).stats()
+        assert stats["accepted"] == 0
+        assert not [k for k in stats["breakers"] if k.startswith("lane:")]
+
+    def test_numba_backend_job_demotes_to_the_default_image(
+        self, server, monkeypatch
+    ):
+        """Without numba a ``backend="numba"`` job runs the plan on the
+        NumPy lane: the default job's exact image, with the ``jit``
+        demotion in its record."""
+        monkeypatch.setenv(JIT_DISABLE_ENV, "numba")
+        coords, samples, weights = _problem()
+        client = ReconClient(server.url)
+
+        def jit_events():
+            result = client.last_status["result"]
+            return [d for d in result["degradations"] if d["component"] == "jit"]
+
+        ref = client.reconstruct((32, 32), coords, samples, weights=weights)
+        assert jit_events() == []
+        image = client.reconstruct(
+            (32, 32), coords, samples, weights=weights,
+            gridder_options={"backend": "numba"},
+        )
+        assert client.last_status["state"] == "done"
+        np.testing.assert_array_equal(image, ref)
+        assert client.last_status["result"]["exec_lane"] == "numpy"
+        [event] = jit_events()
+        assert (event["from_stage"], event["to_stage"]) == ("numba", "numpy")
 
     @pytest.mark.parametrize("options", [
         pytest.param({"gridder_options": {"backend": "nope"}}, id="backend"),

@@ -2,10 +2,10 @@
 """Trajectory gridding benchmark with a committed regression baseline.
 
 Times warm (table-/plan-cache hit) and cold gridding for the serial
-engine, both compiled-plan backends, and the numba JIT engine (which
-degrades to the NumPy lane when numba is absent — the record's
-``exec_lane`` field says which lane actually ran) on a fixed random
-trajectory, then **appends** one record per engine to
+engine and the compiled engine — its default backend (numba when
+importable, else the dtype's NumPy lane: the record's ``exec_lane``
+field says which lane actually ran) and its csr backend — on a fixed
+random trajectory, then **appends** one record per engine to
 ``BENCH_gridding.json`` at the repository root.  The committed file
 doubles as the regression baseline: ``--check`` compares each engine's
 warm speedup over the serial engine against the last committed record
@@ -68,7 +68,6 @@ ENGINES = {
     "slice_and_dice": {},
     "slice_and_dice_compiled": {},
     "slice_and_dice_compiled[csr]": {"backend": "csr"},
-    "slice_and_dice_jit": {},
 }
 
 SIZES = {
