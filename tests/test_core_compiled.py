@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.core.jit as jitmod
 from repro.core import CompiledSliceAndDiceGridder, SliceAndDiceGridder
 from repro.gridding import GriddingSetup, make_gridder
 from repro.kernels import KernelLUT, beatty_kernel, make_kernel
@@ -121,9 +122,15 @@ class TestBitIdentity:
 
 
 class TestIdentityCells:
-    """The default lane of each dtype, and ``backend="bincount"`` at
-    complex128, against the serial engine on every geometry, in both
-    directions, single and batched."""
+    """The NumPy default lane of each dtype, and ``backend="bincount"``
+    at complex128, against the serial engine on every geometry, in both
+    directions, single and batched.  numba is hidden so ``backend=None``
+    resolves to the NumPy lane on every host (with numba the default is
+    ``backend="numba"``, covered by ``tests/test_core_jit.py``)."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_default(self, monkeypatch):
+        monkeypatch.setattr(jitmod, "_numba", None)
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("backend", [None, "bincount"])
