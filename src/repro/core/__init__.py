@@ -24,8 +24,9 @@ Public surface:
   faithful column-parallel schedule and the GPU-style blocked variant.
 - :class:`~repro.core.CompiledSliceAndDiceGridder` — the select pass
   run once per trajectory into a :class:`~repro.core.CompiledPlan`
-  (sample-major address/weight arrays that double as a CSR matrix);
-  every repeat call is one sparse mat-vec with zero select work,
+  (address/weight arrays in dice-row bands that double as CSR
+  matrices); every repeat call is a set of sparse mat-vecs, one
+  thread per band or sample range, with zero select work,
   bit-identical to the serial gridder at complex128.  With
   ``chunk_samples=`` it runs calls and ``SampleStream`` sources in
   bounded-memory chunks into one dice, bit-identical to its one-shot

@@ -88,7 +88,8 @@ __all__ = [
 JIT_DISABLE_ENV = "REPRO_JIT_DISABLE"
 
 #: plan entries at which a one-shot pass switches from the serial to
-#: the ``prange``-sharded kernels
+#: the ``prange``-sharded kernels (and a csr plan from one band to the
+#: banded layout of :mod:`repro.core.compiled`)
 PARALLEL_MIN_NNZ = 1 << 15
 
 

@@ -466,6 +466,19 @@ class SliceAndDiceGridder(Gridder):
             )
         return tables
 
+    def _axis_position(
+        self, coords: np.ndarray, axis: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(i, frac)`` per sample on one axis: the integer grid
+        position that indexes :attr:`_axis_tables` and the fractional
+        part — the decomposition of :mod:`repro.core.decomposition`."""
+        shifted = np.mod(
+            coords[:, axis] + self.setup.lut.width / 2.0,
+            float(self.setup.grid_shape[axis]),
+        )
+        i = np.floor(shifted).astype(np.int64)
+        return i, shifted - i
+
     def _select_entries(
         self, coords: np.ndarray, flat: np.ndarray, wgt: np.ndarray
     ) -> None:
@@ -487,12 +500,9 @@ class SliceAndDiceGridder(Gridder):
         lut = setup.lut
         w, ndim = setup.width, setup.ndim
         m = coords.shape[0]
-        half = lut.width / 2.0
         for axis, (dist, axis_addr) in enumerate(self._axis_tables):
-            # the decomposition of repro.core.decomposition, one axis
-            shifted = np.mod(coords[:, axis] + half, float(setup.grid_shape[axis]))
-            i = np.floor(shifted).astype(np.int64)
-            fwd = dist[i] + (shifted - i)[:, None]
+            i, frac = self._axis_position(coords, axis)
+            fwd = dist[i] + frac[:, None]
             w_axis = lut.table[lut.index_of(fwd)].astype(setup.real_dtype, copy=False)
             outside = fwd >= w
             if outside.any():

@@ -13,15 +13,30 @@ buffers keyed by ``(shape, dtype)`` and hand them back on the next
 This module is intentionally a leaf (imports NumPy only): both
 :mod:`repro.gridding.base` and :mod:`repro.nufft.fft_backend` re-export
 it, and either layer may sit above the other in a given call stack.
+For the same reason it holds :func:`usable_cpus`, the one CPU count
+both the FFT thread count and the compiled engine's band count read.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridBufferPool", "PoolSnapshot"]
+__all__ = ["GridBufferPool", "PoolSnapshot", "usable_cpus"]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity mask where the OS exposes one (``taskset`` and cgroup
+    cpusets narrow it), else :func:`os.cpu_count`, which counts every
+    CPU of the machine.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import BackendFailure, DegradationEvent
-from ..gridding.buffers import GridBufferPool
+from ..gridding.buffers import GridBufferPool, usable_cpus
 from ..robustness.faults import fault_point
 
 __all__ = [
@@ -70,7 +70,7 @@ def _disabled_backends() -> set[str]:
 
 def _default_workers(workers: int | None) -> int:
     if workers is None:
-        return os.cpu_count() or 1
+        return usable_cpus()
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"fft workers must be >= 1, got {workers}")

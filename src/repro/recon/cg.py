@@ -52,16 +52,17 @@ def _plan_cdtype(plan) -> np.dtype:
 
 
 def _dot_real(a: np.ndarray, b: np.ndarray) -> float:
-    """``Re <a, b>`` with a float64 accumulator for complex64 iterates.
+    """``Re <a, b>``, reduced by NumPy in float64, not by BLAS.
 
     ``np.vdot`` on complex64 operands accumulates in float32, which is
-    too coarse for CG's alpha/beta ratios near convergence; the single
-    lane therefore reduces in double while the complex128 lane keeps
-    the exact legacy ``np.vdot`` (bit-identical results).
+    too coarse for CG's alpha/beta ratios near convergence.  On
+    complex128 operands it calls a multithreaded BLAS (OpenBLAS
+    ``zdotc``) whose worker threads keep spinning after it returns,
+    taking the cores that the next gridding pass's band tasks and the
+    FFT threads run on: inside a 256² CG solve on two cores they
+    doubled each gridding mat-vec.
     """
-    if a.dtype == np.complex64:
-        return float(np.sum((np.conj(a) * b).real, dtype=np.float64))
-    return float(np.vdot(a, b).real)
+    return float(np.sum((np.conj(a) * b).real, dtype=np.float64))
 
 
 def _check_weights(weights: np.ndarray | None, n_samples: int) -> np.ndarray:

@@ -41,6 +41,7 @@ way down.
 from __future__ import annotations
 
 import base64
+import copy
 import hashlib
 import threading
 import time
@@ -294,6 +295,16 @@ class JobSpec:
             self.max_bytes,
         )
 
+    def without_inputs(self) -> "JobSpec":
+        """A copy with every option and the fingerprint, but not the
+        ``(M,)``-sized coordinate, sample and weight arrays: what a
+        finished job's status still reads."""
+        fingerprint = self.fingerprint
+        spec = copy.copy(self)
+        spec.coords = spec.samples = spec.weights = None
+        spec._fingerprint = fingerprint
+        return spec
+
     def weights_key(self) -> tuple | None:
         """Hashable key of the DCF weights (Toeplitz-cache subkey)."""
         if self.weights is None:
@@ -463,6 +474,9 @@ class Job:
         return attempt is None or attempt == self.attempt
 
     def _fire_terminal(self) -> None:
+        # a terminal job never runs again: keep its status, not its
+        # inputs, so the service's retention window bounds its memory
+        self.spec = self.spec.without_inputs()
         hook, self.on_terminal = self.on_terminal, None
         if hook is not None:
             hook(self)

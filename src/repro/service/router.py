@@ -63,7 +63,8 @@ class ReconService:
     max_jobs_retained:
         Terminal job records kept for status lookup (oldest-finished
         evicted beyond this), bounding service memory under sustained
-        traffic.
+        traffic: a record keeps its status and result, not its input
+        arrays.
     autostart:
         Start the worker threads immediately.  Tests pass ``False`` to
         exercise admission deterministically, then call :meth:`start`.

@@ -76,13 +76,16 @@ class TestRawLaneIdentity:
     """The four loop bodies vs the parent's bincount path."""
 
     @pytest.fixture
-    def compiled(self):
+    def compiled(self, monkeypatch):
         setup = _setup()
         g = make_gridder("slice_and_dice_compiled", setup)
         coords, stack, grids = _problem(setup)
         ref_grids = g.grid_batch(coords, stack)
         ref_samples = g.interp_batch(grids, coords)
-        plan, _ = g._fetch_plan(setup.check_coords(coords))
+        # a numba plan: one sample-major band, whatever the CPU count
+        numba = numba_engine(setup, monkeypatch)
+        plan, _ = numba._fetch_plan(setup.check_coords(coords))
+        assert plan.n_bands == 1
         return g, plan, coords, stack, grids, ref_grids, ref_samples
 
     def _run_scatter(self, g, plan, stack, lane):

@@ -102,6 +102,21 @@ class TestRegistry:
         assert _default_workers(3) == 3
         assert _default_workers(None) >= 1
 
+    def test_default_workers_follow_affinity(self, monkeypatch):
+        """The default thread count is the CPUs the process may run on
+        (``taskset``, cgroup cpusets), not every CPU of the machine;
+        without an affinity mask it falls back to ``os.cpu_count()``."""
+        import os
+
+        from repro.gridding.buffers import usable_cpus
+        from repro.nufft.fft_backend import _default_workers
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert usable_cpus() == _default_workers(None) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert usable_cpus() == _default_workers(None) == 64
+
 
 # ----------------------------------------------------------------------
 class TestGridBufferPool:

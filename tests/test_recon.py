@@ -127,6 +127,25 @@ class TestAdjointRecon:
 
 
 class TestCgRecon:
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_dot_real_matches_vdot(self, dtype):
+        """CG's BLAS-free ``Re <a, b>`` is ``np.vdot``'s, summed in
+        float64 at both precisions: to a float64 rounding tolerance
+        (the sum order differs from BLAS), and at complex64 to the
+        rounding of its float32 products."""
+        from repro.recon.cg import _dot_real
+
+        rng = np.random.default_rng(5)
+        a, b = (
+            (rng.standard_normal((64, 48)) + 1j * rng.standard_normal((64, 48)))
+            .astype(dtype)
+            for _ in range(2)
+        )
+        want = np.vdot(a.astype(np.complex128), b.astype(np.complex128)).real
+        assert isinstance(_dot_real(a, b), float)
+        rel = 1e-12 if dtype == np.complex128 else 1e-6
+        assert _dot_real(a, b) == pytest.approx(want, rel=rel)
+
     def test_beats_adjoint(self, radial_problem):
         plan, phantom, kspace = radial_problem
         adj = adjoint_reconstruction(plan, kspace, density="ramp")

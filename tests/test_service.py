@@ -264,6 +264,24 @@ class TestRoutingAndAdmission:
             assert svc.get(ids[0]) is None  # evicted
             assert svc.get(ids[-1]) is not None
 
+    def test_retained_jobs_drop_their_inputs(self):
+        """A finished job keeps its status, not its ``(M,)`` input
+        arrays, so ``max_jobs_retained`` bounds the service's memory;
+        the caller's spec is untouched."""
+        coords, samples, _ = _problem(16, 8, 16)
+        spec = JobSpec((16, 16), coords, samples, method="adjoint")
+        fingerprint = spec.fingerprint
+        with ReconService(workers=1) as svc:
+            job = svc.submit(spec)
+            svc.wait(job.id, timeout=60)
+            kept = svc.get(job.id)
+            assert kept.state == JobState.DONE
+            assert kept.spec.coords is None and kept.spec.samples is None
+            status = kept.as_dict()
+            assert status["fingerprint"] == fingerprint
+            assert status["result"]["image"]
+        assert spec.coords is coords and spec.samples is samples
+
     def test_stats_aggregate_is_merge_of_workers(self):
         coords, samples, weights = _problem()
         with ReconService(workers=2) as svc:
