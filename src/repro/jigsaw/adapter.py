@@ -4,8 +4,9 @@
 the standard :class:`~repro.gridding.base.Gridder` interface, so the
 full hardware-in-the-loop NuFFT is one line:
 
+    lut = KernelLUT(beatty_kernel(6, 2.0), 32)
     plan = NufftPlan((N, N), coords, width=6, table_oversampling=32,
-                     gridder=JigsawGridder.for_setup(setup))
+                     gridder=JigsawGridder.for_problem(2 * N, lut))
 
 mirroring the paper's system integration (§IV): the host streams
 samples to the accelerator, reads the gridded target back, and runs

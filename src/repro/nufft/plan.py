@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +45,12 @@ class NufftTimings:
 
     ``peak_bytes`` counts the full-grid (oversampled, working-dtype)
     transient allocations the transform performed: buffer-pool misses
-    plus the FFT output and any non-pooled grid temporaries.  Warm
-    pooled calls drop this to the single unavoidable FFT output, which
-    is how the fused path's "two fewer grid temporaries per
-    forward/adjoint pair" is asserted in the tests — and how the
-    ``precision="single"`` lane's "no complex128 full-grid temporaries"
-    claim is asserted (a complex64 grid is half the bytes).
+    plus the FFT output.  A warm call drops this to the single
+    unavoidable FFT output per stacked grid — one grid's bytes for a
+    single ``forward``/``adjoint`` — which is how the tests assert that
+    the pipeline makes no other grid temporaries, and that the
+    ``precision="single"`` lane makes no complex128 ones (a complex64
+    grid is half the bytes).
     """
 
     gridding: float = 0.0
@@ -71,8 +70,6 @@ class NufftTimings:
     fft_fallbacks: tuple = ()
     #: precision lane of the plan (``double``/``single``/``simulate-single``)
     precision: str = "double"
-    #: whether the fused apodize+pad / crop+deapodize path executed
-    fused: bool = False
     #: short window-kernel identifier of the plan (``kb``/``es``/...)
     kernel: str = ""
     #: execution lane the gridding arithmetic ran on (``numpy``, or the
@@ -155,15 +152,16 @@ class NufftPlan:
         LUT oversampling factor ``L``.
     gridder:
         Registered gridder name (``"naive"``, ``"binning"``,
-        ``"slice_and_dice"``, ``"slice_and_dice_compiled"``, ...) or
-        an already-built
-        :class:`Gridder`.  The compiled engine runs the select pass
-        once, on the first forward/adjoint call, into a sample-major
-        scatter plan that doubles as a CSR matrix, and makes every
-        later call on the plan's fixed trajectory one sparse mat-vec —
-        the right default for iterative use, where iteration 2+ does
-        zero select work, bit-identically to the serial engine at
-        complex128; see ``docs/engines.md``.
+        ``"slice_and_dice"``, ``"slice_and_dice_compiled"``, ...) or an
+        already-built :class:`Gridder` whose setup matches the plan's
+        grid shape, kernel table and working dtype (else ValueError).
+        The compiled engine runs the select pass once, on the first
+        forward/adjoint call, into a sample-major scatter plan that
+        doubles as a CSR matrix, and makes every later call on the
+        plan's fixed trajectory one sparse mat-vec — the right default
+        for iterative use, where iteration 2+ does zero select work,
+        bit-identically to the serial engine at complex128; see
+        ``docs/engines.md``.
     gridder_options:
         Extra keyword arguments for the gridder factory, e.g.
         ``{"tile_size": 8}`` for the tiled engines or
@@ -176,15 +174,14 @@ class NufftPlan:
         Slice-and-Dice uses single-precision floating-point values to
         closely match the prior work", §V): the gridder, buffer pool,
         FFT, and apodization all carry ``complex64``/``float32`` data
-        end to end — half the memory traffic of double, with the fused
-        path fully enabled.  ``"simulate-single"`` is the legacy
-        stepwise comparator: everything computes in complex128 but
-        inputs, the gridded array, and the FFT output are *rounded* to
-        complex64 at each step boundary (fused path disabled, since the
-        rounding points only exist on the legacy pipeline) — kept
-        bit-for-bit for reproducing the historical Fig. 9 error-floor
-        numbers.  Coordinates stay float64 in every lane so all three
-        select identical window hit sets.
+        end to end — half the memory traffic of double.
+        ``"simulate-single"`` is the stepwise comparator: everything
+        computes in complex128 on the same pipeline, but the input, the
+        gridded array, the FFT output and the output are *rounded* to
+        complex64 at each step boundary — kept bit-for-bit for
+        reproducing the historical Fig. 9 error-floor numbers.
+        Coordinates stay float64 in every lane so all three select
+        identical window hit sets.
     fft_backend:
         FFT implementation for the oversampled-grid transforms:
         ``"auto"`` (default — SciPy's multithreaded pocketfft when
@@ -197,19 +194,6 @@ class NufftPlan:
     fft_workers:
         Worker threads for multithreaded backends (default: all
         cores).  Ignored by ``numpy``.
-    fused:
-        Fuse apodization with zero-padding (forward) and cropping
-        (adjoint) so the window weights are applied directly while
-        moving data between image and oversampled grid — no separate
-        full-grid pass, no intermediate copies.  Also routes the
-        oversampled accumulator through the plan's
-        :class:`~repro.gridding.buffers.GridBufferPool`.  Bit-identical
-        to the unfused pipeline.  Default (``None``) enables fusion
-        wherever it is available; it is automatically disabled for
-        ``precision="simulate-single"`` (which needs the stepwise
-        rounding points of the legacy path) — passing ``fused=True``
-        explicitly there warns once and is overridden.  The effective
-        state is recorded in ``plan.timings.fused``.
     quality_policy:
         What to do with non-finite sample coordinates/values and image
         pixels: ``"raise"`` (default — typed
@@ -276,7 +260,6 @@ class NufftPlan:
         precision: str = "double",
         fft_backend: str | FftBackend = "auto",
         fft_workers: int | None = None,
-        fused: bool | None = None,
         quality_policy: str = "raise",
         fft_fallback: bool = True,
         buffer_pool: GridBufferPool | None = None,
@@ -348,6 +331,16 @@ class NufftPlan:
                     f"{self.cdtype}; build the gridder with "
                     f"GriddingSetup(..., dtype={self.cdtype.name!r})"
                 )
+            lut, grid = gridder.setup.lut, tuple(gridder.setup.grid_shape)
+            same_table = np.array_equal(lut.table, self.lut.table)
+            if grid != self.grid_shape or not same_table:
+                raise ValueError(
+                    f"gridder setup does not match the plan (grid {grid} vs "
+                    f"{self.grid_shape}; LUT W={lut.width}, L={lut.oversampling} "
+                    f"vs W={self.lut.width}, L={self.lut.oversampling}; table "
+                    f"values {'equal' if same_table else 'differ'}): the plan "
+                    "grids onto its own grid and de-apodizes with its own LUT"
+                )
             self.gridder = gridder
             #: the effective non-finite-input policy (gridder's setup wins)
             self.quality_policy = gridder.setup.quality_policy
@@ -372,7 +365,6 @@ class NufftPlan:
             # exactly there) and rounded once; per-pixel multiplies then
             # stay in the working dtype
             self._apod = [w.astype(self.cdtype) for w in self._apod]
-        self._apod_conj = [np.conj(w) for w in self._apod]
 
         fft = get_fft_backend(fft_backend, workers=fft_workers)
         if fft_fallback and not isinstance(fft, FallbackFftBackend):
@@ -383,20 +375,7 @@ class NufftPlan:
         #: was passed, with every other plan on the same pool)
         self.buffer_pool = buffer_pool if buffer_pool is not None else GridBufferPool()
         self.gridder.buffer_pool = self.buffer_pool
-        if fused and precision == "simulate-single":
-            warnings.warn(
-                "fused=True is overridden for precision='simulate-single': "
-                "the stepwise-rounding comparator requires the legacy "
-                "(unfused) pipeline; the effective state is recorded in "
-                "plan.timings.fused",
-                UserWarning,
-                stacklevel=2,
-            )
-        self._fused = (
-            (True if fused is None else bool(fused))
-            and precision != "simulate-single"
-        )
-        self._corner_blocks_cache: list | None = None
+        self._blocks = self._corner_blocks()
         #: optional :class:`~repro.robustness.CancelToken` — checked on
         #: entry to every transform and propagated to the gridder (the
         #: chunked engines re-check between chunks).  Set per job by
@@ -407,18 +386,23 @@ class NufftPlan:
             fft_backend=self._fft.name,
             fft_workers=self._fft.workers,
             precision=self.precision,
-            fused=self._fused,
             kernel=self.kernel_name,
         )
 
-    def _round(self, array: np.ndarray) -> np.ndarray:
+    def _round(self, array: np.ndarray, copy: bool = False) -> np.ndarray:
         """Round to complex64 at a step boundary (simulate-single only).
 
-        The true ``"single"`` lane never needs this — its arrays *are*
-        complex64 throughout; ``"double"`` passes through untouched.
+        Arrays the pipeline owns (grid buffers, FFT and gridder outputs)
+        are rounded in place; ``copy=True`` rounds a caller's input into
+        a new array instead.  The true ``"single"`` lane never needs
+        this — its arrays *are* complex64 throughout; ``"double"``
+        passes through untouched.
         """
-        if self.precision == "simulate-single":
+        if self.precision != "simulate-single":
+            return array
+        if copy:
             return array.astype(np.complex64).astype(np.complex128)
+        array[...] = array.astype(np.complex64)
         return array
 
     def _gate_image(self, image: np.ndarray) -> tuple[np.ndarray, int]:
@@ -444,19 +428,6 @@ class NufftPlan:
         image[~finite] = 0.0
         return image, n_bad
 
-    def _quality(self, n_bad_pixels: int = 0) -> DataQualityReport | None:
-        """The transform's quality report (gridder gate + image gate)."""
-        report = self.gridder.stats.quality
-        if n_bad_pixels:
-            if report is None:
-                report = DataQualityReport(policy=self.quality_policy)
-            report.nonfinite_values += n_bad_pixels
-            report.zeroed += n_bad_pixels
-        return report
-
-    def _fft_events(self) -> tuple:
-        return tuple(str(e) for e in getattr(self._fft, "events", ()))
-
     def _check_cancel(self) -> None:
         """Propagate the plan's token to the gridder and check it.
 
@@ -478,23 +449,7 @@ class NufftPlan:
     def ndim(self) -> int:
         return len(self.image_shape)
 
-    def _apodize(self, image: np.ndarray, conjugate: bool = False) -> np.ndarray:
-        """Multiply an image by the separable de-apodization weights.
-
-        The adjoint direction uses the weights as computed; the forward
-        direction uses their conjugate so the two transforms remain
-        exact numerical adjoints (the weights carry a tiny imaginary
-        part — see :func:`repro.kernels.numeric_apodization`).
-        """
-        out = np.asarray(image, dtype=self.cdtype).copy()
-        for axis, w in enumerate(self._apod):
-            shape = [1] * self.ndim
-            shape[axis] = w.size
-            wa = np.conj(w) if conjugate else w
-            out *= wa.reshape(shape)
-        return out
-
-    # -- fused apodize+pad / crop+deapodize kernels --------------------
+    # -- the fused apodize+pad / crop+deapodize steps ------------------
     def _corner_blocks(self) -> list:
         """The ``2^d`` corner blocks of the centered pad/crop mapping.
 
@@ -506,8 +461,6 @@ class NufftPlan:
         carries its per-axis weight segments pre-reshaped for
         broadcasting, plus their conjugates for the forward direction.
         """
-        if self._corner_blocks_cache is not None:
-            return self._corner_blocks_cache
         per_axis = []
         for axis, (n, g) in enumerate(zip(self.image_shape, self.grid_shape)):
             s = n // 2
@@ -523,7 +476,7 @@ class NufftPlan:
                         img_sl,
                         grid_sl,
                         self._apod[axis][img_sl].reshape(shape),
-                        self._apod_conj[axis][img_sl].reshape(shape),
+                        np.conj(self._apod[axis][img_sl]).reshape(shape),
                     )
                 )
             per_axis.append(segments)
@@ -537,51 +490,143 @@ class NufftPlan:
                     [c[3] for c in combo],
                 )
             )
-        self._corner_blocks_cache = blocks
         return blocks
 
-    def _fused_apodize_pad(
-        self, image: np.ndarray, out: np.ndarray, conjugate: bool = True
-    ) -> None:
-        """Apodize ``image`` directly into the zeroed grid buffer ``out``.
+    def _fused_apodize_pad(self, images: np.ndarray, out: np.ndarray) -> None:
+        """Apodize ``images`` directly into the zeroed grid buffer ``out``.
 
-        Replaces the legacy ``_apodize`` (image copy + d in-place
-        passes) followed by ``_pad`` (fresh zeroed grid + fancy-index
-        scatter): each corner block is multiplied straight into its
-        destination view, applying the axis weights in the same
-        elementwise order as the legacy path — bit-identical output,
-        zero intermediate full-size arrays.
+        Works on one image or a ``(K,)`` stack alike.  Replaces
+        :meth:`_apodize` (image copy + d in-place passes) followed by
+        :meth:`_pad` (fresh zeroed grid + fancy-index scatter): each
+        corner block is multiplied straight into its destination view
+        by the conjugate weights, in the same elementwise order as that
+        reference — bit-identical output, zero intermediate full-size
+        arrays.
         """
-        for img_sl, grid_sl, weights, conj_weights in self._corner_blocks():
-            ws = conj_weights if conjugate else weights
-            dst = out[grid_sl]
-            np.multiply(image[img_sl], ws[0], out=dst)
-            for w in ws[1:]:
+        for img_sl, grid_sl, _, conj_weights in self._blocks:
+            dst = out[(..., *grid_sl)]
+            np.multiply(images[(..., *img_sl)], conj_weights[0], out=dst)
+            for w in conj_weights[1:]:
                 dst *= w
 
-    def _fused_crop_deapodize(
-        self, spectrum: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Gather the centered image out of ``spectrum``, de-apodized.
+    def _fused_crop_deapodize(self, spectra: np.ndarray, out: np.ndarray) -> None:
+        """Gather the centered images out of ``spectra``, de-apodized.
 
-        Fuses the legacy ``_crop`` (per-axis ``np.take`` gather, one
-        intermediate per axis) with ``_apodize`` (copy + d passes) into
-        one sliced multiply per corner block; same elementwise multiply
-        order, bit-identical result.
+        Fuses :meth:`_crop` (per-axis ``np.take`` gather, one
+        intermediate per axis) with :meth:`_apodize` (copy + d passes)
+        into one sliced multiply per corner block; same elementwise
+        multiply order, bit-identical result.
         """
-        if out is None:
-            out = np.empty(self.image_shape, dtype=self.cdtype)
-        for img_sl, grid_sl, weights, _ in self._corner_blocks():
-            dst = out[img_sl]
-            np.multiply(spectrum[grid_sl], weights[0], out=dst)
+        for img_sl, grid_sl, weights, _ in self._blocks:
+            dst = out[(..., *img_sl)]
+            np.multiply(spectra[(..., *grid_sl)], weights[0], out=dst)
             for w in weights[1:]:
                 dst *= w
+
+    def _record_timings(self, n_bad_pixels: int = 0, **steps) -> None:
+        """Publish the finished transform's :class:`NufftTimings`.
+
+        Its quality report is the gridder's sample gate plus the
+        ``n_bad_pixels`` the image gate zeroed.
+        """
+        report = self.gridder.stats.quality
+        if n_bad_pixels:
+            if report is None:
+                report = DataQualityReport(policy=self.quality_policy)
+            report.nonfinite_values += n_bad_pixels
+            report.zeroed += n_bad_pixels
+        self.timings = NufftTimings(
+            **steps,
+            fft_backend=self._fft.name,
+            fft_workers=self._fft.workers,
+            quality=report,
+            fft_fallbacks=tuple(str(e) for e in getattr(self._fft, "events", ())),
+            precision=self.precision,
+            kernel=self.kernel_name,
+            exec_lane=self.gridder.stats.exec_lane,
+            chunks=self.gridder.stats.chunks,
+        )
+
+    def _adjoint_stack(self, values: np.ndarray) -> np.ndarray:
+        """The adjoint pipeline on validated ``(K, M)`` values.
+
+        Grid into a pooled ``(K,) + grid_shape`` buffer, one inverse FFT
+        over the grid axes, crop + de-apodize into the output; single
+        calls run it as a batch of one.
+        """
+        self._check_cancel()
+        values = self._round(values, copy=True)
+        axes = tuple(range(1, self.ndim + 1))
+        out = np.empty((values.shape[0],) + self.image_shape, dtype=self.cdtype)
+        pool = self.buffer_pool
+        miss0 = pool.miss_bytes
+        tc0 = time.perf_counter()
+        grid_buf = pool.acquire(
+            (values.shape[0],) + self.grid_shape, self.cdtype, zero=False
+        )
+        try:
+            t0 = time.perf_counter()
+            grids = self._round(
+                self.gridder.grid_batch(self.grid_coords, values, out=grid_buf)
+            )
+            t1 = time.perf_counter()
+            # norm="forward" is the unnormalized inverse DFT — ifftn(grid)
+            # * prod(grid_shape) without the extra full-grid scaling pass
+            spectra = self._round(self._fft.ifftn(grids, axes=axes, norm="forward"))
+            t2 = time.perf_counter()
+            self._fused_crop_deapodize(spectra, out)
+            self._round(out)
+            t3 = time.perf_counter()
+        finally:
+            pool.release(grid_buf)
+        tc1 = time.perf_counter()
+        self._record_timings(
+            gridding=t1 - t0,
+            fft=t2 - t1,
+            apodization=t3 - t2,
+            copy_seconds=(t0 - tc0) + (tc1 - t3),
+            peak_bytes=(pool.miss_bytes - miss0) + spectra.nbytes,
+        )
         return out
 
-    @property
-    def _grid_nbytes(self) -> int:
-        """Bytes of one working-dtype oversampled grid."""
-        return int(np.prod(self.grid_shape)) * self.cdtype.itemsize
+    def _forward_stack(self, images: np.ndarray) -> np.ndarray:
+        """The forward pipeline on validated ``(K,) + image_shape`` images.
+
+        Apodize + pad into a pooled ``(K,) + grid_shape`` buffer, one
+        FFT over the grid axes, interpolate; single calls run it as a
+        batch of one.
+        """
+        self._check_cancel()
+        images, n_bad_pixels = self._gate_image(images)
+        images = self._round(images, copy=True)
+        axes = tuple(range(1, self.ndim + 1))
+        pool = self.buffer_pool
+        miss0 = pool.miss_bytes
+        tc0 = time.perf_counter()
+        padded = pool.acquire(
+            (images.shape[0],) + self.grid_shape, self.cdtype, zero=True
+        )
+        try:
+            t0 = time.perf_counter()
+            self._fused_apodize_pad(images, padded)
+            self._round(padded)
+            t1 = time.perf_counter()
+            grids = self._round(self._fft.fftn(padded, axes=axes))
+            t2 = time.perf_counter()
+            samples = self._round(self.gridder.interp_batch(grids, self.grid_coords))
+            t3 = time.perf_counter()
+        finally:
+            pool.release(padded)
+        tc1 = time.perf_counter()
+        self._record_timings(
+            n_bad_pixels,
+            gridding=t3 - t2,
+            fft=t2 - t1,
+            apodization=t1 - t0,
+            copy_seconds=(t0 - tc0) + (tc1 - t3),
+            peak_bytes=(pool.miss_bytes - miss0) + grids.nbytes,
+        )
+        return samples
 
     # ------------------------------------------------------------------
     def adjoint(self, values: np.ndarray) -> np.ndarray:
@@ -612,58 +657,7 @@ class NufftPlan:
         values = values.ravel()
         if values.shape[0] != self.n_samples:
             raise ValueError(f"{values.shape[0]} values for {self.n_samples} samples")
-        self._check_cancel()
-
-        pool = self.buffer_pool
-        miss0 = pool.miss_bytes
-        if self._fused:
-            tc0 = time.perf_counter()
-            grid_buf = pool.acquire(self.grid_shape, self.cdtype, zero=False)
-            try:
-                t0 = time.perf_counter()
-                grid = self.gridder.grid(self.grid_coords, values, out=grid_buf)
-                t1 = time.perf_counter()
-                # norm="forward" is the unnormalized inverse DFT — the old
-                # ifftn(grid) * prod(grid_shape) without the extra
-                # full-grid scaling pass
-                spectrum = self._fft.ifftn(grid, norm="forward")
-                t2 = time.perf_counter()
-                image = self._fused_crop_deapodize(spectrum)
-                t3 = time.perf_counter()
-            finally:
-                pool.release(grid_buf)
-            tc1 = time.perf_counter()
-            copy = (t0 - tc0) + (tc1 - t3)
-            peak = (pool.miss_bytes - miss0) + spectrum.nbytes
-        else:
-            t0 = time.perf_counter()
-            grid = self._round(self.gridder.grid(self.grid_coords, self._round(values)))
-            t1 = time.perf_counter()
-            spectrum = self._round(self._fft.ifftn(grid, norm="forward"))
-            t2 = time.perf_counter()
-            image = self._crop(spectrum)
-            image = self._round(self._apodize(image))
-            t3 = time.perf_counter()
-            copy = 0.0
-            # non-pooled gridder output + FFT output
-            peak = (pool.miss_bytes - miss0) + 2 * self._grid_nbytes
-        self.timings = NufftTimings(
-            gridding=t1 - t0,
-            fft=t2 - t1,
-            apodization=t3 - t2,
-            copy_seconds=copy,
-            fft_backend=self._fft.name,
-            fft_workers=self._fft.workers,
-            peak_bytes=peak,
-            quality=self._quality(),
-            fft_fallbacks=self._fft_events(),
-            precision=self.precision,
-            fused=self._fused,
-            kernel=self.kernel_name,
-            exec_lane=self.gridder.stats.exec_lane,
-            chunks=self.gridder.stats.chunks,
-        )
-        return image
+        return self._adjoint_stack(values[None])[0]
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         """Forward NuFFT: image -> M samples (de-apodize, FFT, interpolate).
@@ -691,56 +685,7 @@ class NufftPlan:
             return self.forward_batch(image)
         if tuple(image.shape) != self.image_shape:
             raise ValueError(f"image shape {image.shape} != plan {self.image_shape}")
-        self._check_cancel()
-        image, n_bad_pixels = self._gate_image(image)
-
-        pool = self.buffer_pool
-        miss0 = pool.miss_bytes
-        if self._fused:
-            tc0 = time.perf_counter()
-            padded = pool.acquire(self.grid_shape, self.cdtype, zero=True)
-            try:
-                t0 = time.perf_counter()
-                self._fused_apodize_pad(image, padded, conjugate=True)
-                t1 = time.perf_counter()
-                grid = self._fft.fftn(padded)
-                t2 = time.perf_counter()
-                samples = self.gridder.interp(grid, self.grid_coords)
-                t3 = time.perf_counter()
-            finally:
-                pool.release(padded)
-            tc1 = time.perf_counter()
-            copy = (t0 - tc0) + (tc1 - t3)
-            peak = (pool.miss_bytes - miss0) + grid.nbytes
-        else:
-            t0 = time.perf_counter()
-            prepared = self._round(self._apodize(self._round(image), conjugate=True))
-            padded = self._pad(prepared)
-            t1 = time.perf_counter()
-            grid = self._round(self._fft.fftn(padded))
-            t2 = time.perf_counter()
-            samples = self._round(self.gridder.interp(grid, self.grid_coords))
-            t3 = time.perf_counter()
-            copy = 0.0
-            # non-pooled _pad grid + FFT output
-            peak = (pool.miss_bytes - miss0) + 2 * self._grid_nbytes
-        self.timings = NufftTimings(
-            gridding=t3 - t2,
-            fft=t2 - t1,
-            apodization=t1 - t0,
-            copy_seconds=copy,
-            fft_backend=self._fft.name,
-            fft_workers=self._fft.workers,
-            peak_bytes=peak,
-            quality=self._quality(n_bad_pixels),
-            fft_fallbacks=self._fft_events(),
-            precision=self.precision,
-            fused=self._fused,
-            kernel=self.kernel_name,
-            exec_lane=self.gridder.stats.exec_lane,
-            chunks=self.gridder.stats.chunks,
-        )
-        return samples
+        return self._forward_stack(image[None])[0]
 
     # ------------------------------------------------------------------
     def forward_batch(self, images: np.ndarray) -> np.ndarray:
@@ -766,66 +711,7 @@ class NufftPlan:
             raise ValueError(
                 f"images must be (B,) + {self.image_shape}, got {images.shape}"
             )
-        n_batch = images.shape[0]
-        self._check_cancel()
-        images, n_bad_pixels = self._gate_image(images)
-
-        axes = tuple(range(1, self.ndim + 1))
-        pool = self.buffer_pool
-        miss0 = pool.miss_bytes
-        if self._fused:
-            tc0 = time.perf_counter()
-            padded = pool.acquire((n_batch,) + self.grid_shape, self.cdtype, zero=True)
-            try:
-                t0 = time.perf_counter()
-                for b in range(n_batch):
-                    self._fused_apodize_pad(images[b], padded[b], conjugate=True)
-                t1 = time.perf_counter()
-                grids = self._fft.fftn(padded, axes=axes)
-                t2 = time.perf_counter()
-                samples = self.gridder.interp_batch(grids, self.grid_coords)
-                t3 = time.perf_counter()
-            finally:
-                pool.release(padded)
-            tc1 = time.perf_counter()
-            copy = (t0 - tc0) + (tc1 - t3)
-            peak = (pool.miss_bytes - miss0) + grids.nbytes
-        else:
-            t0 = time.perf_counter()
-            padded = np.empty((n_batch,) + self.grid_shape, dtype=self.cdtype)
-            for b in range(n_batch):
-                prepared = self._round(
-                    self._apodize(self._round(images[b]), conjugate=True)
-                )
-                padded[b] = self._pad(prepared)
-            t1 = time.perf_counter()
-            grids = self._round(self._fft.fftn(padded, axes=axes))
-            t2 = time.perf_counter()
-            samples = self._round(self.gridder.interp_batch(grids, self.grid_coords))
-            t3 = time.perf_counter()
-            copy = 0.0
-            # stacked pad target + per-image _pad temporaries + FFT output
-            peak = (
-                (pool.miss_bytes - miss0)
-                + (2 * n_batch + n_batch) * self._grid_nbytes
-            )
-        self.timings = NufftTimings(
-            gridding=t3 - t2,
-            fft=t2 - t1,
-            apodization=t1 - t0,
-            copy_seconds=copy,
-            fft_backend=self._fft.name,
-            fft_workers=self._fft.workers,
-            peak_bytes=peak,
-            quality=self._quality(n_bad_pixels),
-            fft_fallbacks=self._fft_events(),
-            precision=self.precision,
-            fused=self._fused,
-            kernel=self.kernel_name,
-            exec_lane=self.gridder.stats.exec_lane,
-            chunks=self.gridder.stats.chunks,
-        )
-        return samples
+        return self._forward_stack(images)
 
     def adjoint_batch(self, values: np.ndarray) -> np.ndarray:
         """Adjoint NuFFT of a stack of sample vectors sharing this plan.
@@ -844,65 +730,28 @@ class NufftPlan:
             raise ValueError(
                 f"values must be (B, {self.n_samples}), got {values.shape}"
             )
-        n_batch = values.shape[0]
-        self._check_cancel()
+        return self._adjoint_stack(values)
 
-        axes = tuple(range(1, self.ndim + 1))
-        pool = self.buffer_pool
-        miss0 = pool.miss_bytes
-        out = np.empty((n_batch,) + self.image_shape, dtype=self.cdtype)
-        if self._fused:
-            tc0 = time.perf_counter()
-            grid_buf = pool.acquire((n_batch,) + self.grid_shape, self.cdtype, zero=False)
-            try:
-                t0 = time.perf_counter()
-                grids = self.gridder.grid_batch(
-                    self.grid_coords, values, out=grid_buf
-                )
-                t1 = time.perf_counter()
-                spectra = self._fft.ifftn(grids, axes=axes, norm="forward")
-                t2 = time.perf_counter()
-                for b in range(n_batch):
-                    self._fused_crop_deapodize(spectra[b], out=out[b])
-                t3 = time.perf_counter()
-            finally:
-                pool.release(grid_buf)
-            tc1 = time.perf_counter()
-            copy = (t0 - tc0) + (tc1 - t3)
-            peak = (pool.miss_bytes - miss0) + spectra.nbytes
-        else:
-            t0 = time.perf_counter()
-            grids = self._round(
-                self.gridder.grid_batch(self.grid_coords, self._round(values))
-            )
-            t1 = time.perf_counter()
-            spectra = self._round(self._fft.ifftn(grids, axes=axes, norm="forward"))
-            t2 = time.perf_counter()
-            for b in range(n_batch):
-                out[b] = self._round(self._apodize(self._crop(spectra[b])))
-            t3 = time.perf_counter()
-            copy = 0.0
-            # stacked gridder output + stacked FFT output
-            peak = (pool.miss_bytes - miss0) + 2 * n_batch * self._grid_nbytes
-        self.timings = NufftTimings(
-            gridding=t1 - t0,
-            fft=t2 - t1,
-            apodization=t3 - t2,
-            copy_seconds=copy,
-            fft_backend=self._fft.name,
-            fft_workers=self._fft.workers,
-            peak_bytes=peak,
-            quality=self._quality(),
-            fft_fallbacks=self._fft_events(),
-            precision=self.precision,
-            fused=self._fused,
-            kernel=self.kernel_name,
-            exec_lane=self.gridder.stats.exec_lane,
-            chunks=self.gridder.stats.chunks,
-        )
+    # -- step-by-step reference ----------------------------------------
+    # The fused steps reproduce _pad(_apodize(image, conjugate=True)) and
+    # _apodize(_crop(spectrum)) bit for bit; the tests and the Fig. 9
+    # bench compose these directly.
+    def _apodize(self, image: np.ndarray, conjugate: bool = False) -> np.ndarray:
+        """Multiply an image by the separable de-apodization weights.
+
+        The adjoint direction uses the weights as computed; the forward
+        direction uses their conjugate so the two transforms remain
+        exact numerical adjoints (the weights carry a tiny imaginary
+        part — see :func:`repro.kernels.numeric_apodization`).
+        """
+        out = np.asarray(image, dtype=self.cdtype).copy()
+        for axis, w in enumerate(self._apod):
+            shape = [1] * self.ndim
+            shape[axis] = w.size
+            wa = np.conj(w) if conjugate else w
+            out *= wa.reshape(shape)
         return out
 
-    # ------------------------------------------------------------------
     def _crop(self, spectrum: np.ndarray) -> np.ndarray:
         """Extract centered pixels p in [-N//2, N - N//2) from the G-grid.
 

@@ -66,9 +66,10 @@ class ToeplitzNormalOperator:
 
     Notes
     -----
-    ``apply`` accepts a single image or a ``(K,)``-stacked batch; the
-    batch path runs one batched FFT pair over a pooled ``(K,) + (2N)^d``
-    buffer — the multi-coil shape SENSE reconstruction needs.
+    ``apply`` accepts a single image or a ``(K,)``-stacked batch; both
+    run one batched FFT pair over a pooled ``(K,) + (2N)^d`` buffer
+    (a single image as ``K = 1``) — the multi-coil shape SENSE
+    reconstruction needs.
 
     Examples
     --------
@@ -220,22 +221,14 @@ class ToeplitzNormalOperator:
         """Evaluate ``A^H W A image`` with two FFTs.
 
         A ``(K,) + image_shape`` stack is routed to
-        :meth:`apply_batch`.
+        :meth:`apply_batch`; a single image runs as a batch of one.
         """
         image = np.asarray(image, dtype=self._cdtype)
         if image.ndim == self.ndim + 1 and tuple(image.shape[1:]) == self.shape:
             return self.apply_batch(image)
         if tuple(image.shape) != self.shape:
             raise ValueError(f"image shape {image.shape} != {self.shape}")
-        big = self._pool.acquire(self._embed_shape, self._cdtype, zero=True)
-        try:
-            big[self._center] = image
-            spec = self._fft.fftn(big)
-        finally:
-            self._pool.release(big)
-        spec *= self._kernel_fft
-        conv = self._fft.ifftn(spec)
-        return np.ascontiguousarray(conv[self._center])
+        return self.apply_batch(image[None])[0]
 
     def apply_batch(self, images: np.ndarray) -> np.ndarray:
         """Evaluate ``A^H W A`` on a ``(K,)``-stacked image batch.

@@ -1,10 +1,11 @@
 """FFT backend registry, buffer pool, and fused-kernel bit-identity.
 
-The contract under test: swapping the FFT backend or enabling the
-fused apodize+pad / crop+deapodize path must never change *what* the
-NuFFT computes — on the ``numpy`` backend the fused pipeline is
-bit-identical to the legacy one, and the buffer pool only changes
-where the bytes live, not their values.
+The contract under test: swapping the FFT backend or fusing the
+apodize+pad / crop+deapodize steps must never change *what* the NuFFT
+computes — on the ``numpy`` backend the plan's pipeline is
+bit-identical to the same steps composed one by one from the plan's
+reference parts, and the buffer pool only changes where the bytes
+live, not their values.
 """
 
 from __future__ import annotations
@@ -185,58 +186,52 @@ CASES = [
 ]
 
 
+def reference_adjoint(plan, values):
+    """The adjoint NuFFT composed step by step: grid, ifft, crop, apodize."""
+    grid = plan.gridder.grid(plan.grid_coords, values)
+    return plan._apodize(plan._crop(np.fft.ifftn(grid, norm="forward")))
+
+
+def reference_forward(plan, image):
+    """The forward NuFFT composed step by step: apodize, pad, fft, interp."""
+    padded = plan._pad(plan._apodize(image, conjugate=True))
+    return plan.gridder.interp(np.fft.fftn(padded), plan.grid_coords)
+
+
 class TestFusedBitIdentity:
-    """Fused apodize+pad / crop+deapodize == legacy pipeline, exactly."""
+    """The plan's fused pipeline == the stepwise reference, exactly."""
 
     @pytest.mark.parametrize("label,shape,coords", CASES, ids=[c[0] for c in CASES])
     def test_adjoint_and_forward(self, label, shape, coords):
-        fused = NufftPlan(shape, coords, fft_backend="numpy", fused=True)
-        legacy = NufftPlan(shape, coords, fft_backend="numpy", fused=False)
+        plan = NufftPlan(shape, coords, fft_backend="numpy")
         v = np.exp(2j * np.pi * np.arange(coords.shape[0]) / 7)
         rng = np.random.default_rng(0)
         img = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        assert np.array_equal(fused.adjoint(v), legacy.adjoint(v))
-        assert np.array_equal(fused.forward(img), legacy.forward(img))
+        assert np.array_equal(plan.adjoint(v), reference_adjoint(plan, v))
+        assert np.array_equal(plan.forward(img), reference_forward(plan, img))
 
     @pytest.mark.parametrize("label,shape,coords", CASES, ids=[c[0] for c in CASES])
     def test_batched(self, label, shape, coords):
-        fused = NufftPlan(shape, coords, fft_backend="numpy", fused=True)
-        legacy = NufftPlan(shape, coords, fft_backend="numpy", fused=False)
+        plan = NufftPlan(shape, coords, fft_backend="numpy")
         v = np.exp(2j * np.pi * np.arange(coords.shape[0]) / 7)
         rng = np.random.default_rng(0)
         img = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         vals = np.stack([v, 2 * v, -1j * v])
         imgs = np.stack([img, 1j * img])
-        assert np.array_equal(fused.adjoint_batch(vals), legacy.adjoint_batch(vals))
-        assert np.array_equal(fused.forward_batch(imgs), legacy.forward_batch(imgs))
+        assert np.array_equal(
+            plan.adjoint_batch(vals),
+            np.stack([reference_adjoint(plan, row) for row in vals]),
+        )
+        assert np.array_equal(
+            plan.forward_batch(imgs),
+            np.stack([reference_forward(plan, row) for row in imgs]),
+        )
 
     def test_oversampling_1p5(self):
         coords = radial_trajectory(16, 32)
-        fused = NufftPlan((32, 32), coords, oversampling=1.5, fft_backend="numpy")
-        legacy = NufftPlan(
-            (32, 32), coords, oversampling=1.5, fft_backend="numpy", fused=False
-        )
+        plan = NufftPlan((32, 32), coords, oversampling=1.5, fft_backend="numpy")
         v = np.exp(2j * np.pi * np.arange(coords.shape[0]) / 5)
-        assert np.array_equal(fused.adjoint(v), legacy.adjoint(v))
-
-    def test_simulate_single_uses_legacy_path(self):
-        # the stepwise-rounding comparator needs the legacy pipeline's
-        # rounding points; the true complex64 lane keeps fusion on
-        coords = radial_trajectory(16, 32)
-        plan = NufftPlan((32, 32), coords, precision="simulate-single")
-        assert not plan._fused
-        true_single = NufftPlan((32, 32), coords, precision="single")
-        assert true_single._fused
-
-    def test_fused_true_with_simulate_single_warns_once(self):
-        coords = radial_trajectory(16, 32)
-        with pytest.warns(UserWarning, match="fused=True is overridden"):
-            plan = NufftPlan(
-                (32, 32), coords, precision="simulate-single", fused=True
-            )
-        assert not plan._fused
-        assert not plan.timings.fused
-        assert plan.timings.precision == "simulate-single"
+        assert np.array_equal(plan.adjoint(v), reference_adjoint(plan, v))
 
     def test_norm_forward_matches_scaled_ifftn_pow2(self):
         # the adjoint's norm="forward" inverse FFT is bit-identical to
@@ -294,28 +289,21 @@ class TestPlanBackendsAndPool:
         plan.adjoint(v)
         assert plan.buffer_pool.misses == misses_after_first
 
-    def test_fused_removes_two_grid_temporaries(self):
-        # the headline allocator win: warm fused forward+adjoint
-        # performs two fewer full-grid allocations than legacy
+    def test_warm_transforms_allocate_one_grid(self):
+        # a warm complex128 forward and adjoint each allocate exactly
+        # one full grid: the FFT output (every other grid is pooled)
         coords = radial_trajectory(16, 32)
         v = np.exp(2j * np.pi * np.arange(coords.shape[0]) / 7)
         rng = np.random.default_rng(0)
         img = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-        fused = NufftPlan((32, 32), coords, fft_backend="numpy", fused=True)
-        legacy = NufftPlan((32, 32), coords, fft_backend="numpy", fused=False)
-        for plan in (fused, legacy):  # warm pools and caches
-            plan.adjoint(v)
-            plan.forward(img)
-        fused.adjoint(v)
-        fused_total = fused.timings.peak_bytes
-        fused.forward(img)
-        fused_total += fused.timings.peak_bytes
-        legacy.adjoint(v)
-        legacy_total = legacy.timings.peak_bytes
-        legacy.forward(img)
-        legacy_total += legacy.timings.peak_bytes
-        grid_bytes = fused._grid_nbytes
-        assert legacy_total - fused_total >= 2 * grid_bytes
+        plan = NufftPlan((32, 32), coords, fft_backend="numpy")
+        plan.adjoint(v)  # warm the pool and the gridder's caches
+        plan.forward(img)
+        grid_nbytes = int(np.prod(plan.grid_shape)) * 16
+        plan.adjoint(v)
+        assert plan.timings.peak_bytes == grid_nbytes
+        plan.forward(img)
+        assert plan.timings.peak_bytes == grid_nbytes
 
     def test_repeat_calls_identical_with_pooling(self):
         # pooled buffer reuse must not leak state between transforms

@@ -1,11 +1,13 @@
 """Tests for the extension features: SnD interp scheduling, batch NuFFT,
 Z-binning, energy breakdown, CLI, and d-dimensional gridding."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core import SliceAndDiceGridder
-from repro.gridding import GriddingSetup, NaiveGridder
+from repro.gridding import GriddingSetup, NaiveGridder, available_gridders
 from repro.jigsaw import (
     EnergyBreakdown,
     JigsawConfig,
@@ -101,22 +103,40 @@ class TestDimensionality:
         assert err < 5e-3
 
 
+def batch_cell_plans():
+    """One plan per engine x precision lane x rank, keyed by its cell."""
+    for engine, precision, (shape, m) in itertools.product(
+        available_gridders(),
+        ("double", "single", "simulate-single"),
+        (((16, 16), 80), ((8, 8, 8), 60)),
+    ):
+        coords = random_trajectory(m, len(shape), rng=0)
+        plan = NufftPlan(shape, coords, width=4, gridder=engine, precision=precision)
+        yield (engine, precision, shape), plan
+
+
 class TestBatchNufft:
+    """Every batch row equals the single call on it, bit for bit."""
+
     @pytest.fixture
     def plan(self):
         return NufftPlan((16, 16), random_trajectory(80, 2, rng=0), width=4)
 
-    def test_forward_batch_matches_loop(self, plan, rng):
-        imgs = rng.standard_normal((3, 16, 16)) + 1j * rng.standard_normal((3, 16, 16))
-        batch = plan.forward_batch(imgs)
-        for b in range(3):
-            np.testing.assert_allclose(batch[b], plan.forward(imgs[b]), rtol=1e-12)
+    def test_forward_batch_matches_loop(self, rng):
+        for cell, plan in batch_cell_plans():
+            shape = (3,) + plan.image_shape
+            imgs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            batch = plan.forward_batch(imgs)
+            for b in range(3):
+                assert np.array_equal(batch[b], plan.forward(imgs[b])), (cell, b)
 
-    def test_adjoint_batch_matches_loop(self, plan, rng):
-        vals = rng.standard_normal((4, 80)) + 1j * rng.standard_normal((4, 80))
-        batch = plan.adjoint_batch(vals)
-        for b in range(4):
-            np.testing.assert_allclose(batch[b], plan.adjoint(vals[b]), rtol=1e-12)
+    def test_adjoint_batch_matches_loop(self, rng):
+        for cell, plan in batch_cell_plans():
+            shape = (3, plan.n_samples)
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            batch = plan.adjoint_batch(vals)
+            for b in range(3):
+                assert np.array_equal(batch[b], plan.adjoint(vals[b])), (cell, b)
 
     def test_batch_timings_accumulate(self, plan, rng):
         """Batch timings cover the whole batched pass (loose wall-clock

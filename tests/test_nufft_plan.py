@@ -218,29 +218,45 @@ class TestPrecision:
         grid_nbytes = int(np.prod(plan.grid_shape)) * 8
         assert plan.timings.peak_bytes == grid_nbytes
         assert plan.timings.precision == "single"
-        assert plan.timings.fused
 
     def test_simulate_single_matches_legacy_comparator_bits(self, coords):
         """simulate-single is the old stepwise-rounding comparator,
-        reproduced bit for bit by hand."""
+        reproduced bit for bit by hand in both directions, single and
+        batched."""
         rng = np.random.default_rng(3)
-        vals = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+        vals = rng.standard_normal((2, 100)) + 1j * rng.standard_normal((2, 100))
+        imgs = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
+        inputs = (vals.copy(), imgs.copy())
         plan = NufftPlan((32, 32), coords, gridder="naive",
                          fft_backend="numpy", precision="simulate-single")
-        got = plan.adjoint(vals)
-        assert got.dtype == np.complex128
+        ref_plan = NufftPlan((32, 32), coords, gridder="naive",
+                             fft_backend="numpy")
 
         def rnd(a):
             return a.astype(np.complex64).astype(np.complex128)
 
-        ref_plan = NufftPlan((32, 32), coords, gridder="naive",
-                             fft_backend="numpy", fused=False)
-        grid = rnd(ref_plan.gridder.grid(
-            ref_plan.grid_coords, rnd(np.asarray(vals, dtype=np.complex128))
-        ))
-        spectrum = rnd(np.fft.ifftn(grid, norm="forward"))
-        expected = rnd(ref_plan._apodize(ref_plan._crop(spectrum)))
-        assert np.array_equal(got, expected)
+        def adjoint(v):
+            grid = rnd(ref_plan.gridder.grid(ref_plan.grid_coords, rnd(v)))
+            spectrum = rnd(np.fft.ifftn(grid, norm="forward"))
+            return rnd(ref_plan._apodize(ref_plan._crop(spectrum)))
+
+        def forward(img):
+            prepared = rnd(ref_plan._apodize(rnd(img), conjugate=True))
+            grid = rnd(np.fft.fftn(ref_plan._pad(prepared)))
+            return rnd(ref_plan.gridder.interp(grid, ref_plan.grid_coords))
+
+        got = plan.adjoint(vals[0])
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, adjoint(vals[0]))
+        assert np.array_equal(plan.forward(imgs[0]), forward(imgs[0]))
+        assert np.array_equal(
+            plan.adjoint_batch(vals), np.stack([adjoint(v) for v in vals])
+        )
+        assert np.array_equal(
+            plan.forward_batch(imgs), np.stack([forward(img) for img in imgs])
+        )
+        # the lane rounds its own copies, never the caller's arrays
+        assert np.array_equal(vals, inputs[0]) and np.array_equal(imgs, inputs[1])
 
     def test_gridder_instance_dtype_mismatch_rejected(self, coords):
         from repro.gridding import GriddingSetup, make_gridder
@@ -252,6 +268,34 @@ class TestPrecision:
         gridder = make_gridder("naive", setup)
         with pytest.raises(ValueError, match="dtype"):
             NufftPlan((32, 32), coords, gridder=gridder, precision="single")
+
+    @pytest.mark.parametrize(
+        "grid_shape,width,table_oversampling,kernel,match",
+        [
+            ((32, 32), 6, 512, None, r"grid \(32, 32\) vs \(64, 64\)"),
+            ((64, 64), 4, 512, None, "W=4, L=512 vs W=6"),
+            ((64, 64), 6, 256, None, "L=256 vs W=6, L=512"),
+            ((64, 64), 6, 512, "es", "table values differ"),
+        ],
+        ids=["grid-shape", "lut-width", "lut-oversampling", "lut-table"],
+    )
+    def test_gridder_instance_setup_mismatch_rejected(
+        self, coords, grid_shape, width, table_oversampling, kernel, match
+    ):
+        # the plan de-apodizes with its own LUT on its own grid, so an
+        # instance built for another window or grid would silently (or,
+        # for the grid, only at the first transform) return a wrong image
+        from repro.gridding import GriddingSetup, make_gridder
+        from repro.kernels import KernelLUT, beatty_kernel, make_kernel
+
+        window = (
+            beatty_kernel(width, 2.0) if kernel is None
+            else make_kernel(kernel, width, sigma=2.0)
+        )
+        setup = GriddingSetup(grid_shape, KernelLUT(window, table_oversampling))
+        gridder = make_gridder("naive", setup)
+        with pytest.raises(ValueError, match=match):
+            NufftPlan((32, 32), coords, gridder=gridder)
 
     def test_rejects_unknown_precision(self, coords):
         with pytest.raises(ValueError, match="precision"):

@@ -82,16 +82,20 @@ class TestExactEquivalence:
         )
 
     def test_batched_matches_loop(self):
-        coords = random_trajectory(250, 2, rng=9)
-        plan = NufftPlan((16, 16), coords)
-        gram = ToeplitzNormalOperator(plan, psf="nudft")
-        stack = np.stack([_rand_image((16, 16), seed=s) for s in range(4)])
-        batched = gram.apply_batch(stack)
-        assert batched.shape == stack.shape
-        for k in range(4):
-            np.testing.assert_allclose(
-                batched[k], gram.apply(stack[k]), rtol=1e-10, atol=1e-12
-            )
+        # every batch row equals the single apply, bit for bit, in each
+        # precision lane and rank
+        for precision in ("double", "single", "simulate-single"):
+            for shape, m in (((16, 16), 250), ((8, 8, 8), 200)):
+                coords = random_trajectory(m, len(shape), rng=9)
+                plan = NufftPlan(shape, coords, precision=precision)
+                gram = ToeplitzNormalOperator(plan, psf="nudft")
+                stack = np.stack([_rand_image(shape, seed=s) for s in range(4)])
+                batched = gram.apply_batch(stack)
+                assert batched.shape == stack.shape
+                for k in range(4):
+                    assert np.array_equal(batched[k], gram.apply(stack[k])), (
+                        precision, shape, k,
+                    )
 
     def test_stacked_input_routes_to_batch(self):
         coords = radial_trajectory(8, 16)
