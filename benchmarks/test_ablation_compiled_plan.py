@@ -3,23 +3,19 @@
 The compiled engine runs the table-driven select once per trajectory
 and keeps its ``M * W^d`` sample-major entries as a plan, which doubles
 as a CSR matrix.  Every later call is one SciPy sparse mat-vec per RHS
-(the complex128 default, ``backend="csr"``) or a gather plus
-``bincount`` accumulates (``backend="bincount"``, the complex64
-default).  The payoff case is any workload that applies one trajectory
+(``backend="csr"``, the default without numba, at both precisions).
+The payoff case is any workload that applies one trajectory
 repeatedly — every CG iteration and SENSE coil pass after the first.
 
 Bars:
 
-- warm (plan-hit) gridding must be >= 5x the serial engine at
-  M = 65536, 256^2 grid, W = 4 (the CSR lane's fused
-  gather-multiply-scatter loop is the one meant to clear this; the
-  pure-numpy bincount lane has a >= 2x floor — numpy cannot fuse the
-  gather, multiply, and scatter into one pass, so it pays ~3x the
-  memory traffic of SciPy's C loop);
+- warm (plan-hit) csr gridding must be >= 5x the serial engine at
+  M = 65536, 256^2 grid, W = 4 (SciPy's C loop fuses the gather,
+  multiply and scatter into one pass);
 - a 10-iteration CG reconstruction (default lane) must be >= 2x
   end-to-end;
-- both lanes are bit-identical (``np.array_equal``) to the serial
-  engine at complex128.
+- the csr lane is bit-identical (``np.array_equal``) to the serial
+  engine at complex128, on the full problem.
 """
 
 import time
@@ -61,51 +57,40 @@ def test_plan_hit_gridding_speedup():
     """Warm compiled gridding vs warm serial gridding (>= 5x)."""
     setup, coords, values = _problem()
     ser = SliceAndDiceGridder(setup)
-    com = CompiledSliceAndDiceGridder(setup, backend="bincount")
+    csr = CompiledSliceAndDiceGridder(setup, backend="csr")
 
     # equivalence first (on the full problem, not a toy)
     ref = ser.grid(coords, values)
-    assert np.array_equal(com.grid(coords, values), ref)
-    csr = CompiledSliceAndDiceGridder(setup, backend="csr")
     assert np.array_equal(csr.grid(coords, values), ref)
 
+    fresh = CompiledSliceAndDiceGridder(setup, backend="csr")
     t0 = time.perf_counter()
-    CompiledSliceAndDiceGridder(setup).grid(coords, values)  # cold: compile
+    fresh.grid(coords, values)  # cold: compile
     cold = time.perf_counter() - t0
     # warm paths: serial hits its table cache, compiled hits its plan
     serial_warm = _time(lambda: ser.grid(coords, values))
-    compiled_warm = _time(lambda: com.grid(coords, values))
-    assert com.stats.cache_hits == 1 and com.stats.boundary_checks == 0
     csr_warm = _time(lambda: csr.grid(coords, values))
+    assert csr.stats.cache_hits == 1 and csr.stats.boundary_checks == 0
     interp_serial = _time(lambda: ser.interp(ref, coords))
-    interp_compiled = _time(lambda: com.interp(ref, coords))
+    interp_csr = _time(lambda: csr.interp(ref, coords))
 
-    bincount_speedup = serial_warm / compiled_warm
-    csr_speedup = serial_warm / csr_warm
-    speedup = max(bincount_speedup, csr_speedup)
+    speedup = serial_warm / csr_warm
     print_table(
-        f"Compiled scatter plan — M={M}, grid {G}^2, W={W} (plan_nnz={com.stats.plan_nnz})",
+        f"Compiled scatter plan — M={M}, grid {G}^2, W={W} (plan_nnz={csr.stats.plan_nnz})",
         ["path", "seconds", "vs serial warm"],
         [
             ["serial grid (warm tables)", f"{serial_warm:.4f}", "1.0x"],
-            ["compiled grid (cold, incl. compile)", f"{cold:.4f}",
+            ["csr grid (cold, incl. compile)", f"{cold:.4f}",
              f"{serial_warm / cold:.1f}x"],
-            ["bincount grid (plan hit)", f"{compiled_warm:.4f}",
-             f"{bincount_speedup:.1f}x"],
-            ["csr grid (plan hit)", f"{csr_warm:.4f}", f"{csr_speedup:.1f}x"],
+            ["csr grid (plan hit)", f"{csr_warm:.4f}", f"{speedup:.1f}x"],
             ["serial interp (warm)", f"{interp_serial:.4f}", "-"],
-            ["bincount interp (plan hit)", f"{interp_compiled:.4f}",
-             f"{interp_serial / interp_compiled:.1f}x"],
+            ["csr interp (plan hit)", f"{interp_csr:.4f}",
+             f"{interp_serial / interp_csr:.1f}x"],
         ],
     )
     assert speedup >= 5.0, (
-        f"plan-hit gridding only {speedup:.1f}x vs serial warm "
-        f"(compiled {compiled_warm:.4f}s / csr {csr_warm:.4f}s "
-        f"vs {serial_warm:.4f}s)"
-    )
-    assert bincount_speedup >= 2.0, (
-        f"bincount backend only {bincount_speedup:.1f}x vs serial warm "
-        f"({compiled_warm:.4f}s vs {serial_warm:.4f}s)"
+        f"plan-hit csr gridding only {speedup:.1f}x vs serial warm "
+        f"({csr_warm:.4f}s vs {serial_warm:.4f}s)"
     )
 
 

@@ -69,7 +69,7 @@ per sample, its per-column ``bincount`` per word.  Each step is one
 rounded float64 product and one rounded add — the same operations
 ``np.bincount`` performs — provided the SciPy loops are compiled
 without FMA contraction, which holds for SciPy's x86-64 wheels.  Hence
-the default at complex128 is **bit-identical** (``np.array_equal``) to
+at complex128 the engine is **bit-identical** (``np.array_equal``) to
 :class:`SliceAndDiceGridder` in both directions, asserted in
 ``tests/test_core_compiled.py``.
 
@@ -84,39 +84,30 @@ Chunks partition the samples in order, so every dice word's additions
 over the chunks concatenate to the one-shot sequence.  The in-place
 ``csc_matvecs`` continues each word's partial sum from its current
 value, so a chunked adjoint is ``np.array_equal`` to the one-shot
-adjoint at complex128 for **any** chunk size (so is a checkpoint
-resume, which restores the dice and skips the chunks it holds).  The
-``bincount`` lane continues the chain by *seeding*: from the second
-chunk on, each ``bincount`` gets the current dice words first
-(``arange(n_flat)`` entries prepended), and ``0.0 + seed == seed``.
-Forward, each chunk fills its own slice of the output, every sample
-summing from ``0.0`` in ascending row order.
+adjoint for **any** chunk size, at either precision (so is a
+checkpoint resume, which restores the dice and skips the chunks it
+holds).  Forward, each chunk fills its own slice of the output, every
+sample summing from ``0.0`` in ascending row order.
 
-At complex64 SciPy's float32 loop would accumulate in float32, while
-the serial engine sums each dice word in float64 before rounding once.
-The complex64 default is therefore ``backend="bincount"``: float32
-products, a ``bincount`` over ``flat`` for the adjoint (bit-identical
-to the serial engine one-shot; a chunked pass rounds the dice to
-float32 between chunks, so it is ``allclose``), and a float64
-per-sample walk for the forward (bit-identical one-shot and chunked;
-the serial engine's forward accumulates in complex64, so it is close,
-not equal).  ``backend="csr"`` at complex64 is ``allclose``, not
-bit-exact.  ``backend="bincount"`` at complex128 is bit-identical too,
-just slower.
+At complex64 SciPy's loops add in float32, as the serial engine's
+forward does: the forward is bit-identical to the serial engine, one
+shot and chunked.  The serial adjoint sums each dice word in float64
+(``np.bincount``) and rounds once, so the compiled adjoint is close to
+it (NRMSD <= 1e-6), not equal; chunked, it is bit-identical to its own
+one-shot pass.  The serial engine stays the bit-exact reference.
 
 numba lane
 ----------
 ``backend="numba"`` runs the same plans through the fused kernels of
-:mod:`repro.core.jit`: bit-identical to the NumPy lanes at complex128,
+:mod:`repro.core.jit`: bit-identical to the csr lane at complex128,
 accumulating natively in float32 at complex64 (NRMSD <= 1e-6).  Its
-plans are laid out for the dtype's NumPy lane (``csr`` at complex128,
-``bincount`` at complex64: index dtype and chunk seed slots), so when
-numba is absent or disabled, or a kernel fails, the engine demotes
-stickily to that lane — recorded as a ``jit`` ->
-``numpy`` :class:`~repro.errors.DegradationEvent` — and re-runs the
-same plan there.  The default (``backend=None``) resolves once, at
-construction: ``"numba"`` when :func:`~repro.core.jit.jit_available`,
-else the dtype's NumPy lane.
+plans have the csr layout (one band), so when numba is absent or
+disabled, or a kernel fails, the engine demotes stickily to
+``"csr"`` — recorded as a ``jit`` -> ``numpy``
+:class:`~repro.errors.DegradationEvent` — and re-runs the same plan
+there.  The default (``backend=None``) resolves once, at construction:
+``"numba"`` when :func:`~repro.core.jit.jit_available`, else
+``"csr"``.
 
 Plan cache
 ----------
@@ -147,7 +138,7 @@ from ..robustness.checkpoint import StreamCheckpoint
 from ..robustness.faults import corrupt_chunk
 from ..robustness.validate import apply_quality_policy
 from . import jit
-from .slice_and_dice import SliceAndDiceGridder, gather_f64, select_bytes
+from .slice_and_dice import SliceAndDiceGridder, select_bytes
 
 __all__ = [
     "CompiledPlan",
@@ -157,10 +148,8 @@ __all__ = [
     "working_set",
 ]
 
-#: the NumPy execution lanes, which are also the two plan layouts
-_NUMPY_LANES = ("bincount", "csr")
 #: execution lanes of the compiled engine
-_BACKENDS = _NUMPY_LANES + ("numba",)
+_BACKENDS = ("csr", "numba")
 
 #: default fixed chunk size (samples) of a :class:`SampleStream` —
 #: large enough that per-chunk Python overhead amortizes, small enough
@@ -181,10 +170,10 @@ class CompiledPlan:
     indptr[b, s + 1] - 1``, in ascending dice row — the property every
     lane's bit-identity rests on (module docstring).  A one-band plan
     is sample-major: sample ``s`` owns entries ``s * W^d … (s + 1) *
-    W^d - 1``, the layout the numba and ``bincount`` lanes index.
+    W^d - 1``, the layout the numba lane indexes.
     """
 
-    flat: np.ndarray    #: ``(nnz,)`` dice address per entry (int32 on the csr lane)
+    flat: np.ndarray    #: ``(nnz,)`` dice address per entry (int32 below 2**31)
     weight: np.ndarray  #: ``setup.real_dtype`` ``(nnz,)`` separable kernel weight
     m: int              #: samples in the compiled trajectory
     n_rows: int         #: dice rows (``T^d`` columns)
@@ -339,7 +328,6 @@ def working_set(
     width: int,
     dtype,
     *,
-    backend: str,
     k_rhs: int = 1,
     forward: bool = False,
     chunked: bool = False,
@@ -349,28 +337,20 @@ def working_set(
     """``(fixed, plan)`` modelled high-water bytes of one pass over an
     ``m``-sample plan (the whole trajectory, or one chunk).
 
-    ``backend`` is the plan layout, ``"csr"`` or ``"bincount"`` (the
-    numba lane is modelled by its layout's); ``bands`` is the plan's
-    ``P``.
-    ``fixed`` is O(grid): the ``K``-RHS dice; on the bincount lane
-    ``bincount``'s float64 output and, in chunk mode, the
-    ``arange(n_flat)`` seed slots of the index and product scratch
-    (with, at float32, ``bincount``'s float64 copy of the seeds).
-    ``plan`` is O(m): the entries (int32 addresses on the csr lane, with
-    its ``P`` row pointers), the select's transients when the pass
-    selects (:func:`select_bytes` of the chunk, or one-shot of one
-    :data:`SELECT_CHUNK_SAMPLES` step, where a banded plan adds the
-    step's scratch entries and the per-sample band ids), and the
-    value-sized buffers — in chunk mode the chunk's coordinates, their
-    kept copy and its values or output slice, one-shot the forward
-    output — plus the bincount lane's per-RHS scratch: the products,
-    the forward's float64 per-sample sums and, at float32, the adjoint
-    ``bincount``'s float64 copy of the products.  The csr lane's
-    mat-vecs add in place and need no scratch.
+    ``bands`` is the plan's ``P`` (the numba lane runs one band).
+    ``fixed`` is O(grid): the ``K``-RHS dice.  ``plan`` is O(m): the
+    entries (int32 addresses, with the ``P`` row pointers), the
+    select's transients when the pass selects (:func:`select_bytes` of
+    the chunk, or one-shot of one :data:`SELECT_CHUNK_SAMPLES` step,
+    where a banded plan adds the step's scratch entries and the
+    per-sample band ids), and the value-sized buffers — in chunk mode
+    the chunk's coordinates, their kept copy and its values or output
+    slice, one-shot the forward output.  The mat-vecs add in place and
+    need no scratch.
 
     Examples
     --------
-    >>> fixed, plan = working_set(1000, 4096, 2, 6, np.complex128, backend="csr")
+    >>> fixed, plan = working_set(1000, 4096, 2, 6, np.complex128)
     >>> fixed == 4096 * 16, plan > 1000 * 36 * 12
     (True, True)
     """
@@ -378,10 +358,9 @@ def working_set(
     r = c // 2
     per = width ** ndim
     nnz = m * per
-    csr = backend == "csr"
-    isize = 4 if csr and max(nnz, n_flat) < 2 ** 31 else 8
+    isize = 4 if max(nnz, n_flat) < 2 ** 31 else 8
     fixed = k_rhs * n_flat * c
-    plan = nnz * (isize + r) + (bands * (m + 1) * isize if csr else 0)
+    plan = nnz * (isize + r) + bands * (m + 1) * isize
     if select and chunked:
         plan += select_bytes(m, ndim, width, r)
     elif select:
@@ -393,15 +372,7 @@ def working_set(
         plan += m * (2 * ndim * 8 + k_rhs * c)
     elif forward:
         plan += m * k_rhs * c
-    if csr:
-        return fixed, plan
-    cast = 8 if r == 4 else 0
-    seed = n_flat if chunked else 0
-    fixed += seed * (8 + r)
-    plan += nnz * r
-    if forward:
-        return fixed, plan + m * 8
-    return fixed + n_flat * 8 + seed * cast, plan + nnz * cast
+    return fixed, plan
 
 
 def choose_chunk_samples(
@@ -416,8 +387,8 @@ def choose_chunk_samples(
     """Largest chunk size that keeps a chunked pass under ``max_bytes``.
 
     Uses :func:`working_set` — the model ``GriddingStats.peak_bytes``
-    and ``chunk_bytes`` report — taking the larger of both lanes and
-    both directions, so the budget holds for any backend.  Returns
+    and ``chunk_bytes`` report — taking the larger of both
+    directions, so the budget holds for either.  Returns
     ``m`` (one chunk) when the whole trajectory fits.  ``grid_shape``
     is the grid the engine builds (a NuFFT plan's is padded to the
     tile size: :func:`repro.nufft.plan_grid_shape`); the working set
@@ -443,9 +414,8 @@ def choose_chunk_samples(
     models = [
         working_set(
             1, n_flat, len(grid_shape), int(width), dtype,
-            backend=backend, k_rhs=k_rhs, forward=forward, chunked=True,
+            k_rhs=k_rhs, forward=forward, chunked=True,
         )
-        for backend in _NUMPY_LANES
         for forward in (False, True)
     ]
     fixed = max(f for f, _ in models)
@@ -614,8 +584,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     The first call on a trajectory runs the table-driven select into a
     :class:`CompiledPlan` and caches it; every subsequent call — every
     further CG iteration, coil, or RHS — is one sparse mat-vec per RHS,
-    run band-parallel on the csr lane (or a ``bincount`` pass), with
-    **zero select work**.  With
+    run band-parallel, with **zero select work**.  With
     ``chunk_samples`` set, calls and :meth:`grid_stream` /
     :meth:`interp_stream` run chunk by chunk into one pooled dice
     (module docstring, *Chunk mode*).
@@ -629,15 +598,12 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         Virtual tile dimension ``T`` (8 in the paper).
     backend:
         ``"csr"`` (SciPy sparse mat-vecs over dice-row bands, module
-        docstring), ``"bincount"`` (NumPy
-        gather + ``bincount``) or ``"numba"`` (the fused kernels of
-        :mod:`repro.core.jit`; demotes to the dtype's NumPy lane when
-        numba is unavailable or fails, module docstring).  Default:
-        ``"numba"`` when numba is available, else the fastest NumPy
-        lane that is bit-identical at the setup's dtype — ``"csr"`` at
-        complex128, ``"bincount"`` at complex64.  ``backend`` names the
-        lane the engine runs, so it reads the NumPy lane after a
-        demotion.
+        docstring) or ``"numba"`` (the fused kernels of
+        :mod:`repro.core.jit`; demotes to ``"csr"`` when numba is
+        unavailable or fails, module docstring).  Default: ``"numba"``
+        when numba is available, else ``"csr"``, at either dtype.
+        ``backend`` names the lane the engine runs, so it reads
+        ``"csr"`` after a demotion.
     plan_cache_size:
         Trajectories whose compiled plans are kept (true LRU; ``0``
         disables plan caching and recompiles every call).  One-shot
@@ -694,9 +660,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         super().__init__(
             setup, tile_size=tile_size, engine="columns", table_cache_size=0
         )
-        numpy_lane = "csr" if setup.dtype == np.complex128 else "bincount"
         if backend is None:
-            backend = "numba" if jit.jit_available() else numpy_lane
+            backend = "numba" if jit.jit_available() else "csr"
         if backend not in _BACKENDS:
             raise ValueError(
                 f"backend must be one of {_BACKENDS}, got {backend!r}"
@@ -706,9 +671,6 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                 f"plan_cache_size must be >= 0, got {plan_cache_size}"
             )
         self.backend = backend
-        #: the NumPy lane whose plan layout the engine builds, and the
-        #: lane the numba backend demotes to
-        self._layout = numpy_lane if backend == "numba" else backend
         self.plan_cache_size = int(plan_cache_size)
         self.chunk_samples = (
             None if chunk_samples is None else _check_chunk_samples(chunk_samples)
@@ -716,12 +678,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         self._n_flat = self.layout.n_columns * self.layout.n_tiles
         #: fingerprint -> CompiledPlan; dict order doubles as LRU order
         self._plan_cache: dict[tuple, CompiledPlan] = {}
-        #: the bincount lane's product scratch, grown to the largest
-        #: plan; in chunk mode ``n_flat`` seed slots lead it
-        self._products: np.ndarray | None = None
         #: chunk mode's scratch plan storage, grown to the largest
-        #: chunk: addresses (after ``arange(n_flat)`` seed indices on
-        #: the bincount lane) and weights
+        #: chunk: addresses and weights
         self._chunk_flat: np.ndarray | None = None
         self._chunk_weight: np.ndarray | None = None
         #: ``(coords copy, plan)`` of the chunk the scratch holds
@@ -743,10 +701,10 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         self._pending_events.append(event)
 
     def _demote(self, lane: str, reason: str) -> None:
-        """Sticky demotion of the numba lane to the NumPy lane of the
-        plan layout: recorded once, never retried on this instance."""
+        """Sticky demotion of the numba lane to ``"csr"``: recorded
+        once, never retried on this instance."""
         self._record(DegradationEvent("jit", lane, "numpy", reason))
-        self.backend = self._layout
+        self.backend = "csr"
         self._used_lane = "numpy"
 
     def _run_numba(self, kernel, plan: CompiledPlan, *args) -> bool:
@@ -772,14 +730,14 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         select-table cache."""
         super().invalidate_cache()
         self._plan_cache.clear()
-        self._products = self._chunk_flat = self._chunk_weight = None
+        self._chunk_flat = self._chunk_weight = None
         self._held = None
 
     def _index_dtype(self, nnz: int) -> np.dtype:
-        """bincount wants intp indices; SciPy takes int32 ones, which
-        halve the index traffic of every mat-vec."""
+        """int32 indices halve the index traffic of every mat-vec;
+        int64 ones only past their range."""
         fits = max(nnz, self._n_flat) < 2 ** 31
-        return np.dtype(np.int32 if self._layout == "csr" and fits else np.intp)
+        return np.dtype(np.int32 if fits else np.int64)
 
     def _select_plan(
         self, coords: np.ndarray, flat: np.ndarray, weight: np.ndarray
@@ -810,8 +768,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     def _n_bands(self, nnz: int) -> int:
         """``P`` of a one-shot plan: ``min(usable CPUs, T)`` on the csr
         lane from :data:`~repro.core.jit.PARALLEL_MIN_NNZ` entries on,
-        else one band (the numba and bincount lanes index the
-        sample-major layout)."""
+        else one band (the numba lane indexes the sample-major
+        layout)."""
         if self.backend != "csr" or not nnz or nnz < jit.PARALLEL_MIN_NNZ:
             return 1
         return min(usable_cpus(), self.tile_size)
@@ -911,26 +869,14 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             return held[1], True
         self._held = None
         nnz = coords.shape[0] * self.setup.width ** self.setup.ndim
-        seed = self._n_flat if self._layout == "bincount" else 0
-        if self._chunk_flat is None or self._chunk_flat.size < seed + nnz:
-            self._chunk_flat = np.empty(seed + nnz, dtype=self._index_dtype(nnz))
-            self._chunk_flat[:seed] = np.arange(seed)
+        if self._chunk_flat is None or self._chunk_flat.size < nnz:
+            self._chunk_flat = np.empty(nnz, dtype=self._index_dtype(nnz))
             self._chunk_weight = np.empty(nnz, dtype=self.setup.real_dtype)
         plan = self._select_plan(
-            coords,
-            self._chunk_flat[seed:seed + nnz],
-            self._chunk_weight[:nnz],
+            coords, self._chunk_flat[:nnz], self._chunk_weight[:nnz]
         )
         self._held = (coords.copy(), plan)
         return plan, False
-
-    def _products_scratch(self, nnz: int) -> np.ndarray:
-        """The bincount lane's ``(nnz,)`` product scratch (after the
-        ``n_flat`` seed slots in chunk mode)."""
-        seed = 0 if self.chunk_samples is None else self._n_flat
-        if self._products is None or self._products.size < seed + nnz:
-            self._products = np.empty(seed + nnz, dtype=self.setup.real_dtype)
-        return self._products[seed:seed + nnz]
 
     # ------------------------------------------------------------------
     # stats
@@ -947,8 +893,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         Every issued lane slot does useful work either way
         (``simd_active_lanes == simd_lane_slots == nnz``); value work
         (``interpolations`` MACs, dice accesses) scales with the batch.
-        ``peak_bytes`` is :func:`working_set` of the plan layout and
-        band count (plus the numba lane's row-major view when built); in chunk mode
+        ``peak_bytes`` is :func:`working_set` of the plan's band count
+        (plus the numba lane's row-major view when built); in chunk mode
         ``chunk_bytes`` is its O(chunk) part and ``chunks`` counts 1.
         ``table_bytes`` are the engine's resident ``(G, W)`` axis
         tables.
@@ -958,7 +904,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         checks = 0 if hit else plan.m * setup.width * setup.ndim
         fixed, plan_bytes = working_set(
             plan.m, plan.n_flat, setup.ndim, setup.width, setup.dtype,
-            backend=self._layout, k_rhs=k_rhs, forward=forward,
+            k_rhs=k_rhs, forward=forward,
             chunked=chunked, select=not hit, bands=plan.n_bands,
         )
         if plan._row_view is not None:
@@ -1084,9 +1030,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                     token.check()
                 if coords.shape[0]:
                     plan, hit = self._fetch_plan(coords)
-                    self._apply_grid(
-                        plan, values_stack, dice_flat, fresh=sample_cursor == 0
-                    )
+                    self._apply_grid(plan, values_stack, dice_flat)
                     total.accumulate(self._plan_stats(plan, hit, k_rhs, False))
                     sample_cursor += coords.shape[0]
                 cursor += 1
@@ -1111,53 +1055,20 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         return total
 
     def _apply_grid(
-        self,
-        plan: CompiledPlan,
-        values_stack: np.ndarray,
-        dice_flat: np.ndarray,
-        fresh: bool,
+        self, plan: CompiledPlan, values_stack: np.ndarray, dice_flat: np.ndarray
     ) -> None:
-        """Accumulate ``plan`` applied to a ``(K, m)`` value stack into
-        the caller's ``(K, n_flat)`` raveled dice.
-
-        ``fresh`` says the dice holds nothing yet (all zeros): the
-        bincount lane then writes its sums straight in, and otherwise
-        seeds each ``bincount`` with the current dice words.  The csr
-        and numba lanes add in place either way.
-        """
+        """Add ``plan`` applied to a ``(K, m)`` value stack into the
+        caller's ``(K, n_flat)`` raveled dice, in place.  A failed numba
+        pass writes nothing (:func:`repro.core.jit.scatter`), so the csr
+        re-run adds onto the dice as it was."""
         if self.backend == "numba":
             if self._run_numba(jit.scatter, plan, values_stack, dice_flat):
                 return
-            if fresh:
-                dice_flat[...] = 0
-        n_flat = plan.n_flat
-        if self.backend == "csr":
-            values = [_as_real(v).ravel() for v in values_stack]
-            _run_tasks([
-                partial(_grid_band, plan, indptr, values, dice_flat)
-                for indptr in plan.row_pointers()
-            ])
-            return
-        products = self._products_scratch(plan.nnz)
-        rows = products.reshape(plan.m, -1)
-        wgt = plan.weight.reshape(plan.m, -1)
-        if not fresh:
-            # chunk mode: the scratch plan's addresses and products
-            # follow the arange(n_flat) seed indices and seed slots
-            seeded_flat = self._chunk_flat[:n_flat + plan.nnz]
-            seeded = self._products[:n_flat + plan.nnz]
-        for k in range(values_stack.shape[0]):
-            for part in ("real", "imag"):
-                # each sample's value times its W^d weights
-                np.einsum(
-                    "i,ij->ij", getattr(values_stack[k], part), wgt, out=rows
-                )
-                if fresh:
-                    sums = np.bincount(plan.flat, weights=products, minlength=n_flat)
-                else:
-                    seeded[:n_flat] = getattr(dice_flat[k], part)
-                    sums = np.bincount(seeded_flat, weights=seeded, minlength=n_flat)
-                setattr(dice_flat[k], part, sums)
+        values = [_as_real(v).ravel() for v in values_stack]
+        _run_tasks([
+            partial(_grid_band, plan, indptr, values, dice_flat)
+            for indptr in plan.row_pointers()
+        ])
 
     # ------------------------------------------------------------------
     # interpolation (forward): A @ dice per RHS
@@ -1209,27 +1120,16 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         if self.backend == "numba":
             if self._run_numba(jit.gather, plan, dice_flat, out):
                 return
-        if self.backend == "csr":
-            # one sample range per band
-            indptr = plan.row_pointers()
-            bounds = [plan.m * i // len(indptr) for i in range(len(indptr) + 1)]
-            _run_tasks([
-                partial(
-                    _interp_samples, plan, indptr[:, lo:hi + 1], dice_flat,
-                    out[:, lo:hi],
-                )
-                for lo, hi in zip(bounds, bounds[1:])
-            ])
-            return
-        products = self._products_scratch(plan.nnz)
-        acc = np.empty(plan.m, dtype=np.float64)
-        for k in range(dice_flat.shape[0]):
-            for part in ("real", "imag"):
-                gather_f64(
-                    getattr(dice_flat[k], part), plan.flat, plan.weight,
-                    products, acc,
-                )
-                setattr(out[k], part, acc)
+        # one sample range per band
+        indptr = plan.row_pointers()
+        bounds = [plan.m * i // len(indptr) for i in range(len(indptr) + 1)]
+        _run_tasks([
+            partial(
+                _interp_samples, plan, indptr[:, lo:hi + 1], dice_flat,
+                out[:, lo:hi],
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+        ])
 
     # ------------------------------------------------------------------
     # stream entry points

@@ -1,8 +1,8 @@
 """Numba lane of the compiled scatter-plan engine (``backend="numba"``).
 
 The compiled engine (:mod:`repro.core.compiled`) runs a warm call as
-one SciPy sparse mat-vec per RHS at complex128, and as a gather plus
-float64 ``bincount`` passes at complex64.  Its ``backend="numba"`` lane
+one SciPy sparse mat-vec per RHS (its ``"csr"`` lane), at both
+precisions.  Its ``backend="numba"`` lane
 fuses each direction into a single compiled loop over the plan's
 fixed-width, sample-major entries (``flat`` / ``weight`` viewed as
 ``(M, W^d)``):
@@ -28,15 +28,15 @@ Numerics
 --------
 Per dice word the entries run in ascending sample order and per sample
 in ascending dice row, so the serial entry-order loops perform the
-same additions on the same products in the same order as
-``np.bincount`` and SciPy's mat-vec loops — the serial numba lane is
-**bit-identical** to the NumPy lanes at complex128.  The parallel
+same additions on the same products in the same order as the serial
+engine's ``np.bincount`` and SciPy's mat-vec loops — the serial numba
+lane is **bit-identical** to the csr lane at complex128.  The parallel
 variants preserve *per-accumulator* addition order (rows keep
 ascending samples inside their slab; samples accumulate their
 contiguous row in order), so they are bit-identical to the serial lane
-as well.  At complex64 the lanes differ by design: ``np.bincount``
-up-casts float32 products and accumulates in float64 before rounding
-back, while the numba kernels accumulate natively in float32 — the
+as well.  At complex64 the numba kernels accumulate natively in
+float32, as the csr lane does, while the serial engine's adjoint
+``np.bincount`` accumulates in float64 before rounding back — the
 difference is bounded by the usual ``O(sqrt(nnz/m)) * eps_f32``
 segment-sum error and gated at NRMSD <= 1e-6 in the identity tests.
 
@@ -45,8 +45,8 @@ Degradation
 numba is an **optional** dependency.  When it is not importable (or
 disabled via ``REPRO_JIT_DISABLE=numba``), a ``backend="numba"`` engine
 constructs fine, records a :class:`repro.errors.DegradationEvent`
-(``jit`` -> ``numpy``), and runs every call on the NumPy lane of its
-dtype — same supervised-demotion contract as the FFT chain.  A runtime
+(``jit`` -> ``numpy``), and runs every call on the csr lane — same
+supervised-demotion contract as the FFT chain.  A runtime
 kernel failure (including the chaos suite's ``jit:scatter`` /
 ``jit:gather`` injection sites) demotes stickily the same way and the
 call is transparently re-run on NumPy.  The raw loop bodies below are

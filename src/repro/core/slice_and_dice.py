@@ -111,33 +111,6 @@ def select_bytes(m: int, ndim: int, width: int, rsize: int) -> int:
     return m * per_sample
 
 
-def gather_f64(
-    src: np.ndarray,
-    flat: np.ndarray,
-    wgt: np.ndarray,
-    products: np.ndarray,
-    acc: np.ndarray,
-) -> None:
-    """``acc[s] = sum_j src[flat[e]] * wgt[e]`` over sample ``s``'s
-    entries ``e = s·W^d + j`` of a fixed-width sample-major select.
-
-    The products are formed in ``products`` (``wgt``'s dtype) and each
-    sample's are summed in float64 from ``0.0`` in entry order, i.e.
-    in ascending dice row: the per-sample chain a ``bincount`` over the
-    entries would add, walked column by column in sample blocks that
-    stay cache-resident.
-    """
-    m = acc.shape[0]
-    np.take(src, flat, out=products, mode="clip")
-    products *= wgt
-    columns = products.reshape(m, -1)
-    for lo in range(0, m, 4096):
-        block, block_acc = columns[lo:lo + 4096], acc[lo:lo + 4096]
-        block_acc[:] = 0.0
-        for j in range(block.shape[1]):
-            block_acc += block[:, j]
-
-
 class SliceAndDiceGridder(Gridder):
     """Binning-free stacked-tile gridder.
 

@@ -127,7 +127,7 @@ class GriddingStats:
         ``setup.kernel_name``.
     exec_lane:
         How the scatter/gather arithmetic actually executed:
-        ``"numpy"`` (vectorized gather + bincount / CSR), or the
+        ``"numpy"`` (vectorized NumPy, or SciPy CSR mat-vecs), or the
         compiled engine's ``backend="numba"`` kernels,
         ``"numba-serial"`` / ``"numba-parallel"``.  This reports the
         lane that *ran*, after the serial/parallel choice and any

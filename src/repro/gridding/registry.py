@@ -140,8 +140,8 @@ def default_gridder() -> str:
 
     Warm calls do zero select work.  The engine picks its own lane at
     construction — ``backend="numba"`` when numba is importable (and
-    not disabled via ``REPRO_JIT_DISABLE``), else the dtype's NumPy
-    lane — so environment changes take effect without reimports.
+    not disabled via ``REPRO_JIT_DISABLE``), else ``"csr"`` — so
+    environment changes take effect without reimports.
 
     Examples
     --------

@@ -165,7 +165,7 @@ class NufftPlan:
     gridder_options:
         Extra keyword arguments for the gridder factory, e.g.
         ``{"tile_size": 8}`` for the tiled engines or
-        ``{"backend": "bincount"}`` (or ``"numba"``) for
+        ``{"backend": "csr"}`` (or ``"numba"``) for
         ``"slice_and_dice_compiled"``.
     precision:
         ``"double"`` (default), ``"single"``, or ``"simulate-single"``.

@@ -194,8 +194,8 @@ def cg_reconstruction(
         ``gridder="slice_and_dice_compiled"`` compiles the
         trajectory's scatter plan during the first Gram application and
         reuses it for the rest of the loop: iteration 2 onward performs
-        zero select work (no boundary checks, no LUT reads — just a
-        gather and bincount accumulates per pass), which is where the
+        zero select work (no boundary checks, no LUT reads — just one
+        sparse mat-vec per pass), which is where the
         CG workload's speedup comes from.  Bit-identical gridding means
         bit-identical CG iterates, so the reconstruction matches the
         serial engine exactly.

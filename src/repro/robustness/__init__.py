@@ -23,7 +23,7 @@ failure story the performance stack needed:
   snapshots (:class:`StreamCheckpoint`) with in-memory
   (:class:`CheckpointStore`) and file-backed
   (:class:`FileCheckpointStore`) stores, exact-resume by the
-  seeded-accumulation argument;
+  in-place-accumulation argument;
 - :mod:`repro.robustness.breaker` — :class:`CircuitBreaker` /
   :class:`BreakerBoard`, making degradation-chain failures sticky
   (open → skip the rung, half-open probe after cooldown).

@@ -7,8 +7,8 @@ away.  This module makes the partial sums durable.
 
 Why resume is *exact*, not approximate: every lane of the chunked
 adjoint continues each dice word's summation chain from the value in
-the dice (SciPy's in-place ``csc_matvecs``, a ``bincount`` seeded with
-the dice contents, or the jit kernels' in-place adds), so every grid
+the dice (SciPy's in-place ``csc_matvecs``, or the jit kernels'
+in-place adds), so every grid
 word's summation chain is the one-shot chain, chunk boundaries
 invisible (``docs/algorithm.md``).  A checkpoint therefore captures the
 entire computation state in ``(dice copy, chunk cursor)``: restore the

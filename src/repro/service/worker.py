@@ -17,9 +17,10 @@ Each :class:`ReconWorker` is one long-lived thread owning:
   every cached plan, so the worker's grid buffers are reused across
   plans and its ``/stats`` pool numbers are one coherent snapshot.
 
-Workers are **threads, not processes**: the hot kernels (gather,
-bincount, FFT) release the GIL, and in-process workers let ``/stats``
-read every pool/cache counter without cross-process merge plumbing.
+Workers are **threads, not processes**: the hot kernels (SciPy's
+sparse mat-vecs, FFT) release the GIL, and in-process workers let
+``/stats`` read every pool/cache counter without cross-process merge
+plumbing.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The raw loop bodies in :mod:`repro.core.jit` are plain Python wrapped
 by ``njit`` only at first use, so the numerics contract — serial and
-sharded kernels bit-identical to the NumPy ``bincount`` path at
-complex128, NRMSD <= 1e-6 at complex64 — is testable here without
+sharded kernels bit-identical to the csr lane at complex128,
+NRMSD <= 1e-6 at complex64 — is testable here without
 numba installed: ``backend="numba"`` engines run them through
 :func:`~tests.conftest.interpret_jit_kernels`.  The CI ``jit`` job
 re-runs this file with numba present, where the engine tests run the
@@ -70,10 +70,10 @@ def nrmsd(a, b):
 
 
 # ----------------------------------------------------------------------
-# raw-lane numerics vs the NumPy bincount engine
+# raw-lane numerics vs the csr lane
 # ----------------------------------------------------------------------
 class TestRawLaneIdentity:
-    """The four loop bodies vs the parent's bincount path."""
+    """The four loop bodies vs the compiled engine's csr lane."""
 
     @pytest.fixture
     def compiled(self, monkeypatch):
@@ -127,8 +127,10 @@ class TestRawLaneIdentity:
 
     @pytest.mark.parametrize("lane", ["serial", "rows"])
     def test_scatter_complex64_nrmsd(self, lane):
-        """Native float32 accumulation differs from bincount's float64
-        round-trip by design — gated at NRMSD <= 1e-6."""
+        """At complex64 the loop bodies and the csr lane both add in
+        float32; the gate is NRMSD <= 1e-6, the bound of every numba
+        complex64 cell (compiled kernels are not pinned to SciPy's
+        rounding)."""
         setup = _setup(np.complex64)
         g = make_gridder("slice_and_dice_compiled", setup)
         coords, stack, _ = _problem(setup)
@@ -204,10 +206,8 @@ class TestJitEngine:
         assert default_gridder() == "slice_and_dice_compiled"
         monkeypatch.setenv(JIT_DISABLE_ENV, "numba")
         assert default_gridder() == "slice_and_dice_compiled"
-        assert make_gridder(default_gridder(), _setup()).backend == "csr"
-        assert make_gridder(
-            default_gridder(), _setup(np.complex64)
-        ).backend == "bincount"
+        for dtype in (np.complex128, np.complex64):
+            assert make_gridder(default_gridder(), _setup(dtype)).backend == "csr"
         monkeypatch.delenv(JIT_DISABLE_ENV)
         monkeypatch.setattr(jitmod, "_numba", object())
         assert default_gridder() == "slice_and_dice_compiled"
@@ -220,8 +220,9 @@ class TestJitEngine:
         for option in ({"lane": "numba-serial"}, {"parallel_threshold": 0}):
             with pytest.raises(TypeError):
                 make_gridder("slice_and_dice_compiled", _setup(), **option)
-        with pytest.raises(ValueError, match="backend"):
-            make_gridder("slice_and_dice_compiled", _setup(), backend="cuda")
+        for backend in ("cuda", "bincount"):
+            with pytest.raises(ValueError, match=r"\('csr', 'numba'\)"):
+                make_gridder("slice_and_dice_compiled", _setup(), backend=backend)
 
     def test_matches_compiled_engine(self, monkeypatch):
         setup = _setup()
@@ -281,12 +282,13 @@ class TestJitEngine:
         assert jit.stats.exec_lane == lane
 
     @pytest.mark.parametrize("dtype,layout", [
-        (np.complex128, "csr"), (np.complex64, "bincount"),
+        (np.complex128, "csr"), (np.complex64, "csr"),
     ])
     def test_plan_has_the_numpy_lane_layout(self, monkeypatch, dtype, layout):
-        """A numba plan is laid out for the dtype's NumPy lane — index
-        dtype, and chunk seed slots on the bincount layout — which is
-        what lets a demotion re-run the same plan."""
+        """A numba plan has the csr layout at both dtypes — int32
+        addresses, and a chunk scratch of exactly the chunk's entries,
+        no seed slots — which is what lets a demotion re-run the same
+        plan."""
         setup = _setup(dtype)
         coords, stack, _ = _problem(setup)
         for chunk in (None, 128):
@@ -301,9 +303,11 @@ class TestJitEngine:
                 [plan] = jit._plan_cache.values()
                 [ref_plan] = ref._plan_cache.values()
                 assert plan.flat.dtype == ref_plan.flat.dtype
+                assert plan.flat.dtype == np.int32
             else:
-                assert jit._chunk_flat.dtype == ref._chunk_flat.dtype
+                assert jit._chunk_flat.dtype == ref._chunk_flat.dtype == np.int32
                 assert jit._chunk_flat.size == ref._chunk_flat.size
+                assert jit._chunk_flat.size == 128 * setup.width ** setup.ndim
             assert jit.stats.peak_bytes == ref.stats.peak_bytes
 
 
@@ -328,7 +332,7 @@ class TestDegradation:
         g = make_gridder(
             "slice_and_dice_compiled", _setup(np.complex64), backend="numba"
         )
-        assert g.backend == "bincount"
+        assert g.backend == "csr"
         assert JIT_DISABLE_ENV in g.degradations[0].reason
 
     def test_explicit_numpy_lane_is_not_a_degradation(self, monkeypatch):
@@ -357,12 +361,12 @@ class TestDegradation:
     def test_injected_scatter_fault_demotes_stickily(self, monkeypatch):
         """Chaos leg: the scatter fault fires at the injection site
         before any entry is written, the call transparently re-runs the
-        same plan on the dtype's NumPy lane — bit-identical to that
-        lane — and the numba lane never comes back."""
-        for dtype, layout in ((np.complex128, "csr"), (np.complex64, "bincount")):
+        same plan on the csr lane — bit-identical to that lane, at both
+        dtypes — and the numba lane never comes back."""
+        for dtype in (np.complex128, np.complex64):
             setup = _setup(dtype)
             g = numba_engine(setup, monkeypatch)
-            ref = make_gridder("slice_and_dice_compiled", setup, backend=layout)
+            ref = make_gridder("slice_and_dice_compiled", setup, backend="csr")
             coords, stack, grids = _problem(setup)
             g.interp_batch(grids, coords)  # compiles the plan on the numba lane
             with inject_faults(jit_errors=1) as inj:
@@ -371,7 +375,7 @@ class TestDegradation:
             assert g.stats.cache_hits == 1  # the same plan, re-run on NumPy
             assert np.array_equal(out, ref.grid_batch(coords, stack))
             assert g.stats.exec_lane == "numpy"
-            assert g.backend == layout
+            assert g.backend == "csr"
             assert len(g.degradations) == 1
             assert g.degradations[0].from_stage in NUMBA_LANES
             assert "InjectedFault" in g.degradations[0].reason

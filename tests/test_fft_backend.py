@@ -321,7 +321,7 @@ class TestPlanBackendsAndPool:
         # (2, nnz) buffer on the gridder.  A single fresh (nnz,) float64
         # temp would show up in the tracemalloc peak at ~nnz * 8 bytes;
         # everything legitimately allocated during a warm call (dice
-        # buffers, bincount outputs, the output stack) is far smaller
+        # buffers, the output stack) is far smaller
         # for this geometry (nnz = M * W^2 = 108_000 vs n_flat = 1024).
         import tracemalloc
 

@@ -11,10 +11,8 @@ The contract under test (``chunk_samples=`` of
 - the same holds on rectangular grids, for the ES window, for samples
   on the torus edges (``0`` and ``G - eps``) and at the forward-distance
   rounding edge;
-- at complex64 the forward is bit-identical on every lane, and so is
-  the adjoint on the lanes that accumulate in the working dtype (csr,
-  the numba kernels); the bincount lane rounds the dice to float32
-  between chunks, so its chunked adjoint is ``allclose``;
+- at complex64 both directions are bit-identical too on every lane:
+  each accumulates in the working dtype (csr, the numba kernels);
 - ``SampleStream`` sources (arrays, memmap, generator chunks, raw
   files) all produce the same result;
 - the reported ``peak_bytes`` is a true high-water mark
@@ -52,9 +50,7 @@ CHUNK_SIZES = (1, 7, 100, 1000, 5000)  # 1, non-dividing, dividing, >= M
 #: the identity table's lanes: id -> (engine, options).
 #:
 #: - ``"numpy"``: the compiled engine's csr backend (SciPy mat-vecs; its
-#:   stats report ``exec_lane="numpy"``), the complex128 default;
-#: - ``"bincount"``: the compiled engine's NumPy bincount backend, the
-#:   complex64 default;
+#:   stats report ``exec_lane="numpy"``), the default without numba;
 #: - ``"serial"``: the numba backend's kernels run as plain Python
 #:   (:func:`interpret_jit_kernels`) — the same arithmetic as the
 #:   numba lane, checked without numba (chunk plans run the serial,
@@ -62,7 +58,6 @@ CHUNK_SIZES = (1, 7, 100, 1000, 5000)  # 1, non-dividing, dividing, >= M
 #: - ``"jit"``: the same kernels compiled by numba (skipped without it).
 LANE_ENGINES = {
     "numpy": ("slice_and_dice_compiled", {"backend": "csr"}),
-    "bincount": ("slice_and_dice_compiled", {"backend": "bincount"}),
     "serial": ("slice_and_dice_compiled", {"backend": "numba"}),
     "jit": ("slice_and_dice_compiled", {"backend": "numba"}),
 }
@@ -208,38 +203,32 @@ class TestBitIdentity:
         coords, _ = random_samples(rng, 300, small_setup.grid_shape)
         grids = rng.standard_normal((2,) + small_setup.grid_shape) + 0j
         ref = make_gridder("slice_and_dice_compiled", small_setup)
-        for backend in ("csr", "bincount"):
-            stm = make_gridder(
-                "slice_and_dice_compiled", small_setup,
-                backend=backend, chunk_samples=77,
-            )
-            assert np.array_equal(
-                stm.interp_batch(grids, coords), ref.interp_batch(grids, coords)
-            )
+        stm = make_gridder(
+            "slice_and_dice_compiled", small_setup,
+            backend="csr", chunk_samples=77,
+        )
+        assert np.array_equal(
+            stm.interp_batch(grids, coords), ref.interp_batch(grids, coords)
+        )
 
     @pytest.mark.parametrize("chunk,geometry", BIT_CASES)
     def test_interp_complex64(self, rng, chunk, geometry):
-        """Both backends' chunked forward sums each sample like their
-        one-shot pass (bincount in float64 from 0.0), so it is
+        """The chunked forward sums each sample like the one-shot pass
+        (float32 from 0.0 in ascending row order), so it is
         bit-identical at complex64 too."""
         setup, coords, _ = geometry_problem(rng, geometry, np.complex64)
         grid = random_grid(rng, setup.grid_shape, np.complex64)
-        for backend in ("bincount", "csr"):
-            ref = make_gridder("slice_and_dice_compiled", setup, backend=backend)
-            stm = make_gridder(
-                "slice_and_dice_compiled", setup,
-                backend=backend, chunk_samples=chunk,
-            )
-            assert np.array_equal(
-                stm.interp(grid, coords), ref.interp(grid, coords)
-            )
+        ref = make_gridder("slice_and_dice_compiled", setup, backend="csr")
+        stm = make_gridder(
+            "slice_and_dice_compiled", setup, backend="csr", chunk_samples=chunk
+        )
+        assert np.array_equal(stm.interp(grid, coords), ref.interp(grid, coords))
 
     @pytest.mark.parametrize("chunk,lane", lane_cells((1, 37, 500), "numpy"))
     def test_grid_complex64(self, rng, monkeypatch, chunk, lane):
-        """At complex64 the lanes that accumulate in the working dtype
-        (csr, the numba kernels) continue the one-shot chain exactly; the
-        bincount lane sums each chunk in float64 and rounds the dice to
-        float32 between chunks, so it is close — and exact in one chunk."""
+        """At complex64 every lane accumulates in the working dtype
+        (csr, the numba kernels), so a chunked pass continues the
+        one-shot chain exactly."""
         setup = GriddingSetup(
             (32, 32), KernelLUT(beatty_kernel(6, 2.0), 64), dtype=np.complex64
         )
@@ -249,29 +238,7 @@ class TestBitIdentity:
         stm = lane_engine(lane, setup, monkeypatch, chunk_samples=chunk)
         got, want = stm.grid(coords, values), ref.grid(coords, values)
         assert got.dtype == np.complex64
-        if lane == "bincount" and chunk < 400:
-            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
-        else:
-            assert np.array_equal(got, want)
-
-    def test_complex64_numpy_lane_close(self, rng):
-        """The complex64 default (bincount) rounds the dice to float32
-        per chunk (bincount accumulates in float64 internally), so it
-        is allclose — the exact-chain guarantee is complex128-only."""
-        setup = GriddingSetup(
-            (32, 32), KernelLUT(beatty_kernel(6, 2.0), 64),
-            dtype=np.complex64,
-        )
-        coords, values = random_samples(rng, 400, setup.grid_shape)
-        ref = make_gridder("slice_and_dice_compiled", setup, backend="bincount")
-        stm = make_gridder(
-            "slice_and_dice_compiled", setup, backend="bincount",
-            chunk_samples=64,
-        )
-        np.testing.assert_allclose(
-            stm.grid(coords, values), ref.grid(coords, values),
-            rtol=1e-5, atol=1e-5,
-        )
+        assert np.array_equal(got, want)
 
     def test_complex64_jit_lane_bit_identical(self, rng, monkeypatch):
         """The numba lane accumulates natively in the working dtype in
@@ -515,8 +482,6 @@ class TestMemory:
         times that floor, so an undercount in the model shows."""
         cases = [  # (grid shape, W, dtype, chunk samples, backend)
             ((64, 64), 6, np.complex128, 12288, "csr"),
-            ((64, 64), 6, np.complex128, 8192, "bincount"),
-            ((64, 64), 6, np.complex64, 8192, "bincount"),
             ((64, 64), 6, np.complex64, 16384, "csr"),
             ((32, 32, 32), 4, np.complex128, 6144, "csr"),
         ]
@@ -561,15 +526,14 @@ class TestMemory:
             5000, small_setup.grid_shape, 6, max_bytes=budget
         )
         grid = rng.standard_normal(small_setup.grid_shape) + 0j
-        for backend in ("csr", "bincount"):
-            stm = make_gridder(
-                "slice_and_dice_compiled", small_setup,
-                chunk_samples=chunk, backend=backend,
-            )
-            stm.grid(coords, values)
-            assert stm.stats.peak_bytes <= budget
-            stm.interp(grid, coords)
-            assert stm.stats.peak_bytes <= budget
+        stm = make_gridder(
+            "slice_and_dice_compiled", small_setup,
+            chunk_samples=chunk, backend="csr",
+        )
+        stm.grid(coords, values)
+        assert stm.stats.peak_bytes <= budget
+        stm.interp(grid, coords)
+        assert stm.stats.peak_bytes <= budget
 
 
 # ----------------------------------------------------------------------
@@ -787,8 +751,8 @@ class TestService:
 
     @pytest.mark.parametrize(
         "options",
-        [{"backend": "csr"}, {"backend": "bincount"}, {"plan_cache_size": 2}],
-        ids=["csr", "bincount", "plan_cache_size"],
+        [{"backend": "csr"}, {"plan_cache_size": 2}],
+        ids=["csr", "plan_cache_size"],
     )
     def test_max_bytes_keeps_engine_options(self, rng, options):
         """A budget puts the client's engine, with the client's

@@ -175,6 +175,8 @@ class TestRoutes:
 
     @pytest.mark.parametrize("options", [
         pytest.param({"gridder_options": {"backend": "nope"}}, id="backend"),
+        # a lane the compiled engine no longer has
+        pytest.param({"gridder_options": {"backend": "bincount"}}, id="retired-backend"),
         pytest.param({"gridder_options": {"no_such_option": 1}}, id="unknown"),
         pytest.param({"gridder_options": {"table_cache_size": 0}}, id="removed"),
         # W = 6 > T = 4: the one-point-per-column guarantee breaks

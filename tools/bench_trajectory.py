@@ -3,8 +3,8 @@
 
 Times warm (table-/plan-cache hit) and cold gridding for the serial
 engine and the compiled engine — its default backend (numba when
-importable, else the dtype's NumPy lane: the record's ``exec_lane``
-field says which lane actually ran) and its csr backend — on a fixed
+importable, else csr: the record's ``exec_lane`` field says which
+lane actually ran) and its csr backend — on a fixed
 random trajectory, then **appends** one record per engine to
 ``BENCH_gridding.json`` at the repository root.  The committed file
 doubles as the regression baseline: ``--check`` compares each engine's
