@@ -5,10 +5,9 @@ Gridding a large trajectory in fixed-size chunks (the compiled engine's
 ``O(chunk + grid)`` instead of the one-shot engines' ``O(M * W^d)``
 plan residency, while staying bit-identical to the one-shot compiled
 engine at any chunk size.  The table is *recorded*
-(printed) on every machine.  The 10^8-sample / < 4 GB RSS acceptance
-run is the out-of-band ``tools/bench_trajectory.py --stream`` job
-(results in ``BENCH_gridding.json``); this in-tree ablation keeps the
-same shape at CI-friendly sizes.
+(printed) on every machine.  The process-level bound is perfbench's
+``stream_adjoint`` workload (2^20 samples in 16 chunks), whose
+``peak_rss_mb`` CI caps at 700 MB.
 """
 
 import numpy as np

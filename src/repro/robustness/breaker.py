@@ -154,8 +154,8 @@ class CircuitBreaker:
 class BreakerBoard:
     """Keyed registry of breakers, created lazily per rung.
 
-    Keys are free-form strings; the service uses ``"lane:<gridder>"``
-    (reported only) and ``"fft:<backend>"``.  ``snapshot()`` merges
+    Keys are free-form strings; the service uses one
+    ``"fft:<backend>"`` key per FFT backend.  ``snapshot()`` merges
     every breaker for ``/stats``; ``open_keys()`` lists the rungs
     currently tripped.
     """

@@ -2,8 +2,8 @@
 
 Mirrors the server's zero-dependency stance: ``urllib.request`` plus
 the same base64 array codec the server speaks.  The client is what the
-load-generator benchmark (``tools/bench_service.py``), the end-to-end
-tests, and the ``docs/service.md`` doctests drive — one well-tested
+benchmark's service workloads (``perfbench/``), the end-to-end tests,
+and the ``docs/service.md`` doctests drive — one well-tested
 path from a NumPy trajectory to a reconstructed NumPy image over HTTP.
 
 Examples

@@ -256,10 +256,10 @@ class JobSpec:
     def _check_gridder(self) -> None:
         """Build the job's engine once, on the plan's grid, so that an
         option its constructor rejects fails the submit (HTTP 400)
-        instead of the plan build, where it would trip the
-        ``lane:<gridder>`` breaker and move well-formed jobs off the
-        lane.  Constructors allocate no grid- or trajectory-sized
-        state, so the probe is cheap."""
+        instead of the plan build, where it would fail an accepted job
+        and count against its ``fft:<backend>`` breaker.  Constructors
+        allocate no grid- or trajectory-sized state, so the probe is
+        cheap."""
         try:
             options = self.plan_gridder_options()
             setup = GriddingSetup(

@@ -46,11 +46,11 @@ __all__ = ["ReconWorker", "breaker_keys"]
 
 
 def breaker_keys(spec: JobSpec) -> tuple[str, ...]:
-    """Breaker-board keys a spec's execution is attributed to."""
-    keys = [f"lane:{spec.gridder}"]
-    if spec.fft_backend != "auto":
-        keys.append(f"fft:{spec.fft_backend}")
-    return tuple(keys)
+    """Breaker-board keys a spec's execution is attributed to: the
+    ``fft:`` rung of an explicit ``fft_backend``, none for ``"auto"``."""
+    if spec.fft_backend == "auto":
+        return ()
+    return (f"fft:{spec.fft_backend}",)
 
 #: inbox sentinel that tells the worker loop to exit after the queue
 #: ahead of it has drained
@@ -98,12 +98,11 @@ class ReconWorker:
         workers.  Before building a plan the worker consults the
         board: an open ``fft:<backend>`` breaker demotes the spec one
         rung down the FFT demotion order (recorded as a
-        DegradationEvent on the result); job outcomes feed
-        success/failure back to the ``lane:<gridder>`` and
-        ``fft:<backend>`` breakers so they can close or trip.  Only
-        ``fft:`` breakers gate anything; ``lane:`` breakers are
-        reported in ``/stats`` and demote or refuse nothing, because no
-        engine demotes to another engine.
+        DegradationEvent on the result); the outcome of a job with an
+        explicit ``fft_backend`` feeds success/failure back to its
+        ``fft:<backend>`` breaker so it can close or trip.  There are
+        no per-engine breakers, because no engine demotes to another
+        engine.
     """
 
     def __init__(

@@ -279,11 +279,11 @@ class TestCircuitBreaker:
 
     def test_board_tracks_keys(self):
         board = BreakerBoard(failure_threshold=1, cooldown_seconds=30.0)
-        assert board.allow("lane:slice_and_dice_compiled")
-        board.record_failure("lane:slice_and_dice_compiled")
-        assert not board.allow("lane:slice_and_dice_compiled")
-        assert board.open_keys() == ["lane:slice_and_dice_compiled"]
-        assert "lane:slice_and_dice_compiled" in board.snapshot()
+        assert board.allow("fft:scipy")
+        board.record_failure("fft:scipy")
+        assert not board.allow("fft:scipy")
+        assert board.open_keys() == ["fft:scipy"]
+        assert "fft:scipy" in board.snapshot()
 
     def test_demotion_chains_end_at_the_floor(self):
         """With every ``fft:`` breaker open, each backend walks strictly
@@ -604,15 +604,17 @@ class TestSupervisionChaos:
         try:
             with inject_faults(seed=9, worker_crash=1,
                                worker_fault_delay=2):
-                jobs = [svc.submit(self._spec(coords, samples))
+                jobs = [svc.submit(self._spec(coords, samples,
+                                              fft_backend="numpy"))
                         for _ in range(3)]
                 for job in jobs:
                     assert job.wait(timeout=30)
                     assert job.state == JobState.DONE, job.error
             assert svc.watchdog_restarts == 1
-            # the wedge fed the breaker board (one failure, not open yet)
-            key = breaker_keys(jobs[0].spec)[0]
-            assert svc.breakers.get(key).snapshot()["total_failures"] >= 1
+            # the wedge fed the job's FFT breaker (one failure, not open yet)
+            assert breaker_keys(jobs[0].spec) == ("fft:numpy",)
+            snap = svc.breakers.get("fft:numpy").snapshot()
+            assert snap["total_failures"] >= 1
         finally:
             svc.close()
 
