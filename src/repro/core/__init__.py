@@ -28,12 +28,12 @@ Public surface:
   matrices); every repeat call is a set of sparse mat-vecs, one
   thread per band or sample range, with zero select work,
   bit-identical to the serial gridder at complex128.  With
-  ``chunk_samples=`` it runs calls and ``SampleStream`` sources in
-  bounded-memory chunks into one dice, bit-identical to its one-shot
-  pass at complex128.  Its ``backend="numba"`` lane executes the plan
-  with the numba-fused scatter/gather loops of :mod:`~repro.core.jit`
-  (serial and row/sample-sharded ``prange`` kernels), demoting to the
-  NumPy lane when numba is absent.
+  ``chunk_samples=`` it runs every call in bounded-memory chunks into
+  one dice, bit-identical to its one-shot pass at complex128.  Its
+  ``backend="numba"`` lane executes the plan with the numba-fused
+  scatter/gather loops of :mod:`~repro.core.jit` (serial and
+  row/sample-sharded ``prange`` kernels), demoting to the NumPy lane
+  when numba is absent.
 """
 
 from .compiled import CompiledPlan, CompiledSliceAndDiceGridder

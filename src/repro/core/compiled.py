@@ -50,10 +50,10 @@ every task of it has returned.
 
 Chunk mode
 ----------
-With ``chunk_samples=N`` the engine feeds the trajectory (or a
-:class:`SampleStream`) through the same select and the same apply in
-``N``-sample chunks, all accumulating into one pooled dice, so peak
-memory is **O(chunk + grid)** instead of O(M·W^d) — like JIGSAW's
+With ``chunk_samples=N`` the engine feeds the trajectory through the
+same select and the same apply in ``N``-sample chunks, all
+accumulating into one pooled dice, so peak memory is **O(chunk +
+grid)** instead of O(M·W^d) — like JIGSAW's
 single-pass ``M + 12``-cycle streamer it keeps no per-trajectory plan
 and sorts nothing.  One scratch plan, grown to the largest chunk, holds
 the entries of the chunk selected last, with a copy of its
@@ -115,7 +115,7 @@ One-shot plans are memoized per trajectory with the O(1)
 ``_coords_fingerprint`` keying and true-LRU eviction; in-place
 coordinate mutation requires :meth:`invalidate_cache`.  Chunk mode
 matches whole coordinate arrays instead, as the sampled fingerprint
-could alias two stream chunks.
+could alias two chunks.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -135,27 +134,18 @@ from ..errors import DegradationEvent
 from ..gridding.base import GriddingSetup, GriddingStats
 from ..gridding.buffers import usable_cpus
 from ..robustness.checkpoint import StreamCheckpoint
-from ..robustness.faults import corrupt_chunk
-from ..robustness.validate import apply_quality_policy
 from . import jit
 from .slice_and_dice import SliceAndDiceGridder, select_bytes
 
 __all__ = [
     "CompiledPlan",
     "CompiledSliceAndDiceGridder",
-    "SampleStream",
     "choose_chunk_samples",
     "working_set",
 ]
 
 #: execution lanes of the compiled engine
 _BACKENDS = ("csr", "numba")
-
-#: default fixed chunk size (samples) of a :class:`SampleStream` —
-#: large enough that per-chunk Python overhead amortizes, small enough
-#: that the per-chunk working set stays in the tens of megabytes on
-#: 2-D problems
-DEFAULT_CHUNK_SAMPLES = 65536
 
 #: samples per select step of a one-shot compile: bounds the select's
 #: transients (and a banded plan's scratch) to a few megabytes
@@ -429,152 +419,6 @@ def choose_chunk_samples(
     return max(1, min(chunk, max(m, 1)))
 
 
-def _check_chunk_samples(chunk_samples: int) -> int:
-    chunk_samples = int(chunk_samples)
-    if chunk_samples < 1:
-        raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
-    return chunk_samples
-
-
-# ----------------------------------------------------------------------
-# sample sources
-# ----------------------------------------------------------------------
-class SampleStream:
-    """A source of fixed-size ``(coords, values)`` sample chunks.
-
-    Construct via the classmethods; iterate with :meth:`chunks`.
-    Array- and file-backed streams are re-iterable; generator-backed
-    streams (:meth:`from_chunks`) are single-use, like the generator
-    they wrap.
-
-    Attributes
-    ----------
-    m:
-        Total samples when known (arrays/files), else ``None``
-        (generator sources) — the engine never needs it up front.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> coords = np.arange(10, dtype=np.float64).reshape(5, 2)
-    >>> values = np.ones(5, dtype=complex)
-    >>> stream = SampleStream.from_arrays(coords, values, chunk_samples=2)
-    >>> [c.shape[0] for c, v in stream.chunks()]
-    [2, 2, 1]
-    """
-
-    def __init__(self, factory, m: int | None = None, single_use: bool = False):
-        self._factory = factory
-        self._consumed = False
-        self.m = None if m is None else int(m)
-        self.single_use = bool(single_use)
-
-    def chunks(self):
-        """Iterate ``(coords, values_or_None)`` chunk pairs in order."""
-        if self.single_use and self._consumed:
-            raise RuntimeError(
-                "generator-backed SampleStream is single-use; rebuild it "
-                "(array/file streams are re-iterable)"
-            )
-        self._consumed = True
-        return self._factory()
-
-    @classmethod
-    def from_arrays(
-        cls,
-        coords: np.ndarray,
-        values: np.ndarray | None = None,
-        chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
-    ) -> "SampleStream":
-        """Chunk in-memory (or ``np.memmap``) arrays.
-
-        ``values`` may be ``(M,)`` or batched ``(K, M)``.  Each chunk
-        is lifted into a fresh in-RAM array (``np.ascontiguousarray``),
-        so a memmap source only ever has O(chunk) pages hot.
-        """
-        chunk_samples = _check_chunk_samples(chunk_samples)
-        m = int(coords.shape[0])
-        if values is not None and values.shape[-1] != m:
-            raise ValueError(
-                f"{values.shape[-1]} values but {m} coordinates"
-            )
-
-        def factory():
-            for lo in range(0, m, chunk_samples):
-                hi = min(lo + chunk_samples, m)
-                c = np.ascontiguousarray(coords[lo:hi])
-                v = (
-                    None
-                    if values is None
-                    else np.ascontiguousarray(values[..., lo:hi])
-                )
-                yield c, v
-
-        return cls(factory, m=m)
-
-    @classmethod
-    def from_chunks(cls, iterable, m: int | None = None) -> "SampleStream":
-        """Wrap an iterable/generator of ``(coords, values)`` pairs.
-
-        Chunks may be ragged; ``values`` may be ``None`` for
-        interpolation streams.  Single-use when given a generator.
-        """
-        it = iter(iterable)
-        return cls(lambda: it, m=m, single_use=True)
-
-    @classmethod
-    def from_file(
-        cls,
-        coords_path,
-        *,
-        m: int,
-        ndim: int,
-        values_path=None,
-        coords_dtype=np.float64,
-        values_dtype=np.complex128,
-        chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
-    ) -> "SampleStream":
-        """Stream raw binary files with O(chunk) resident bytes.
-
-        ``coords_path`` holds a C-order ``(m, ndim)`` array of
-        ``coords_dtype``; ``values_path`` (optional) a ``(m,)`` array
-        of ``values_dtype``.  Chunks are read with offset
-        ``np.fromfile`` reads, so — unlike an ``np.memmap`` over the
-        whole file — neither the virtual address space nor the resident
-        set ever holds more than one chunk.  This is the 10⁸-sample
-        path: the trajectory lives on disk, RSS stays O(chunk + grid).
-        """
-        chunk_samples = _check_chunk_samples(chunk_samples)
-        m = int(m)
-        ndim = int(ndim)
-        coords_path = Path(coords_path)
-        values_path = None if values_path is None else Path(values_path)
-        cdt = np.dtype(coords_dtype)
-        vdt = np.dtype(values_dtype)
-
-        def factory():
-            for lo in range(0, m, chunk_samples):
-                hi = min(lo + chunk_samples, m)
-                n = hi - lo
-                c = np.fromfile(
-                    coords_path,
-                    dtype=cdt,
-                    count=n * ndim,
-                    offset=lo * ndim * cdt.itemsize,
-                ).reshape(n, ndim)
-                v = None
-                if values_path is not None:
-                    v = np.fromfile(
-                        values_path,
-                        dtype=vdt,
-                        count=n,
-                        offset=lo * vdt.itemsize,
-                    )
-                yield c, v
-
-        return cls(factory, m=m)
-
-
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
@@ -585,9 +429,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     :class:`CompiledPlan` and caches it; every subsequent call — every
     further CG iteration, coil, or RHS — is one sparse mat-vec per RHS,
     run band-parallel, with **zero select work**.  With
-    ``chunk_samples`` set, calls and :meth:`grid_stream` /
-    :meth:`interp_stream` run chunk by chunk into one pooled dice
-    (module docstring, *Chunk mode*).
+    ``chunk_samples`` set, every call runs chunk by chunk into one
+    pooled dice (module docstring, *Chunk mode*).
 
     Parameters
     ----------
@@ -672,9 +515,11 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             )
         self.backend = backend
         self.plan_cache_size = int(plan_cache_size)
-        self.chunk_samples = (
-            None if chunk_samples is None else _check_chunk_samples(chunk_samples)
-        )
+        if chunk_samples is not None:
+            chunk_samples = int(chunk_samples)
+            if chunk_samples < 1:
+                raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
+        self.chunk_samples = chunk_samples
         self._n_flat = self.layout.n_columns * self.layout.n_tiles
         #: fingerprint -> CompiledPlan; dict order doubles as LRU order
         self._plan_cache: dict[tuple, CompiledPlan] = {}
@@ -738,15 +583,6 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         int64 ones only past their range."""
         fits = max(nnz, self._n_flat) < 2 ** 31
         return np.dtype(np.int32 if fits else np.int64)
-
-    def _select_plan(
-        self, coords: np.ndarray, flat: np.ndarray, weight: np.ndarray
-    ) -> CompiledPlan:
-        """Run the select of one chunk's ``coords`` into ``flat`` /
-        ``weight``: a one-band plan in chunk mode's scratch."""
-        t0 = time.perf_counter()
-        self._select_entries(coords, flat, weight)
-        return self._new_plan(coords, flat, weight, None, t0)
 
     def _new_plan(self, coords, flat, weight, indptr, t0) -> CompiledPlan:
         """Wrap selected entries as a plan timed from ``t0``; the csr
@@ -862,7 +698,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         Reused when the chunk selected last comes again (a trajectory
         that fits in one chunk, reused by CG or warm service jobs).
         The match is on all coordinates against a kept copy, as the
-        O(1) sampled fingerprint could alias two stream chunks.
+        O(1) sampled fingerprint could alias two chunks.  A miss runs
+        the select into the scratch as a one-band plan.
         """
         held = self._held
         if held is not None and np.array_equal(held[0], coords):
@@ -872,9 +709,10 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         if self._chunk_flat is None or self._chunk_flat.size < nnz:
             self._chunk_flat = np.empty(nnz, dtype=self._index_dtype(nnz))
             self._chunk_weight = np.empty(nnz, dtype=self.setup.real_dtype)
-        plan = self._select_plan(
-            coords, self._chunk_flat[:nnz], self._chunk_weight[:nnz]
-        )
+        t0 = time.perf_counter()
+        flat, weight = self._chunk_flat[:nnz], self._chunk_weight[:nnz]
+        self._select_entries(coords, flat, weight)
+        plan = self._new_plan(coords, flat, weight, None, t0)
         self._held = (coords.copy(), plan)
         return plan, False
 
@@ -949,49 +787,21 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     # ------------------------------------------------------------------
     # gridding (adjoint): dice += A.T @ values per RHS
     # ------------------------------------------------------------------
-    def _grid_impl(
-        self, coords: np.ndarray, values: np.ndarray, grid: np.ndarray
-    ) -> None:
-        self._grid_batch_impl(coords, values[None, :], grid[None])
-
     def _grid_batch_impl(
         self,
         coords: np.ndarray,
         values_stack: np.ndarray,
         out: np.ndarray,
     ) -> None:
-        """Batched adjoint gridding: one plan fetch per piece (a hit
-        after the first call per trajectory), then one pass per RHS."""
-        k_rhs = values_stack.shape[0]
-        total = self._grid_pieces(self._pieces(coords, values_stack), k_rhs, out)
-        self._finish(total, k_rhs)
+        """Batched adjoint gridding: accumulate the call's pieces into
+        one pooled dice — one plan fetch per piece (a hit after the
+        first call per trajectory), then one pass per RHS — and unstack
+        it into ``out`` (``(K,) + grid``).
 
-    def _resume_snapshot(self, ckpt, k_rhs: int) -> StreamCheckpoint | None:
-        """The stored snapshot a checkpointed pass resumes from, if it
-        matches; a stale one is ignored with a recorded event — never
-        blended in."""
-        if ckpt is None or not ckpt.resume:
-            return None
-        snap = ckpt.store.load(ckpt.key)
-        if snap is None or snap.matches(ckpt.fingerprint, (k_rhs, self._n_flat)):
-            return snap
-        self._record(
-            DegradationEvent(
-                "checkpoint", "resume", "fresh",
-                f"stale snapshot for key {ckpt.key!r} ignored",
-            )
-        )
-        return None
-
-    def _grid_pieces(self, pieces, k_rhs: int, out: np.ndarray) -> GriddingStats:
-        """Accumulate gated ``(coords, values_stack)`` pieces into one
-        pooled dice, then unstack it into ``out`` (``(K,) + grid``).
-
-        The dice is released on *every* exit path — a mid-stream
-        failure (corrupted chunk under ``raise``, a source error) can
-        strand no pooled storage and leaves no partial accumulation
-        visible anywhere: the next call starts from a freshly zeroed
-        dice.
+        The dice is released on *every* exit path — a mid-pass failure
+        (cancellation, a deadline, a kernel error) strands no pooled
+        storage and leaves no partial accumulation visible anywhere:
+        the next call starts from a freshly zeroed dice.
 
         Lifecycle hooks, both opt-in via instance attributes:
 
@@ -1002,12 +812,13 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         - ``self.checkpoint`` (a
           :class:`~repro.robustness.CheckpointConfig`) seeds the dice
           from a matching stored snapshot and skips the first
-          ``chunk_cursor`` pieces of the replayed stream (skipped
+          ``chunk_cursor`` pieces of the replayed pass (skipped
           pieces are never selected or scattered), then saves a fresh
           snapshot every ``every`` pieces.  Every lane continues the
           dice's partial sums exactly (module docstring), so the
           resumed output is bit-identical to an uninterrupted run.
         """
+        k_rhs = values_stack.shape[0]
         total = GriddingStats()
         token = self.cancel_token
         ckpt = self.checkpoint
@@ -1023,16 +834,16 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                     "chunk_cursor": cursor,
                     "sample_cursor": sample_cursor,
                 }
-            for index, (coords, values_stack) in enumerate(pieces):
+            pieces = self._pieces(coords, values_stack)
+            for index, (coords_c, values_c) in enumerate(pieces):
                 if snap is not None and index < snap.chunk_cursor:
                     continue
                 if token is not None:
                     token.check()
-                if coords.shape[0]:
-                    plan, hit = self._fetch_plan(coords)
-                    self._apply_grid(plan, values_stack, dice_flat)
-                    total.accumulate(self._plan_stats(plan, hit, k_rhs, False))
-                    sample_cursor += coords.shape[0]
+                plan, hit = self._fetch_plan(coords_c)
+                self._apply_grid(plan, values_c, dice_flat)
+                total.accumulate(self._plan_stats(plan, hit, k_rhs, False))
+                sample_cursor += coords_c.shape[0]
                 cursor += 1
                 if ckpt is not None and cursor % ckpt.every == 0:
                     ckpt.store.save(
@@ -1052,7 +863,24 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             self._release_buffer(dice_flat)
         if ckpt is not None and ckpt.delete_on_success:
             ckpt.store.delete(ckpt.key)
-        return total
+        self._finish(total, k_rhs)
+
+    def _resume_snapshot(self, ckpt, k_rhs: int) -> StreamCheckpoint | None:
+        """The stored snapshot a checkpointed pass resumes from, if it
+        matches; a stale one is ignored with a recorded event — never
+        blended in."""
+        if ckpt is None or not ckpt.resume:
+            return None
+        snap = ckpt.store.load(ckpt.key)
+        if snap is None or snap.matches(ckpt.fingerprint, (k_rhs, self._n_flat)):
+            return snap
+        self._record(
+            DegradationEvent(
+                "checkpoint", "resume", "fresh",
+                f"stale snapshot for key {ckpt.key!r} ignored",
+            )
+        )
+        return None
 
     def _apply_grid(
         self, plan: CompiledPlan, values_stack: np.ndarray, dice_flat: np.ndarray
@@ -1077,40 +905,29 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         self, grid_stack: np.ndarray, coords: np.ndarray
     ) -> np.ndarray:
         """Batched forward interpolation: the transpose pass over the
-        same plan (piece by piece into the output in chunk mode)."""
+        same plan, from a pooled ``(K, n_flat)`` raveled dice holding
+        ``grid_stack`` (piece by piece into the output in chunk
+        mode)."""
         k_rhs = grid_stack.shape[0]
         out = np.empty((k_rhs, coords.shape[0]), dtype=self.setup.dtype)
         total = GriddingStats()
-        dice_flat = self._stage_dice(grid_stack)
+        dice_flat = self._acquire_buffer((k_rhs, self._n_flat), zero=False)
         try:
+            for k in range(k_rhs):
+                dice_flat[k] = self.layout.grid_to_dice(grid_stack[k]).reshape(-1)
             lo = 0
             for coords_c, _ in self._pieces(coords, None):
                 if self.cancel_token is not None:
                     self.cancel_token.check()
                 hi = lo + coords_c.shape[0]
-                total.accumulate(self._interp_piece(coords_c, dice_flat, out[:, lo:hi]))
+                plan, hit = self._fetch_plan(coords_c)
+                self._apply_interp(plan, dice_flat, out[:, lo:hi])
+                total.accumulate(self._plan_stats(plan, hit, k_rhs, True))
                 lo = hi
         finally:
             self._release_buffer(dice_flat)
         self._finish(total, k_rhs)
         return out
-
-    def _stage_dice(self, grid_stack: np.ndarray) -> np.ndarray:
-        """A pooled ``(K, n_flat)`` raveled dice holding ``grid_stack``."""
-        dice_flat = self._acquire_buffer(
-            (grid_stack.shape[0], self._n_flat), zero=False
-        )
-        for k in range(grid_stack.shape[0]):
-            dice_flat[k] = self.layout.grid_to_dice(grid_stack[k]).reshape(-1)
-        return dice_flat
-
-    def _interp_piece(
-        self, coords: np.ndarray, dice_flat: np.ndarray, out: np.ndarray
-    ) -> GriddingStats:
-        """Interpolate one nonempty piece into its ``(K, m)`` output slice."""
-        plan, hit = self._fetch_plan(coords)
-        self._apply_interp(plan, dice_flat, out)
-        return self._plan_stats(plan, hit, dice_flat.shape[0], True)
 
     def _apply_interp(
         self, plan: CompiledPlan, dice_flat: np.ndarray, out: np.ndarray
@@ -1130,175 +947,3 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             )
             for lo, hi in zip(bounds, bounds[1:])
         ])
-
-    # ------------------------------------------------------------------
-    # stream entry points
-    # ------------------------------------------------------------------
-    def _gate_chunk(
-        self, index: int, coords: np.ndarray, values: np.ndarray | None
-    ):
-        """Per-chunk public-boundary gate for stream sources.
-
-        Corruption hook + quality policy + torus wrap, exactly the
-        :meth:`Gridder._gate_samples` contract applied chunk-wise —
-        under ``quality_policy="raise"`` a poisoned mid-stream chunk
-        aborts the pass (the caller's ``finally`` releases the dice,
-        leaving no partial accumulation behind).
-        """
-        coords = self.setup.coerce_coords(coords)
-        values_stack = None
-        if values is not None:
-            values_stack = np.asarray(values, dtype=self.setup.dtype)
-            if values_stack.ndim == 1:
-                values_stack = values_stack[None, :]
-            if values_stack.shape[-1] != coords.shape[0]:
-                raise ValueError(
-                    f"chunk {index}: {values_stack.shape[-1]} values but "
-                    f"{coords.shape[0]} coordinates"
-                )
-        coords, values_stack = corrupt_chunk(index, coords, values_stack)
-        coords, values_stack, bad, report = apply_quality_policy(
-            coords, values_stack, self.setup.quality_policy,
-            self.setup.grid_shape,
-        )
-        if report.wrapped:
-            coords = self.setup.check_coords(coords)
-        return coords, values_stack, bad, report
-
-    def _check_chunk_mode(self, entry: str) -> None:
-        """Stream chunks need chunk mode's exact-match plan reuse (the
-        one-shot fingerprint could alias two chunks)."""
-        if self.chunk_samples is None:
-            raise ValueError(
-                f"{entry} runs in chunk mode; construct the engine with "
-                "chunk_samples="
-            )
-
-    def grid_stream(
-        self, stream: SampleStream, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Adjoint gridding of a :class:`SampleStream`.
-
-        Each chunk passes the full public-boundary gate individually
-        (chunk corruption hook, quality policy, torus wrap).  The
-        output rank follows the stream's value chunks: ``(M,)`` chunks
-        produce one grid, ``(K, M)`` chunks a ``(K,)``-stacked grid.
-        Needs chunk mode; the stream's own chunks are the pieces,
-        whatever size ``chunk_samples`` says.
-
-        Under ``quality_policy="raise"`` a poisoned chunk aborts the
-        whole pass; under ``"drop"``/``"zero"`` the offending samples
-        degrade per policy and streaming continues, with the merged
-        :class:`~repro.robustness.DataQualityReport` in
-        ``stats.quality``.
-        """
-        self._check_chunk_mode("grid_stream")
-        total_quality = None
-        batched = False
-        k_rhs = 1
-
-        def gated():
-            nonlocal total_quality, batched, k_rhs
-            for index, (coords, values) in enumerate(stream.chunks()):
-                if values is None:
-                    raise ValueError(
-                        "grid_stream requires value chunks; this stream "
-                        "yields coordinates only"
-                    )
-                if index == 0:
-                    batched = np.asarray(values).ndim == 2
-                coords, values_stack, _, report = self._gate_chunk(
-                    index, coords, values
-                )
-                if index == 0:
-                    k_rhs = values_stack.shape[0]
-                elif values_stack.shape[0] != k_rhs:
-                    raise ValueError(
-                        f"chunk {index} has {values_stack.shape[0]} RHS, "
-                        f"expected {k_rhs}"
-                    )
-                if total_quality is None:
-                    total_quality = report
-                else:
-                    total_quality.accumulate(report)
-                yield coords, values_stack
-
-        gate = gated()
-        # pull the first chunk eagerly so K is known before the dice
-        # buffer is sized (also surfaces an empty stream cleanly)
-        first = next(gate, None)
-        shape = self.setup.grid_shape
-        if first is None:
-            grid = self._out_grid(out, shape)
-            self._finish(GriddingStats(), 1)
-            self._tag_stats()
-            return grid
-
-        def chunks_with_first():
-            yield first
-            yield from gate
-
-        stacked_shape = (k_rhs,) + shape
-        dtype = self.setup.dtype
-        if out is None:
-            grid_out = np.empty(stacked_shape, dtype=dtype)
-        else:
-            expect = stacked_shape if batched else shape
-            if tuple(out.shape) != expect or out.dtype != dtype:
-                raise ValueError(
-                    f"out must have dtype {dtype} and shape {expect}, got "
-                    f"dtype {out.dtype} and shape {out.shape}"
-                )
-            grid_out = out[None] if not batched else out
-        total = self._grid_pieces(chunks_with_first(), k_rhs, grid_out)
-        total.quality = total_quality
-        self._finish(total, k_rhs)
-        self._tag_stats()
-        return grid_out if batched else grid_out[0]
-
-    def interp_stream(self, grid_stack: np.ndarray, stream: SampleStream):
-        """Forward interpolation streamed back out in sample order.
-
-        A generator yielding one value array per chunk — ``(m_c,)`` for
-        an unstacked ``grid_stack``, ``(K, m_c)`` for a stacked one —
-        each chunk's slots aligned with its input coordinates (dropped/
-        zeroed samples yield ``0`` in place, as in :meth:`interp`).
-        The staged dice is released when the generator finishes *or*
-        is closed early, so abandoning a stream cannot strand pooled
-        storage.
-        """
-        self._check_chunk_mode("interp_stream")
-        batched = np.asarray(grid_stack).ndim == self.setup.ndim + 1
-        grid_stack = self._check_batch_grids(np.asarray(grid_stack))
-        k_rhs = grid_stack.shape[0]
-
-        def run():
-            total = GriddingStats()
-            total_quality = None
-            dice_flat = self._stage_dice(grid_stack)
-            try:
-                for index, (coords, _values) in enumerate(stream.chunks()):
-                    if self.cancel_token is not None:
-                        self.cancel_token.check()
-                    m_raw = np.atleast_2d(np.asarray(coords)).shape[0]
-                    coords_c, _, bad, report = self._gate_chunk(
-                        index, coords, None
-                    )
-                    if total_quality is None:
-                        total_quality = report
-                    else:
-                        total_quality.accumulate(report)
-                    vals = np.zeros((k_rhs, coords_c.shape[0]), dtype=self.setup.dtype)
-                    if coords_c.shape[0]:
-                        total.accumulate(self._interp_piece(coords_c, dice_flat, vals))
-                    vals = self._restore_sample_slots(
-                        vals, bad, report, m_raw, batched=True
-                    )
-                    yield vals if batched else vals[0]
-            finally:
-                self._release_buffer(dice_flat)
-                total.quality = total_quality
-                self._finish(total, k_rhs)
-                self._tag_stats()
-
-        return run()

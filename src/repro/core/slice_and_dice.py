@@ -263,35 +263,20 @@ class SliceAndDiceGridder(Gridder):
             self._table_cache[key] = result
         return result, TableFetch(False, build_seconds, _tables_nbytes(result))
 
-    def _per_axis_tables(self, coords: np.ndarray):
-        """Tables only (compatibility wrapper around :meth:`_fetch_tables`)."""
-        return self._fetch_tables(coords)[0]
-
     # ------------------------------------------------------------------
     # gridding (adjoint)
     # ------------------------------------------------------------------
-    def _grid_impl(self, coords: np.ndarray, values: np.ndarray, grid: np.ndarray) -> None:
-        dice, interpolations, lane_slots, fetch = self._run_engine(
-            coords, values[None, :]
-        )
-        try:
-            grid += self.layout.dice_to_grid(dice[0])
-        finally:
-            self._release_buffer(dice)
-        self._fill_stats(coords.shape[0], n_rhs=1, interpolations=interpolations,
-                         lane_slots=lane_slots, fetch=fetch)
-
     def _grid_batch_impl(
         self, coords: np.ndarray, values_stack: np.ndarray, out: np.ndarray
     ) -> None:
         """Batched multi-RHS gridding: one select pass, ``K`` accumulates.
 
-        Bit-identical to stacking ``K`` single :meth:`grid` calls (the
-        per-RHS arithmetic is the same elementwise multiply and
-        ``bincount`` the single path performs), but the boundary checks,
-        LUT lookups, and table build are paid once for the whole batch —
-        visible in the stats, where ``boundary_checks`` stays
-        ``M * T^d`` instead of ``K * M * T^d``.
+        Bit-identical to stacking ``K`` single :meth:`grid` calls (each
+        RHS runs the same elementwise multiply and ``bincount``), but
+        the boundary checks, LUT lookups, and table build are paid once
+        for the whole batch — visible in the stats, where
+        ``boundary_checks`` stays ``M * T^d`` instead of
+        ``K * M * T^d``.
         """
         k_rhs = values_stack.shape[0]
         dice, interpolations, lane_slots, fetch = self._run_engine(
@@ -537,9 +522,9 @@ class SliceAndDiceGridder(Gridder):
     # ------------------------------------------------------------------
     # interpolation (forward)
     # ------------------------------------------------------------------
-    def _interp_impl(self, grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    def _interp_batch_impl(self, grid_stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Forward interpolation (regridding) with the Slice-and-Dice
-        schedule.
+        schedule: one select pass, ``K`` gathers.
 
         The forward NuFFT's *re-gridding* step (Fig. 1) is the exact
         transpose of gridding: each column scans the sample stream and
@@ -547,15 +532,8 @@ class SliceAndDiceGridder(Gridder):
         Numerically identical to the base-class gather (same weights),
         but scheduled column-parallel with the same ``M * T^d``
         boundary-check count — the model §III describes applies to both
-        NuFFT directions.
-        """
-        return self._interp_batch_impl(grid[None], coords)[0]
-
-    def _interp_batch_impl(self, grid_stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Batched forward interpolation: one select pass, ``K`` gathers.
-
-        Transpose of :meth:`_grid_batch_impl`; bit-identical to ``K``
-        independent :meth:`interp` calls.
+        NuFFT directions.  Bit-identical to ``K`` independent
+        :meth:`interp` calls.
         """
         k_rhs = grid_stack.shape[0]
         m = coords.shape[0]

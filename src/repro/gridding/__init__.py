@@ -16,8 +16,8 @@ reproduce the paper's operation-count and locality arguments:
   (§VII.A).
 
 The paper's own contribution, Slice-and-Dice (the serial reference and
-its compiled engine, with its numba lane, its bounded-memory chunk
-mode and :class:`SampleStream` sources), lives in :mod:`repro.core`.  All
+its compiled engine, with its numba lane and its bounded-memory chunk
+mode), lives in :mod:`repro.core`.  All
 implement the same :class:`Gridder` interface.  All engines — including
 those — are reachable by name through the registry
 (:func:`available_gridders`, :func:`make_gridder`,
@@ -36,17 +36,16 @@ from .registry import (
     make_gridder,
     register_gridder,
 )
-#: chunk-mode exports resolved lazily (PEP 562): they live in
-#: :mod:`repro.core.compiled`, which itself imports ``gridding.base`` —
-#: an eager import here would close that cycle mid-initialization
-_CHUNK_EXPORTS = ("SampleStream", "choose_chunk_samples")
 
 
 def __getattr__(name):
-    if name in _CHUNK_EXPORTS:
-        from ..core import compiled
+    # ``choose_chunk_samples`` resolves lazily (PEP 562): it lives in
+    # :mod:`repro.core.compiled`, which itself imports ``gridding.base``
+    # — an eager import here would close that cycle mid-initialization
+    if name == "choose_chunk_samples":
+        from ..core.compiled import choose_chunk_samples
 
-        return getattr(compiled, name)
+        return choose_chunk_samples
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -61,7 +60,6 @@ __all__ = [
     "OutputParallelGridder",
     "BinningGridder",
     "SparseMatrixGridder",
-    "SampleStream",
     "choose_chunk_samples",
     "available_gridders",
     "default_gridder",

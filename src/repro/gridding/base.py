@@ -22,7 +22,6 @@ bit-comparable.
 
 from __future__ import annotations
 
-import abc
 import itertools
 from dataclasses import dataclass
 
@@ -460,18 +459,20 @@ def scatter_add_complex(
     )
 
 
-class Gridder(abc.ABC):
+class Gridder:
     """Base class: one gridding algorithm over a fixed problem setup.
 
     The public entry points :meth:`grid`, :meth:`grid_batch`,
-    :meth:`interp`, and :meth:`interp_batch` are template methods: they
-    perform shape validation, the fault-injection corruption hook, the
-    input-quality gate (``setup.quality_policy``), torus
-    canonicalization, and stats/report lifecycle, then dispatch to the
-    overridable ``_grid_impl`` / ``_grid_batch_impl`` /
-    ``_interp_impl`` / ``_interp_batch_impl`` hooks, whose coordinates
-    are guaranteed finite and wrapped to ``[0, G)``.  Subclasses
-    override only the hooks and never re-validate.
+    :meth:`interp`, and :meth:`interp_batch` are the only way into an
+    engine.  They share one path: shape validation, the fault-injection
+    corruption hook, the input-quality gate (``setup.quality_policy``),
+    torus canonicalization and the stats/report lifecycle, then one
+    dispatch to the ``_grid_batch_impl`` / ``_interp_batch_impl`` hooks,
+    whose coordinates are guaranteed finite and wrapped to ``[0, G)``.
+    A single-RHS call is a batch of one.  Engines with a batched kernel
+    override those two hooks; the others implement the per-RHS
+    ``_grid_impl`` (and optionally ``_interp_impl``) that the default
+    hooks loop over.  Subclasses never re-validate.
     """
 
     #: short identifier used by the registry and benchmark tables
@@ -509,24 +510,6 @@ class Gridder(abc.ABC):
         if self.buffer_pool is not None:
             self.buffer_pool.release(buf)
 
-    def _out_grid(self, out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-        """Validate/zero a caller-provided output array, or allocate one.
-
-        Caller-provided buffers (e.g. a plan's pooled grid) are zeroed
-        here so every ``grid``/``grid_batch`` implementation can assume
-        a clean accumulator, exactly as with a fresh ``np.zeros``.
-        """
-        dtype = self.setup.dtype
-        if out is None:
-            return np.zeros(shape, dtype=dtype)
-        if tuple(out.shape) != tuple(shape) or out.dtype != dtype:
-            raise ValueError(
-                f"out must have dtype {dtype} and shape {tuple(shape)}, got "
-                f"dtype {out.dtype} and shape {out.shape}"
-            )
-        out[...] = 0
-        return out
-
     # ------------------------------------------------------------------
     def _gate_samples(
         self, coords: np.ndarray, values_stack: np.ndarray | None
@@ -550,14 +533,14 @@ class Gridder(abc.ABC):
         return coords, values_stack, bad, report
 
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def _grid_impl(self, coords: np.ndarray, values: np.ndarray, grid: np.ndarray) -> None:
-        """Accumulate samples into ``grid`` (already zeroed), filling stats."""
-
+    # adjoint: samples -> grid
+    # ------------------------------------------------------------------
     def grid(
         self, coords: np.ndarray, values: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Adjoint gridding: scatter ``values`` at ``coords`` onto the grid.
+
+        A batch of one: :meth:`grid_batch` with ``K = 1``, bit for bit.
 
         Parameters
         ----------
@@ -569,8 +552,7 @@ class Gridder(abc.ABC):
         out:
             Optional output array of ``setup.grid_shape`` in the
             setup's working ``dtype`` (e.g. a pooled buffer); it is
-            zeroed and accumulated into, bit-identically to a fresh
-            allocation.
+            overwritten, bit-identically to a fresh allocation.
 
         Returns
         -------
@@ -597,22 +579,12 @@ class Gridder(abc.ABC):
         >>> grid.shape, g.stats.interpolations
         ((16, 16), 16)
         """
-        coords = self.setup.coerce_coords(coords)
         values = np.asarray(values, dtype=self.setup.dtype).ravel()
-        if values.shape[0] != coords.shape[0]:
-            raise ValueError(
-                f"{values.shape[0]} values but {coords.shape[0]} coordinates"
-            )
-        coords, values_stack, _, report = self._gate_samples(coords, values[None, :])
-        self.stats = GriddingStats()
-        grid = self._out_grid(out, self.setup.grid_shape)
-        if coords.shape[0]:
-            self._grid_impl(coords, values_stack[0], grid)
-        self.stats.quality = report
-        self._tag_stats()
-        return grid
+        stack = self.grid_batch(
+            coords, values[None, :], None if out is None else out[None]
+        )
+        return stack[0] if out is None else out
 
-    # ------------------------------------------------------------------
     def grid_batch(
         self,
         coords: np.ndarray,
@@ -623,12 +595,11 @@ class Gridder(abc.ABC):
 
         The multi-RHS entry point for multi-coil / multi-frame MRI: one
         sampling pattern, many k-space vectors (one per coil and CG
-        iteration).  The base implementation is a straight loop over
-        :meth:`grid` — bit-identical to ``K`` independent calls by
-        construction — with stats summed across the batch.  Subclasses
-        with shareable precomputation (Slice-and-Dice select tables,
-        the sparse interpolation matrix) override it to pay that work
-        once per batch.
+        iteration).  Engines with shareable precomputation (Slice-and-
+        Dice select tables, compiled plans, the sparse interpolation
+        matrix) pay it once per batch; the others loop their per-RHS
+        kernel, bit-identical to ``K`` independent :meth:`grid` calls
+        by construction, with stats summed across the batch.
 
         Parameters
         ----------
@@ -637,6 +608,9 @@ class Gridder(abc.ABC):
         values_stack:
             ``(K, M)`` complex sample values (a single ``(M,)`` vector
             is promoted to ``K=1``).
+        out:
+            Optional ``(K,) + setup.grid_shape`` output array in the
+            setup's working ``dtype``; it is overwritten.
 
         Returns
         -------
@@ -647,7 +621,7 @@ class Gridder(abc.ABC):
         ------
         ValueError
             If ``values_stack`` is not ``(K, M)`` for the given
-            coordinates.
+            coordinates, or ``out`` has the wrong shape or dtype.
 
         Examples
         --------
@@ -687,8 +661,7 @@ class Gridder(abc.ABC):
         """Default batched adjoint: loop :meth:`_grid_impl` per RHS.
 
         ``coords`` are already gated/wrapped and nonempty; ``out`` is
-        allocated but *not* zeroed.  Bit-identical to ``K`` independent
-        :meth:`grid` calls by construction; stats sum across the batch.
+        allocated but *not* zeroed.  Stats sum across the batch.
         """
         total = GriddingStats()
         for k in range(values_stack.shape[0]):
@@ -698,11 +671,65 @@ class Gridder(abc.ABC):
             total.accumulate(self.stats)
         self.stats = total
 
+    def _grid_impl(self, coords: np.ndarray, values: np.ndarray, grid: np.ndarray) -> None:
+        """Per-RHS kernel of the default :meth:`_grid_batch_impl`:
+        accumulate samples into ``grid`` (already zeroed), filling
+        stats.  Engines that override :meth:`_grid_batch_impl` need
+        not define it."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither _grid_batch_impl nor _grid_impl"
+        )
+
+    # ------------------------------------------------------------------
+    # forward: grid -> samples
+    # ------------------------------------------------------------------
+    def interp(self, grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Forward interpolation (regridding): gather grid -> samples.
+
+        The exact adjoint of :meth:`grid` — uses the same window
+        weights, so ``<grid(v), g> == <v, interp(g)>`` holds to
+        rounding error for every gridder.  A batch of one:
+        :meth:`interp_batch` with ``K = 1``, bit for bit.
+
+        Parameters
+        ----------
+        grid:
+            Complex array of ``setup.grid_shape``.
+        coords:
+            ``(M, d)`` sample coordinates in grid units ``[0, G)``.
+
+        Returns
+        -------
+        ``(M,)`` interpolated sample values in the setup's working
+        ``dtype``.
+
+        Raises
+        ------
+        ValueError
+            If ``grid`` does not match ``setup.grid_shape``.
+
+        Examples
+        --------
+        >>> import numpy as np
+        >>> from repro.gridding import GriddingSetup, make_gridder
+        >>> from repro.kernels import KernelLUT, beatty_kernel
+        >>> setup = GriddingSetup((16, 16), KernelLUT(beatty_kernel(4, 2.0), 32))
+        >>> g = make_gridder("naive", setup)
+        >>> g.interp(np.ones((16, 16), dtype=complex), np.array([[3.5, 8.0]])).shape
+        (1,)
+        """
+        grid = np.asarray(grid, dtype=self.setup.dtype)
+        if tuple(grid.shape) != self.setup.grid_shape:
+            raise ValueError(
+                f"grid shape {grid.shape} != setup {self.setup.grid_shape}"
+            )
+        return self.interp_batch(grid[None], coords)[0]
+
     def interp_batch(self, grid_stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Forward interpolation of ``K`` grids at one trajectory.
 
-        Transpose of :meth:`grid_batch`; the base implementation loops
-        :meth:`interp` and sums stats.
+        Transpose of :meth:`grid_batch`; engines without a batched
+        kernel loop their per-grid gather and sum stats.
 
         Parameters
         ----------
@@ -743,7 +770,7 @@ class Gridder(abc.ABC):
             )
         else:
             vals = self._interp_batch_impl(grid_stack, coords)
-        vals = self._restore_sample_slots(vals, bad, report, m, batched=True)
+        vals = self._restore_sample_slots(vals, bad, report, m)
         self.stats.quality = report
         self._tag_stats()
         return vals
@@ -767,15 +794,31 @@ class Gridder(abc.ABC):
         self.stats = total
         return out
 
+    def _interp_impl(self, grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Per-grid kernel of the default :meth:`_interp_batch_impl`:
+        the vectorized gather over gated/wrapped nonempty ``coords``."""
+        idx, wgt = window_contributions(self.setup, coords)
+        flat = grid.ravel()
+        m = coords.shape[0]
+        wpts = idx.shape[1]
+        self.stats = GriddingStats(
+            boundary_checks=m * wpts,
+            interpolations=m * wpts,
+            samples_processed=m,
+            grid_accesses=m * wpts,
+            lut_lookups=m * wpts * self.setup.ndim,
+        )
+        return np.einsum("mk,mk->m", flat[idx], wgt)
+
     def _restore_sample_slots(
         self,
         vals: np.ndarray,
         bad: np.ndarray | None,
         report: DataQualityReport,
         m: int,
-        batched: bool,
     ) -> np.ndarray:
-        """Re-expand gated interpolation output to the caller's ``M`` slots.
+        """Re-expand gated ``(K, m')`` interpolation output to the
+        caller's ``M`` slots.
 
         Interpolation is shape-preserving under every policy: dropped
         samples keep their slot with output ``0``, and zeroed samples
@@ -786,13 +829,15 @@ class Gridder(abc.ABC):
         if bad is None:
             return vals
         if report.policy == "drop":
-            shape = (vals.shape[0], m) if batched else (m,)
-            full = np.zeros(shape, dtype=vals.dtype)
-            full[..., ~bad] = vals
+            full = np.zeros((vals.shape[0], m), dtype=vals.dtype)
+            full[:, ~bad] = vals
             return full
-        vals[..., bad] = 0.0
+        vals[:, bad] = 0.0
         return vals
 
+    # ------------------------------------------------------------------
+    # shared validation and stats
+    # ------------------------------------------------------------------
     def _check_batch_values(
         self, coords: np.ndarray, values_stack: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -822,59 +867,6 @@ class Gridder(abc.ABC):
             )
         return grid_stack
 
-    # ------------------------------------------------------------------
-    def interp(self, grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Forward interpolation (regridding): gather grid -> samples.
-
-        The exact adjoint of :meth:`grid` — uses the same window
-        weights, so ``<grid(v), g> == <v, interp(g)>`` holds to
-        rounding error for every gridder.
-
-        Parameters
-        ----------
-        grid:
-            Complex array of ``setup.grid_shape``.
-        coords:
-            ``(M, d)`` sample coordinates in grid units ``[0, G)``.
-
-        Returns
-        -------
-        ``(M,)`` interpolated sample values in the setup's working
-        ``dtype``.
-
-        Raises
-        ------
-        ValueError
-            If ``grid`` does not match ``setup.grid_shape``.
-
-        Examples
-        --------
-        >>> import numpy as np
-        >>> from repro.gridding import GriddingSetup, make_gridder
-        >>> from repro.kernels import KernelLUT, beatty_kernel
-        >>> setup = GriddingSetup((16, 16), KernelLUT(beatty_kernel(4, 2.0), 32))
-        >>> g = make_gridder("naive", setup)
-        >>> g.interp(np.ones((16, 16), dtype=complex), np.array([[3.5, 8.0]])).shape
-        (1,)
-        """
-        grid = np.asarray(grid, dtype=self.setup.dtype)
-        if tuple(grid.shape) != self.setup.grid_shape:
-            raise ValueError(
-                f"grid shape {grid.shape} != setup {self.setup.grid_shape}"
-            )
-        coords = self.setup.coerce_coords(coords)
-        m = coords.shape[0]
-        coords, _, bad, report = self._gate_samples(coords, None)
-        self.stats = GriddingStats()
-        if coords.shape[0] == 0:
-            vals = np.zeros(coords.shape[0], dtype=self.setup.dtype)
-        else:
-            vals = self._interp_impl(grid, coords)
-        vals = self._restore_sample_slots(vals, bad, report, m, batched=False)
-        self.stats.quality = report
-        self._tag_stats()
-        return vals
-
     def _tag_stats(self) -> None:
         """Stamp the pass descriptors on :attr:`stats` (template hook).
 
@@ -886,21 +878,6 @@ class Gridder(abc.ABC):
         self.stats.kernel = self.setup.kernel_name
         if not self.stats.exec_lane:
             self.stats.exec_lane = "numpy"
-
-    def _interp_impl(self, grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Vectorized gather over gated/wrapped nonempty ``coords``."""
-        idx, wgt = window_contributions(self.setup, coords)
-        flat = grid.ravel()
-        m = coords.shape[0]
-        wpts = idx.shape[1]
-        self.stats = GriddingStats(
-            boundary_checks=m * wpts,
-            interpolations=m * wpts,
-            samples_processed=m,
-            grid_accesses=m * wpts,
-            lut_lookups=m * wpts * self.setup.ndim,
-        )
-        return np.einsum("mk,mk->m", flat[idx], wgt)
 
     # ------------------------------------------------------------------
     def address_trace(self, coords: np.ndarray) -> np.ndarray:

@@ -77,23 +77,20 @@ class SparseMatrixGridder(Gridder):
             self._built_this_call = False
         return self._matrix
 
-    # ------------------------------------------------------------------
-    def _grid_impl(self, coords: np.ndarray, values: np.ndarray, grid: np.ndarray) -> None:
-        mat = self._ensure_matrix(coords)
-        m = coords.shape[0]
-        wpts = self.setup.width ** self.setup.ndim
-        out = mat.conj().T @ values  # C^H v; C is real so conj is free
-        grid += out.reshape(self.setup.grid_shape)
-        build_ops = m * wpts if self._built_this_call else 0
-        self.stats = GriddingStats(
+    def _pass_stats(self, mat: sparse.csr_matrix, m: int, k: int) -> GriddingStats:
+        """Stats of one ``K``-RHS pass: value work scales with ``K``,
+        the matrix build (if this call paid it) is charged once."""
+        build_ops = m * (self.setup.width ** self.setup.ndim) if self._built_this_call else 0
+        return GriddingStats(
             boundary_checks=0,  # windows are enumerated, never tested
-            interpolations=int(mat.nnz),
+            interpolations=int(mat.nnz) * k,
             samples_processed=m,
             presort_operations=build_ops,
-            grid_accesses=int(mat.nnz),
+            grid_accesses=int(mat.nnz) * k,
             lut_lookups=build_ops * self.setup.ndim,
         )
 
+    # ------------------------------------------------------------------
     def _grid_batch_impl(
         self,
         coords: np.ndarray,
@@ -101,53 +98,19 @@ class SparseMatrixGridder(Gridder):
         out: np.ndarray,
     ) -> None:
         """Batched adjoint ``C^H V`` — one matrix build, K mat-vecs."""
-        k = values_stack.shape[0]
         mat = self._ensure_matrix(coords)
-        m = coords.shape[0]
-        build_ops = m * (self.setup.width ** self.setup.ndim) if self._built_this_call else 0
         result = (mat.conj().T @ values_stack.T).T  # C is real so conj is free
-        self.stats = GriddingStats(
-            boundary_checks=0,
-            interpolations=int(mat.nnz) * k,
-            samples_processed=m,
-            presort_operations=build_ops,
-            grid_accesses=int(mat.nnz) * k,
-            lut_lookups=build_ops * self.setup.ndim,
-        )
+        self.stats = self._pass_stats(mat, coords.shape[0], values_stack.shape[0])
         out[...] = result.reshape(out.shape)
 
     def _interp_batch_impl(self, grid_stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Batched forward ``C G`` — one matrix build, K mat-vecs."""
         k = grid_stack.shape[0]
         mat = self._ensure_matrix(coords)
-        m = coords.shape[0]
-        build_ops = m * (self.setup.width ** self.setup.ndim) if self._built_this_call else 0
-        self.stats = GriddingStats(
-            boundary_checks=0,
-            interpolations=int(mat.nnz) * k,
-            samples_processed=m,
-            presort_operations=build_ops,
-            grid_accesses=int(mat.nnz) * k,
-            lut_lookups=build_ops * self.setup.ndim,
-        )
+        self.stats = self._pass_stats(mat, coords.shape[0], k)
         return np.ascontiguousarray(
             (mat @ grid_stack.reshape(k, -1).T).T
         )
-
-    def _interp_impl(self, grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Forward interpolation via ``C @ grid`` (exact adjoint pair)."""
-        mat = self._ensure_matrix(coords)
-        m = coords.shape[0]
-        build_ops = m * (self.setup.width ** self.setup.ndim) if self._built_this_call else 0
-        self.stats = GriddingStats(
-            boundary_checks=0,
-            interpolations=int(mat.nnz),
-            samples_processed=m,
-            presort_operations=build_ops,
-            grid_accesses=int(mat.nnz),
-            lut_lookups=build_ops * self.setup.ndim,
-        )
-        return mat @ np.asarray(grid, dtype=self.setup.dtype).ravel()
 
     # ------------------------------------------------------------------
     @property

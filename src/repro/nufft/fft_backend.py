@@ -138,7 +138,10 @@ class ScipyFftBackend(FftBackend):
     name = "scipy"
 
     def __init__(self, workers: int | None = None):
-        import scipy.fft as _sfft  # noqa: PLC0415 - optional dependency
+        # scipy is a required dependency (pyproject: scipy>=1.10); the
+        # import stays lazy so REPRO_FFT_DISABLE=scipy can mask this
+        # backend without touching the csr lane's scipy.sparse
+        import scipy.fft as _sfft  # noqa: PLC0415 - lazy, not optional
 
         self._fft = _sfft
         self.workers = _default_workers(workers)

@@ -2,9 +2,9 @@
 
 :func:`inject_faults` is a context manager that arms a module-global
 injector; instrumented production code calls the cheap hooks below
-(``fault_point``, ``heartbeat_fault_point``, ``corrupt_stream``,
-``corrupt_chunk``), each of which is a no-op single ``is None`` check
-when no injector is active.  Faults available:
+(``fault_point``, ``heartbeat_fault_point``, ``corrupt_stream``), each
+of which is a no-op single ``is None`` check when no injector is
+active.  Faults available:
 
 - **FFT backend exceptions** — ``fft_errors={"scipy": 2}`` makes the
   next two transforms executed by the scipy backend raise
@@ -20,12 +20,6 @@ when no injector is active.  Faults available:
   ``corrupt_values=N`` poison that many entries (seeded positions)
   with NaN on entry to the gridding public API, exercising the
   quality-gate policies end to end.
-- **corrupted stream chunks** — ``corrupt_chunk_index=K`` poisons the
-  whole ``K``-th chunk (coords and values NaN) at a chunked
-  engine's per-chunk stream gate (:func:`corrupt_chunk`), exercising the
-  mid-stream quality policies: ``raise`` must abort with no partial
-  accumulation left behind, ``drop``/``zero`` must skip the chunk and
-  keep streaming.  One-shot: the directive clears after firing.
 - **service worker crashes / hangs** — ``worker_crash=N`` /
   ``worker_hang=N`` crash (:class:`InjectedWorkerCrash`) or hang (a
   ``hang_seconds`` sleep) a service worker thread N times, fired at
@@ -72,7 +66,6 @@ __all__ = [
     "fault_point",
     "heartbeat_fault_point",
     "corrupt_stream",
-    "corrupt_chunk",
 ]
 
 
@@ -105,7 +98,6 @@ class FaultInjector:
         jit_errors: int = 0,
         corrupt_coords: int = 0,
         corrupt_values: int = 0,
-        corrupt_chunk_index: int | None = None,
         worker_fault_delay: int = 0,
     ) -> None:
         self.rng = np.random.default_rng(seed)
@@ -117,9 +109,6 @@ class FaultInjector:
         self.jit_errors = int(jit_errors)
         self.corrupt_coords = int(corrupt_coords)
         self.corrupt_values = int(corrupt_values)
-        self.corrupt_chunk_index = (
-            None if corrupt_chunk_index is None else int(corrupt_chunk_index)
-        )
         self.worker_fault_delay = int(worker_fault_delay)
         self.log: list[tuple[str, str]] = []
         # directive armed for the next service-worker heartbeat
@@ -201,27 +190,6 @@ class FaultInjector:
             self.log.append(("corrupt", f"values n={k}"))
         return coords, values_stack
 
-    def corrupt_one_chunk(
-        self,
-        chunk_index: int,
-        coords: np.ndarray,
-        values_stack: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Poison the whole chunk when ``chunk_index`` matches the
-        armed directive (one-shot), else pass through untouched."""
-        if self.corrupt_chunk_index != chunk_index or coords.shape[0] == 0:
-            return coords, values_stack
-        self.corrupt_chunk_index = None
-        coords = coords.copy()
-        coords[:, 0] = np.nan
-        if values_stack is not None:
-            values_stack = values_stack.copy()
-            values_stack[...] = np.nan + 0j
-        self.log.append(
-            ("corrupt", f"chunk index={chunk_index} n={coords.shape[0]}")
-        )
-        return coords, values_stack
-
 
 _ACTIVE: FaultInjector | None = None
 
@@ -277,15 +245,3 @@ def corrupt_stream(
     if _ACTIVE is None:
         return coords, values_stack
     return _ACTIVE.corrupt(coords, values_stack)
-
-
-def corrupt_chunk(
-    chunk_index: int,
-    coords: np.ndarray,
-    values_stack: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Called at a chunked engine's per-chunk stream gate; poisons the
-    whole chunk (NaN copies) when ``corrupt_chunk_index`` matches."""
-    if _ACTIVE is None:
-        return coords, values_stack
-    return _ACTIVE.corrupt_one_chunk(chunk_index, coords, values_stack)

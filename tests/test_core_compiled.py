@@ -672,7 +672,7 @@ class TestTableMemory:
     def test_tiles_use_minimal_dtype(self, small_setup, rng):
         coords, _ = random_samples(rng, 100, small_setup.grid_shape)
         ser = SliceAndDiceGridder(small_setup)
-        _, _, _, tiles = ser._per_axis_tables(small_setup.check_coords(coords))
+        _, _, _, tiles = ser._fetch_tables(small_setup.check_coords(coords))[0]
         # 32/8 = 4 tiles per axis -> uint8 suffices
         assert all(t.dtype == np.uint8 for t in tiles)
 

@@ -2,9 +2,11 @@
 
 The contract under test (ISSUE 1 tentpole):
 
-- ``grid_batch``/``interp_batch`` are *bit-identical* (``array_equal``,
-  not ``allclose``) to stacking K independent single calls, for 2D and
-  3D problems and both Slice-and-Dice engines;
+- ``grid``/``interp`` are a batch of one, and ``grid_batch``/
+  ``interp_batch`` are *bit-identical* (``array_equal``, not
+  ``allclose``) to stacking K independent single calls, for 2D and 3D
+  problems at complex128 and complex64, on every registered engine
+  (both Slice-and-Dice schedules) and the compiled engine's chunk mode;
 - the per-axis select tables are cached per trajectory fingerprint
   (same coords content -> hit; mutated coords -> miss;
   ``invalidate_cache()`` -> miss) and the events are visible in
@@ -21,6 +23,8 @@ from repro.gridding import (
     GriddingSetup,
     NaiveGridder,
     SparseMatrixGridder,
+    available_gridders,
+    make_gridder,
 )
 from repro.kernels import KernelLUT, beatty_kernel
 from repro.nufft import NufftPlan
@@ -32,9 +36,20 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def make_setup(ndim: int) -> GriddingSetup:
+#: engine cells of the bit-identity tests: id -> (registry name, options)
+ENGINES = {
+    "columns": ("slice_and_dice", {"engine": "columns"}),
+    "blocked": ("slice_and_dice", {"engine": "blocked"}),
+    **{name: (name, {}) for name in available_gridders() if name != "slice_and_dice"},
+    "chunk77": ("slice_and_dice_compiled", {"chunk_samples": 77}),
+}
+
+
+def make_setup(ndim: int, dtype=np.complex128) -> GriddingSetup:
     g = 32 if ndim == 2 else 16
-    return GriddingSetup((g,) * ndim, KernelLUT(beatty_kernel(4, 2.0), 64))
+    return GriddingSetup(
+        (g,) * ndim, KernelLUT(beatty_kernel(4, 2.0), 64), dtype=dtype
+    )
 
 
 def make_problem(setup, rng, m=400, k=4):
@@ -49,24 +64,32 @@ def make_problem(setup, rng, m=400, k=4):
 
 class TestBitIdentity:
     @pytest.mark.parametrize("ndim", [2, 3])
-    @pytest.mark.parametrize("engine", ["columns", "blocked"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_grid_batch_matches_singles(self, ndim, engine, rng):
-        setup = make_setup(ndim)
-        coords, values, _ = make_problem(setup, rng)
-        gridder = SliceAndDiceGridder(setup, tile_size=8, engine=engine)
-        singles = np.stack([gridder.grid(coords, v) for v in values])
-        batch = gridder.grid_batch(coords, values)
-        assert np.array_equal(batch, singles)
+        """Each cell runs at complex128 and complex64."""
+        name, options = ENGINES[engine]
+        for dtype in (np.complex128, np.complex64):
+            setup = make_setup(ndim, dtype)
+            coords, values, _ = make_problem(setup, rng)
+            gridder = make_gridder(name, setup, **options)
+            singles = np.stack([gridder.grid(coords, v) for v in values])
+            for v, single in zip(values, singles):
+                assert np.array_equal(single, gridder.grid_batch(coords, v[None])[0])
+            assert np.array_equal(gridder.grid_batch(coords, values), singles)
 
     @pytest.mark.parametrize("ndim", [2, 3])
-    @pytest.mark.parametrize("engine", ["columns", "blocked"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_interp_batch_matches_singles(self, ndim, engine, rng):
-        setup = make_setup(ndim)
-        coords, _, grids = make_problem(setup, rng)
-        gridder = SliceAndDiceGridder(setup, tile_size=8, engine=engine)
-        singles = np.stack([gridder.interp(g, coords) for g in grids])
-        batch = gridder.interp_batch(grids, coords)
-        assert np.array_equal(batch, singles)
+        """Each cell runs at complex128 and complex64."""
+        name, options = ENGINES[engine]
+        for dtype in (np.complex128, np.complex64):
+            setup = make_setup(ndim, dtype)
+            coords, _, grids = make_problem(setup, rng)
+            gridder = make_gridder(name, setup, **options)
+            singles = np.stack([gridder.interp(g, coords) for g in grids])
+            for g, single in zip(grids, singles):
+                assert np.array_equal(single, gridder.interp_batch(g[None], coords)[0])
+            assert np.array_equal(gridder.interp_batch(grids, coords), singles)
 
     def test_base_class_fallback_is_exact(self, rng):
         """The default loop fallback is K single calls by construction."""

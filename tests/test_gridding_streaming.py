@@ -1,4 +1,4 @@
-"""Chunk mode of the compiled engine: bit-identity, memory, chaos, service.
+"""Chunk mode of the compiled engine: bit-identity, memory, service.
 
 The contract under test (``chunk_samples=`` of
 ``repro.core.CompiledSliceAndDiceGridder``, on every backend):
@@ -13,13 +13,10 @@ The contract under test (``chunk_samples=`` of
   rounding edge;
 - at complex64 both directions are bit-identical too on every lane:
   each accumulates in the working dtype (csr, the numba kernels);
-- ``SampleStream`` sources (arrays, memmap, generator chunks, raw
-  files) all produce the same result;
+- an empty call runs no chunk and returns zeros;
 - the reported ``peak_bytes`` is a true high-water mark
   (tracemalloc-cross-checked) and shrinks with the chunk size while
-  the one-shot engine's does not, and ``max_bytes`` budgets hold;
-- chaos: a corrupted mid-stream chunk aborts with no partial
-  accumulation and a balanced buffer pool.
+  the one-shot engine's does not, and ``max_bytes`` budgets hold.
 """
 
 from __future__ import annotations
@@ -33,16 +30,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import CompiledSliceAndDiceGridder
 from repro.core import jit as jitmod
 from repro.core.jit import jit_available
-from repro.errors import CoordinateError
-from repro.gridding import (
-    GridBufferPool,
-    GriddingSetup,
-    SampleStream,
-    choose_chunk_samples,
-    make_gridder,
-)
+from repro.gridding import GriddingSetup, choose_chunk_samples, make_gridder
 from repro.kernels import KernelLUT, beatty_kernel, make_kernel
-from repro.robustness import inject_faults
 from tests.conftest import interpret_jit_kernels, random_samples
 
 CHUNK_SIZES = (1, 7, 100, 1000, 5000)  # 1, non-dividing, dividing, >= M
@@ -74,15 +63,16 @@ GEOMETRIES = {
     "rect": ((32, 48), "kb", 6),
     "es": ((32, 32), "es", 4),
     "edge": ((32, 32), "kb", 3),
+    "empty": ((32, 32), "kb", 6),
 }
 
-#: (chunk, geometry) cases: every chunk size on the square grid, plus
-#: chunk 1 and chunk > M on every other geometry
+#: (chunk, geometry) cases: every chunk size on the square grid,
+#: chunk 1 and chunk > M on every other geometry, and an empty call
 BIT_CASES = [pytest.param(c, "square", id=str(c)) for c in CHUNK_SIZES] + [
     pytest.param(c, g, id=f"{g}-{c}")
     for g in ("rect", "es", "edge")
     for c in (1, 5000)
-]
+] + [pytest.param(64, "empty", id="empty-64")]
 
 
 def lane_cells(chunks, default: str):
@@ -120,7 +110,7 @@ def geometry_problem(rng, geometry: str, dtype=np.complex128):
     ``G - eps`` per axis) and at ``0.5 - 2**-52``, where the
     ``W/2 = 1.5`` shift leaves a fraction so close to 1 that the
     forward distance ``2 + frac`` rounds to ``W = 3``: the one-shot
-    boundary check drops that column.
+    boundary check drops that column.  ``"empty"`` has no samples.
     """
     shape, kernel, width = GEOMETRIES[geometry]
     setup = GriddingSetup(shape, KernelLUT(make_kernel(kernel, width), 64), dtype=dtype)
@@ -131,6 +121,8 @@ def geometry_problem(rng, geometry: str, dtype=np.complex128):
                           [0.5 - 2**-52, 0.5 - 2**-52]])
         coords = np.vstack([coords, edges])
         values = np.concatenate([values, 1.0 + 1j * np.arange(len(edges))])
+    if geometry == "empty":
+        coords, values = coords[:0], values[:0]
     return setup, coords, values.astype(dtype)
 
 
@@ -262,119 +254,6 @@ class TestBitIdentity:
         )
         assert ref.stats.exec_lane == "numba-parallel"
         assert stm.stats.exec_lane == "numba-serial"
-
-
-# ----------------------------------------------------------------------
-# SampleStream sources
-# ----------------------------------------------------------------------
-class TestSampleStream:
-    def test_from_arrays_chunking(self):
-        coords = np.arange(10, dtype=np.float64).reshape(5, 2)
-        values = np.ones(5, dtype=complex)
-        s = SampleStream.from_arrays(coords, values, chunk_samples=2)
-        sizes = [c.shape[0] for c, _ in s.chunks()]
-        assert sizes == [2, 2, 1]
-        assert s.m == 5
-        # re-iterable
-        assert [c.shape[0] for c, _ in s.chunks()] == sizes
-
-    def test_from_arrays_memmap(self, small_setup, rng, tmp_path):
-        coords, values = random_samples(rng, 333, small_setup.grid_shape)
-        path = tmp_path / "coords.npy"
-        np.save(path, coords)
-        mm = np.load(path, mmap_mode="r")
-        stm = make_gridder(
-            "slice_and_dice_compiled", small_setup, chunk_samples=50
-        )
-        ref = make_gridder("slice_and_dice_compiled", small_setup)
-        got = stm.grid_stream(SampleStream.from_arrays(mm, values, chunk_samples=50))
-        assert np.array_equal(got, ref.grid(coords, values))
-
-    def test_from_file_round_trip(self, small_setup, rng, tmp_path):
-        coords, values = random_samples(rng, 451, small_setup.grid_shape)
-        cp, vp = tmp_path / "c.f64", tmp_path / "v.c128"
-        coords.tofile(cp)
-        values.astype(np.complex128).tofile(vp)
-        s = SampleStream.from_file(
-            cp, m=451, ndim=2, values_path=vp, chunk_samples=100
-        )
-        stm = make_gridder(
-            "slice_and_dice_compiled", small_setup, chunk_samples=100
-        )
-        ref = make_gridder("slice_and_dice_compiled", small_setup)
-        assert np.array_equal(
-            stm.grid_stream(s), ref.grid(coords, values)
-        )
-        # file streams are re-iterable
-        assert np.array_equal(stm.grid_stream(s), ref.grid(coords, values))
-
-    def test_from_chunks_generator_single_use(self, small_setup, rng):
-        coords, values = random_samples(rng, 200, small_setup.grid_shape)
-
-        def gen():
-            for lo in range(0, 200, 61):
-                yield coords[lo:lo + 61], values[lo:lo + 61]
-
-        s = SampleStream.from_chunks(gen(), m=200)
-        stm = make_gridder(
-            "slice_and_dice_compiled", small_setup, chunk_samples=61
-        )
-        ref = make_gridder("slice_and_dice_compiled", small_setup)
-        assert np.array_equal(stm.grid_stream(s), ref.grid(coords, values))
-        with pytest.raises(RuntimeError, match="single-use"):
-            stm.grid_stream(s)
-
-    def test_batched_stream(self, small_setup, rng):
-        coords, values = random_samples(rng, 150, small_setup.grid_shape)
-        stack = np.stack([values, -values])
-        stm = make_gridder(
-            "slice_and_dice_compiled", small_setup, chunk_samples=40
-        )
-        ref = make_gridder("slice_and_dice_compiled", small_setup)
-        got = stm.grid_stream(SampleStream.from_arrays(coords, stack, chunk_samples=40))
-        assert got.shape == (2,) + small_setup.grid_shape
-        assert np.array_equal(got, ref.grid_batch(coords, stack))
-
-    def test_interp_stream_sample_order(self, small_setup, rng):
-        coords, _ = random_samples(rng, 300, small_setup.grid_shape)
-        grid = rng.standard_normal(small_setup.grid_shape) + 0j
-        stm = make_gridder(
-            "slice_and_dice_compiled", small_setup, chunk_samples=71
-        )
-        ref = make_gridder("slice_and_dice_compiled", small_setup)
-        chunks = list(
-            stm.interp_stream(
-                grid, SampleStream.from_arrays(coords, chunk_samples=71)
-            )
-        )
-        assert [c.shape[0] for c in chunks] == [71, 71, 71, 71, 16]
-        assert np.array_equal(
-            np.concatenate(chunks), ref.interp(grid, coords)
-        )
-
-    def test_empty_stream(self, small_setup):
-        stm = make_gridder(
-            "slice_and_dice_compiled", small_setup, chunk_samples=64
-        )
-        got = stm.grid_stream(
-            SampleStream.from_arrays(
-                np.zeros((0, 2)), np.zeros(0, dtype=complex)
-            )
-        )
-        assert got.shape == small_setup.grid_shape and not got.any()
-        assert stm.stats.chunks == 0
-
-    def test_grid_stream_requires_values(self, small_setup, rng):
-        coords, _ = random_samples(rng, 50, small_setup.grid_shape)
-        stm = make_gridder(
-            "slice_and_dice_compiled", small_setup, chunk_samples=64
-        )
-        with pytest.raises(ValueError, match="value chunks"):
-            stm.grid_stream(SampleStream.from_arrays(coords, chunk_samples=10))
-
-    def test_invalid_chunk_samples(self):
-        with pytest.raises(ValueError, match="chunk_samples"):
-            SampleStream.from_arrays(np.zeros((4, 2)), chunk_samples=0)
 
 
 # ----------------------------------------------------------------------
@@ -598,12 +477,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="chunk_samples"):
             make_gridder("slice_and_dice_compiled", small_setup, chunk_samples=0)
 
-    def test_streams_need_chunk_mode(self, small_setup, rng):
-        coords, values = random_samples(rng, 50, small_setup.grid_shape)
-        one_shot = make_gridder("slice_and_dice_compiled", small_setup)
-        with pytest.raises(ValueError, match="chunk mode"):
-            one_shot.grid_stream(SampleStream.from_arrays(coords, values))
-
     def test_jit_lane_degrades_without_numba(self, small_setup, rng):
         if jit_available():
             pytest.skip("numba importable — degradation path not reachable")
@@ -635,69 +508,6 @@ class TestRegistry:
         one_shot = NufftPlan((16, 16), coords, gridder="slice_and_dice_compiled")
         one_shot.adjoint(values)
         assert one_shot.timings.chunks == 0
-
-
-# ----------------------------------------------------------------------
-# chaos: corrupted chunks
-# ----------------------------------------------------------------------
-class TestChaos:
-    def test_corrupt_chunk_raise_aborts_cleanly(self, small_setup, rng):
-        coords, values = random_samples(rng, 500, small_setup.grid_shape)
-        pool = GridBufferPool()
-        stm = make_gridder(
-            "slice_and_dice_compiled", small_setup, chunk_samples=100
-        )
-        stm.buffer_pool = pool
-        ref = make_gridder("slice_and_dice_compiled", small_setup)
-        expected = ref.grid(coords, values)
-        with inject_faults(seed=3, corrupt_chunk_index=2) as inj:
-            with pytest.raises(CoordinateError):
-                stm.grid_stream(
-                    SampleStream.from_arrays(coords, values, chunk_samples=100)
-                )
-            assert any(site == "corrupt" for site, _ in inj.log)
-        # no partial accumulation: pool balanced, next pass bit-identical
-        assert pool.snapshot().outstanding == 0
-        assert np.array_equal(
-            stm.grid_stream(
-                SampleStream.from_arrays(coords, values, chunk_samples=100)
-            ),
-            expected,
-        )
-
-    @pytest.mark.parametrize("policy", ("drop", "zero"))
-    def test_corrupt_chunk_degrades_per_policy(self, rng, policy):
-        setup = GriddingSetup(
-            (32, 32), KernelLUT(beatty_kernel(6, 2.0), 64),
-            quality_policy=policy,
-        )
-        coords, values = random_samples(rng, 500, setup.grid_shape)
-        stm = make_gridder(
-            "slice_and_dice_compiled", setup, chunk_samples=100
-        )
-        ref = make_gridder("slice_and_dice_compiled", setup)
-        if policy == "drop":
-            keep = np.ones(500, bool)
-            keep[200:300] = False
-            expected = ref.grid(coords[keep], values[keep])
-        else:
-            patched = values.copy()
-            patched[200:300] = 0.0
-            c_patched = coords.copy()
-            c_patched[200:300] = 0.0
-            expected = ref.grid(c_patched, patched)
-        with inject_faults(seed=3, corrupt_chunk_index=2):
-            got = stm.grid_stream(
-                SampleStream.from_arrays(coords, values, chunk_samples=100)
-            )
-        assert np.array_equal(got, expected)
-        assert stm.stats.quality is not None
-        flagged = (
-            stm.stats.quality.dropped
-            if policy == "drop"
-            else stm.stats.quality.zeroed
-        )
-        assert flagged == 100
 
 
 # ----------------------------------------------------------------------

@@ -431,51 +431,6 @@ class TestCorruptedStream:
             gridder.grid(coords, values)
         assert coords.tobytes() == c_bytes and values.tobytes() == v_bytes
 
-    def test_corrupt_chunk_index_poisons_exactly_one_chunk(self, rng):
-        """The chunk-targeted injector fires once, on the named chunk
-        only, and poisons every sample of that chunk (chunk-granular
-        failure model: a bad DMA burst, not a bad sample)."""
-        from repro.robustness.faults import corrupt_chunk
-
-        coords = rng.uniform(0, 16, size=(12, 2))
-        values = rng.standard_normal((1, 12)) + 0j
-        with inject_faults(seed=0, corrupt_chunk_index=1) as inj:
-            c0, v0 = corrupt_chunk(0, coords.copy(), values.copy())
-            assert np.isfinite(c0).all() and np.isfinite(v0).all()
-            c1, v1 = corrupt_chunk(1, coords.copy(), values.copy())
-            assert not np.isfinite(c1).all()
-            assert not np.isfinite(v1).all()
-            # one-shot: the directive clears after firing
-            c2, v2 = corrupt_chunk(1, coords.copy(), values.copy())
-            assert np.isfinite(c2).all() and np.isfinite(v2).all()
-            assert any(
-                site == "corrupt" and "chunk" in detail
-                for site, detail in inj.log
-            )
-
-    def test_corrupt_chunk_streaming_raise_leaves_no_partial_output(self, rng):
-        """A mid-stream poisoned chunk under policy="raise" aborts the
-        whole pass: typed error, no partial accumulation visible, and
-        the engine stays healthy for the next call."""
-        from repro.gridding import SampleStream
-
-        coords = rng.uniform(0, 16, size=(100, 2))
-        values = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        gridder = make_gridder(
-            "slice_and_dice_compiled",
-            build_setup(policy="raise"),
-            chunk_samples=25,
-        )
-
-        def stream():
-            return SampleStream.from_arrays(coords, values, chunk_samples=25)
-
-        ref = gridder.grid_stream(stream())
-        with inject_faults(seed=0, corrupt_chunk_index=2):
-            with pytest.raises(CoordinateError):
-                gridder.grid_stream(stream())
-        assert np.array_equal(gridder.grid_stream(stream()), ref)
-
 
 # ---------------------------------------------------------------------------
 # FFT fallback chain

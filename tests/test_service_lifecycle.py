@@ -127,6 +127,13 @@ class TestDeadlineAndCancel:
         with pytest.raises(JobCancelled, match="mid-stream"):
             plan.adjoint(samples)
         assert seen["n"] >= 3  # entry check + per-chunk checks
+        # the aborted pass strands no pooled storage and leaves no
+        # partial accumulation: the next pass is a fresh plan's
+        assert plan.buffer_pool.outstanding == 0
+        plan.cancel_token = None
+        assert np.array_equal(
+            plan.adjoint(samples), _stream_plan(coords).adjoint(samples)
+        )
 
 
 # ----------------------------------------------------------------------
