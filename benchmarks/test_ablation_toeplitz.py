@@ -35,7 +35,7 @@ def problem():
 def test_toeplitz_equals_gridding_cg(problem):
     plan, phantom, kspace = problem
     direct = cg_reconstruction(plan, kspace, n_iterations=10)
-    toep = cg_reconstruction(plan, kspace, n_iterations=10, toeplitz=True)
+    toep = cg_reconstruction(plan, kspace, n_iterations=10, normal="toeplitz")
     err = rel_l2_error(toep.image, direct.image)
     print_table(
         "CG reconstruction: gridding-per-iteration vs Toeplitz",
@@ -76,7 +76,7 @@ def test_toeplitz_amortizes_gridding(problem):
     t_direct = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cg_reconstruction(plan, kspace, n_iterations=n_iter, toeplitz=True)
+    cg_reconstruction(plan, kspace, n_iterations=n_iter, normal="toeplitz")
     t_toep = time.perf_counter() - t0
 
     print_table(

@@ -11,13 +11,15 @@ This package supplies that workload:
 - :class:`~repro.mri.SenseOperator` — the multi-coil encoding operator
   ``y_c = NuFFT(S_c * x)`` with its exact adjoint;
 - :func:`~repro.mri.sense_reconstruction` — CG-SENSE (Pruessmann-style
-  iterative reconstruction on the normal equations);
+  iterative reconstruction on the normal equations), run by the same CG
+  loop as :func:`repro.recon.cg_reconstruction` and returning its
+  :class:`~repro.recon.CgResult`;
 - :class:`~repro.mri.Acquisition` — a small container bundling
   trajectory, k-space data, and metadata with ``.npz`` round-tripping.
 """
 
 from .coils import birdcage_maps, sos_normalize
-from .sense import SenseOperator, SenseResult, sense_reconstruction, coil_combine_adjoint
+from .sense import SenseOperator, sense_reconstruction, coil_combine_adjoint
 from .acquisition import Acquisition
 from .realtime import RealtimeScenario, frame_rate_fps, keeps_up
 
@@ -25,7 +27,6 @@ __all__ = [
     "birdcage_maps",
     "sos_normalize",
     "SenseOperator",
-    "SenseResult",
     "sense_reconstruction",
     "coil_combine_adjoint",
     "Acquisition",

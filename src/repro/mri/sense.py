@@ -16,13 +16,17 @@ in through the shared plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..errors import DataQualityError, DegradationEvent, SolverBreakdown
+from ..errors import SolverBreakdown
 from ..nufft import NufftPlan, ToeplitzNormalOperator
-from ..recon.cg import _dot_real, _plan_cdtype
+from ..recon.cg import (
+    CgResult,
+    _check_controls,
+    _check_weights,
+    _solve,
+    _supervised_toeplitz,
+)
 
 __all__ = ["SenseOperator", "coil_combine_adjoint", "sense_reconstruction"]
 
@@ -65,7 +69,7 @@ class SenseOperator:
     """
 
     def __init__(self, plan: NufftPlan, maps: np.ndarray):
-        self._cdtype = _plan_cdtype(plan)
+        self._cdtype = plan.cdtype
         maps = np.asarray(maps, dtype=self._cdtype)
         if maps.ndim != plan.ndim + 1 or tuple(maps.shape[1:]) != plan.image_shape:
             raise ValueError(
@@ -178,26 +182,6 @@ def coil_combine_adjoint(
     return operator.adjoint(kspace) / operator.n_samples
 
 
-@dataclass
-class SenseResult:
-    """CG-SENSE solution, convergence history, and solver health record.
-
-    Same health fields as :class:`repro.recon.CgResult`:
-    ``degradations`` lists supervised fallbacks (e.g. ``normal:
-    toeplitz -> gridding``), ``restarts`` counts non-finite-triggered
-    restarts, ``breakdown`` names a detected numerical breakdown
-    (``"indefinite_gram"`` / ``"stagnation"``) or is ``None``.
-    """
-
-    image: np.ndarray
-    residual_norms: list[float] = field(default_factory=list)
-    n_iterations: int = 0
-    converged: bool = False
-    degradations: tuple = ()
-    restarts: int = 0
-    breakdown: str | None = None
-
-
 def sense_reconstruction(
     operator: SenseOperator,
     kspace: np.ndarray,
@@ -206,8 +190,12 @@ def sense_reconstruction(
     tolerance: float = 1e-6,
     regularization: float = 0.0,
     normal: str = "gridding",
-) -> SenseResult:
+) -> CgResult:
     """CG-SENSE iterative reconstruction.
+
+    Runs the same CG loop as :func:`repro.recon.cg_reconstruction`, on
+    the coil Gram ``E^H W E + lambda I`` as a batch of one, with the
+    same health guards and the same supervised Toeplitz fallback.
 
     Parameters
     ----------
@@ -224,6 +212,10 @@ def sense_reconstruction(
         ``"gridding"`` (default) or ``"toeplitz"`` — how each CG
         iteration applies ``A^H W A`` per coil (see
         :meth:`SenseOperator.normal`).
+
+    Returns
+    -------
+    :class:`~repro.recon.CgResult` with the coil-combined image.
     """
     if normal not in ("gridding", "toeplitz"):
         raise ValueError(
@@ -235,52 +227,15 @@ def sense_reconstruction(
             f"kspace must be ({operator.n_coils}, {operator.n_samples}), "
             f"got {kspace.shape}"
         )
-    if n_iterations < 1:
-        raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if regularization < 0:
-        raise ValueError(f"regularization must be >= 0, got {regularization}")
+    _check_controls(n_iterations, tolerance, regularization)
     w = None
     if weights is not None:
-        w = np.asarray(weights, dtype=np.float64).ravel()
-        if w.shape[0] != operator.n_samples:
-            raise ValueError(
-                f"{w.shape[0]} weights for {operator.n_samples} samples"
-            )
-        if not np.isfinite(w).all():
-            n_bad = int(w.shape[0] - np.count_nonzero(np.isfinite(w)))
-            raise DataQualityError(
-                f"{n_bad} density-compensation weight(s) are non-finite; a "
-                "NaN weight poisons both the Toeplitz kernel and every Gram "
-                "apply"
-            )
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if operator._cdtype == np.complex64:
-            # keep the weighted data in the working dtype: a float64
-            # weight vector would upcast every w * kspace product
-            w = w.astype(np.float32)
+        w = _check_weights(weights, operator.n_samples, operator._cdtype)
 
-    # Supervised pre-build: a Toeplitz kernel that cannot be built (or
-    # fails its Hermitian-PSD health check) degrades to the gridding
-    # normal operator — always available, exact adjoint pair — with the
-    # event recorded instead of aborting the reconstruction.
     events: tuple = ()
     if normal == "toeplitz":
-        try:
-            gram = operator._toeplitz_gram(w)
-            if not gram.health_check():
-                raise SolverBreakdown(
-                    "Toeplitz kernel spectrum failed the Hermitian-PSD "
-                    "health check"
-                )
-        except DataQualityError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - supervised degradation
-            events = (
-                DegradationEvent("normal", "toeplitz", "gridding", repr(exc)),
-            )
+        gram_op, events = _supervised_toeplitz(lambda: operator._toeplitz_gram(w))
+        if gram_op is None:
             normal = "gridding"
 
     data = kspace if w is None else kspace * w[None, :]
@@ -290,81 +245,12 @@ def sense_reconstruction(
             "right-hand side E^H W y is non-finite; cannot start CG "
             "(check kspace/weights, or use a quality_policy on the plan)"
         )
-    x = np.zeros(operator.plan.image_shape, dtype=b.dtype)
-    r = b.copy()
-    p = r.copy()
-    rs_old = _dot_real(r, r)
-    b_norm = float(np.sqrt(_dot_real(b, b)))
-    if b_norm == 0.0:
-        return SenseResult(
-            image=x, residual_norms=[0.0], converged=True, degradations=events
-        )
 
-    def gram_apply(v: np.ndarray) -> np.ndarray:
-        return operator.normal(v, weights=w, method=normal) + regularization * v
+    def gram(v: np.ndarray) -> np.ndarray:
+        # the coil Gram acts on one image; _solve iterates a stack of one
+        coil_gram = operator.normal(v[0], weights=w, method=normal)
+        return coil_gram[None] + regularization * v
 
-    result = SenseResult(image=x, residual_norms=[1.0], degradations=events)
-    restarted = False
-    best_rel = np.inf
-    flat_streak = 0
-
-    def restart(reason: str) -> tuple[np.ndarray, np.ndarray, float]:
-        """One permitted restart from the last finite iterate ``x``."""
-        nonlocal restarted
-        if restarted:
-            raise SolverBreakdown(
-                "CG-SENSE hit a non-finite quantity even after a restart "
-                f"({reason}); refusing to iterate toward a NaN image"
-            )
-        restarted = True
-        result.restarts += 1
-        result.degradations += (
-            DegradationEvent("cg", "iterate", "restart", reason),
-        )
-        r = b - gram_apply(x)
-        rs = _dot_real(r, r)
-        if not np.isfinite(rs):
-            raise SolverBreakdown(
-                f"CG-SENSE restart failed: recomputed residual is non-finite ({reason})"
-            )
-        return r, r.copy(), rs
-
-    for it in range(1, n_iterations + 1):
-        ap = gram_apply(p)
-        denom = _dot_real(p, ap)
-        if not np.isfinite(denom):
-            r, p, rs_old = restart("non-finite Gram application")
-            continue
-        if denom <= 0:
-            result.breakdown = "indefinite_gram"
-            break
-        alpha = rs_old / denom
-        x_new = x + alpha * p
-        r_new = r - alpha * ap
-        rs_new = _dot_real(r_new, r_new)
-        if not np.isfinite(rs_new):
-            r, p, rs_old = restart("non-finite residual norm")
-            continue
-        x, r = x_new, r_new
-        rel = np.sqrt(rs_new) / b_norm
-        result.residual_norms.append(rel)
-        result.n_iterations = it
-        if rel < tolerance:
-            result.converged = True
-            break
-        if rel >= best_rel * (1.0 - 1e-12):
-            flat_streak += 1
-            if flat_streak >= 8:
-                result.breakdown = "stagnation"
-                break
-        else:
-            flat_streak = 0
-        best_rel = min(best_rel, rel)
-        p = r + (rs_new / rs_old) * p
-        rs_old = rs_new
-    result.image = x
-    if not np.isfinite(x).all():
-        raise SolverBreakdown(
-            "CG-SENSE ended on a non-finite image; refusing to return it"
-        )
+    result = _solve(gram, b[None], n_iterations, tolerance, None, events)
+    result.image = result.image[0]
     return result

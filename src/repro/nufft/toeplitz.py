@@ -120,7 +120,7 @@ class ToeplitzNormalOperator:
         self._fft = plan._fft
         self._pool = plan.buffer_pool
         #: working complex dtype inherited from the plan's precision lane
-        self._cdtype = np.dtype(getattr(plan, "cdtype", np.complex128))
+        self._cdtype = plan.cdtype
         self._kernel_fft = self._build_kernel()
 
     @property

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..nufft import NufftPlan
-from .cg import _plan_cdtype
 from ..trajectories import (
     cell_counting_density_compensation,
     pipe_menon_density_compensation,
@@ -45,7 +44,7 @@ def adjoint_reconstruction(
     acquisition keeps unit scale: weights are mean-one and the output
     is divided by ``M``).
     """
-    kspace = np.asarray(kspace, dtype=_plan_cdtype(plan)).ravel()
+    kspace = np.asarray(kspace, dtype=plan.cdtype).ravel()
     if kspace.shape[0] != plan.n_samples:
         raise ValueError(
             f"{kspace.shape[0]} k-space samples for {plan.n_samples} trajectory points"

@@ -8,15 +8,20 @@ equations
 with CG, where ``A`` is the forward NuFFT.  This is the §I "iterative
 image reconstruction" workload — each iteration costs a
 forward + adjoint NuFFT pair, which is exactly why the paper cares
-about gridding throughput.  Passing ``normal="toeplitz"`` (or the
-legacy ``toeplitz=True``) swaps the per-iteration NuFFT pair for the
-FFT-only :class:`~repro.nufft.ToeplitzNormalOperator` (Impatient's
-strategy [10]): gridding is then paid only once, up front.
+about gridding throughput.  Passing ``normal="toeplitz"`` swaps the
+per-iteration NuFFT pair for the FFT-only
+:class:`~repro.nufft.ToeplitzNormalOperator` (Impatient's strategy
+[10]): gridding is then paid only once, up front.
+
+One loop, :func:`_solve`, runs every CG iteration in the package:
+:func:`cg_reconstruction` (a single right-hand side is a batch of one)
+and :func:`repro.mri.sense_reconstruction` both call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,42 +38,45 @@ _STAGNATION_WINDOW = 8
 _STAGNATION_RTOL = 1e-12
 
 
-def _resolve_normal(normal: str | None, toeplitz: bool) -> str:
-    """Reconcile the ``normal=`` name with the legacy ``toeplitz`` flag."""
-    if normal is None:
-        return "toeplitz" if toeplitz else "gridding"
-    if normal not in ("gridding", "toeplitz"):
-        raise ValueError(
-            f"normal must be 'gridding' or 'toeplitz', got {normal!r}"
-        )
-    if toeplitz and normal == "gridding":
-        raise ValueError("normal='gridding' conflicts with toeplitz=True")
-    return normal
+def _dot_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-system ``Re <a_k, b_k>`` of two ``(K, ...)`` stacks.
 
-
-def _plan_cdtype(plan) -> np.dtype:
-    """The plan's working complex dtype (complex128 for legacy plans)."""
-    return np.dtype(getattr(plan, "cdtype", np.complex128))
-
-
-def _dot_real(a: np.ndarray, b: np.ndarray) -> float:
-    """``Re <a, b>``, reduced by NumPy in float64, not by BLAS.
-
-    ``np.vdot`` on complex64 operands accumulates in float32, which is
-    too coarse for CG's alpha/beta ratios near convergence.  On
-    complex128 operands it calls a multithreaded BLAS (OpenBLAS
-    ``zdotc``) whose worker threads keep spinning after it returns,
-    taking the cores that the next gridding pass's band tasks and the
-    FFT threads run on: inside a 256² CG solve on two cores they
-    doubled each gridding mat-vec.
+    Each row is reduced by NumPy in float64, not by BLAS.  ``np.vdot``
+    on complex64 operands accumulates in float32, which is too coarse
+    for CG's alpha/beta ratios near convergence.  On complex128
+    operands it calls a multithreaded BLAS (OpenBLAS ``zdotc``) whose
+    worker threads keep spinning after it returns, taking the cores
+    that the next gridding pass's band tasks and the FFT threads run
+    on: inside a 256² CG solve on two cores they doubled each gridding
+    mat-vec.
     """
-    return float(np.sum((np.conj(a) * b).real, dtype=np.float64))
+    axes = tuple(range(1, a.ndim))
+    return np.sum((np.conj(a) * b).real, axis=axes, dtype=np.float64)
 
 
-def _check_weights(weights: np.ndarray | None, n_samples: int) -> np.ndarray:
-    """Validate density-compensation weights (shape, sign, finiteness)."""
+def _check_controls(
+    n_iterations: int, tolerance: float, regularization: float
+) -> None:
+    """Validate the CG iteration count, tolerance and Tikhonov weight."""
+    if n_iterations < 1:
+        raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
+    if tolerance <= 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if regularization < 0:
+        raise ValueError(f"regularization must be >= 0, got {regularization}")
+
+
+def _check_weights(
+    weights: np.ndarray | None, n_samples: int, cdtype: np.dtype
+) -> np.ndarray:
+    """Validate density-compensation weights (shape, sign, finiteness).
+
+    ``None`` means unit weights.  The result has ``cdtype``'s real
+    precision, so ``w * kspace`` stays in the working dtype.
+    """
+    real = np.finfo(cdtype).dtype
     if weights is None:
-        return np.ones(n_samples)
+        return np.ones(n_samples, dtype=real)
     w = np.asarray(weights, dtype=np.float64).ravel()
     if w.shape[0] != n_samples:
         raise ValueError(f"{w.shape[0]} weights for {n_samples} samples")
@@ -80,22 +88,43 @@ def _check_weights(weights: np.ndarray | None, n_samples: int) -> np.ndarray:
         )
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    return w
+    return w.astype(real, copy=False)
 
 
-def _make_gram(plan, w, regularization, normal, normal_options, batched):
-    """Build the per-iteration normal operator, degrading when needed.
+def _supervised_toeplitz(
+    build: Callable[[], ToeplitzNormalOperator],
+) -> tuple[ToeplitzNormalOperator | None, tuple]:
+    """Build a Toeplitz normal operator and health-check it.
 
-    ``normal="toeplitz"`` tries to build a
-    :class:`~repro.nufft.ToeplitzNormalOperator` and runs its
-    :meth:`~repro.nufft.ToeplitzNormalOperator.health_check`.  A build
-    failure or failed health check degrades to the gridding normal
-    operator (forward+adjoint NuFFT pair — always available, exact
-    adjoint pair by construction) and records a
-    :class:`~repro.errors.DegradationEvent` instead of aborting the
-    reconstruction.  :class:`~repro.errors.DataQualityError` from the
-    build is *not* absorbed: bad weights would poison the gridding
+    Returns ``(operator, ())``.  A build failure or a kernel that fails
+    its :meth:`~repro.nufft.ToeplitzNormalOperator.health_check` returns
+    ``(None, (event,))`` with a ``normal: toeplitz -> gridding``
+    :class:`~repro.errors.DegradationEvent`: the caller falls back to
+    the gridding normal operator (forward+adjoint NuFFT pair — always
+    available, exact adjoint pair by construction) instead of aborting
+    the reconstruction.  :class:`~repro.errors.DataQualityError` from
+    the build is *not* absorbed: bad weights would poison the gridding
     normal operator identically, so degrading cannot help.
+    """
+    try:
+        gram_op = build()
+        if not gram_op.health_check():
+            raise SolverBreakdown(
+                "Toeplitz kernel spectrum failed the Hermitian-PSD health check"
+            )
+    except DataQualityError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - supervised degradation
+        return None, (DegradationEvent("normal", "toeplitz", "gridding", repr(exc)),)
+    return gram_op, ()
+
+
+def _make_gram(plan, w, regularization, normal, normal_options):
+    """Build the batched normal operator ``A^H W A + lambda I``.
+
+    The returned ``gram`` maps a ``(K,) + image_shape`` stack to one.
+    ``normal="toeplitz"`` goes through :func:`_supervised_toeplitz`
+    and degrades to the gridding operator when that fails.
 
     ``normal_options`` may carry ``operator=<ToeplitzNormalOperator>``
     — a *prebuilt* operator to use instead of building one here.  This
@@ -105,49 +134,27 @@ def _make_gram(plan, w, regularization, normal, normal_options, batched):
     but the health check and the degradation contract still run.  The
     caller owns the weights-consistency of a passed operator.
     """
-    events: list[DegradationEvent] = []
+    events: tuple = ()
     if normal == "toeplitz":
         opts = dict(normal_options or {})
-        gram_op = opts.pop("operator", None)
-        try:
-            if gram_op is None:
-                gram_op = ToeplitzNormalOperator(plan, weights=w, **opts)
-            if not gram_op.health_check():
-                raise SolverBreakdown(
-                    "Toeplitz kernel spectrum failed the Hermitian-PSD "
-                    "health check"
-                )
-        except DataQualityError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - supervised degradation
-            events.append(
-                DegradationEvent("normal", "toeplitz", "gridding", repr(exc))
-            )
-        else:
-            if batched:
+        prebuilt = opts.pop("operator", None)
+        gram_op, events = _supervised_toeplitz(
+            lambda: prebuilt
+            if prebuilt is not None
+            else ToeplitzNormalOperator(plan, weights=w, **opts)
+        )
+        if gram_op is not None:
 
-                def gram(x: np.ndarray) -> np.ndarray:
-                    # one batched FFT pair for all K systems
-                    return gram_op.apply_batch(x) + regularization * x
+            def gram(x: np.ndarray) -> np.ndarray:
+                # one batched FFT pair for all K systems
+                return gram_op.apply_batch(x) + regularization * x
 
-            else:
+            return gram, events
 
-                def gram(x: np.ndarray) -> np.ndarray:
-                    return gram_op.apply(x) + regularization * x
+    def gram(x: np.ndarray) -> np.ndarray:
+        return plan.adjoint_batch(w * plan.forward_batch(x)) + regularization * x
 
-            return gram, tuple(events)
-
-    if batched:
-
-        def gram(x: np.ndarray) -> np.ndarray:
-            return plan.adjoint_batch(w * plan.forward_batch(x)) + regularization * x
-
-    else:
-
-        def gram(x: np.ndarray) -> np.ndarray:
-            return plan.adjoint(w * plan.forward(x)) + regularization * x
-
-    return gram, tuple(events)
+    return gram, events
 
 
 @dataclass
@@ -172,6 +179,132 @@ class CgResult:
     breakdown: str | None = None
 
 
+def _solve(
+    gram: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    n_iterations: int,
+    tolerance: float,
+    cancel,
+    events: tuple,
+) -> CgResult:
+    """CG on the ``K`` systems ``gram(x)[k] = b[k]``, ``b`` a ``(K, ...)`` stack.
+
+    Each system keeps its own ``alpha``/``beta`` (``K`` independent CG
+    recursions run in lock step, not a block-Krylov method), and one
+    ``gram`` call applies the normal operator to all ``K`` iterates.  A
+    system whose residual drops below ``tolerance`` is frozen (its step
+    sizes are forced to zero) while the rest iterate.  The residual
+    history records the worst relative residual across systems.
+
+    ``cancel`` (a :class:`~repro.robustness.CancelToken` or ``None``)
+    is checked at the top of every iteration.  A non-finite Gram
+    application or residual norm triggers one restart from the last
+    finite iterates; a second one raises
+    :class:`~repro.errors.SolverBreakdown`.
+    """
+    k_rhs = b.shape[0]
+    shape = (k_rhs,) + (1,) * (b.ndim - 1)
+    #: real dtype of the per-system alpha/beta steps — np.where
+    #: yields float64 arrays, which would silently upcast complex64
+    #: iterates to complex128 under NEP 50 promotion
+    step_dtype = np.finfo(b.dtype).dtype
+    x = np.zeros(b.shape, dtype=b.dtype)
+    r = b.copy()
+    p = r.copy()
+    rs_old = _dot_real(r, r)
+    b_norm = np.sqrt(_dot_real(b, b))
+    active = b_norm > 0.0
+    if not np.any(active):
+        return CgResult(
+            image=x,
+            residual_norms=[0.0],
+            n_iterations=0,
+            converged=True,
+            degradations=events,
+        )
+    safe_norm = np.where(active, b_norm, 1.0)
+
+    result = CgResult(image=x, residual_norms=[1.0], degradations=events)
+    restarted = False
+    best_rel = np.inf
+    flat_streak = 0
+
+    def restart(reason: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One permitted restart from the last finite iterates ``x``."""
+        nonlocal restarted
+        if restarted:
+            raise SolverBreakdown(
+                "CG hit a non-finite quantity even after a restart "
+                f"({reason}); refusing to iterate toward a NaN image"
+            )
+        restarted = True
+        result.restarts += 1
+        result.degradations += (
+            DegradationEvent("cg", "iterate", "restart", reason),
+        )
+        r = b - gram(x)
+        rs = _dot_real(r, r)
+        if not np.all(np.isfinite(rs)):
+            raise SolverBreakdown(
+                f"CG restart failed: recomputed residual is non-finite ({reason})"
+            )
+        return r, r.copy(), rs
+
+    for it in range(1, n_iterations + 1):
+        if cancel is not None:
+            cancel.check()
+        ap = gram(p)
+        denom = _dot_real(p, ap)
+        if not np.all(np.isfinite(denom)):
+            r, p, rs_old = restart("non-finite Gram application")
+            continue
+        # Gram is PSD by construction; a nonpositive curvature means p
+        # is (numerically) in the null space or the operator lost
+        # health — that system keeps its last finite iterate
+        step_ok = active & (denom > 0)
+        if np.any(active & (denom <= 0)):
+            result.breakdown = "indefinite_gram"
+        if not np.any(step_ok):
+            break
+        alpha = np.where(
+            step_ok, rs_old / np.where(denom > 0, denom, 1.0), 0.0
+        ).astype(step_dtype, copy=False)
+        x_new = x + alpha.reshape(shape) * p
+        r_new = r - alpha.reshape(shape) * ap
+        rs_new = _dot_real(r_new, r_new)
+        if not np.all(np.isfinite(rs_new)):
+            r, p, rs_old = restart("non-finite residual norm")
+            continue
+        x, r = x_new, r_new
+        rel = np.sqrt(rs_new) / safe_norm
+        worst = float(np.max(np.where(active, rel, 0.0)))
+        result.residual_norms.append(worst)
+        result.n_iterations = it
+        active = active & (rel >= tolerance) & (denom > 0)
+        if not np.any(active):
+            result.converged = True
+            break
+        if worst >= best_rel * (1.0 - _STAGNATION_RTOL):
+            flat_streak += 1
+            if flat_streak >= _STAGNATION_WINDOW:
+                result.breakdown = "stagnation"
+                break
+        else:
+            flat_streak = 0
+        best_rel = min(best_rel, worst)
+        beta = np.where(
+            rs_old > 0, rs_new / np.where(rs_old > 0, rs_old, 1.0), 0.0
+        ).astype(step_dtype, copy=False)
+        p = r + beta.reshape(shape) * p
+        rs_old = rs_new
+    result.image = x
+    if not np.isfinite(x).all():
+        raise SolverBreakdown(
+            "CG ended on a non-finite image; refusing to return it"
+        )
+    return result
+
+
 def cg_reconstruction(
     plan: NufftPlan,
     kspace: np.ndarray,
@@ -179,8 +312,7 @@ def cg_reconstruction(
     n_iterations: int = 20,
     tolerance: float = 1e-6,
     regularization: float = 0.0,
-    toeplitz: bool = False,
-    normal: str | None = None,
+    normal: str = "gridding",
     normal_options: dict | None = None,
     cancel: "object | None" = None,
 ) -> CgResult:
@@ -210,9 +342,6 @@ def cg_reconstruction(
         Relative residual stopping criterion.
     regularization:
         Tikhonov ``lambda`` (>= 0).
-    toeplitz:
-        Legacy boolean for ``normal="toeplitz"`` (kept for
-        backwards compatibility; prefer ``normal``).
     normal:
         How to apply the normal operator ``A^H W A`` each iteration:
         ``"gridding"`` (default) runs a forward+adjoint NuFFT pair;
@@ -246,284 +375,33 @@ def cg_reconstruction(
     operator through the *batched* NuFFT path — one gridder select
     pass (with cached tables) for all ``K`` systems.  The result image
     has shape ``(K,) + image_shape`` and the residual history records
-    the worst (max) relative residual across systems.
+    the worst (max) relative residual across systems.  An ``(M,)``
+    input is the batch of one: the same loop, which
+    :func:`repro.mri.sense_reconstruction` also runs, so each row of a
+    batched solve is bit-identical to solving that row alone.
     """
-    normal = _resolve_normal(normal, toeplitz)
-    kspace = np.asarray(kspace, dtype=_plan_cdtype(plan))
-    if kspace.ndim == 2:
-        return _cg_reconstruction_batched(
-            plan,
-            kspace,
-            weights,
-            n_iterations,
-            tolerance,
-            regularization,
-            normal,
-            normal_options,
-            cancel,
-        )
-    kspace = kspace.ravel()
-    if kspace.shape[0] != plan.n_samples:
+    if normal not in ("gridding", "toeplitz"):
         raise ValueError(
-            f"{kspace.shape[0]} samples for {plan.n_samples} trajectory points"
+            f"normal must be 'gridding' or 'toeplitz', got {normal!r}"
         )
-    if n_iterations < 1:
-        raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if regularization < 0:
-        raise ValueError(f"regularization must be >= 0, got {regularization}")
-    w = _check_weights(weights, plan.n_samples)
-    if kspace.dtype == np.complex64:
-        w = w.astype(np.float32)
+    kspace = np.asarray(kspace, dtype=plan.cdtype)
+    single = kspace.ndim != 2
+    stack = kspace.reshape(1, -1) if single else kspace
+    if stack.shape[1] != plan.n_samples:
+        raise ValueError(
+            f"{stack.shape[1]} samples for {plan.n_samples} trajectory points"
+        )
+    _check_controls(n_iterations, tolerance, regularization)
+    w = _check_weights(weights, plan.n_samples, plan.cdtype)
+    gram, events = _make_gram(plan, w, regularization, normal, normal_options)
 
-    gram, events = _make_gram(
-        plan, w, regularization, normal, normal_options, batched=False
-    )
-
-    b = plan.adjoint(w * kspace)
+    b = plan.adjoint_batch(w * stack)
     if not np.isfinite(b).all():
         raise SolverBreakdown(
             "right-hand side A^H W y is non-finite; cannot start CG "
             "(check kspace/weights, or use a quality_policy on the plan)"
         )
-    x = np.zeros(plan.image_shape, dtype=b.dtype)
-    r = b.copy()
-    p = r.copy()
-    rs_old = _dot_real(r, r)
-    b_norm = float(np.sqrt(_dot_real(b, b)))
-    if b_norm == 0.0:
-        return CgResult(
-            image=x,
-            residual_norms=[0.0],
-            n_iterations=0,
-            converged=True,
-            degradations=events,
-        )
-
-    result = CgResult(image=x, residual_norms=[1.0], degradations=events)
-    restarted = False
-    best_rel = np.inf
-    flat_streak = 0
-
-    def restart(reason: str) -> tuple[np.ndarray, np.ndarray, float]:
-        """One permitted restart from the last finite iterate ``x``."""
-        nonlocal restarted
-        if restarted:
-            raise SolverBreakdown(
-                "CG hit a non-finite quantity even after a restart "
-                f"({reason}); refusing to iterate toward a NaN image"
-            )
-        restarted = True
-        result.restarts += 1
-        result.degradations += (
-            DegradationEvent("cg", "iterate", "restart", reason),
-        )
-        r = b - gram(x)
-        rs = _dot_real(r, r)
-        if not np.isfinite(rs):
-            raise SolverBreakdown(
-                f"CG restart failed: recomputed residual is non-finite ({reason})"
-            )
-        return r, r.copy(), rs
-
-    for it in range(1, n_iterations + 1):
-        if cancel is not None:
-            cancel.check()
-        ap = gram(p)
-        denom = _dot_real(p, ap)
-        if not np.isfinite(denom):
-            r, p, rs_old = restart("non-finite Gram application")
-            continue
-        if denom <= 0:
-            # Gram is PSD by construction; a nonpositive curvature means
-            # p is (numerically) in the null space or the operator lost
-            # health — keep the last finite iterate.
-            result.breakdown = "indefinite_gram"
-            break
-        alpha = rs_old / denom
-        x_new = x + alpha * p
-        r_new = r - alpha * ap
-        rs_new = _dot_real(r_new, r_new)
-        if not np.isfinite(rs_new):
-            r, p, rs_old = restart("non-finite residual norm")
-            continue
-        x, r = x_new, r_new
-        rel = np.sqrt(rs_new) / b_norm
-        result.residual_norms.append(rel)
-        result.n_iterations = it
-        if rel < tolerance:
-            result.converged = True
-            break
-        if rel >= best_rel * (1.0 - _STAGNATION_RTOL):
-            flat_streak += 1
-            if flat_streak >= _STAGNATION_WINDOW:
-                result.breakdown = "stagnation"
-                break
-        else:
-            flat_streak = 0
-        best_rel = min(best_rel, rel)
-        p = r + (rs_new / rs_old) * p
-        rs_old = rs_new
-    result.image = x
-    if not np.isfinite(x).all():
-        raise SolverBreakdown(
-            "CG ended on a non-finite image; refusing to return it"
-        )
-    return result
-
-
-def _cg_reconstruction_batched(
-    plan: NufftPlan,
-    kspace: np.ndarray,
-    weights: np.ndarray | None,
-    n_iterations: int,
-    tolerance: float,
-    regularization: float,
-    normal: str,
-    normal_options: dict | None = None,
-    cancel: "object | None" = None,
-) -> CgResult:
-    """Blocked CG over ``K`` independent right-hand sides.
-
-    Each system keeps its own ``alpha``/``beta`` scalars (this is K
-    independent CG recursions run in lock step, not a block-Krylov
-    method), but every Gram application goes through
-    :meth:`NufftPlan.forward_batch` / :meth:`NufftPlan.adjoint_batch`
-    so the gridder's select pass and cached tables are shared across
-    the batch.  A system whose residual drops below tolerance is
-    frozen (its step sizes are forced to zero) while the rest iterate.
-    """
-    if kspace.shape[1] != plan.n_samples:
-        raise ValueError(
-            f"{kspace.shape[1]} samples for {plan.n_samples} trajectory points"
-        )
-    if n_iterations < 1:
-        raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if regularization < 0:
-        raise ValueError(f"regularization must be >= 0, got {regularization}")
-    k_rhs = kspace.shape[0]
-    w = _check_weights(weights, plan.n_samples)
-    single = kspace.dtype == np.complex64
+    result = _solve(gram, b, n_iterations, tolerance, cancel, events)
     if single:
-        w = w.astype(np.float32)
-    #: real dtype of the per-system alpha/beta steps — np.where
-    #: yields float64 arrays, which would silently upcast complex64
-    #: iterates to complex128 under NEP 50 promotion
-    step_dtype = np.float32 if single else np.float64
-    #: accumulator for the per-system reductions (None keeps the
-    #: complex128 lane on the exact legacy code path)
-    acc_dtype = np.complex128 if single else None
-
-    gram, events = _make_gram(
-        plan, w, regularization, normal, normal_options, batched=True
-    )
-
-    sum_axes = tuple(range(1, plan.ndim + 1))
-
-    def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.sum(np.conj(a) * b, axis=sum_axes, dtype=acc_dtype).real
-
-    b = plan.adjoint_batch(w * kspace)
-    if not np.isfinite(b).all():
-        raise SolverBreakdown(
-            "right-hand side A^H W y is non-finite; cannot start CG "
-            "(check kspace/weights, or use a quality_policy on the plan)"
-        )
-    x = np.zeros((k_rhs,) + plan.image_shape, dtype=b.dtype)
-    r = b.copy()
-    p = r.copy()
-    rs_old = dots(r, r)
-    b_norm = np.sqrt(dots(b, b))
-    active = b_norm > 0.0
-    if not np.any(active):
-        return CgResult(
-            image=x,
-            residual_norms=[0.0],
-            n_iterations=0,
-            converged=True,
-            degradations=events,
-        )
-    safe_norm = np.where(active, b_norm, 1.0)
-
-    result = CgResult(image=x, residual_norms=[1.0], degradations=events)
-    restarted = False
-    best_rel = np.inf
-    flat_streak = 0
-
-    def restart(reason: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One permitted global restart from the last finite iterates."""
-        nonlocal restarted
-        if restarted:
-            raise SolverBreakdown(
-                "batched CG hit a non-finite quantity even after a restart "
-                f"({reason}); refusing to iterate toward a NaN image"
-            )
-        restarted = True
-        result.restarts += 1
-        result.degradations += (
-            DegradationEvent("cg", "iterate", "restart", reason),
-        )
-        r = b - gram(x)
-        rs = dots(r, r)
-        if not np.all(np.isfinite(rs)):
-            raise SolverBreakdown(
-                f"batched CG restart failed: recomputed residual is non-finite ({reason})"
-            )
-        return r, r.copy(), rs
-
-    for it in range(1, n_iterations + 1):
-        if cancel is not None:
-            cancel.check()
-        ap = gram(p)
-        denom = dots(p, ap)
-        if not np.all(np.isfinite(denom)):
-            r, p, rs_old = restart("non-finite Gram application")
-            continue
-        # freeze converged / broken-down systems: zero step keeps their
-        # state fixed while the remaining systems iterate
-        step_ok = active & (denom > 0)
-        if np.any(active & (denom <= 0)):
-            result.breakdown = "indefinite_gram"
-        if not np.any(step_ok):
-            break
-        alpha = np.where(
-            step_ok, rs_old / np.where(denom > 0, denom, 1.0), 0.0
-        ).astype(step_dtype, copy=False)
-        shape = (k_rhs,) + (1,) * plan.ndim
-        x_new = x + alpha.reshape(shape) * p
-        r_new = r - alpha.reshape(shape) * ap
-        rs_new = dots(r_new, r_new)
-        if not np.all(np.isfinite(rs_new)):
-            r, p, rs_old = restart("non-finite residual norm")
-            continue
-        x, r = x_new, r_new
-        rel = np.sqrt(rs_new) / safe_norm
-        worst = float(np.max(np.where(active, rel, 0.0)))
-        result.residual_norms.append(worst)
-        result.n_iterations = it
-        active = active & (rel >= tolerance) & (denom > 0)
-        if not np.any(active):
-            result.converged = True
-            break
-        if worst >= best_rel * (1.0 - _STAGNATION_RTOL):
-            flat_streak += 1
-            if flat_streak >= _STAGNATION_WINDOW:
-                result.breakdown = "stagnation"
-                break
-        else:
-            flat_streak = 0
-        best_rel = min(best_rel, worst)
-        beta = np.where(
-            rs_old > 0, rs_new / np.where(rs_old > 0, rs_old, 1.0), 0.0
-        ).astype(step_dtype, copy=False)
-        p = r + beta.reshape(shape) * p
-        rs_old = rs_new
-    result.image = x
-    if not np.isfinite(x).all():
-        raise SolverBreakdown(
-            "batched CG ended on a non-finite image; refusing to return it"
-        )
+        result.image = result.image[0]
     return result

@@ -129,22 +129,28 @@ class TestAdjointRecon:
 class TestCgRecon:
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     def test_dot_real_matches_vdot(self, dtype):
-        """CG's BLAS-free ``Re <a, b>`` is ``np.vdot``'s, summed in
-        float64 at both precisions: to a float64 rounding tolerance
-        (the sum order differs from BLAS), and at complex64 to the
-        rounding of its float32 products."""
+        """CG's BLAS-free per-system ``Re <a_k, b_k>`` is ``np.vdot``'s
+        on each row, summed in float64 at both precisions: to a float64
+        rounding tolerance (the sum order differs from BLAS), and at
+        complex64 to the rounding of its float32 products.  A row of a
+        stack reduces exactly as that row alone."""
         from repro.recon.cg import _dot_real
 
         rng = np.random.default_rng(5)
         a, b = (
-            (rng.standard_normal((64, 48)) + 1j * rng.standard_normal((64, 48)))
+            (rng.standard_normal((3, 64, 48)) + 1j * rng.standard_normal((3, 64, 48)))
             .astype(dtype)
             for _ in range(2)
         )
-        want = np.vdot(a.astype(np.complex128), b.astype(np.complex128)).real
-        assert isinstance(_dot_real(a, b), float)
+        dots = _dot_real(a, b)
+        assert dots.dtype == np.float64 and dots.shape == (3,)
         rel = 1e-12 if dtype == np.complex128 else 1e-6
-        assert _dot_real(a, b) == pytest.approx(want, rel=rel)
+        for k in range(3):
+            want = np.vdot(
+                a[k].astype(np.complex128), b[k].astype(np.complex128)
+            ).real
+            assert dots[k] == pytest.approx(want, rel=rel)
+            assert dots[k] == _dot_real(a[k : k + 1], b[k : k + 1])[0]
 
     def test_beats_adjoint(self, radial_problem):
         plan, phantom, kspace = radial_problem
@@ -163,7 +169,7 @@ class TestCgRecon:
     def test_toeplitz_matches_direct(self, radial_problem):
         plan, _, kspace = radial_problem
         direct = cg_reconstruction(plan, kspace, n_iterations=6)
-        fast = cg_reconstruction(plan, kspace, n_iterations=6, toeplitz=True)
+        fast = cg_reconstruction(plan, kspace, n_iterations=6, normal="toeplitz")
         assert rel_l2_error(fast.image, direct.image) < 0.02
 
     def test_regularization_shrinks_solution(self, radial_problem):
@@ -193,7 +199,8 @@ class TestCgRecon:
 
     def test_batched_matches_per_rhs(self, radial_problem):
         """Stacked (K, M) right-hand sides iterate in lock step through
-        the batched NuFFT path and match K independent solves."""
+        the batched NuFFT path and are bit-identical to K independent
+        solves (a single solve is the same loop on a batch of one)."""
         plan, _, kspace = radial_problem
         rng = np.random.default_rng(3)
         stack = np.stack(
@@ -205,9 +212,7 @@ class TestCgRecon:
         assert batched.image.shape == (3,) + plan.image_shape
         for k in range(3):
             single = cg_reconstruction(plan, stack[k], n_iterations=6)
-            np.testing.assert_allclose(
-                batched.image[k], single.image, rtol=1e-8, atol=1e-12
-            )
+            assert np.array_equal(batched.image[k], single.image)
 
     def test_batched_zero_rhs_frozen(self, radial_problem):
         """An all-zero RHS in the stack stays exactly zero while the

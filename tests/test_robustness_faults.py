@@ -29,6 +29,7 @@ from repro.errors import (
 from repro.gridding import GriddingSetup, make_gridder
 from repro.gridding.buffers import GridBufferPool
 from repro.kernels import KernelLUT, beatty_kernel
+from repro.mri import SenseOperator, birdcage_maps, sense_reconstruction
 from repro.nufft import (
     FallbackFftBackend,
     NufftPlan,
@@ -630,6 +631,18 @@ class TestToeplitzSupervision:
         # the degraded solve is literally the gridding-normal solve
         assert np.array_equal(res.image, ref.image)
         assert res.residual_norms == ref.residual_norms
+        # CG-SENSE shares the supervised build and the loop
+        op = SenseOperator(plan, birdcage_maps(4, 16))
+        coil_kspace = op.forward(np.outer(np.hanning(16), np.hanning(16)))
+        ref = sense_reconstruction(op, coil_kspace, n_iterations=5)
+        with inject_faults(seed=0, toeplitz_psf_errors=1) as inj:
+            res = sense_reconstruction(
+                op, coil_kspace, n_iterations=5, normal="toeplitz"
+            )
+        assert ("toeplitz:psf", "raise") in inj.log
+        assert [e.to_stage for e in res.degradations] == ["gridding"]
+        assert np.array_equal(res.image, ref.image)
+        assert res.residual_norms == ref.residual_norms
 
 
 # ---------------------------------------------------------------------------
@@ -642,41 +655,62 @@ class TestCgGuards:
         image = np.outer(np.hanning(16), np.hanning(16)).astype(complex)
         return plan, plan.forward(image)
 
+    def _solvers(self):
+        """Each CG front end on a fresh plan: ``(name, plan, solve)``.
+
+        A single solve and CG-SENSE both run the one CG loop on a batch
+        of one, so both reach the plan through ``adjoint_batch``: call 1
+        builds the RHS, call 2 is the first Gram application.
+        """
+        plan, kspace = self._problem()
+        yield "cg", plan, lambda: cg_reconstruction(plan, kspace, n_iterations=8)
+        plan, _ = self._problem()
+        op = SenseOperator(plan, birdcage_maps(4, 16))
+        coil_kspace = op.forward(np.outer(np.hanning(16), np.hanning(16)))
+        yield "sense", plan, lambda: sense_reconstruction(
+            op, coil_kspace, n_iterations=8
+        )
+
     def test_transient_nan_gram_restarts_once(self, monkeypatch):
         # poison the image coming out of the adjoint — below the plan's
         # own sample-quality gate, exactly like a transient numerical
         # fault inside the operator.  Call 1 builds the RHS; call 2 is
         # the first Gram application inside the iteration loop.
-        plan, kspace = self._problem()
-        real_adjoint = plan.adjoint
-        calls = {"n": 0}
+        for name, plan, solve in self._solvers():
+            real_adjoint = plan.adjoint_batch
+            calls = {"n": 0}
 
-        def flaky_adjoint(x):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                return np.full(plan.image_shape, np.nan, dtype=complex)
-            return real_adjoint(x)
+            def flaky_adjoint(x):
+                calls["n"] += 1
+                if calls["n"] == 2:
+                    return np.full(
+                        (len(x),) + plan.image_shape, np.nan, dtype=complex
+                    )
+                return real_adjoint(x)
 
-        monkeypatch.setattr(plan, "adjoint", flaky_adjoint)
-        res = cg_reconstruction(plan, kspace, n_iterations=8)
-        assert res.restarts == 1
-        assert any(e.to_stage == "restart" for e in res.degradations)
-        assert np.isfinite(res.image).all()
+            monkeypatch.setattr(plan, "adjoint_batch", flaky_adjoint)
+            res = solve()
+            assert res.restarts == 1, name
+            assert any(e.to_stage == "restart" for e in res.degradations), name
+            assert np.isfinite(res.image).all(), name
 
     def test_persistent_nan_gram_is_solver_breakdown(self, monkeypatch):
-        plan, kspace = self._problem()
-        real_adjoint = plan.adjoint
-        calls = {"n": 0}
+        for name, plan, solve in self._solvers():
+            real_adjoint = plan.adjoint_batch
+            calls = {"n": 0}
 
-        def broken_adjoint(x):
-            calls["n"] += 1
-            if calls["n"] >= 2:  # RHS is fine; every Gram apply is NaN
-                return np.full(plan.image_shape, np.nan, dtype=complex)
-            return real_adjoint(x)
+            def broken_adjoint(x):
+                calls["n"] += 1
+                if calls["n"] >= 2:  # RHS is fine; every Gram apply is NaN
+                    return np.full(
+                        (len(x),) + plan.image_shape, np.nan, dtype=complex
+                    )
+                return real_adjoint(x)
 
-        monkeypatch.setattr(plan, "adjoint", broken_adjoint)
-        with pytest.raises(SolverBreakdown):
-            cg_reconstruction(plan, kspace, n_iterations=8)
+            monkeypatch.setattr(plan, "adjoint_batch", broken_adjoint)
+            with pytest.raises(SolverBreakdown):
+                solve()
+            assert calls["n"] >= 3, name  # RHS, Gram, restart
 
     def test_nan_rhs_is_solver_breakdown(self):
         plan, kspace = self._problem()
