@@ -66,8 +66,9 @@ def test_per_iteration_gridded_cost(problem, benchmark):
 
 
 def test_toeplitz_amortizes_gridding(problem):
-    """Setup pays one (2N) adjoint NuFFT; iterations are FFT-only.
-    For >= a few iterations the Toeplitz path wins wall-clock."""
+    """Setup pays 2^d adjoint NuFFTs on the plan itself (one per lag
+    block of the 2N embedding); iterations are FFT-only.  For >= a few
+    iterations the Toeplitz path wins wall-clock."""
     plan, _, kspace = problem
     n_iter = 10
 

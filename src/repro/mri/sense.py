@@ -141,9 +141,10 @@ class SenseOperator:
         ``method="gridding"`` (default) runs a batched forward+adjoint
         NuFFT pair.  ``method="toeplitz"`` applies the cached
         :class:`~repro.nufft.ToeplitzNormalOperator` per coil image in
-        one batched FFT pair — no per-iteration gridding; the single
-        up-front PSF build is amortized over all CG iterations (the
-        operator is rebuilt only when ``weights`` change).
+        one batched FFT pair — no per-iteration gridding; the up-front
+        PSF build (``2^d`` adjoints on the plan) is amortized over all
+        CG iterations (the operator is rebuilt only when ``weights``
+        change).
         """
         image = np.asarray(image, dtype=self._cdtype)
         if method == "toeplitz":

@@ -8,16 +8,22 @@ precomputed kernel — no per-iteration gridding at all.
 
 The kernel is the trajectory's (weighted) point-spread function — the
 adjoint transform of the density-compensation weights — evaluated for
-every lag ``q`` in ``(-N, N)^d``, i.e. on a double-size image, then
-circulant-embedded on the ``2N`` grid.  Gridding happens once, up
-front; every CG iteration after that is two FFTs of size ``(2N)^d``
-plus a pointwise multiply.  This module both (a) provides the fast
-normal operator for :func:`repro.recon.cg_reconstruction` and
+every lag ``q`` in ``[-N, N)^d`` and circulant-embedded on the ``2N``
+grid.  It is built from ``2^d`` adjoint transforms on the plan itself,
+one per block of the embedding: an ``N``-image adjoint of the weights
+modulated by ``exp(2 pi i k . s)`` is the PSF on the lags shifted by
+``s``.  So the build reuses the plan's engine (and a compiled engine's
+scatter plan), and gridding happens once per block, up front; every
+CG iteration after that is two FFTs of size ``(2N)^d`` plus a
+pointwise multiply.  This module both (a) provides the fast normal
+operator for :func:`repro.recon.cg_reconstruction` and
 :class:`repro.mri.SenseOperator` and (b) lets benchmarks reproduce
-Impatient's structure: one gridding pass + FFT-only iterations.
+Impatient's structure: one gridding setup + FFT-only iterations.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -35,37 +41,32 @@ class ToeplitzNormalOperator:
     ----------
     plan:
         The NuFFT plan whose normal operator to embed.  Any gridder
-        backend works; it is used once to build the PSF kernel.  The
-        operator shares the plan's FFT backend and buffer pool, so a
-        ``fft_backend="scipy"`` plan gets multithreaded ``2N`` FFTs
-        here too.
+        backend works; the PSF kernel is built from ``2^d`` adjoint
+        transforms on this plan, which checks its ``cancel_token``
+        before each one.  The operator shares the plan's FFT backend
+        and buffer pool, so a ``fft_backend="scipy"`` plan gets
+        multithreaded ``2N`` FFTs here too.
     weights:
         Optional ``(M,)`` real sample weights ``W`` (density
         compensation) folded into the kernel.
     psf:
-        How to evaluate the point-spread function on the ``2N`` image:
-        ``"nufft"`` (default) uses an adjoint NuFFT sharing the plan's
-        kernel/gridder — accuracy matches the plan's approximation;
-        ``"nudft"`` evaluates the exact discrete sum (``O(M * (2N)^d)``
-        — only sensible for small test problems, where it makes the
-        operator the *exact* NuDFT Gram up to FFT roundoff).
-    hermitian:
-        Project the embedded kernel's spectrum onto its real part
-        (default).  The true Gram is Hermitian positive semi-definite
-        and its circulant spectrum is real; the projection removes the
-        ``O(nufft-error)`` imaginary residue so ``apply`` is *exactly*
-        Hermitian — what CG assumes.  Eigenvalues are deliberately not
-        clipped: PSD holds by construction and clipping would perturb
-        the operator away from ``A^H W A``.
-    build_gridder:
-        Gridder name for the one-shot PSF build (``psf="nufft"``
-        only).  Defaults to the serial ``"slice_and_dice"`` engine:
-        the build grids the trajectory exactly once, so engines that
-        amortize precomputation over repeated calls (the compiled
-        scatter plan, the sparse matrix) only add overhead here.
+        How to evaluate each block of the point-spread function:
+        ``"nufft"`` (default) runs the plan's own adjoint — accuracy
+        matches the plan's approximation; ``"nudft"`` evaluates the
+        exact discrete sum (``O(M * (2N)^d)`` in all — only sensible
+        for small test problems, where it makes the operator the
+        *exact* NuDFT Gram up to FFT roundoff).
 
     Notes
     -----
+    The embedded kernel's spectrum is projected onto its real part.
+    The true Gram is Hermitian positive semi-definite and its circulant
+    spectrum is real; the projection removes the ``O(nufft-error)``
+    imaginary residue so ``apply`` is *exactly* Hermitian — what CG
+    assumes.  Eigenvalues are deliberately not clipped: PSD holds by
+    construction and clipping would perturb the operator away from
+    ``A^H W A``.
+
     ``apply`` accepts a single image or a ``(K,)``-stacked batch; both
     run one batched FFT pair over a pooled ``(K,) + (2N)^d`` buffer
     (a single image as ``K = 1``) — the multi-coil shape SENSE
@@ -92,16 +93,12 @@ class ToeplitzNormalOperator:
         weights: np.ndarray | None = None,
         *,
         psf: str = "nufft",
-        hermitian: bool = True,
-        build_gridder: str | None = None,
     ):
         if psf not in ("nufft", "nudft"):
             raise ValueError(f"psf must be 'nufft' or 'nudft', got {psf!r}")
-        self.build_gridder = build_gridder or "slice_and_dice"
         self.plan = plan
         self.shape = plan.image_shape
         self.psf = psf
-        self.hermitian = bool(hermitian)
         m = plan.n_samples
         if weights is None:
             weights = np.ones(m, dtype=np.float64)
@@ -138,31 +135,30 @@ class ToeplitzNormalOperator:
             ``apply``, so the build refuses to hand it out.
         """
         fault_point("toeplitz:psf")
-        # PSF values T[q] = sum_j w_j exp(+2 pi i omega_j . q) for lags
-        # q in (-N, N)^d: exactly an adjoint transform on a 2N image.
         if self.psf == "nudft":
             from ..nudft import nudft_adjoint  # noqa: PLC0415 - avoid cycle
 
-            psf = nudft_adjoint(
-                self.weights.astype(np.complex128),
-                self.plan.coords,
-                self._embed_shape,
-            )
+            def adjoint(values: np.ndarray) -> np.ndarray:
+                return nudft_adjoint(values, self.plan.coords, self.shape)
         else:
-            big_plan = NufftPlan(
-                self._embed_shape,
-                self.plan.coords,
-                oversampling=self.plan.oversampling,
-                kernel=self.plan.kernel,
-                table_oversampling=self.plan.lut.oversampling,
-                gridder=self.build_gridder,
-                fft_backend=self._fft,
-            )
-            psf = big_plan.adjoint(self.weights.astype(np.complex128))
-        # circulant embedding: place lag q at index q mod 2N
-        kernel = np.zeros(self._embed_shape, dtype=np.complex128)
-        idx = tuple(np.mod(np.arange(2 * n) - n, 2 * n) for n in self.shape)
-        kernel[np.ix_(*idx)] = psf
+            adjoint = self.plan.adjoint
+        # PSF values T[q] = sum_m w_m exp(+2 pi i k_m . q) for lags q in
+        # [-N, N)^d, circulant-embedded at index q mod 2N.  An N-image
+        # adjoint evaluates positions p = n - N//2, so modulating the
+        # weights by exp(2 pi i k . s) evaluates lags p + s.  Per axis,
+        # s = N//2 fills indices [0, N) (lags [0, N)) and s = N//2 - N
+        # fills [N, 2N) (lags [-N, 0)): 2^d blocks tile the embedding.
+        per_axis = []
+        for k, n in zip(self.plan.coords.T, self.shape):
+            first = np.exp(2j * np.pi * (n // 2) * k)
+            second = np.exp(2j * np.pi * (n // 2 - n) * k)
+            per_axis.append(((slice(0, n), first), (slice(n, 2 * n), second)))
+        kernel = np.empty(self._embed_shape, dtype=np.complex128)
+        for block in itertools.product(*per_axis):
+            values = self.weights.astype(np.complex128)
+            for _, phase in block:
+                values *= phase
+            kernel[tuple(index for index, _ in block)] = adjoint(values)
         kernel_fft = self._fft.fftn(kernel)
         if not np.isfinite(kernel_fft).all():
             raise EngineFailure(
@@ -170,17 +166,17 @@ class ToeplitzNormalOperator:
                 "refusing to build a normal operator that would corrupt every "
                 "apply()"
             )
-        # The kernel is always *built* in double (one-shot cost) and then
-        # rounded once to the plan's working dtype; a float64 spectrum
-        # multiplied into a complex64 FFT output would silently upcast
-        # every apply() back to complex128.
+        # Each PSF block runs in the plan's working dtype (complex64 on
+        # "single", rounded at step boundaries on "simulate-single"); the
+        # kernel array and its FFT are complex128 and rounded once to the
+        # working dtype here — a float64 spectrum multiplied into a
+        # complex64 FFT output would silently upcast every apply() back
+        # to complex128.  Hermitian PSF symmetry T[-q] = conj(T[q]) means
+        # the true circulant spectrum is real; dropping the
+        # approximation-error imaginary residue makes apply() exactly
+        # Hermitian.
         real_dtype = np.float32 if self._cdtype == np.complex64 else np.float64
-        if self.hermitian:
-            # Hermitian PSF symmetry T[-q] = conj(T[q]) means the true
-            # circulant spectrum is real; drop the approximation-error
-            # imaginary residue so apply() is exactly Hermitian.
-            return np.ascontiguousarray(kernel_fft.real, dtype=real_dtype)
-        return kernel_fft.astype(self._cdtype, copy=False)
+        return np.ascontiguousarray(kernel_fft.real, dtype=real_dtype)
 
     # ------------------------------------------------------------------
     def health_check(self, tol: float = 1e-6) -> bool:

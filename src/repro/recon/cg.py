@@ -25,7 +25,12 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DataQualityError, DegradationEvent, SolverBreakdown
+from ..errors import (
+    DataQualityError,
+    DegradationEvent,
+    JobCancelled,
+    SolverBreakdown,
+)
 from ..nufft import NufftPlan, ToeplitzNormalOperator
 
 __all__ = ["CgResult", "cg_reconstruction"]
@@ -91,6 +96,13 @@ def _check_weights(
     return w.astype(real, copy=False)
 
 
+#: Toeplitz build errors that no fallback can help, so callers that
+#: otherwise absorb a failed build re-raise these: bad weights poison the
+#: gridding normal operator identically, and a cancelled (or
+#: deadline-expired) job must stop, not degrade.
+TOEPLITZ_BUILD_FATAL = (DataQualityError, JobCancelled)
+
+
 def _supervised_toeplitz(
     build: Callable[[], ToeplitzNormalOperator],
 ) -> tuple[ToeplitzNormalOperator | None, tuple]:
@@ -102,9 +114,10 @@ def _supervised_toeplitz(
     :class:`~repro.errors.DegradationEvent`: the caller falls back to
     the gridding normal operator (forward+adjoint NuFFT pair — always
     available, exact adjoint pair by construction) instead of aborting
-    the reconstruction.  :class:`~repro.errors.DataQualityError` from
-    the build is *not* absorbed: bad weights would poison the gridding
-    normal operator identically, so degrading cannot help.
+    the reconstruction.  :data:`TOEPLITZ_BUILD_FATAL` errors are *not*
+    absorbed: a :class:`~repro.errors.DataQualityError`, or a
+    :class:`~repro.errors.JobCancelled` (``DeadlineExceeded`` included)
+    from the plan's cancel token, checked before each PSF block.
     """
     try:
         gram_op = build()
@@ -112,7 +125,7 @@ def _supervised_toeplitz(
             raise SolverBreakdown(
                 "Toeplitz kernel spectrum failed the Hermitian-PSD health check"
             )
-    except DataQualityError:
+    except TOEPLITZ_BUILD_FATAL:
         raise
     except Exception as exc:  # noqa: BLE001 - supervised degradation
         return None, (DegradationEvent("normal", "toeplitz", "gridding", repr(exc)),)
@@ -130,9 +143,10 @@ def _make_gram(plan, w, regularization, normal, normal_options):
     — a *prebuilt* operator to use instead of building one here.  This
     is the warm path for hosts that apply the same trajectory+weights
     repeatedly (the reconstruction service caches the operator per
-    weights fingerprint): the one-shot PSF gridding pass is skipped,
-    but the health check and the degradation contract still run.  The
-    caller owns the weights-consistency of a passed operator.
+    weights fingerprint): the one-shot PSF build (``2^d`` adjoints on
+    the plan) is skipped, but the health check and the degradation
+    contract still run.  The caller owns the weights-consistency of a
+    passed operator.
     """
     events: tuple = ()
     if normal == "toeplitz":
@@ -346,8 +360,8 @@ def cg_reconstruction(
         How to apply the normal operator ``A^H W A`` each iteration:
         ``"gridding"`` (default) runs a forward+adjoint NuFFT pair;
         ``"toeplitz"`` builds a
-        :class:`~repro.nufft.ToeplitzNormalOperator` once (a single
-        up-front gridding pass) and applies it with two ``2N`` FFTs
+        :class:`~repro.nufft.ToeplitzNormalOperator` once (``2^d``
+        up-front adjoints on ``plan``) and applies it with two ``2N`` FFTs
         per iteration — Impatient's strategy [10], the fast path for
         iteration counts beyond a handful.
     normal_options:

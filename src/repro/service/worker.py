@@ -11,8 +11,9 @@ Each :class:`ReconWorker` is one long-lived thread owning:
   throughput comes from (PyNUFFT and cuFINUFFT both win by amortizing
   exactly this setup);
 - per-plan :class:`~repro.nufft.ToeplitzNormalOperator` caches keyed
-  by DCF-weights fingerprint, so the one-shot PSF gridding pass of the
-  Toeplitz CG fast path is also paid once per (trajectory, weights);
+  by DCF-weights fingerprint, so the one-shot PSF build of the
+  Toeplitz CG fast path (``2^d`` adjoints on the cached plan) is also
+  paid once per (trajectory, weights);
 - one shared :class:`~repro.gridding.GridBufferPool` threaded through
   every cached plan, so the worker's grid buffers are reused across
   plans and its ``/stats`` pool numbers are one coherent snapshot.
@@ -38,6 +39,7 @@ from ..gridding.buffers import GridBufferPool
 from ..nufft import NufftPlan, ToeplitzNormalOperator
 from ..nufft.fft_backend import fft_demotion_chain
 from ..recon import cg_reconstruction
+from ..recon.cg import TOEPLITZ_BUILD_FATAL
 from ..robustness.checkpoint import CheckpointConfig
 from ..robustness.faults import InjectedWorkerCrash, heartbeat_fault_point
 from .jobs import Job, JobResult, JobSpec
@@ -281,7 +283,15 @@ class ReconWorker:
     def _warm_toeplitz(
         self, entry: _WarmEntry, spec: JobSpec, weights: np.ndarray | None
     ) -> tuple[ToeplitzNormalOperator | None, str]:
-        """Fetch or build the Toeplitz operator for (plan, weights)."""
+        """Fetch or build the Toeplitz operator for (plan, weights).
+
+        :data:`~repro.recon.cg.TOEPLITZ_BUILD_FATAL` errors propagate
+        and cache nothing: bad weights fail the job, and a cancel or
+        deadline observed during the build (the plan checks the job's
+        token before each PSF block) ends it cancelled.  Any other
+        build failure returns ``(None, "build-failed")`` and leaves the
+        degradation to ``cg_reconstruction``'s own chain.
+        """
         key = (spec.weights_key(),)
         op = entry.toeplitz.get(key)
         if op is not None:
@@ -291,6 +301,8 @@ class ReconWorker:
         self.toeplitz_misses += 1
         try:
             op = ToeplitzNormalOperator(entry.plan, weights=weights)
+        except TOEPLITZ_BUILD_FATAL:
+            raise
         except Exception:  # noqa: BLE001 - cg's own chain degrades + records
             return None, "build-failed"
         entry.toeplitz[key] = op

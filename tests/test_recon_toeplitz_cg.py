@@ -48,12 +48,22 @@ TRAJECTORIES = [
     ("random-3d", random_trajectory(200, 3, rng=8), (8, 8, 8)),
 ]
 
+#: odd, rectangular and odd 3-D images: the PSF's 2^d lag blocks must
+#: tile the 2N embedding for every parity of N
+ODD_SHAPES = [
+    ("radial-15x17", radial_trajectory(20, 34), (15, 17)),
+    ("random-9x12", random_trajectory(250, 2, rng=12), (9, 12)),
+    ("random-7x9x11", random_trajectory(400, 3, rng=13), (7, 9, 11)),
+]
+
 
 class TestExactEquivalence:
     """psf="nudft": the operator equals the explicit NuDFT Gram."""
 
     @pytest.mark.parametrize(
-        "label,coords,shape", TRAJECTORIES, ids=[t[0] for t in TRAJECTORIES]
+        "label,coords,shape",
+        TRAJECTORIES + ODD_SHAPES,
+        ids=[t[0] for t in TRAJECTORIES + ODD_SHAPES],
     )
     def test_matches_explicit_normal(self, label, coords, shape):
         plan = NufftPlan(shape, coords)
@@ -109,7 +119,9 @@ class TestNufftPsfConsistency:
     """psf="nufft": agreement with the explicit NuFFT Gram at plan accuracy."""
 
     @pytest.mark.parametrize(
-        "label,coords,shape", TRAJECTORIES, ids=[t[0] for t in TRAJECTORIES]
+        "label,coords,shape",
+        TRAJECTORIES + ODD_SHAPES,
+        ids=[t[0] for t in TRAJECTORIES + ODD_SHAPES],
     )
     def test_close_to_explicit_gram(self, label, coords, shape):
         plan = NufftPlan(shape, coords)
@@ -148,6 +160,28 @@ class TestNufftPsfConsistency:
             gram.apply(np.ones((8, 8), dtype=complex))
 
 
+class TestPsfOnThePlan:
+    def test_build_reuses_the_warm_compiled_plan(self, monkeypatch):
+        # the PSF blocks are adjoints on the caller's plan: no second
+        # plan is constructed, and a warm compiled engine serves every
+        # block from its cached scatter plan (no select pass)
+        coords = radial_trajectory(24, 48)
+        plan = NufftPlan((32, 32), coords, gridder="slice_and_dice_compiled")
+        plan.adjoint(np.ones(coords.shape[0], dtype=complex))
+        constructed = []
+        init = NufftPlan.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NufftPlan, "__init__", counting_init)
+        gram = ToeplitzNormalOperator(plan)
+        assert constructed == []
+        assert plan.gridder.stats.boundary_checks == 0
+        assert gram.healthy
+
+
 class TestHermitianPsd:
     def test_exactly_hermitian_by_construction(self):
         coords = random_trajectory(200, 2, rng=11)
@@ -162,7 +196,7 @@ class TestHermitianPsd:
     def test_kernel_spectrum_is_real_when_hermitian(self):
         coords = radial_trajectory(8, 16)
         plan = NufftPlan((16, 16), coords)
-        gram = ToeplitzNormalOperator(plan, hermitian=True)
+        gram = ToeplitzNormalOperator(plan)
         assert not np.iscomplexobj(gram._kernel_fft)
 
     if HAVE_HYPOTHESIS:

@@ -21,8 +21,10 @@ from repro.errors import (
     BackendFailure,
     CoordinateError,
     DataQualityError,
+    DeadlineExceeded,
     DegradationEvent,
     EngineFailure,
+    JobCancelled,
     ReproError,
     SolverBreakdown,
 )
@@ -613,6 +615,18 @@ class TestToeplitzSupervision:
         op._kernel_fft = op._kernel_fft.copy()
         op._kernel_fft.flat[0] = np.nan
         assert not op.health_check()
+
+    @pytest.mark.parametrize("error", [JobCancelled, DeadlineExceeded])
+    def test_cancel_during_build_is_not_degraded(self, error):
+        # a cancelled or expired token observed by the PSF build must
+        # stop the job, not become a normal: toeplitz -> gridding event
+        from repro.recon.cg import _supervised_toeplitz
+
+        def build():
+            raise error("token observed during the PSF build")
+
+        with pytest.raises(error):
+            _supervised_toeplitz(build)
 
     def test_psf_fault_falls_back_to_gridding_cg(self):
         coords = radial_trajectory(16, 32)

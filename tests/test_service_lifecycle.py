@@ -452,6 +452,55 @@ class TestServiceLifecycle:
         assert "cancelled by client" in job.error
         assert svc.stats()["jobs_cancelled"] == 1
 
+    def test_cancel_during_psf_build_ends_cancelled(self, monkeypatch):
+        # cancel between the PSF's lag blocks (2^d plan adjoints): the
+        # job ends cancelled, no operator is cached, and the build is
+        # not retried by CG's toeplitz -> gridding fallback
+        coords, samples = _problem()
+        calls = []
+        adjoint = NufftPlan.adjoint
+
+        def cancelling_adjoint(plan, values):
+            calls.append(1)
+            if len(calls) == 2:
+                svc.cancel(job.id, "cancelled during the PSF build")
+            return adjoint(plan, values)
+
+        monkeypatch.setattr(NufftPlan, "adjoint", cancelling_adjoint)
+        with ReconService(workers=1, autostart=False,
+                          watchdog_period=None) as svc:
+            job = svc.submit(JobSpec((24, 24), coords, samples,
+                                     normal="toeplitz"))
+            svc.start()
+            assert job.wait(timeout=30)
+        assert job.state == JobState.CANCELLED
+        assert "cancelled during the PSF build" in job.error
+        assert len(calls) == 2  # block 1 ran, block 2 observed the token
+        assert job.result is None
+        assert "degradations" not in job.as_dict()
+        (worker,) = svc.workers
+        assert [len(e.toeplitz) for e in worker._plans.values()] == [0]
+        assert worker.toeplitz_misses == 1
+        assert worker.buffer_pool.outstanding == 0
+        assert svc.stats()["jobs_cancelled"] == 1
+
+    def test_nan_weight_fails_at_the_psf_build(self):
+        # bad weights poison the gridding operator too: the worker's
+        # build raises instead of handing CG a second, futile build
+        coords, samples = _problem()
+        weights = np.ones(coords.shape[0])
+        weights[3] = np.nan
+        with ReconService(workers=1, watchdog_period=None) as svc:
+            job = svc.submit(JobSpec((24, 24), coords, samples,
+                                     weights=weights, normal="toeplitz"))
+            assert job.wait(timeout=30)
+        assert job.state == JobState.FAILED
+        assert "Toeplitz PSF kernel" in job.error
+        (worker,) = svc.workers
+        assert [len(e.toeplitz) for e in worker._plans.values()] == [0]
+        assert worker.toeplitz_misses == 1
+        assert worker.buffer_pool.outstanding == 0
+
     def test_cancel_unknown_id_raises(self):
         with ReconService(workers=1, watchdog_period=None) as svc:
             with pytest.raises(KeyError):
