@@ -56,9 +56,9 @@ accumulating into one pooled dice, so peak memory is **O(chunk +
 grid)** instead of O(M·W^d) — like JIGSAW's
 single-pass ``M + 12``-cycle streamer it keeps no per-trajectory plan
 and sorts nothing.  One scratch plan, grown to the largest chunk, holds
-the entries of the chunk selected last, with a copy of its
-coordinates: a chunk equal to that copy (a trajectory that fits in one
-chunk, reused by CG) skips the select.
+the entries of the chunk selected last, bound to it like a one-shot
+plan (*Plan binding*): a chunk equal to the held copy (a trajectory
+that fits in one chunk, reused by CG) skips the select.
 
 Bit-identity
 ------------
@@ -109,13 +109,16 @@ there.  The default (``backend=None``) resolves once, at construction:
 ``"numba"`` when :func:`~repro.core.jit.jit_available`, else
 ``"csr"``.
 
-Plan cache
-----------
-One-shot plans are memoized per trajectory with the O(1)
-``_coords_fingerprint`` keying and true-LRU eviction; in-place
-coordinate mutation requires :meth:`invalidate_cache`.  Chunk mode
-matches whole coordinate arrays instead, as the sampled fingerprint
-could alias two chunks.
+Plan binding
+------------
+An engine holds one plan, bound to the trajectory it was built from
+(:class:`~repro.gridding.base.ExactBinding`, shared with the serial
+engine's select tables): a copy of the canonicalized coordinates.  A
+pass reuses the plan only when its coordinates are ``np.array_equal``
+to that copy, so a different array or an in-place edit of any sample
+recompiles and rebinds.  One trajectory per gridder: a
+:class:`~repro.nufft.NufftPlan` passes its own coordinates on every
+call.
 """
 
 from __future__ import annotations
@@ -426,7 +429,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     """Slice-and-Dice with the select pass compiled per trajectory.
 
     The first call on a trajectory runs the table-driven select into a
-    :class:`CompiledPlan` and caches it; every subsequent call — every
+    :class:`CompiledPlan` and binds it; every subsequent call — every
     further CG iteration, coil, or RHS — is one sparse mat-vec per RHS,
     run band-parallel, with **zero select work**.  With
     ``chunk_samples`` set, every call runs chunk by chunk into one
@@ -447,10 +450,6 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         when numba is available, else ``"csr"``, at either dtype.
         ``backend`` names the lane the engine runs, so it reads
         ``"csr"`` after a demotion.
-    plan_cache_size:
-        Trajectories whose compiled plans are kept (true LRU; ``0``
-        disables plan caching and recompiles every call).  One-shot
-        calls only.
     chunk_samples:
         ``None`` (default) runs each call as one plan; an integer runs
         calls in chunks of that many samples, bounding peak memory by
@@ -474,6 +473,10 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     >>> _ = com.grid(coords, values)
     >>> com.stats.cache_hits, com.stats.boundary_checks  # plan reuse
     (1, 0)
+    >>> coords[50, 0] = 16.25  # one interior sample moved in place
+    >>> _ = com.grid(coords, values)
+    >>> com.stats.cache_hits, com.stats.cache_misses  # recompiled
+    (0, 1)
     >>> stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=32)
     >>> bool(np.array_equal(stm.grid(coords, values), ser.grid(coords, values)))
     True
@@ -497,38 +500,26 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         setup: GriddingSetup,
         tile_size: int = 8,
         backend: str | None = None,
-        plan_cache_size: int = 4,
         chunk_samples: int | None = None,
     ):
-        super().__init__(
-            setup, tile_size=tile_size, engine="columns", table_cache_size=0
-        )
+        super().__init__(setup, tile_size=tile_size, engine="columns")
         if backend is None:
             backend = "numba" if jit.jit_available() else "csr"
         if backend not in _BACKENDS:
             raise ValueError(
                 f"backend must be one of {_BACKENDS}, got {backend!r}"
             )
-        if plan_cache_size < 0:
-            raise ValueError(
-                f"plan_cache_size must be >= 0, got {plan_cache_size}"
-            )
         self.backend = backend
-        self.plan_cache_size = int(plan_cache_size)
         if chunk_samples is not None:
             chunk_samples = int(chunk_samples)
             if chunk_samples < 1:
                 raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
         self.chunk_samples = chunk_samples
         self._n_flat = self.layout.n_columns * self.layout.n_tiles
-        #: fingerprint -> CompiledPlan; dict order doubles as LRU order
-        self._plan_cache: dict[tuple, CompiledPlan] = {}
         #: chunk mode's scratch plan storage, grown to the largest
         #: chunk: addresses and weights
         self._chunk_flat: np.ndarray | None = None
         self._chunk_weight: np.ndarray | None = None
-        #: ``(coords copy, plan)`` of the chunk the scratch holds
-        self._held: tuple[np.ndarray, CompiledPlan] | None = None
         #: sticky record of every degradation this engine performed
         self.degradations: tuple[DegradationEvent, ...] = ()
         self._pending_events: list[DegradationEvent] = []
@@ -568,16 +559,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         return True
 
     # ------------------------------------------------------------------
-    # plans: the one-shot LRU and chunk mode's scratch plan
+    # plans: one-shot, or chunk mode's scratch plan
     # ------------------------------------------------------------------
-    def invalidate_cache(self) -> None:
-        """Drop cached plans, the chunk scratch and the parent's
-        select-table cache."""
-        super().invalidate_cache()
-        self._plan_cache.clear()
-        self._chunk_flat = self._chunk_weight = None
-        self._held = None
-
     def _index_dtype(self, nnz: int) -> np.dtype:
         """int32 indices halve the index traffic of every mat-vec;
         int64 ones only past their range."""
@@ -674,37 +657,14 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
 
     def _fetch_plan(self, coords: np.ndarray) -> tuple[CompiledPlan, bool]:
         """The plan for one pass over ``coords`` plus whether it was
-        reused: from the fingerprint-keyed LRU one-shot, from the
-        scratch in chunk mode (:meth:`_chunk_plan`)."""
-        if self.chunk_samples is not None:
-            return self._chunk_plan(coords)
-        key = self._coords_fingerprint(coords) if self.plan_cache_size else None
-        if key is not None:
-            cached = self._plan_cache.get(key)
-            if cached is not None:
-                self._plan_cache.pop(key)
-                self._plan_cache[key] = cached
-                return cached, True
-        plan = self._compile(coords)
-        if key is not None:
-            while len(self._plan_cache) >= self.plan_cache_size:
-                self._plan_cache.pop(next(iter(self._plan_cache)))
-            self._plan_cache[key] = plan
-        return plan, False
+        reused: the bound plan (module docstring, *Plan binding*), else
+        a fresh one-shot plan, or in chunk mode a select into the
+        scratch (:meth:`_select_chunk`)."""
+        build = self._compile if self.chunk_samples is None else self._select_chunk
+        return self._binding.fetch(coords, build)
 
-    def _chunk_plan(self, coords: np.ndarray) -> tuple[CompiledPlan, bool]:
-        """One chunk's plan in the scratch.
-
-        Reused when the chunk selected last comes again (a trajectory
-        that fits in one chunk, reused by CG or warm service jobs).
-        The match is on all coordinates against a kept copy, as the
-        O(1) sampled fingerprint could alias two chunks.  A miss runs
-        the select into the scratch as a one-band plan.
-        """
-        held = self._held
-        if held is not None and np.array_equal(held[0], coords):
-            return held[1], True
-        self._held = None
+    def _select_chunk(self, coords: np.ndarray) -> CompiledPlan:
+        """One chunk's one-band plan, selected into the scratch."""
         nnz = coords.shape[0] * self.setup.width ** self.setup.ndim
         if self._chunk_flat is None or self._chunk_flat.size < nnz:
             self._chunk_flat = np.empty(nnz, dtype=self._index_dtype(nnz))
@@ -712,9 +672,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         t0 = time.perf_counter()
         flat, weight = self._chunk_flat[:nnz], self._chunk_weight[:nnz]
         self._select_entries(coords, flat, weight)
-        plan = self._new_plan(coords, flat, weight, None, t0)
-        self._held = (coords.copy(), plan)
-        return plan, False
+        return self._new_plan(coords, flat, weight, None, t0)
 
     # ------------------------------------------------------------------
     # stats

@@ -17,8 +17,8 @@ Two execution engines, both bit-identical in output:
   input x output parallelization that breaks the pure output-parallel
   model but raises occupancy.
 
-Multi-RHS batching and table caching
-------------------------------------
+Multi-RHS batching and the trajectory binding
+---------------------------------------------
 
 Iterative multi-coil reconstruction grids many value vectors over one
 fixed trajectory (one per coil per CG iteration — the paper's
@@ -29,17 +29,16 @@ fixed trajectory (one per coil per CG iteration — the paper's
   ``bincount`` accumulate, so the select work is paid once for all
   ``K`` coils.
 - The coordinate decomposition and per-axis select tables (three
-  ``(T, M)`` arrays per axis) are cached keyed on a cheap fingerprint
-  of the (canonicalized) coordinates — shape plus first/middle/last
-  sample bytes plus a strided checksum.  Repeated calls on the same
-  trajectory (every CG iteration) skip the ``M*T*d`` table build
-  entirely.  The fingerprint reads O(1) samples, so an in-place
-  mutation that preserves the probed entries is *not* detected — call
-  :meth:`invalidate_cache` after mutating a coordinate array in place.
-  Cache events, build time, and resident table bytes are reported
-  per call in ``stats.cache_hits``, ``stats.cache_misses``,
-  ``stats.table_build_seconds`` and ``stats.table_bytes``; eviction
-  is true LRU (a re-hit trajectory moves to most-recently-used).
+  ``(T, M)`` arrays per axis) are bound to one trajectory per gridder
+  (:class:`~repro.gridding.base.ExactBinding`): a held copy of the
+  canonicalized coordinates they were built from.  A call reuses them
+  only when its coordinates are ``np.array_equal`` to that copy, so
+  repeated calls on one trajectory (every CG iteration) skip the
+  ``M*T*d`` table build, while a different array or an in-place edit
+  of any sample rebuilds and rebinds.  Binding events, build time, and
+  resident table bytes are reported per call in ``stats.cache_hits``,
+  ``stats.cache_misses``, ``stats.table_build_seconds`` and
+  ``stats.table_bytes``.
 
 The select pass also has a *table-driven* form:
 :meth:`_select_entries` writes every passing ``(sample, column)`` pair
@@ -70,13 +69,13 @@ __all__ = ["SliceAndDiceGridder", "TableFetch"]
 
 @dataclass(frozen=True)
 class TableFetch:
-    """Outcome of one per-axis-table fetch, threaded to the stats of
+    """Outcome of one select-table fetch, threaded to the stats of
     exactly the call that performed it (never shared between calls).
 
     Attributes
     ----------
     hit:
-        True when cached tables were reused, False when they were
+        True when the bound tables were reused, False when they were
         (re)built.
     build_seconds:
         Wall-clock seconds of the table build (0.0 on a hit).
@@ -127,11 +126,6 @@ class SliceAndDiceGridder(Gridder):
     n_blocks:
         Sample-stream partitions for the blocked engine (ignored
         otherwise).
-    table_cache_size:
-        Number of trajectories whose select tables are kept (LRU
-        eviction — a re-hit trajectory is safe from eviction until
-        ``table_cache_size`` *other* trajectories displace it).  ``0``
-        disables caching entirely.
     """
 
     name = "slice_and_dice"
@@ -142,92 +136,52 @@ class SliceAndDiceGridder(Gridder):
         tile_size: int = 8,
         engine: str = "columns",
         n_blocks: int = 16,
-        table_cache_size: int = 4,
     ):
         super().__init__(setup)
         if engine not in ("columns", "blocked"):
             raise ValueError(f"engine must be 'columns' or 'blocked', got {engine!r}")
         if n_blocks < 1:
             raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
-        if table_cache_size < 0:
-            raise ValueError(f"table_cache_size must be >= 0, got {table_cache_size}")
         self.engine = engine
         self.n_blocks = n_blocks
-        self.table_cache_size = table_cache_size
         self.layout = DiceLayout(setup.grid_shape, tile_size)
         if setup.width > tile_size:
             raise ValueError(
                 f"window width {setup.width} exceeds tile size {tile_size}; "
                 "the one-point-per-column guarantee (W <= T) would break"
             )
-        #: fingerprint -> (dec, masks, weights, tiles); ordered oldest
-        #: -> most recently used (dict order doubles as the LRU order)
-        self._table_cache: dict[tuple, tuple] = {}
 
     @property
     def tile_size(self) -> int:
         return self.layout.tile_size
 
     # ------------------------------------------------------------------
-    # table cache
+    # select tables
     # ------------------------------------------------------------------
-    def invalidate_cache(self) -> None:
-        """Drop all cached decompositions / select tables.
-
-        Required after mutating a coordinate array *in place* in a way
-        the O(1) fingerprint cannot observe (see module docstring);
-        passing a genuinely different array is detected automatically.
-        """
-        self._table_cache.clear()
-
-    @staticmethod
-    def _coords_fingerprint(coords: np.ndarray) -> tuple:
-        """Cheap content key for a canonicalized ``(M, d)`` coord array.
-
-        Reads O(1) rows (first/middle/last) plus a strided checksum of
-        at most 16 rows — negligible next to the ``M*T*d`` table build
-        it guards.  Deterministic across the copies ``check_coords``
-        makes, so repeated calls on one trajectory hit regardless of
-        array identity.
-        """
-        m = coords.shape[0]
-        step = max(1, m // 16)
-        return (
-            coords.shape,
-            coords[0].tobytes(),
-            coords[m // 2].tobytes(),
-            coords[-1].tobytes(),
-            float(coords[::step].sum()),
-        )
-
     def _fetch_tables(self, coords: np.ndarray) -> tuple[tuple, TableFetch]:
-        """Per-axis select tables plus this fetch's cache event.
+        """The bound select tables of ``coords`` plus this fetch's event.
+
+        Reused when ``coords`` equal the gridder's held copy, else built
+        by :meth:`_build_tables` and rebound (module docstring).  The
+        fetch outcome is returned, not stored, so the stats of one call
+        can never leak into another.
+        """
+        t_start = time.perf_counter()
+        tables, hit = self._binding.fetch(coords, self._build_tables)
+        build_seconds = 0.0 if hit else time.perf_counter() - t_start
+        return tables, TableFetch(hit, build_seconds, _tables_nbytes(tables))
+
+    def _build_tables(self, coords: np.ndarray) -> tuple:
+        """Per-axis select tables of ``coords``.
 
         The separable two-part check lets each axis be evaluated once
         for all ``T`` column indices and reused across the ``T^d``
         column combinations (the same sharing the hardware gets from
-        its row/column select units).  Returns per-axis arrays of shape
-        ``(T, M)`` — pass masks, LUT weights, and wrapped tile
-        coordinates (stored in the minimal unsigned dtype that holds
-        ``max(tile_counts) - 1``) — plus the decomposition itself,
-        bundled with a :class:`TableFetch` describing *this* fetch.
-
-        Results are memoized keyed on :meth:`_coords_fingerprint` with
-        true LRU eviction: a hit moves the entry to most-recently-used,
-        so a trajectory in active use survives interleaved traffic on
-        other trajectories.  The fetch outcome is returned, not stored,
-        so the stats of one call can never leak into another.
+        its row/column select units).  Returns the decomposition and
+        per-axis arrays of shape ``(T, M)`` — pass masks, LUT weights,
+        and wrapped tile coordinates (stored in the minimal unsigned
+        dtype that holds ``max(tile_counts) - 1``).
         """
-        key = self._coords_fingerprint(coords) if self.table_cache_size else None
-        if key is not None:
-            cached = self._table_cache.get(key)
-            if cached is not None:
-                # move-to-end: mark as most recently used
-                self._table_cache.pop(key)
-                self._table_cache[key] = cached
-                return cached, TableFetch(True, 0.0, _tables_nbytes(cached))
-
-        t_start = time.perf_counter()
         setup = self.setup
         lut = setup.lut
         w = setup.width
@@ -254,14 +208,7 @@ class SliceAndDiceGridder(Gridder):
             masks.append(mk)
             weights.append(wt)
             tiles.append(tl)
-        result = (dec, masks, weights, tiles)
-        build_seconds = time.perf_counter() - t_start
-
-        if key is not None:
-            while len(self._table_cache) >= self.table_cache_size:
-                self._table_cache.pop(next(iter(self._table_cache)))
-            self._table_cache[key] = result
-        return result, TableFetch(False, build_seconds, _tables_nbytes(result))
+        return dec, masks, weights, tiles
 
     # ------------------------------------------------------------------
     # gridding (adjoint)
@@ -491,7 +438,7 @@ class SliceAndDiceGridder(Gridder):
 
         Select work (checks, LUT reads, lane issue) is shared across the
         batch; value work (MACs, dice accesses) scales with ``n_rhs``;
-        ``fetch`` is the table-cache event of *this* call.
+        ``fetch`` is the table-binding event of *this* call.
         ``peak_bytes`` is the pass' true transient high water: the
         ``(K, T^d, n_tiles)`` dice plus the resident select tables.
         """

@@ -39,6 +39,7 @@ from ..robustness.validate import (
 from .buffers import GridBufferPool
 
 __all__ = [
+    "ExactBinding",
     "GriddingStats",
     "GriddingSetup",
     "Gridder",
@@ -80,11 +81,11 @@ class GriddingStats:
         will be unaffected — and thus idle"); zero for serial
         schedules, where the notion does not apply.
     cache_hits / cache_misses:
-        Plan-level precomputation cache events (e.g. the
-        Slice-and-Dice per-axis select tables keyed on the
-        trajectory): a *hit* means the call reused tables built by an
-        earlier call on the same coordinates, a *miss* means they were
-        (re)built.  Zero for gridders without a cache.
+        Trajectory-binding events (the Slice-and-Dice select tables,
+        a compiled plan, the sparse matrix): a *hit* means the call's
+        coordinates equal, element for element, those the bound
+        product was built from, a *miss* means it was (re)built.  Zero
+        for gridders without per-trajectory precomputation.
     table_build_seconds:
         Wall-clock seconds spent building precomputed tables during
         this call (0.0 on a cache hit) — makes the amortization
@@ -97,7 +98,7 @@ class GriddingStats:
     plan_compile_seconds:
         Wall-clock seconds spent compiling a trajectory scatter plan
         during this call (the ``slice_and_dice_compiled`` engine: its
-        select plus the CSR wrap); 0.0 on a plan-cache hit.  In chunk
+        select plus the CSR wrap); 0.0 on a plan hit.  In chunk
         mode, the sum of the chunks' select times.
     plan_nnz:
         Nonzeros of the compiled scatter plan the call executed —
@@ -459,6 +460,47 @@ def scatter_add_complex(
     )
 
 
+class ExactBinding:
+    """A single-entry cache bound to the full contents of one array.
+
+    :meth:`fetch` reuses the held product only while its key is
+    ``np.array_equal`` to the copy taken when the product was built
+    (``None`` matches only ``None``), so a different array and an
+    in-place edit of the bound one both rebuild and rebind.  Nothing is
+    sampled and nothing is hashed: a stale product can never be served.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> b = ExactBinding()
+    >>> a = np.arange(4.0)
+    >>> total = lambda key: float(key.sum())
+    >>> b.fetch(a, total), b.fetch(a, total)
+    ((6.0, False), (6.0, True))
+    >>> a[2] = 5.0                       # in-place edit: rebuilt
+    >>> b.fetch(a, total)
+    (9.0, False)
+    """
+
+    def __init__(self) -> None:
+        #: copy of the key the product was built from
+        self.key: np.ndarray | None = None
+        #: the bound product, ``None`` while unbound
+        self.product = None
+
+    def fetch(self, key: np.ndarray | None, build) -> tuple[object, bool]:
+        """``(build(key), False)`` after rebinding, or ``(product, True)``
+        when ``key`` equals the held copy."""
+        if self.product is not None and np.array_equal(self.key, key):
+            return self.product, True
+        # unbind first: a build that raises leaves nothing stale behind
+        self.key = self.product = None
+        product = build(key)
+        self.key = None if key is None else np.array(key)
+        self.product = product
+        return product, False
+
+
 class Gridder:
     """Base class: one gridding algorithm over a fixed problem setup.
 
@@ -494,6 +536,10 @@ class Gridder:
         #: NufftPlan` injects its pool here so per-iteration transforms
         #: stop churning the allocator.
         self.buffer_pool: GridBufferPool | None = None
+        #: the one trajectory binding: the product an engine builds from
+        #: canonicalized coordinates (select tables, a compiled plan, a
+        #: sparse matrix), reused only on an exact match
+        self._binding = ExactBinding()
 
     # ------------------------------------------------------------------
     # buffer management
@@ -518,8 +564,7 @@ class Gridder:
 
         Returns ``(coords, values_stack, bad_mask, report)`` with
         coordinates finite and canonicalized to ``[0, G)``.  Clean
-        in-range inputs pass through as the *same objects* (bit-identity
-        and table-cache fingerprint stability are preserved).  The gate
+        in-range inputs pass through as the *same objects* (no copy).  The gate
         leaves only finite coordinates behind, so when its report counts
         no wrapped sample they are already in range and the torus wrap
         is skipped.

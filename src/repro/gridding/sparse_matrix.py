@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .base import Gridder, GriddingStats, GriddingSetup, window_contributions
+from .base import Gridder, GriddingStats, window_contributions
 
 __all__ = ["SparseMatrixGridder"]
 
@@ -30,18 +30,14 @@ __all__ = ["SparseMatrixGridder"]
 class SparseMatrixGridder(Gridder):
     """Gridder that materializes the interpolation operator as CSR.
 
-    The matrix is built lazily on the first call for a given set of
-    coordinates and cached; subsequent calls with coordinates of the
-    same shape and values reuse it when the coordinates are identical
-    (checked cheaply via a content hash).
+    The matrix is built lazily on the first call for a trajectory and
+    is the gridder's trajectory binding
+    (:class:`~repro.gridding.base.ExactBinding`): later calls reuse it
+    only when their coordinates equal, element for element, the copy
+    it was built from.
     """
 
     name = "sparse_matrix"
-
-    def __init__(self, setup: GriddingSetup):
-        super().__init__(setup)
-        self._matrix: sparse.csr_matrix | None = None
-        self._coord_token: tuple | None = None
 
     # ------------------------------------------------------------------
     def build_matrix(self, coords: np.ndarray) -> sparse.csr_matrix:
@@ -63,24 +59,12 @@ class SparseMatrixGridder(Gridder):
         mat.sum_duplicates()
         return mat
 
-    def _token(self, coords: np.ndarray) -> tuple:
-        arr = np.ascontiguousarray(coords)
-        return (arr.shape, hash(arr.tobytes()))
-
-    def _ensure_matrix(self, coords: np.ndarray) -> sparse.csr_matrix:
-        token = self._token(coords)
-        if self._matrix is None or token != self._coord_token:
-            self._matrix = self.build_matrix(coords)
-            self._coord_token = token
-            self._built_this_call = True
-        else:
-            self._built_this_call = False
-        return self._matrix
-
-    def _pass_stats(self, mat: sparse.csr_matrix, m: int, k: int) -> GriddingStats:
+    def _pass_stats(
+        self, mat: sparse.csr_matrix, hit: bool, m: int, k: int
+    ) -> GriddingStats:
         """Stats of one ``K``-RHS pass: value work scales with ``K``,
         the matrix build (if this call paid it) is charged once."""
-        build_ops = m * (self.setup.width ** self.setup.ndim) if self._built_this_call else 0
+        build_ops = 0 if hit else m * (self.setup.width ** self.setup.ndim)
         return GriddingStats(
             boundary_checks=0,  # windows are enumerated, never tested
             interpolations=int(mat.nnz) * k,
@@ -88,6 +72,8 @@ class SparseMatrixGridder(Gridder):
             presort_operations=build_ops,
             grid_accesses=int(mat.nnz) * k,
             lut_lookups=build_ops * self.setup.ndim,
+            cache_hits=int(hit),
+            cache_misses=int(not hit),
         )
 
     # ------------------------------------------------------------------
@@ -98,16 +84,16 @@ class SparseMatrixGridder(Gridder):
         out: np.ndarray,
     ) -> None:
         """Batched adjoint ``C^H V`` — one matrix build, K mat-vecs."""
-        mat = self._ensure_matrix(coords)
+        mat, hit = self._binding.fetch(coords, self.build_matrix)
         result = (mat.conj().T @ values_stack.T).T  # C is real so conj is free
-        self.stats = self._pass_stats(mat, coords.shape[0], values_stack.shape[0])
+        self.stats = self._pass_stats(mat, hit, coords.shape[0], values_stack.shape[0])
         out[...] = result.reshape(out.shape)
 
     def _interp_batch_impl(self, grid_stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Batched forward ``C G`` — one matrix build, K mat-vecs."""
         k = grid_stack.shape[0]
-        mat = self._ensure_matrix(coords)
-        self.stats = self._pass_stats(mat, coords.shape[0], k)
+        mat, hit = self._binding.fetch(coords, self.build_matrix)
+        self.stats = self._pass_stats(mat, hit, coords.shape[0], k)
         return np.ascontiguousarray(
             (mat @ grid_stack.reshape(k, -1).T).T
         )
@@ -115,12 +101,12 @@ class SparseMatrixGridder(Gridder):
     # ------------------------------------------------------------------
     @property
     def matrix_nbytes(self) -> int:
-        """Memory footprint of the cached CSR matrix (0 if not built).
+        """Memory footprint of the bound CSR matrix (0 if not built).
 
         The paper's §II.A point about matrix methods: storage grows as
         ``M * W^d`` and "quickly becoming prohibitive".
         """
-        if self._matrix is None:
+        m = self._binding.product
+        if m is None:
             return 0
-        m = self._matrix
         return int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)

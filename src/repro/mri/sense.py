@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SolverBreakdown
+from ..gridding.base import ExactBinding
 from ..nufft import NufftPlan, ToeplitzNormalOperator
 from ..recon.cg import (
     CgResult,
@@ -77,7 +78,8 @@ class SenseOperator:
             )
         self.plan = plan
         self.maps = maps
-        self._toeplitz_cache: tuple[tuple | None, ToeplitzNormalOperator] | None = None
+        #: the Toeplitz operator, bound to the weights it was built with
+        self._toeplitz = ExactBinding()
 
     @property
     def n_coils(self) -> int:
@@ -117,18 +119,12 @@ class SenseOperator:
         return np.sum(np.conj(self.maps) * coil_images, axis=0)
 
     def _toeplitz_gram(self, weights: np.ndarray | None) -> ToeplitzNormalOperator:
-        """The Toeplitz embedding of ``A^H W A``, cached per weights."""
-        if weights is None:
-            key: tuple | None = None
-        else:
-            arr = np.ascontiguousarray(weights)
-            key = (arr.shape, hash(arr.tobytes()))
-        if self._toeplitz_cache is None or self._toeplitz_cache[0] != key:
-            self._toeplitz_cache = (
-                key,
-                ToeplitzNormalOperator(self.plan, weights=weights),
-            )
-        return self._toeplitz_cache[1]
+        """The Toeplitz embedding of ``A^H W A``, rebuilt unless
+        ``weights`` equal those of the last build."""
+        gram, _ = self._toeplitz.fetch(
+            weights, lambda w: ToeplitzNormalOperator(self.plan, weights=w)
+        )
+        return gram
 
     def normal(
         self,

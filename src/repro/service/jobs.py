@@ -29,13 +29,15 @@ stale attempt number (a zombie thread finishing after its job was
 requeued) is discarded.  ``on_terminal`` fires exactly once.
 
 The trajectory **fingerprint** computed here is the affinity-routing
-key: jobs whose coordinate arrays fingerprint identically are routed
-to the same worker, whose plan/select-table/Toeplitz caches are
-therefore already warm for them.  The fingerprint deliberately reuses
-the O(1) sampling scheme of the gridder-side caches
-(:meth:`repro.core.slice_and_dice.SliceAndDiceGridder._coords_fingerprint`)
-so "same fingerprint" at the service layer implies cache hits all the
-way down.
+key and the trajectory part of the worker's plan key: jobs whose
+coordinate arrays fingerprint identically are routed to the same
+worker, whose plan and Toeplitz caches are therefore already warm for
+them.  It is a SHA-256 digest of the full contents (shape, dtype and
+every byte), computed once per job at submit, as is the weights key of
+the Toeplitz cache — so a cached plan or PSF is only ever served to the
+exact trajectory and weights it was built from.  Below the plan, each
+gridder binds its one trajectory exactly
+(:class:`repro.gridding.base.ExactBinding`).
 """
 
 from __future__ import annotations
@@ -81,24 +83,30 @@ class JobState:
     TERMINAL = (DONE, FAILED, CANCELLED, DEADLINE_EXCEEDED)
 
 
-def trajectory_fingerprint(coords: np.ndarray) -> str:
-    """Hex affinity key for an ``(M, d)`` coordinate array.
+def content_digest(array: np.ndarray) -> str:
+    """Hex SHA-256 of an array's full contents: shape, dtype and every
+    byte, so two arrays share a digest only when they are equal."""
+    array = np.ascontiguousarray(array)
+    h = hashlib.sha256(f"{array.shape}{array.dtype.str}".encode())
+    h.update(array.data)
+    return h.hexdigest()
 
-    Reads O(1) rows (first/middle/last), a strided checksum of at most
-    16 rows, and the shape — the same observable set the gridder-side
-    select-table/compiled-plan caches key on, hashed to a compact hex
-    string so it can travel through JSON and be compared cheaply.
+
+def trajectory_fingerprint(coords: np.ndarray) -> str:
+    """Hex affinity and plan key for an ``(M, d)`` coordinate array:
+    the :func:`content_digest` of the coordinates as float64.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> a = np.zeros((4, 2))
+    >>> b = a.copy(); b[1, 0] = 0.5
+    >>> trajectory_fingerprint(a) == trajectory_fingerprint(a.copy())
+    True
+    >>> trajectory_fingerprint(a) == trajectory_fingerprint(b)
+    False
     """
-    coords = np.ascontiguousarray(np.atleast_2d(coords), dtype=np.float64)
-    m = coords.shape[0]
-    step = max(1, m // 16)
-    h = hashlib.sha1()
-    h.update(repr(coords.shape).encode())
-    h.update(coords[0].tobytes())
-    h.update(coords[m // 2].tobytes())
-    h.update(coords[-1].tobytes())
-    h.update(np.float64(coords[::step].sum()).tobytes())
-    return h.hexdigest()[:16]
+    return content_digest(np.atleast_2d(np.asarray(coords, dtype=np.float64)))
 
 
 # ----------------------------------------------------------------------
@@ -305,13 +313,12 @@ class JobSpec:
         spec._fingerprint = fingerprint
         return spec
 
-    def weights_key(self) -> tuple | None:
-        """Hashable key of the DCF weights (Toeplitz-cache subkey)."""
+    def weights_key(self) -> str | None:
+        """Key of the DCF weights (Toeplitz-cache subkey): the
+        :func:`content_digest` of the weights as float64."""
         if self.weights is None:
             return None
-        w = np.asarray(self.weights, dtype=np.float64).ravel()
-        step = max(1, w.shape[0] // 16)
-        return (w.shape[0], float(w[0]), float(w[-1]), float(w[::step].sum()))
+        return content_digest(np.asarray(self.weights, dtype=np.float64).ravel())
 
     @classmethod
     def from_payload(cls, payload: dict) -> "JobSpec":

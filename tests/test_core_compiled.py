@@ -275,7 +275,7 @@ class TestBands:
             assert np.array_equal(
                 com.interp(grids[0], coords), ser.interp(grids[0], coords)
             )
-        (plan,) = com._plan_cache.values()
+        plan = com._binding.product
         assert plan.n_bands == p
         assert com.stats.cache_hits == 1
 
@@ -578,7 +578,7 @@ class TestPlanCache:
                 peak = com.stats.peak_bytes
                 assert com.stats.cache_misses == 1
                 if com.backend == "csr":
-                    plan = next(iter(com._plan_cache.values()))
+                    plan = com._binding.product
                     assert plan.n_bands == cpus
                 assert peak > 8_000_000
                 assert 0.5 * peak <= traced_peak <= peak + 1_000_000, (
@@ -602,37 +602,6 @@ class TestPlanCache:
         com.interp(grid, coords)          # must reuse, not recompile
         assert (com.stats.cache_hits, com.stats.cache_misses) == (1, 0)
 
-    def test_invalidate_cache_forces_recompile(self, small_setup, rng):
-        coords, values = random_samples(rng, 200, small_setup.grid_shape)
-        com = CompiledSliceAndDiceGridder(small_setup)
-        com.grid(coords, values)
-        com.invalidate_cache()
-        com.grid(coords, values)
-        assert com.stats.cache_misses == 1
-
-    def test_plan_cache_lru_eviction(self, small_setup, rng):
-        com = CompiledSliceAndDiceGridder(small_setup, plan_cache_size=2)
-        trajs = [
-            random_samples(rng, 50 + i, small_setup.grid_shape)[0]
-            for i in range(3)
-        ]
-        values = [np.ones(50 + i, dtype=complex) for i in range(3)]
-        com.grid(trajs[0], values[0])     # miss A
-        com.grid(trajs[1], values[1])     # miss B
-        com.grid(trajs[0], values[0])     # hit A -> A most recently used
-        com.grid(trajs[2], values[2])     # miss C -> evicts B, not A
-        com.grid(trajs[0], values[0])
-        assert com.stats.cache_hits == 1  # A survived
-        com.grid(trajs[1], values[1])
-        assert com.stats.cache_misses == 1  # B was evicted
-
-    def test_plan_cache_disabled(self, small_setup, rng):
-        coords, values = random_samples(rng, 100, small_setup.grid_shape)
-        com = CompiledSliceAndDiceGridder(small_setup, plan_cache_size=0)
-        com.grid(coords, values)
-        com.grid(coords, values)
-        assert com.stats.cache_misses == 1  # recompiled every call
-
     def test_zero_samples(self, tiny_setup):
         com = CompiledSliceAndDiceGridder(tiny_setup)
         empty = np.zeros((0, 2))
@@ -641,28 +610,6 @@ class TestPlanCache:
         gstack = np.zeros((2,) + tiny_setup.grid_shape, dtype=complex)
         assert com.interp_batch(gstack, empty).shape == (2, 0)
         assert com.address_trace(empty).size == 0
-
-
-# ----------------------------------------------------------------------
-# satellite: true-LRU table-cache eviction (serial engine)
-# ----------------------------------------------------------------------
-class TestTableCacheLru:
-    def test_rehit_entry_survives_eviction(self, small_setup, rng):
-        ser = SliceAndDiceGridder(small_setup, table_cache_size=2)
-        trajs = [
-            random_samples(rng, 50 + i, small_setup.grid_shape)[0]
-            for i in range(3)
-        ]
-        values = [np.ones(50 + i, dtype=complex) for i in range(3)]
-        ser.grid(trajs[0], values[0])     # miss A
-        ser.grid(trajs[1], values[1])     # miss B
-        ser.grid(trajs[0], values[0])     # hit A — under FIFO this would
-        assert ser.stats.cache_hits == 1  # not protect A from eviction
-        ser.grid(trajs[2], values[2])     # miss C -> must evict B (LRU)
-        ser.grid(trajs[0], values[0])
-        assert ser.stats.cache_hits == 1, "re-hit entry was evicted (FIFO?)"
-        ser.grid(trajs[1], values[1])
-        assert ser.stats.cache_misses == 1
 
 
 # ----------------------------------------------------------------------
@@ -710,20 +657,19 @@ class TestInterleavedStats:
     @pytest.mark.parametrize("cls", [SliceAndDiceGridder, CompiledSliceAndDiceGridder])
     def test_interp_after_grid_on_other_trajectory(self, small_setup, rng, cls):
         """Stats must reflect the call that produced them, never a
-        previous call's build on a different fingerprint."""
+        previous call's build on a different trajectory."""
         a, values = random_samples(rng, 120, small_setup.grid_shape)
         b, _ = random_samples(rng, 80, small_setup.grid_shape)
         grid = random_grid_stack(rng, 1, small_setup.grid_shape)[0]
         g = cls(small_setup)
-        g.grid(a, values)                      # miss: builds A
+        g.grid(a, values)                      # miss: binds A
         assert g.stats.cache_misses == 1
         g.interp(grid, b)                      # different trajectory: miss
         assert (g.stats.cache_misses, g.stats.cache_hits) == (1, 0)
         assert g.stats.samples_processed == 80
-        g.interp(grid, a)                      # back to A: per-call hit
-        assert (g.stats.cache_misses, g.stats.cache_hits) == (0, 1)
-        assert g.stats.table_build_seconds == 0.0
-        g.grid(b, np.ones(80, dtype=complex))  # B again: hit, build=0
+        g.interp(grid, a)                      # one binding: A rebinds
+        assert (g.stats.cache_misses, g.stats.cache_hits) == (1, 0)
+        g.grid(a, values)                      # A again: hit, build=0
         assert (g.stats.cache_misses, g.stats.cache_hits) == (0, 1)
         assert g.stats.table_build_seconds == 0.0
 

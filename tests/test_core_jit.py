@@ -300,8 +300,8 @@ class TestJitEngine:
             jit.grid_batch(coords, stack)
             ref.grid_batch(coords, stack)
             if chunk is None:
-                [plan] = jit._plan_cache.values()
-                [ref_plan] = ref._plan_cache.values()
+                plan = jit._binding.product
+                ref_plan = ref._binding.product
                 assert plan.flat.dtype == ref_plan.flat.dtype
                 assert plan.flat.dtype == np.int32
             else:

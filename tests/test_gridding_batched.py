@@ -7,10 +7,9 @@ The contract under test (ISSUE 1 tentpole):
   ``allclose``) to stacking K independent single calls, for 2D and 3D
   problems at complex128 and complex64, on every registered engine
   (both Slice-and-Dice schedules) and the compiled engine's chunk mode;
-- the per-axis select tables are cached per trajectory fingerprint
-  (same coords content -> hit; mutated coords -> miss;
-  ``invalidate_cache()`` -> miss) and the events are visible in
-  ``GriddingStats``;
+- the per-axis select tables are bound to one trajectory by exact
+  content (equal coords -> hit; a new array or an in-place edit of any
+  sample -> miss) and the events are visible in ``GriddingStats``;
 - batch stats charge select work once and value work K times;
 - the blocked engine's SIMD lane slots come from actual per-block work.
 """
@@ -152,8 +151,8 @@ class TestTableCache:
         assert gridder.stats.table_build_seconds == 0.0
 
     def test_same_content_different_object_hits(self, rng):
-        """The fingerprint is content-based: a copy of the trajectory
-        (or the fresh array ``check_coords`` makes per call) still hits."""
+        """The binding is content-based: a copy of the trajectory (or
+        the fresh array ``check_coords`` makes per call) still hits."""
         setup = make_setup(2)
         coords, values, _ = make_problem(setup, rng)
         gridder = SliceAndDiceGridder(setup)
@@ -180,44 +179,45 @@ class TestTableCache:
         assert gridder.stats.cache_misses == 1
         assert gridder.stats.cache_hits == 0
 
-    def test_invalidate_cache(self, rng):
-        setup = make_setup(2)
-        coords, values, _ = make_problem(setup, rng)
-        gridder = SliceAndDiceGridder(setup)
-        gridder.grid(coords, values[0])
-        gridder.invalidate_cache()
-        gridder.grid(coords, values[0])
-        assert gridder.stats.cache_misses == 1
+    #: every engine with a trajectory binding; chunk mode with the
+    #: trajectory in one chunk, the only case where it can reuse
+    BOUND = {
+        "columns": ("slice_and_dice", {"engine": "columns"}),
+        "blocked": ("slice_and_dice", {"engine": "blocked"}),
+        "compiled": ("slice_and_dice_compiled", {}),
+        "chunked": ("slice_and_dice_compiled", {"chunk_samples": 4000}),
+        "sparse": ("sparse_matrix", {}),
+    }
 
-    def test_cache_disabled(self, rng):
-        setup = make_setup(2)
-        coords, values, _ = make_problem(setup, rng)
-        gridder = SliceAndDiceGridder(setup, table_cache_size=0)
-        gridder.grid(coords, values[0])
-        gridder.grid(coords, values[1])
+    @pytest.mark.parametrize("edit", ["new_array", "in_place"])
+    @pytest.mark.parametrize("engine", BOUND)
+    def test_moved_interior_sample_rebinds(self, engine, edit, rng):
+        """One moved interior sample (row 5, which no sampled key would
+        read) must rebuild: the grid is the fresh gridder's, not the
+        first trajectory's."""
+        name, options = self.BOUND[engine]
+        setup = GriddingSetup((64, 64), KernelLUT(beatty_kernel(6, 2.0), 64))
+        coords = rng.uniform(0, 64, (4000, 2))
+        values = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        gridder = make_gridder(name, setup, **options)
+        first = gridder.grid(coords, values)
+        if edit == "new_array":
+            coords = coords.copy()
+        coords[5] = (coords[5] + 0.5) % 64
+        got = gridder.grid(coords, values)
         assert gridder.stats.cache_misses == 1
-        assert gridder.stats.cache_hits == 0
-
-    def test_fifo_eviction(self, rng):
-        setup = make_setup(2)
-        gridder = SliceAndDiceGridder(setup, table_cache_size=2)
-        trajectories = [make_problem(setup, rng)[0] for _ in range(3)]
-        vals = np.ones(400, dtype=complex)
-        for coords in trajectories:
-            gridder.grid(coords, vals)
-        gridder.grid(trajectories[0], vals)  # evicted by the third entry
-        assert gridder.stats.cache_misses == 1
-        gridder.grid(trajectories[2], vals)  # still resident
-        assert gridder.stats.cache_hits == 1
+        assert not np.array_equal(got, first)
+        fresh = make_gridder(name, setup, **options)
+        assert np.array_equal(got, fresh.grid(coords, values))
 
     def test_cached_results_identical(self, rng):
         setup = make_setup(2)
         coords, values, _ = make_problem(setup, rng)
-        cold = SliceAndDiceGridder(setup, table_cache_size=0)
         warm = SliceAndDiceGridder(setup)
-        warm.grid(coords, values[0])  # populate
+        warm.grid(coords, values[0])  # bind
         assert np.array_equal(
-            warm.grid(coords, values[1]), cold.grid(coords, values[1])
+            warm.grid(coords, values[1]),
+            SliceAndDiceGridder(setup).grid(coords, values[1]),
         )
 
 

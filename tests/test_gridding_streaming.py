@@ -315,7 +315,7 @@ class TestMemory:
             assert stm.stats.cache_hits == call
             assert np.array_equal(stm.interp(grid, coords), ref.interp(grid, coords))
             assert (stm.stats.cache_hits, stm.stats.boundary_checks) == (1, 0)
-        # row 1 escapes the sampled trajectory fingerprint, not the match
+        # one moved row is enough to miss
         other = coords.copy()
         other[1] = other[2]
         fresh = make_gridder("slice_and_dice_compiled", small_setup)
@@ -561,8 +561,8 @@ class TestService:
 
     @pytest.mark.parametrize(
         "options",
-        [{"backend": "csr"}, {"plan_cache_size": 2}],
-        ids=["csr", "plan_cache_size"],
+        [{"backend": "csr"}, {"tile_size": 16}],
+        ids=["csr", "tile_size"],
     )
     def test_max_bytes_keeps_engine_options(self, rng, options):
         """A budget puts the client's engine, with the client's

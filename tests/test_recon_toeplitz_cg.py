@@ -306,11 +306,19 @@ class TestSenseToeplitz:
         x = _rand_image((16, 16), seed=17)
         w = np.ones(coords.shape[0])
         op.normal(x, weights=w, method="toeplitz")
-        first = op._toeplitz_cache[1]
+        first = op._toeplitz.product
         op.normal(2 * x, weights=w, method="toeplitz")
-        assert op._toeplitz_cache[1] is first
+        assert op._toeplitz.product is first
         op.normal(x, weights=2 * w, method="toeplitz")
-        assert op._toeplitz_cache[1] is not first
+        assert op._toeplitz.product is not first
+        # an in-place edit of the bound weights is caught too
+        second = op._toeplitz.product
+        w2 = 2 * w
+        op.normal(x, weights=w2, method="toeplitz")
+        assert op._toeplitz.product is second
+        w2[5] = 7.0
+        op.normal(x, weights=w2, method="toeplitz")
+        assert op._toeplitz.product is not second
 
     def test_sense_reconstruction_toeplitz(self):
         coords = radial_trajectory(16, 32)

@@ -58,6 +58,10 @@ class TestJobModel:
         )
         other = radial_trajectory(17, 32)
         assert trajectory_fingerprint(coords) != trajectory_fingerprint(other)
+        # one interior row, off every row a sampled key would read
+        moved = coords.copy()
+        moved[5] = moved[5][::-1]
+        assert trajectory_fingerprint(coords) != trajectory_fingerprint(moved)
 
     def test_array_codec_round_trip(self):
         rng = np.random.default_rng(3)
@@ -142,6 +146,42 @@ class TestServiceNumerics:
             svc.wait(job.id, timeout=60)
         assert job.state == JobState.DONE
         np.testing.assert_array_equal(job.result.image, ref)
+
+    def test_moved_interior_sample_gets_its_own_plan(self):
+        """Two adjoint jobs differ in one interior sample: the second
+        must not be served the first job's warm plan."""
+        coords, samples, weights = _problem()
+        moved = coords.copy()
+        moved[5] = moved[5][::-1]  # mirrored across the diagonal
+        with ReconService(workers=1) as svc:
+            for c in (coords, moved):
+                job = svc.submit(JobSpec((32, 32), c, samples, weights=weights,
+                                         method="adjoint"))
+                svc.wait(job.id, timeout=60)
+                assert job.state == JobState.DONE
+        assert job.result.plan_cache == "miss"
+        plan = NufftPlan((32, 32), moved, gridder="slice_and_dice_compiled")
+        np.testing.assert_array_equal(job.result.image, plan.adjoint(samples * weights))
+
+    def test_interior_weights_get_their_own_psf(self):
+        """Two CG jobs share coords; the second triples weights at rows
+        a sampled key never reads.  It must get its own Toeplitz PSF."""
+        coords, _, weights = _problem()
+        plan = NufftPlan((32, 32), coords, gridder="slice_and_dice_compiled")
+        samples = plan.forward(shepp_logan_2d(32).astype(complex))
+        tripled = weights.copy()
+        tripled[1:31] *= 3.0
+        ref = cg_reconstruction(
+            plan, samples, weights=tripled, n_iterations=5, normal="toeplitz"
+        )
+        with ReconService(workers=1) as svc:
+            for w in (weights, tripled):
+                job = svc.submit(JobSpec((32, 32), coords, samples, weights=w,
+                                         n_iterations=5))
+                svc.wait(job.id, timeout=60)
+                assert job.state == JobState.DONE
+        assert (job.result.plan_cache, job.result.toeplitz_cache) == ("hit", "miss")
+        np.testing.assert_array_equal(job.result.image, ref.image)
 
     def test_repeat_trajectory_hits_warm_caches(self):
         coords, samples, weights = _problem()
