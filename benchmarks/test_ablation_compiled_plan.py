@@ -3,7 +3,7 @@
 The compiled engine runs the table-driven select once per trajectory
 and keeps its ``M * W^d`` sample-major entries as a plan, which doubles
 as a CSR matrix.  Every later call is one SciPy sparse mat-vec per RHS
-(``backend="csr"``, the default without numba, at both precisions).
+(at both precisions).
 The payoff case is any workload that applies one trajectory
 repeatedly — every CG iteration and SENSE coil pass after the first.
 
@@ -57,13 +57,13 @@ def test_plan_hit_gridding_speedup():
     """Warm compiled gridding vs warm serial gridding (>= 5x)."""
     setup, coords, values = _problem()
     ser = SliceAndDiceGridder(setup)
-    csr = CompiledSliceAndDiceGridder(setup, backend="csr")
+    csr = CompiledSliceAndDiceGridder(setup)
 
     # equivalence first (on the full problem, not a toy)
     ref = ser.grid(coords, values)
     assert np.array_equal(csr.grid(coords, values), ref)
 
-    fresh = CompiledSliceAndDiceGridder(setup, backend="csr")
+    fresh = CompiledSliceAndDiceGridder(setup)
     t0 = time.perf_counter()
     fresh.grid(coords, values)  # cold: compile
     cold = time.perf_counter() - t0

@@ -104,7 +104,6 @@ def test_toeplitz_beats_compiled_csr_cg_at_scale():
         (n, n),
         coords,
         gridder="slice_and_dice_compiled",
-        gridder_options={"backend": "csr"},
     )
     m = coords.shape[0]
     kspace = np.exp(2j * np.pi * np.arange(m) / 11)

@@ -29,15 +29,10 @@ Public surface:
   thread per band or sample range, with zero select work,
   bit-identical to the serial gridder at complex128.  With
   ``chunk_samples=`` it runs every call in bounded-memory chunks into
-  one dice, bit-identical to its one-shot pass at complex128.  Its
-  ``backend="numba"`` lane executes the plan with the numba-fused
-  scatter/gather loops of :mod:`~repro.core.jit` (serial and
-  row/sample-sharded ``prange`` kernels), demoting to the NumPy lane
-  when numba is absent.
+  one dice, bit-identical to its one-shot pass at complex128.
 """
 
 from .compiled import CompiledPlan, CompiledSliceAndDiceGridder
-from .jit import jit_available
 from .decomposition import (
     CoordinateDecomposition,
     decompose_coordinates,
@@ -55,7 +50,6 @@ __all__ = [
     "column_forward_distance",
     "column_tile_index",
     "DiceLayout",
-    "jit_available",
     "SliceAndDiceGridder",
     "TableFetch",
 ]

@@ -20,10 +20,10 @@ fixed-width entries, ``W^d`` per sample in ascending dice row,
 - ``flat``   — the global dice address ``row * n_tiles + depth``,
 - ``weight`` — the combined separable kernel weight.
 
-On the csr lane a one-shot plan is split into ``P`` **bands** of dice
-rows, ``P = min(usable CPUs, T)`` (one band below
-:data:`~repro.core.jit.PARALLEL_MIN_NNZ` entries): band ``b`` owns the
-rows whose axis-0 column lies in ``[b·T/P, (b+1)·T/P)``.  Axis 0 is the
+A one-shot plan is split into ``P`` **bands** of dice rows, ``P =
+min(usable CPUs, T)`` (one band below :data:`PARALLEL_MIN_NNZ`
+entries): band ``b`` owns the rows whose axis-0 column lies in
+``[b·T/P, (b+1)·T/P)``.  Axis 0 is the
 most significant digit of the row index, so each sample's
 ascending-row entries fall into one contiguous run per band.  The
 entries are stored band after band, samples ascending within a band,
@@ -96,19 +96,6 @@ shot and chunked.  The serial adjoint sums each dice word in float64
 it (NRMSD <= 1e-6), not equal; chunked, it is bit-identical to its own
 one-shot pass.  The serial engine stays the bit-exact reference.
 
-numba lane
-----------
-``backend="numba"`` runs the same plans through the fused kernels of
-:mod:`repro.core.jit`: bit-identical to the csr lane at complex128,
-accumulating natively in float32 at complex64 (NRMSD <= 1e-6).  Its
-plans have the csr layout (one band), so when numba is absent or
-disabled, or a kernel fails, the engine demotes stickily to
-``"csr"`` — recorded as a ``jit`` -> ``numpy``
-:class:`~repro.errors.DegradationEvent` — and re-runs the same plan
-there.  The default (``backend=None``) resolves once, at construction:
-``"numba"`` when :func:`~repro.core.jit.jit_available`, else
-``"csr"``.
-
 Plan binding
 ------------
 An engine holds one plan, bound to the trajectory it was built from
@@ -127,7 +114,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -137,7 +124,6 @@ from ..errors import DegradationEvent
 from ..gridding.base import GriddingSetup, GriddingStats
 from ..gridding.buffers import usable_cpus
 from ..robustness.checkpoint import StreamCheckpoint
-from . import jit
 from .slice_and_dice import SliceAndDiceGridder, select_bytes
 
 __all__ = [
@@ -147,8 +133,9 @@ __all__ = [
     "working_set",
 ]
 
-#: execution lanes of the compiled engine
-_BACKENDS = ("csr", "numba")
+#: plan entries from which a one-shot plan is split into dice-row
+#: bands; below it thread launch overhead would dominate
+PARALLEL_MIN_NNZ = 1 << 15
 
 #: samples per select step of a one-shot compile: bounds the select's
 #: transients (and a banded plan's scratch) to a few megabytes
@@ -160,10 +147,10 @@ class CompiledPlan:
     """A trajectory's select pass as fixed-width entries in ``P`` bands.
 
     Within band ``b`` sample ``s`` owns entries ``indptr[b, s] …
-    indptr[b, s + 1] - 1``, in ascending dice row — the property every
-    lane's bit-identity rests on (module docstring).  A one-band plan
+    indptr[b, s + 1] - 1``, in ascending dice row — the property the
+    engine's bit-identity rests on (module docstring).  A one-band plan
     is sample-major: sample ``s`` owns entries ``s * W^d … (s + 1) *
-    W^d - 1``, the layout the numba lane indexes.
+    W^d - 1``.
     """
 
     flat: np.ndarray    #: ``(nnz,)`` dice address per entry (int32 below 2**31)
@@ -175,7 +162,6 @@ class CompiledPlan:
     #: ``(P, m + 1)`` absolute row pointers of the bands; built on
     #: first use for a one-band plan
     indptr: np.ndarray | None = None
-    _row_view: tuple | None = field(default=None, repr=False)
 
     @property
     def nnz(self) -> int:
@@ -194,13 +180,11 @@ class CompiledPlan:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes: the entries, plus the row pointers and the
-        row-major view once they exist."""
+        """Resident bytes: the entries, plus the row pointers once
+        they exist."""
         total = self.flat.nbytes + self.weight.nbytes
         if self.indptr is not None:
             total += self.indptr.nbytes
-        if self._row_view is not None:
-            total += sum(a.nbytes for a in self._row_view)
         return int(total)
 
     def row_pointers(self) -> np.ndarray:
@@ -217,23 +201,6 @@ class CompiledPlan:
                 0, self.nnz + 1, per, dtype=self.flat.dtype
             )[None]
         return self.indptr
-
-    def row_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lazy row-major view of a one-band plan: ``(order, starts)``.
-
-        ``order`` is the **stable** argsort of the entries by dice row —
-        within one row, entries keep their ascending-sample plan order —
-        and ``order[starts[r]:starts[r + 1]]`` are row ``r``'s entries.
-        This is the slab structure the numba lane's row-sharded scatter
-        uses (the mirror of sample-major order).
-        """
-        if self._row_view is None:
-            rows = self.flat // self.n_tiles
-            order = np.argsort(rows, kind="stable")
-            starts = np.zeros(self.n_rows + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=self.n_rows), out=starts[1:])
-            self._row_view = (order, starts)
-        return self._row_view
 
 
 def _as_real(a: np.ndarray) -> np.ndarray:
@@ -330,7 +297,7 @@ def working_set(
     """``(fixed, plan)`` modelled high-water bytes of one pass over an
     ``m``-sample plan (the whole trajectory, or one chunk).
 
-    ``bands`` is the plan's ``P`` (the numba lane runs one band).
+    ``bands`` is the plan's ``P``.
     ``fixed`` is O(grid): the ``K``-RHS dice.  ``plan`` is O(m): the
     entries (int32 addresses, with the ``P`` row pointers), the
     select's transients when the pass selects (:func:`select_bytes` of
@@ -442,14 +409,6 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         ``tile_size | G`` per axis.
     tile_size:
         Virtual tile dimension ``T`` (8 in the paper).
-    backend:
-        ``"csr"`` (SciPy sparse mat-vecs over dice-row bands, module
-        docstring) or ``"numba"`` (the fused kernels of
-        :mod:`repro.core.jit`; demotes to ``"csr"`` when numba is
-        unavailable or fails, module docstring).  Default: ``"numba"``
-        when numba is available, else ``"csr"``, at either dtype.
-        ``backend`` names the lane the engine runs, so it reads
-        ``"csr"`` after a demotion.
     chunk_samples:
         ``None`` (default) runs each call as one plan; an integer runs
         calls in chunks of that many samples, bounding peak memory by
@@ -499,17 +458,9 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         self,
         setup: GriddingSetup,
         tile_size: int = 8,
-        backend: str | None = None,
         chunk_samples: int | None = None,
     ):
         super().__init__(setup, tile_size=tile_size, engine="columns")
-        if backend is None:
-            backend = "numba" if jit.jit_available() else "csr"
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
-        self.backend = backend
         if chunk_samples is not None:
             chunk_samples = int(chunk_samples)
             if chunk_samples < 1:
@@ -522,41 +473,6 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         self._chunk_weight: np.ndarray | None = None
         #: sticky record of every degradation this engine performed
         self.degradations: tuple[DegradationEvent, ...] = ()
-        self._pending_events: list[DegradationEvent] = []
-        #: lane the last apply ran on: ``numpy`` or a numba lane
-        self._used_lane = "numpy"
-        if backend == "numba" and not jit.jit_available():
-            self._demote("numba", (
-                f"numba disabled via {jit.JIT_DISABLE_ENV}"
-                if jit._numba is not None
-                else "numba not importable"
-            ))
-
-    def _record(self, event: DegradationEvent) -> None:
-        self.degradations = self.degradations + (event,)
-        self._pending_events.append(event)
-
-    def _demote(self, lane: str, reason: str) -> None:
-        """Sticky demotion of the numba lane to ``"csr"``: recorded
-        once, never retried on this instance."""
-        self._record(DegradationEvent("jit", lane, "numpy", reason))
-        self.backend = "csr"
-        self._used_lane = "numpy"
-
-    def _run_numba(self, kernel, plan: CompiledPlan, *args) -> bool:
-        """Run one :mod:`~repro.core.jit` pass over ``plan``; ``False``
-        after demoting on a failure.  One-shot plans of at least
-        :data:`~repro.core.jit.PARALLEL_MIN_NNZ` entries run the
-        parallel kernels, smaller and chunk plans the serial ones."""
-        parallel = self.chunk_samples is None and plan.nnz >= jit.PARALLEL_MIN_NNZ
-        lane = "numba-parallel" if parallel else "numba-serial"
-        try:
-            kernel(plan, *args, parallel=parallel)
-        except Exception as exc:  # noqa: BLE001 - supervised demotion
-            self._demote(lane, repr(exc))
-            return False
-        self._used_lane = lane
-        return True
 
     # ------------------------------------------------------------------
     # plans: one-shot, or chunk mode's scratch plan
@@ -568,8 +484,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         return np.dtype(np.int32 if fits else np.int64)
 
     def _new_plan(self, coords, flat, weight, indptr, t0) -> CompiledPlan:
-        """Wrap selected entries as a plan timed from ``t0``; the csr
-        lane's row pointers are part of the compile."""
+        """Wrap selected entries as a plan timed from ``t0``; the row
+        pointers are part of the compile."""
         plan = CompiledPlan(
             flat=flat,
             weight=weight,
@@ -579,17 +495,14 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             compile_seconds=0.0,
             indptr=indptr,
         )
-        if self.backend == "csr":
-            plan.row_pointers()
+        plan.row_pointers()
         plan.compile_seconds = time.perf_counter() - t0
         return plan
 
     def _n_bands(self, nnz: int) -> int:
-        """``P`` of a one-shot plan: ``min(usable CPUs, T)`` on the csr
-        lane from :data:`~repro.core.jit.PARALLEL_MIN_NNZ` entries on,
-        else one band (the numba lane indexes the sample-major
-        layout)."""
-        if self.backend != "csr" or not nnz or nnz < jit.PARALLEL_MIN_NNZ:
+        """``P`` of a one-shot plan: ``min(usable CPUs, T)`` from
+        :data:`PARALLEL_MIN_NNZ` entries on, else one band."""
+        if not nnz or nnz < PARALLEL_MIN_NNZ:
             return 1
         return min(usable_cpus(), self.tile_size)
 
@@ -689,9 +602,9 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         Every issued lane slot does useful work either way
         (``simd_active_lanes == simd_lane_slots == nnz``); value work
         (``interpolations`` MACs, dice accesses) scales with the batch.
-        ``peak_bytes`` is :func:`working_set` of the plan's band count
-        (plus the numba lane's row-major view when built); in chunk mode
-        ``chunk_bytes`` is its O(chunk) part and ``chunks`` counts 1.
+        ``peak_bytes`` is :func:`working_set` of the plan's band count;
+        in chunk mode ``chunk_bytes`` is its O(chunk) part and
+        ``chunks`` counts 1.
         ``table_bytes`` are the engine's resident ``(G, W)`` axis
         tables.
         """
@@ -703,8 +616,6 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             k_rhs=k_rhs, forward=forward,
             chunked=chunked, select=not hit, bands=plan.n_bands,
         )
-        if plan._row_view is not None:
-            plan_bytes += sum(a.nbytes for a in plan._row_view)
         return GriddingStats(
             boundary_checks=checks,
             interpolations=plan.nnz * k_rhs,
@@ -724,13 +635,9 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         )
 
     def _finish(self, total: GriddingStats, k_rhs: int) -> None:
-        """Install a call's summed stats: the pass' ``M * W^d`` entries,
-        the lane that ran and any degradation since the last call."""
+        """Install a call's summed stats, with the pass' ``M * W^d``
+        entries."""
         total.plan_nnz = total.interpolations // k_rhs
-        total.exec_lane = self._used_lane
-        if self._pending_events:
-            total.degradations = total.degradations + tuple(self._pending_events)
-            self._pending_events = []
         self.stats = total
 
     def _pieces(self, coords: np.ndarray, values_stack: np.ndarray | None):
@@ -772,16 +679,17 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
           from a matching stored snapshot and skips the first
           ``chunk_cursor`` pieces of the replayed pass (skipped
           pieces are never selected or scattered), then saves a fresh
-          snapshot every ``every`` pieces.  Every lane continues the
-          dice's partial sums exactly (module docstring), so the
-          resumed output is bit-identical to an uninterrupted run.
+          snapshot every ``every`` pieces.  The in-place mat-vecs
+          continue the dice's partial sums exactly (module docstring),
+          so the resumed output is bit-identical to an uninterrupted
+          run.
         """
         k_rhs = values_stack.shape[0]
         total = GriddingStats()
         token = self.cancel_token
         ckpt = self.checkpoint
         self.last_resume = None
-        snap = self._resume_snapshot(ckpt, k_rhs)
+        snap = self._resume_snapshot(ckpt, k_rhs, total)
         cursor = sample_cursor = 0
         dice_flat = self._acquire_buffer((k_rhs, self._n_flat), zero=True)
         try:
@@ -823,33 +731,30 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             ckpt.store.delete(ckpt.key)
         self._finish(total, k_rhs)
 
-    def _resume_snapshot(self, ckpt, k_rhs: int) -> StreamCheckpoint | None:
+    def _resume_snapshot(
+        self, ckpt, k_rhs: int, total: GriddingStats
+    ) -> StreamCheckpoint | None:
         """The stored snapshot a checkpointed pass resumes from, if it
-        matches; a stale one is ignored with a recorded event — never
-        blended in."""
+        matches; a stale one is ignored — never blended in — with an
+        event recorded on the engine and in the call's ``total``."""
         if ckpt is None or not ckpt.resume:
             return None
         snap = ckpt.store.load(ckpt.key)
         if snap is None or snap.matches(ckpt.fingerprint, (k_rhs, self._n_flat)):
             return snap
-        self._record(
-            DegradationEvent(
-                "checkpoint", "resume", "fresh",
-                f"stale snapshot for key {ckpt.key!r} ignored",
-            )
+        event = DegradationEvent(
+            "checkpoint", "resume", "fresh",
+            f"stale snapshot for key {ckpt.key!r} ignored",
         )
+        self.degradations += (event,)
+        total.degradations += (event,)
         return None
 
     def _apply_grid(
         self, plan: CompiledPlan, values_stack: np.ndarray, dice_flat: np.ndarray
     ) -> None:
         """Add ``plan`` applied to a ``(K, m)`` value stack into the
-        caller's ``(K, n_flat)`` raveled dice, in place.  A failed numba
-        pass writes nothing (:func:`repro.core.jit.scatter`), so the csr
-        re-run adds onto the dice as it was."""
-        if self.backend == "numba":
-            if self._run_numba(jit.scatter, plan, values_stack, dice_flat):
-                return
+        caller's ``(K, n_flat)`` raveled dice, in place."""
         values = [_as_real(v).ravel() for v in values_stack]
         _run_tasks([
             partial(_grid_band, plan, indptr, values, dice_flat)
@@ -892,9 +797,6 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     ) -> None:
         """Fill ``out`` (``(K, m)``) with the plan applied to the raveled
         dice stack: the forward counterpart of :meth:`_apply_grid`."""
-        if self.backend == "numba":
-            if self._run_numba(jit.gather, plan, dice_flat, out):
-                return
         # one sample range per band
         indptr = plan.row_pointers()
         bounds = [plan.m * i // len(indptr) for i in range(len(indptr) + 1)]

@@ -35,8 +35,8 @@ historically raised in that situation, so ``except ValueError`` /
 
 Recovery that *succeeds* is recorded, not raised:
 :class:`DegradationEvent` is the uniform record the supervised chains
-(numba → NumPy gridding lanes, pyfftw → scipy → numpy FFTs,
-Toeplitz → gridding normal operator) append to their stats/timings/
+(pyfftw → scipy → numpy FFTs, Toeplitz → gridding normal
+operator, a stale checkpoint ignored) append to their stats/timings/
 results whenever they step down a rung.
 
 Examples
@@ -151,11 +151,10 @@ class DegradationEvent:
     Attributes
     ----------
     component:
-        Which chain degraded: ``"jit"`` (gridding execution lane),
-        ``"checkpoint"`` (a stale snapshot ignored), ``"fft"`` (backend
-        registry), ``"normal"`` (Toeplitz vs gridding normal operator),
-        ``"cg"`` (solver restart), ``"service"`` (circuit-breaker
-        demotion).
+        Which chain degraded: ``"checkpoint"`` (a stale snapshot
+        ignored), ``"fft"`` (backend registry), ``"normal"`` (Toeplitz
+        vs gridding normal operator), ``"cg"`` (solver restart),
+        ``"service"`` (a wedged worker replaced).
     from_stage / to_stage:
         The rung stepped off and the rung landed on (e.g.
         ``"scipy"`` -> ``"numpy"``).

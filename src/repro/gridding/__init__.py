@@ -16,8 +16,7 @@ reproduce the paper's operation-count and locality arguments:
   (§VII.A).
 
 The paper's own contribution, Slice-and-Dice (the serial reference and
-its compiled engine, with its numba lane and its bounded-memory chunk
-mode), lives in :mod:`repro.core`.  All
+its compiled engine, with its bounded-memory chunk mode), lives in :mod:`repro.core`.  All
 implement the same :class:`Gridder` interface.  All engines — including
 those — are reachable by name through the registry
 (:func:`available_gridders`, :func:`make_gridder`,

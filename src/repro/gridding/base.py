@@ -112,8 +112,8 @@ class GriddingStats:
     chunk_bytes:
         Per-chunk working-set bytes of the most recent streamed pass
         (chunk coordinate/value slices, the chunk's plan entries and
-        lane scratch, and the select temporaries) — the quantity the
-        chunk size bounds (:func:`repro.core.compiled.working_set`).
+        the select temporaries) — the quantity the chunk size bounds
+        (:func:`repro.core.compiled.working_set`).
     peak_bytes:
         True high-water transient bytes of the pass: the dice
         accumulator plus the largest simultaneous plan/table/scratch
@@ -126,20 +126,17 @@ class GriddingStats:
         the kernel choice.  Filled by the public entry points from
         ``setup.kernel_name``.
     exec_lane:
-        How the scatter/gather arithmetic actually executed:
-        ``"numpy"`` (vectorized NumPy, or SciPy CSR mat-vecs), or the
-        compiled engine's ``backend="numba"`` kernels,
-        ``"numba-serial"`` / ``"numba-parallel"``.  This reports the
-        lane that *ran*, after the serial/parallel choice and any
-        degradation.
+        How the scatter/gather arithmetic executed: ``"numpy"``
+        (vectorized NumPy, or SciPy sparse mat-vecs), the one lane
+        every engine runs.
     quality:
         The :class:`repro.robustness.DataQualityReport` of this call's
         input-quality gate pass, or ``None`` for internal passes that
         bypass the public API.
     degradations:
-        :class:`repro.errors.DegradationEvent` records of every rung
-        the call stepped down (e.g. a numba lane falling back to
-        NumPy); empty when the requested lane ran as configured.
+        :class:`repro.errors.DegradationEvent` records of the call
+        (a stale checkpoint snapshot ignored on resume); empty when
+        the pass ran as configured.
 
     Examples
     --------
@@ -916,13 +913,11 @@ class Gridder:
         """Stamp the pass descriptors on :attr:`stats` (template hook).
 
         Runs after every public entry point's impl dispatch: the window
-        kernel always comes from the setup, and the execution lane
-        defaults to ``"numpy"`` unless the impl already claimed a JIT
-        lane (only fills when empty, so engines that set it win).
+        kernel comes from the setup, and every engine runs on the
+        ``"numpy"`` lane (vectorized NumPy or SciPy sparse mat-vecs).
         """
         self.stats.kernel = self.setup.kernel_name
-        if not self.stats.exec_lane:
-            self.stats.exec_lane = "numpy"
+        self.stats.exec_lane = "numpy"
 
     # ------------------------------------------------------------------
     def address_trace(self, coords: np.ndarray) -> np.ndarray:

@@ -13,9 +13,7 @@ asserts identical output grids).  Registered engines (see
 - ``"slice_and_dice_compiled"`` — the table-driven select run once per
   trajectory into a sample-major scatter plan; repeat calls are one
   SciPy CSR mat-vec per RHS (bit-identical to the serial engine at
-  complex128); ``backend="numba"`` executes the plan with numba-fused
-  scatter/gather loops (supervised demotion to the NumPy lane when
-  numba is absent or fails), and is its default when numba imports.
+  complex128).
 
 The compiled engine also takes ``chunk_samples=N``: calls then
 run in fixed-size sample chunks, each selected once by a table-driven
@@ -96,7 +94,7 @@ def make_gridder(name: str, setup: GriddingSetup, **kwargs) -> Gridder:
         The shared problem description (grid shape + kernel LUT).
     **kwargs:
         Forwarded to the engine's constructor (e.g. ``tile_size=8`` for
-        the tiled engines, ``backend="csr"`` for the compiled engine).
+        the tiled engines, ``chunk_samples=N`` for the compiled engine).
 
     Returns
     -------
@@ -112,7 +110,7 @@ def make_gridder(name: str, setup: GriddingSetup, **kwargs) -> Gridder:
     >>> from repro.gridding import GriddingSetup, make_gridder
     >>> from repro.kernels import KernelLUT, beatty_kernel
     >>> setup = GriddingSetup((32, 32), KernelLUT(beatty_kernel(6, 2.0), 64))
-    >>> make_gridder("slice_and_dice_compiled", setup, backend="csr").name
+    >>> make_gridder("slice_and_dice_compiled", setup).name
     'slice_and_dice_compiled'
 
     ``chunk_samples=`` runs the compiled engine chunk by chunk:
@@ -138,10 +136,7 @@ def make_gridder(name: str, setup: GriddingSetup, **kwargs) -> Gridder:
 def default_gridder() -> str:
     """Name of the default engine: ``"slice_and_dice_compiled"``.
 
-    Warm calls do zero select work.  The engine picks its own lane at
-    construction — ``backend="numba"`` when numba is importable (and
-    not disabled via ``REPRO_JIT_DISABLE``), else ``"csr"`` — so
-    environment changes take effect without reimports.
+    Warm calls do zero select work.
 
     Examples
     --------

@@ -140,7 +140,7 @@ class ScipyFftBackend(FftBackend):
     def __init__(self, workers: int | None = None):
         # scipy is a required dependency (pyproject: scipy>=1.10); the
         # import stays lazy so REPRO_FFT_DISABLE=scipy can mask this
-        # backend without touching the csr lane's scipy.sparse
+        # backend without touching the compiled engine's scipy.sparse
         import scipy.fft as _sfft  # noqa: PLC0415 - lazy, not optional
 
         self._fft = _sfft
@@ -182,9 +182,8 @@ class PyfftwFftBackend(FftBackend):
 
 
 #: the one FFT demotion order, strictly downward: a failing backend
-#: (:class:`FallbackFftBackend`) and an open circuit breaker (the
-#: service worker) both step to the next entry; ``numpy``, always
-#: available, is the floor
+#: (:class:`FallbackFftBackend`) steps to the next entry; ``numpy``,
+#: always available, is the floor
 FFT_DEMOTION_ORDER = ("pyfftw", "scipy", "numpy")
 
 

@@ -72,9 +72,8 @@ class NufftTimings:
     precision: str = "double"
     #: short window-kernel identifier of the plan (``kb``/``es``/...)
     kernel: str = ""
-    #: execution lane the gridding arithmetic ran on (``numpy``, or the
-    #: compiled engine's ``backend="numba"`` kernels: ``numba-serial`` /
-    #: ``numba-parallel`` — see GriddingStats)
+    #: execution lane the gridding arithmetic ran on (``numpy``, the
+    #: one lane — see GriddingStats)
     exec_lane: str = ""
     #: streamed sample chunks the gridding pass consumed (0 for
     #: one-shot passes — nonzero only in the compiled engines' chunk
@@ -165,8 +164,7 @@ class NufftPlan:
     gridder_options:
         Extra keyword arguments for the gridder factory, e.g.
         ``{"tile_size": 8}`` for the tiled engines or
-        ``{"backend": "csr"}`` (or ``"numba"``) for
-        ``"slice_and_dice_compiled"``.
+        ``{"chunk_samples": 4096}`` for ``"slice_and_dice_compiled"``.
     precision:
         ``"double"`` (default), ``"single"``, or ``"simulate-single"``.
         ``"single"`` is a true complex64 compute lane matching the

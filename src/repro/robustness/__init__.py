@@ -23,10 +23,7 @@ failure story the performance stack needed:
   snapshots (:class:`StreamCheckpoint`) with in-memory
   (:class:`CheckpointStore`) and file-backed
   (:class:`FileCheckpointStore`) stores, exact-resume by the
-  in-place-accumulation argument;
-- :mod:`repro.robustness.breaker` — :class:`CircuitBreaker` /
-  :class:`BreakerBoard`, making degradation-chain failures sticky
-  (open → skip the rung, half-open probe after cooldown).
+  in-place-accumulation argument.
 
 The exception taxonomy itself lives in :mod:`repro.errors` (a leaf
 module, importable from anywhere in the stack).
@@ -51,7 +48,6 @@ from .checkpoint import (
     FileCheckpointStore,
     StreamCheckpoint,
 )
-from .breaker import BreakerBoard, CircuitBreaker
 
 __all__ = [
     "DataQualityReport",
@@ -68,6 +64,4 @@ __all__ = [
     "CheckpointStore",
     "FileCheckpointStore",
     "StreamCheckpoint",
-    "BreakerBoard",
-    "CircuitBreaker",
 ]

@@ -5,11 +5,9 @@ accumulates 10^8-sample adjoints chunk by chunk into one pooled dice
 buffer — and a crash at chunk 381 of 382 would throw every partial sum
 away.  This module makes the partial sums durable.
 
-Why resume is *exact*, not approximate: every lane of the chunked
-adjoint continues each dice word's summation chain from the value in
-the dice (SciPy's in-place ``csc_matvecs``, or the jit kernels'
-in-place adds), so every grid
-word's summation chain is the one-shot chain, chunk boundaries
+Why resume is *exact*, not approximate: the chunked adjoint continues
+each dice word's summation chain from the value in the dice (SciPy's
+in-place ``csc_matvecs``), so every grid word's summation chain is the one-shot chain, chunk boundaries
 invisible (``docs/algorithm.md``).  A checkpoint therefore captures the
 entire computation state in ``(dice copy, chunk cursor)``: restore the
 dice, skip the first ``chunk_cursor`` chunks of a deterministic stream

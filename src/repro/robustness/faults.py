@@ -12,10 +12,6 @@ active.  Faults available:
 - **Toeplitz PSF failure** — ``toeplitz_psf_errors=N`` fails the next
   N PSF builds, exercising the toeplitz→gridding normal-operator
   fallback in CG.
-- **JIT kernel failure** — ``jit_errors=N`` fails the next N numba
-  scatter/gather kernel launches (sites ``jit:scatter`` /
-  ``jit:gather``), exercising the sticky demotion of the compiled
-  engine's ``backend="numba"`` lane to its NumPy lane.
 - **corrupted sample streams** — ``corrupt_coords=N`` /
   ``corrupt_values=N`` poison that many entries (seeded positions)
   with NaN on entry to the gridding public API, exercising the
@@ -95,7 +91,6 @@ class FaultInjector:
         hang_seconds: float = 30.0,
         fft_errors: dict[str, int] | None = None,
         toeplitz_psf_errors: int = 0,
-        jit_errors: int = 0,
         corrupt_coords: int = 0,
         corrupt_values: int = 0,
         worker_fault_delay: int = 0,
@@ -106,7 +101,6 @@ class FaultInjector:
         self.hang_seconds = float(hang_seconds)
         self.fft_errors = dict(fft_errors or {})
         self.toeplitz_psf_errors = int(toeplitz_psf_errors)
-        self.jit_errors = int(jit_errors)
         self.corrupt_coords = int(corrupt_coords)
         self.corrupt_values = int(corrupt_values)
         self.worker_fault_delay = int(worker_fault_delay)
@@ -127,11 +121,6 @@ class FaultInjector:
         elif site == "toeplitz:psf":
             if self.toeplitz_psf_errors > 0:
                 self.toeplitz_psf_errors -= 1
-                self.log.append((site, "raise"))
-                raise InjectedFault(f"injected fault at {site}")
-        elif site.startswith("jit:"):
-            if self.jit_errors > 0:
-                self.jit_errors -= 1
                 self.log.append((site, "raise"))
                 raise InjectedFault(f"injected fault at {site}")
 

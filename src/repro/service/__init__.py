@@ -11,7 +11,7 @@ long-running service without adding a single dependency:
 - :mod:`repro.service.router` — :class:`ReconService`: bounded
   admission (backpressure) + trajectory-affinity routing +
   idempotency-key dedup, cooperative cancellation, and the shared
-  checkpoint store / circuit-breaker board;
+  checkpoint store;
 - :mod:`repro.service.watchdog` — :class:`Watchdog`: deadline sweeps
   and hang/crash detection via worker heartbeats, with worker
   replacement and checkpoint-resume requeues;

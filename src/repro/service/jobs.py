@@ -56,6 +56,7 @@ from ..core.compiled import choose_chunk_samples
 from ..gridding.base import GriddingSetup
 from ..gridding.registry import available_gridders, default_gridder, make_gridder
 from ..kernels import KernelLUT, beatty_kernel
+from ..nufft.fft_backend import available_fft_backends, fft_backend_available
 from ..nufft.plan import PRECISIONS, plan_grid_shape
 from ..robustness.deadline import CancelToken, Deadline
 
@@ -165,9 +166,6 @@ class JobSpec:
     weights: np.ndarray | None = None
     method: str = "cg"
     # ---- plan-shaped options (part of the warm-cache key) ----
-    # default resolves per environment: the numba JIT engine when
-    # importable, else the pure-NumPy compiled engine — so a numba-less
-    # deployment serves the same API with zero per-job degradation noise
     gridder: str = field(default_factory=default_gridder)
     gridder_options: dict = field(default_factory=dict)
     precision: str = "double"
@@ -214,6 +212,14 @@ class JobSpec:
         if self.precision not in PRECISIONS:
             raise ValueError(
                 f"precision must be one of {PRECISIONS}, got {self.precision!r}"
+            )
+        if self.fft_backend != "auto" and not (
+            isinstance(self.fft_backend, str)
+            and fft_backend_available(self.fft_backend)
+        ):
+            raise ValueError(
+                f"fft_backend {self.fft_backend!r} is unknown or unavailable; "
+                f"available: {('auto',) + available_fft_backends()}"
             )
         if not isinstance(self.gridder_options, dict):
             raise ValueError("gridder_options must be a JSON object")
@@ -264,10 +270,9 @@ class JobSpec:
     def _check_gridder(self) -> None:
         """Build the job's engine once, on the plan's grid, so that an
         option its constructor rejects fails the submit (HTTP 400)
-        instead of the plan build, where it would fail an accepted job
-        and count against its ``fft:<backend>`` breaker.  Constructors
-        allocate no grid- or trajectory-sized state, so the probe is
-        cheap."""
+        instead of the plan build, where it would fail an accepted
+        job.  Constructors allocate no grid- or trajectory-sized state,
+        so the probe is cheap."""
         try:
             options = self.plan_gridder_options()
             setup = GriddingSetup(

@@ -34,11 +34,10 @@ import threading
 from collections import OrderedDict, deque
 
 from ..errors import DegradationEvent, ServiceOverloaded
-from ..robustness.breaker import BreakerBoard
 from ..robustness.checkpoint import CheckpointStore
 from .jobs import Job, JobSpec, JobState
 from .watchdog import Watchdog
-from .worker import _SHUTDOWN, ReconWorker, breaker_keys
+from .worker import _SHUTDOWN, ReconWorker
 
 __all__ = ["ReconService"]
 
@@ -84,10 +83,6 @@ class ReconService:
         watchdog requeue resumes mid-stream bit-identically.
     checkpoint_every:
         Streamed chunks between snapshots.
-    breaker_threshold / breaker_cooldown:
-        Per-rung circuit-breaker tuning: consecutive failures that
-        open a breaker, and seconds an open breaker waits before
-        admitting a half-open probe.
     idempotency_capacity:
         Client idempotency keys remembered (LRU) for submission dedup.
     """
@@ -106,8 +101,6 @@ class ReconService:
         max_requeues: int = 2,
         checkpoint_store: CheckpointStore | None = None,
         checkpoint_every: int = 4,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 30.0,
         idempotency_capacity: int = 1024,
     ):
         if workers < 1:
@@ -121,10 +114,6 @@ class ReconService:
             CheckpointStore() if checkpoint_store is None else checkpoint_store
         )
         self.checkpoint_every = max(1, int(checkpoint_every))
-        self.breakers = BreakerBoard(
-            failure_threshold=breaker_threshold,
-            cooldown_seconds=breaker_cooldown,
-        )
         self.max_requeues = max(0, int(max_requeues))
         self.workers = [self._make_worker(f"w{i}") for i in range(int(workers))]
         self._lock = threading.Lock()
@@ -143,8 +132,7 @@ class ReconService:
         self._started = False
         #: exponentially smoothed per-job wall seconds (Retry-After input)
         self._ewma_seconds = 1.0
-        #: recent service-level DegradationEvents (watchdog restarts,
-        #: breaker demotions observed at the service boundary)
+        #: recent service-level DegradationEvents (watchdog restarts)
         self.events: deque = deque(maxlen=64)
         # monitoring counters
         self.accepted = 0
@@ -173,7 +161,6 @@ class ReconService:
             toeplitz_cache_size=self._toeplitz_cache_size,
             checkpoint_store=self.checkpoint_store,
             checkpoint_every=self.checkpoint_every,
-            breakers=self.breakers,
         )
 
     # ------------------------------------------------------------------
@@ -396,8 +383,6 @@ class ReconService:
             # free the hung thread at its next cooperative check (a
             # crashed thread is already gone; cancel is then a no-op)
             job.cancel_token.cancel(f"worker {old.name} replaced: {reason}")
-            for key in breaker_keys(job.spec):
-                self.breakers.record_failure(key)
             if job.deadline is not None and job.deadline.expired:
                 job.mark_deadline_exceeded(
                     f"DeadlineExceeded: deadline exceeded "
@@ -468,8 +453,6 @@ class ReconService:
             "jobs_resumed": self.jobs_resumed,
             "watchdog_restarts": self.watchdog_restarts,
             "watchdog_alive": self.watchdog is not None and self.watchdog.alive,
-            "breakers": self.breakers.snapshot(),
-            "open_breakers": self.breakers.open_keys(),
             "checkpoints_held": len(self.checkpoint_store),
             "events": [
                 {

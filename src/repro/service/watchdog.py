@@ -30,9 +30,7 @@ terminal marks are fenced off by the job's attempt counter); and the
 wedged job is requeued — resuming mid-stream from its checkpoint when
 one exists — or force-failed with a recorded
 :class:`~repro.errors.DegradationEvent` once its requeue budget is
-spent.  Each wedge of a job with an explicit ``fft_backend`` feeds
-that backend's circuit breaker, so a backend that keeps wedging
-workers is skipped at plan time.
+spent.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ plumbing.
 
 from __future__ import annotations
 
-import dataclasses
 import queue
 import threading
 import time
@@ -34,25 +33,16 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..errors import DeadlineExceeded, DegradationEvent, JobCancelled, ReproError
+from ..errors import DeadlineExceeded, JobCancelled
 from ..gridding.buffers import GridBufferPool
 from ..nufft import NufftPlan, ToeplitzNormalOperator
-from ..nufft.fft_backend import fft_demotion_chain
 from ..recon import cg_reconstruction
 from ..recon.cg import TOEPLITZ_BUILD_FATAL
 from ..robustness.checkpoint import CheckpointConfig
 from ..robustness.faults import InjectedWorkerCrash, heartbeat_fault_point
 from .jobs import Job, JobResult, JobSpec
 
-__all__ = ["ReconWorker", "breaker_keys"]
-
-
-def breaker_keys(spec: JobSpec) -> tuple[str, ...]:
-    """Breaker-board keys a spec's execution is attributed to: the
-    ``fft:`` rung of an explicit ``fft_backend``, none for ``"auto"``."""
-    if spec.fft_backend == "auto":
-        return ()
-    return (f"fft:{spec.fft_backend}",)
+__all__ = ["ReconWorker"]
 
 #: inbox sentinel that tells the worker loop to exit after the queue
 #: ahead of it has drained
@@ -95,16 +85,6 @@ class ReconWorker:
         streamed transforms with *different* input values under the
         same job id, so a leftover mid-solve snapshot could be
         silently resumed into the wrong transform.
-    breakers:
-        Optional :class:`~repro.robustness.BreakerBoard` shared across
-        workers.  Before building a plan the worker consults the
-        board: an open ``fft:<backend>`` breaker demotes the spec one
-        rung down the FFT demotion order (recorded as a
-        DegradationEvent on the result); the outcome of a job with an
-        explicit ``fft_backend`` feeds success/failure back to its
-        ``fft:<backend>`` breaker so it can close or trip.  There are
-        no per-engine breakers, because no engine demotes to another
-        engine.
     """
 
     def __init__(
@@ -114,7 +94,6 @@ class ReconWorker:
         toeplitz_cache_size: int = 4,
         checkpoint_store=None,
         checkpoint_every: int = 4,
-        breakers=None,
     ):
         if plan_cache_size < 1:
             raise ValueError(f"plan_cache_size must be >= 1, got {plan_cache_size}")
@@ -123,7 +102,6 @@ class ReconWorker:
         self.toeplitz_cache_size = max(1, int(toeplitz_cache_size))
         self.checkpoint_store = checkpoint_store
         self.checkpoint_every = max(1, int(checkpoint_every))
-        self.breakers = breakers
         self.inbox: queue.Queue = queue.Queue()
         #: one pool for every plan this worker ever builds
         self.buffer_pool = GridBufferPool()
@@ -196,7 +174,7 @@ class ReconWorker:
                 self.inbox.task_done()
 
     # ------------------------------------------------------------------
-    # heartbeat + circuit breakers
+    # heartbeat
     # ------------------------------------------------------------------
     def _touch(self) -> None:
         """Cooperative-check hook installed on the running job's token.
@@ -209,48 +187,6 @@ class ReconWorker:
         """
         heartbeat_fault_point(self.name)
         self.heartbeat = time.monotonic()
-
-    def _apply_breakers(
-        self, spec: JobSpec
-    ) -> tuple[JobSpec, tuple[DegradationEvent, ...]]:
-        """Demote ``spec``'s FFT backend past any open breaker rungs.
-
-        Walks the backend's :func:`~repro.nufft.fft_backend.fft_demotion_chain`
-        — the order the runtime FFT fallback uses — while the rung's
-        ``fft:`` breaker refuses the call; the ``numpy`` floor is never
-        demoted.  Half-open breakers admit exactly one probe, so
-        recovery is tested without re-exposing the whole job stream to
-        a flaky rung.  Every demotion is recorded as a DegradationEvent
-        the result surfaces.
-        """
-        if self.breakers is None or spec.fft_backend == "auto":
-            return spec, ()
-        events = []
-        chain = fft_demotion_chain(spec.fft_backend)
-        target = spec.fft_backend
-        for nxt in chain[1:]:
-            if self.breakers.allow(f"fft:{target}"):
-                break
-            events.append(
-                DegradationEvent(
-                    "service", f"fft:{target}", f"fft:{nxt}",
-                    "circuit breaker open",
-                )
-            )
-            target = nxt
-        if not events:
-            return spec, ()
-        spec = dataclasses.replace(spec, fft_backend=target)
-        return spec, tuple(events)
-
-    def _breaker_outcome(self, spec: JobSpec, ok: bool) -> None:
-        if self.breakers is None:
-            return
-        for key in breaker_keys(spec):
-            if ok:
-                self.breakers.record_success(key)
-            else:
-                self.breakers.record_failure(key)
 
     # ------------------------------------------------------------------
     # execution
@@ -318,10 +254,9 @@ class ReconWorker:
         token.on_check = self._touch
         self.heartbeat = time.monotonic()
         self.current_job_id = job.id
-        effective, demotions = self._apply_breakers(job.spec)
         t0 = time.perf_counter()
         try:
-            result = self._reconstruct(job, effective)
+            result = self._reconstruct(job)
         except DeadlineExceeded as exc:
             self.jobs_deadline_exceeded += 1
             self.busy_seconds += time.perf_counter() - t0
@@ -341,11 +276,6 @@ class ReconWorker:
         except BaseException as exc:  # noqa: BLE001 - job isolation boundary
             self.jobs_failed += 1
             self.busy_seconds += time.perf_counter() - t0
-            if not isinstance(exc, ReproError):
-                # infrastructure-shaped failure: count it against the
-                # rung's breaker.  Typed ReproErrors (bad inputs,
-                # quality-gate aborts) say nothing about the rung.
-                self._breaker_outcome(effective, ok=False)
             job.mark_failed(exc, attempt=attempt)
             return
         finally:
@@ -357,12 +287,10 @@ class ReconWorker:
             self.jobs_chunked += 1
         if result.resumed_from is not None:
             self.jobs_resumed += 1
-        if demotions:
-            result.degradations = demotions + tuple(result.degradations)
-        self._breaker_outcome(effective, ok=True)
         job.mark_done(result, attempt=attempt)
 
-    def _reconstruct(self, job: Job, spec: JobSpec) -> JobResult:
+    def _reconstruct(self, job: Job) -> JobResult:
+        spec = job.spec
         entry, plan_cache = self._warm_plan(spec)
         plan = entry.plan
         token = job.cancel_token
@@ -381,8 +309,8 @@ class ReconWorker:
                 every=self.checkpoint_every,
             )
         # the engine's record is sticky across jobs: report the events
-        # since this job began, its own plan build included on a miss
-        seen = 0 if plan_cache == "miss" else len(getattr(gridder, "degradations", ()))
+        # since this job began
+        seen = len(getattr(gridder, "degradations", ()))
         try:
             result = self._run_spec(job, spec, entry, plan_cache, checkpointing)
         finally:

@@ -1,10 +1,10 @@
 """Compiled scatter-plan engine: bit-identity, caches, stats.
 
 Covers the `slice_and_dice_compiled` engine (`repro.core.compiled`):
-identity of both lanes to the serial engine across dimensions, grid
-shapes, kernels, torus-edge samples, batches and dtypes; the csr
-lane's dice-row bands at every band count, with their fault safety;
-the private SciPy kernels the lane calls; the plan cache; per-call
+identity to the serial engine across dimensions, grid shapes,
+kernels, torus-edge samples, batches and dtypes; the dice-row bands
+at every band count, with their fault safety; the private SciPy
+kernels the engine calls; the plan cache; per-call
 stats including a tracemalloc-checked ``peak_bytes``;
 and the serial engine's true-LRU table cache, minimal-dtype tile
 tables and per-call (not stale) cache events.
@@ -24,11 +24,10 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 
 import repro.core.compiled as compiledmod
-import repro.core.jit as jitmod
 from repro.core import CompiledSliceAndDiceGridder, SliceAndDiceGridder
 from repro.gridding import GridBufferPool, GriddingSetup, make_gridder
 from repro.kernels import KernelLUT, beatty_kernel, make_kernel
-from tests.conftest import interpret_jit_kernels, random_samples
+from tests.conftest import random_samples
 
 
 def setup_3d() -> GriddingSetup:
@@ -131,23 +130,14 @@ class TestBitIdentity:
 
 
 class TestIdentityCells:
-    """The csr lane, the default of both dtypes, against the serial
-    engine on every geometry, in both directions, single and batched.
-    numba is hidden so ``backend=None`` resolves to ``"csr"`` on every
-    host (with numba the default is ``backend="numba"``, covered by
-    ``tests/test_core_jit.py``)."""
-
-    @pytest.fixture(autouse=True)
-    def _numpy_default(self, monkeypatch):
-        monkeypatch.setattr(jitmod, "_numba", None)
+    """The engine at both dtypes against the serial engine on every
+    geometry, in both directions, single and batched."""
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
-    @pytest.mark.parametrize("backend", [None])
-    def test_complex128_both_directions(self, geometry, backend):
+    def test_complex128_both_directions(self, geometry):
         setup, coords, values, grids = identity_problem(geometry, np.complex128)
         ser = SliceAndDiceGridder(setup)
-        com = CompiledSliceAndDiceGridder(setup, backend=backend)
-        assert com.backend == (backend or "csr")
+        com = CompiledSliceAndDiceGridder(setup)
         for _ in range(2):  # compile call, then plan reuse
             assert np.array_equal(
                 com.grid_batch(coords, values), ser.grid_batch(coords, values)
@@ -160,17 +150,15 @@ class TestIdentityCells:
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_complex64_default(self, geometry):
-        """The complex64 default is the csr lane, adding in float32: its
-        forward is bit-identical to the serial engine's (which
-        accumulates in complex64 too), and both directions to its own
-        chunk mode; its adjoint is close to the serial engine's, which
-        sums each dice word in float64 and rounds once (the bound the
-        numba complex64 cells use)."""
+        """At complex64 the engine adds in float32: its forward is
+        bit-identical to the serial engine's (which accumulates in
+        complex64 too), and both directions to its own chunk mode; its
+        adjoint is close to the serial engine's, which sums each dice
+        word in float64 and rounds once."""
         setup, coords, values, grids = identity_problem(geometry, np.complex64)
         ser = SliceAndDiceGridder(setup)
         stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=7)
         com = CompiledSliceAndDiceGridder(setup)
-        assert com.backend == "csr"
         for _ in range(2):
             got = com.grid_batch(coords, values)
             assert got.dtype == np.complex64
@@ -185,12 +173,12 @@ class TestIdentityCells:
 
 class TestCsrBackend:
     def test_csr_allclose_both_directions(self, small_setup, rng):
-        """``backend="csr"`` is bit-identical at complex128 and
-        ``allclose`` at complex64, where SciPy accumulates in float32."""
+        """The engine is bit-identical at complex128 and ``allclose`` at
+        complex64, where SciPy accumulates in float32."""
         coords, values = random_samples(rng, 400, small_setup.grid_shape)
         gstack = random_grid_stack(rng, 3, small_setup.grid_shape)
         ser = SliceAndDiceGridder(small_setup)
-        csr = CompiledSliceAndDiceGridder(small_setup, backend="csr")
+        csr = CompiledSliceAndDiceGridder(small_setup)
         assert np.array_equal(csr.grid(coords, values), ser.grid(coords, values))
         assert np.array_equal(
             csr.interp_batch(gstack, coords), ser.interp_batch(gstack, coords)
@@ -199,7 +187,7 @@ class TestCsrBackend:
             small_setup.grid_shape, small_setup.lut, dtype=np.complex64
         )
         ser32 = SliceAndDiceGridder(setup32)
-        csr32 = CompiledSliceAndDiceGridder(setup32, backend="csr")
+        csr32 = CompiledSliceAndDiceGridder(setup32)
         values32, gstack32 = values.astype(np.complex64), gstack.astype(np.complex64)
         got = csr32.grid(coords, values32)
         assert got.dtype == np.complex64
@@ -217,7 +205,7 @@ class TestCsrBackend:
         # distinct, ascending dice addresses, and the matrix wraps the
         # plan arrays without copies
         coords, _ = random_samples(rng, 100, tiny_setup.grid_shape)
-        com = CompiledSliceAndDiceGridder(tiny_setup, backend="csr")
+        com = CompiledSliceAndDiceGridder(tiny_setup)
         plan, _ = com._fetch_plan(tiny_setup.check_coords(coords))
         assert plan.n_bands == 1
         mat = sparse.csr_matrix(
@@ -231,12 +219,13 @@ class TestCsrBackend:
         assert np.shares_memory(mat.data, plan.weight)
 
     def test_invalid_backend_rejected(self, tiny_setup):
-        with pytest.raises(ValueError, match="backend"):
+        """The engine has one lane: ``backend=`` is not an option."""
+        with pytest.raises(TypeError, match="backend"):
             CompiledSliceAndDiceGridder(tiny_setup, backend="dense")
 
 
 class TestBands:
-    """The csr lane's banded plans (module docstring, *The plan*): every
+    """The banded plans (module docstring, *The plan*): every
     band count ``P`` of 1, 2 and ``T`` is ``np.array_equal`` to the
     serial engine in both directions, single and batched (K = 3), and
     a failing band task leaves the buffer pool balanced.  The CPU
@@ -244,9 +233,8 @@ class TestBands:
     the small problems here are banded on any host."""
 
     @pytest.fixture(autouse=True)
-    def _numpy_lane(self, monkeypatch):
-        monkeypatch.setattr(jitmod, "_numba", None)
-        monkeypatch.setattr(jitmod, "PARALLEL_MIN_NNZ", 0)
+    def _banded(self, monkeypatch):
+        monkeypatch.setattr(compiledmod, "PARALLEL_MIN_NNZ", 0)
 
     @staticmethod
     def _engine(monkeypatch, setup, bands):
@@ -261,7 +249,6 @@ class TestBands:
         setup, coords, values, grids = identity_problem(geometry, np.complex128)
         ser = SliceAndDiceGridder(setup)
         com, p = self._engine(monkeypatch, setup, bands)
-        assert com.backend == "csr"
         for _ in range(2):  # compile call, then plan reuse
             assert np.array_equal(
                 com.grid_batch(coords, values), ser.grid_batch(coords, values)
@@ -423,19 +410,14 @@ class TestBands:
         """``P = min(usable CPUs, T)``, read from the affinity mask."""
         if not hasattr(os, "sched_getaffinity"):
             pytest.skip("no affinity mask on this platform")
-        com = CompiledSliceAndDiceGridder(small_setup, backend="csr")
+        com = CompiledSliceAndDiceGridder(small_setup)
         for cpus, bands in ((1, 1), (3, 3), (64, com.tile_size)):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
             assert com._n_bands(10**6) == bands
-        # the numba lane indexes the one-band, sample-major layout
-        interpret_jit_kernels(monkeypatch)
-        assert CompiledSliceAndDiceGridder(
-            small_setup, backend="numba"
-        )._n_bands(10**6) == 1
 
 
 class TestSparsetoolsPin:
-    """The csr lane calls SciPy's private ``_sparsetools.csc_matvecs``
+    """The engine calls SciPy's private ``_sparsetools.csc_matvecs``
     and ``csr_matvecs`` directly: pin that they add into the output
     they are handed, in stored order, and take a band's sliced row
     pointer with absolute offsets (CI runs this at the SciPy 1.10
@@ -577,9 +559,7 @@ class TestPlanCache:
                 tracemalloc.stop()
                 peak = com.stats.peak_bytes
                 assert com.stats.cache_misses == 1
-                if com.backend == "csr":
-                    plan = com._binding.product
-                    assert plan.n_bands == cpus
+                assert com._binding.product.n_bands == cpus
                 assert peak > 8_000_000
                 assert 0.5 * peak <= traced_peak <= peak + 1_000_000, (
                     shape, dtype, call, traced_peak, peak

@@ -62,16 +62,14 @@ def test_robustness_guide_covers_failure_modes():
         "inject_faults",
         "quality_policy",
         "health_check",
-        # lifecycle robustness: cooperative cancellation, checkpoint
-        # resume, and circuit breakers
+        # lifecycle robustness: cooperative cancellation and
+        # checkpoint resume
         "CancelToken",
         "Deadline",
         "DeadlineExceeded",
         "JobCancelled",
         "CheckpointStore",
         "StreamCheckpoint",
-        "CircuitBreaker",
-        "half-open",
     ):
         assert term in text, f"{term} missing from docs/robustness.md"
 
@@ -105,7 +103,6 @@ def test_service_guide_covers_the_contract():
         "idempotency_key",
         "Watchdog",
         "checkpoint",
-        "breaker",
         "watchdog_restarts",
     ):
         assert term in text, f"{term} missing from docs/service.md"

@@ -329,7 +329,7 @@ class TestPlanBackendsAndPool:
         from repro.kernels import KernelLUT, beatty_kernel
 
         setup = GriddingSetup((32, 32), KernelLUT(beatty_kernel(6, 2.0), 64))
-        g = make_gridder("slice_and_dice_compiled", setup, backend="csr")
+        g = make_gridder("slice_and_dice_compiled", setup)
         rng = np.random.default_rng(3)
         m = 3000
         coords = rng.uniform(0, 32, (m, 2))

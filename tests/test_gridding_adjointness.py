@@ -25,7 +25,6 @@ SETUPS = {
 ENGINES = [
     ("slice_and_dice", {}),
     ("slice_and_dice_compiled", {}),
-    ("slice_and_dice_compiled", {"backend": "csr"}),
 ]
 
 
@@ -34,7 +33,7 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 @pytest.mark.parametrize(
-    "name,kwargs", ENGINES, ids=["serial", "compiled", "csr"]
+    "name,kwargs", ENGINES, ids=["serial", "compiled"]
 )
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -58,7 +57,7 @@ def test_grid_interp_adjoint(name, kwargs, seed, m, ndim):
 
 
 @pytest.mark.parametrize(
-    "name,kwargs", ENGINES, ids=["serial", "compiled", "csr"]
+    "name,kwargs", ENGINES, ids=["serial", "compiled"]
 )
 @given(
     seed=st.integers(0, 2**32 - 1),

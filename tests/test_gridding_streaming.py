@@ -1,18 +1,17 @@
 """Chunk mode of the compiled engine: bit-identity, memory, service.
 
 The contract under test (``chunk_samples=`` of
-``repro.core.CompiledSliceAndDiceGridder``, on every backend):
+``repro.core.CompiledSliceAndDiceGridder``):
 
 - a chunked pass is **bit-identical** (``np.array_equal``) to the
   one-shot compiled engine at complex128 for *any* chunk size —
   ``chunk=1``, non-dividing, dividing, ``chunk >= M`` — in 2-D and 3-D,
-  single and batched RHS, in both directions, on every lane of the
-  identity table below;
+  single and batched RHS, in both directions;
 - the same holds on rectangular grids, for the ES window, for samples
   on the torus edges (``0`` and ``G - eps``) and at the forward-distance
   rounding edge;
-- at complex64 both directions are bit-identical too on every lane:
-  each accumulates in the working dtype (csr, the numba kernels);
+- at complex64 both directions are bit-identical too: SciPy's
+  mat-vecs accumulate in the working dtype;
 - an empty call runs no chunk and returns zeros;
 - the reported ``peak_bytes`` is a true high-water mark
   (tracemalloc-cross-checked) and shrinks with the chunk size while
@@ -28,33 +27,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CompiledSliceAndDiceGridder
-from repro.core import jit as jitmod
-from repro.core.jit import jit_available
 from repro.gridding import GriddingSetup, choose_chunk_samples, make_gridder
 from repro.kernels import KernelLUT, beatty_kernel, make_kernel
-from tests.conftest import interpret_jit_kernels, random_samples
+from tests.conftest import random_samples
 
 CHUNK_SIZES = (1, 7, 100, 1000, 5000)  # 1, non-dividing, dividing, >= M
 
-#: the identity table's lanes: id -> (engine, options).
-#:
-#: - ``"numpy"``: the compiled engine's csr backend (SciPy mat-vecs; its
-#:   stats report ``exec_lane="numpy"``), the default without numba;
-#: - ``"serial"``: the numba backend's kernels run as plain Python
-#:   (:func:`interpret_jit_kernels`) — the same arithmetic as the
-#:   numba lane, checked without numba (chunk plans run the serial,
-#:   entry-order kernels);
-#: - ``"jit"``: the same kernels compiled by numba (skipped without it).
-LANE_ENGINES = {
-    "numpy": ("slice_and_dice_compiled", {"backend": "csr"}),
-    "serial": ("slice_and_dice_compiled", {"backend": "numba"}),
-    "jit": ("slice_and_dice_compiled", {"backend": "numba"}),
-}
-NEEDS_NUMBA = pytest.mark.skipif(not jit_available(), reason="requires numba")
-LANES = [
-    pytest.param(lane, marks=NEEDS_NUMBA) if lane == "jit" else lane
-    for lane in LANE_ENGINES
-]
+#: the execution lanes a chunked pass reports (``stats.exec_lane``):
+#: the engine's SciPy mat-vecs run on ``"numpy"``, its one lane
+LANES = ["numpy"]
 
 #: geometry -> (grid shape, window kernel, W); "square" is the
 #: ``small_setup`` fixture's problem
@@ -73,28 +54,6 @@ BIT_CASES = [pytest.param(c, "square", id=str(c)) for c in CHUNK_SIZES] + [
     for g in ("rect", "es", "edge")
     for c in (1, 5000)
 ] + [pytest.param(64, "empty", id="empty-64")]
-
-
-def lane_cells(chunks, default: str):
-    """``(chunk, lane)`` cells of every lane; the ``default`` lane's
-    cells are keyed by the chunk alone."""
-    return [
-        pytest.param(
-            c, lane,
-            id=str(c) if lane == default else f"{lane}-{c}",
-            marks=NEEDS_NUMBA if lane == "jit" else (),
-        )
-        for lane in LANE_ENGINES
-        for c in chunks
-    ]
-
-
-def lane_engine(lane, setup, monkeypatch, **options):
-    """The ``lane`` engine of the identity table for ``setup``."""
-    if lane == "serial":
-        interpret_jit_kernels(monkeypatch)
-    name, lane_options = LANE_ENGINES[lane]
-    return make_gridder(name, setup, **lane_options, **options)
 
 
 def setup_3d(dtype=np.complex128) -> GriddingSetup:
@@ -136,10 +95,10 @@ def random_grid(rng, shape, dtype=np.complex128):
 class TestBitIdentity:
     @pytest.mark.parametrize("chunk,geometry", BIT_CASES)
     @pytest.mark.parametrize("lane", LANES)
-    def test_grid_2d(self, rng, monkeypatch, chunk, geometry, lane):
+    def test_grid_2d(self, rng, chunk, geometry, lane):
         setup, coords, values = geometry_problem(rng, geometry)
         ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = lane_engine(lane, setup, monkeypatch, chunk_samples=chunk)
+        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
         assert np.array_equal(
             stm.grid(coords, values), ref.grid(coords, values)
         )
@@ -148,45 +107,49 @@ class TestBitIdentity:
             stm.grid(coords, values), ref.grid(coords, values)
         )
         assert stm.stats.chunks == -(-coords.shape[0] // chunk)
+        assert stm.stats.exec_lane == lane
 
-    @pytest.mark.parametrize("chunk,lane", lane_cells((1, 37, 500), "numpy"))
-    def test_grid_3d(self, rng, monkeypatch, chunk, lane):
+    @pytest.mark.parametrize("chunk", (1, 37, 500))
+    def test_grid_3d(self, rng, chunk):
         setup = setup_3d()
         coords, values = random_samples(rng, 300, setup.grid_shape)
         ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = lane_engine(lane, setup, monkeypatch, chunk_samples=chunk)
+        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
         assert np.array_equal(
             stm.grid(coords, values), ref.grid(coords, values)
         )
 
-    @pytest.mark.parametrize("chunk,lane", lane_cells((13, 128), "numpy"))
-    def test_grid_batch(self, small_setup, rng, monkeypatch, chunk, lane):
+    @pytest.mark.parametrize("chunk", (13, 128))
+    def test_grid_batch(self, small_setup, rng, chunk):
         coords, values = random_samples(rng, 300, small_setup.grid_shape)
         stack = np.stack([values, 2.0 * values - 1j, values[::-1]])
         ref = make_gridder("slice_and_dice_compiled", small_setup)
-        stm = lane_engine(lane, small_setup, monkeypatch, chunk_samples=chunk)
+        stm = make_gridder(
+            "slice_and_dice_compiled", small_setup, chunk_samples=chunk
+        )
         assert np.array_equal(
             stm.grid_batch(coords, stack), ref.grid_batch(coords, stack)
         )
 
     @pytest.mark.parametrize("chunk,geometry", BIT_CASES)
     @pytest.mark.parametrize("lane", LANES)
-    def test_interp_2d(self, rng, monkeypatch, chunk, geometry, lane):
+    def test_interp_2d(self, rng, chunk, geometry, lane):
         setup, coords, _ = geometry_problem(rng, geometry)
         grid = random_grid(rng, setup.grid_shape)
         ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = lane_engine(lane, setup, monkeypatch, chunk_samples=chunk)
+        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
         assert np.array_equal(
             stm.interp(grid, coords), ref.interp(grid, coords)
         )
+        assert stm.stats.exec_lane == lane
 
-    @pytest.mark.parametrize("chunk,lane", lane_cells((1, 37, 500), "numpy"))
-    def test_interp_3d(self, rng, monkeypatch, chunk, lane):
+    @pytest.mark.parametrize("chunk", (1, 37, 500))
+    def test_interp_3d(self, rng, chunk):
         setup = setup_3d()
         coords, _ = random_samples(rng, 300, setup.grid_shape)
         grid = random_grid(rng, setup.grid_shape)
         ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = lane_engine(lane, setup, monkeypatch, chunk_samples=chunk)
+        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
         assert np.array_equal(
             stm.interp(grid, coords), ref.interp(grid, coords)
         )
@@ -196,8 +159,7 @@ class TestBitIdentity:
         grids = rng.standard_normal((2,) + small_setup.grid_shape) + 0j
         ref = make_gridder("slice_and_dice_compiled", small_setup)
         stm = make_gridder(
-            "slice_and_dice_compiled", small_setup,
-            backend="csr", chunk_samples=77,
+            "slice_and_dice_compiled", small_setup, chunk_samples=77
         )
         assert np.array_equal(
             stm.interp_batch(grids, coords), ref.interp_batch(grids, coords)
@@ -210,50 +172,24 @@ class TestBitIdentity:
         bit-identical at complex64 too."""
         setup, coords, _ = geometry_problem(rng, geometry, np.complex64)
         grid = random_grid(rng, setup.grid_shape, np.complex64)
-        ref = make_gridder("slice_and_dice_compiled", setup, backend="csr")
-        stm = make_gridder(
-            "slice_and_dice_compiled", setup, backend="csr", chunk_samples=chunk
-        )
+        ref = make_gridder("slice_and_dice_compiled", setup)
+        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
         assert np.array_equal(stm.interp(grid, coords), ref.interp(grid, coords))
 
-    @pytest.mark.parametrize("chunk,lane", lane_cells((1, 37, 500), "numpy"))
-    def test_grid_complex64(self, rng, monkeypatch, chunk, lane):
-        """At complex64 every lane accumulates in the working dtype
-        (csr, the numba kernels), so a chunked pass continues the
-        one-shot chain exactly."""
+    @pytest.mark.parametrize("chunk", (1, 37, 500))
+    def test_grid_complex64(self, rng, chunk):
+        """At complex64 the mat-vecs accumulate in the working dtype,
+        so a chunked pass continues the one-shot chain exactly."""
         setup = GriddingSetup(
             (32, 32), KernelLUT(beatty_kernel(6, 2.0), 64), dtype=np.complex64
         )
         coords, values = random_samples(rng, 400, setup.grid_shape)
         values = values.astype(np.complex64)
-        ref = lane_engine(lane, setup, monkeypatch)
-        stm = lane_engine(lane, setup, monkeypatch, chunk_samples=chunk)
+        ref = make_gridder("slice_and_dice_compiled", setup)
+        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
         got, want = stm.grid(coords, values), ref.grid(coords, values)
         assert got.dtype == np.complex64
         assert np.array_equal(got, want)
-
-    def test_complex64_jit_lane_bit_identical(self, rng, monkeypatch):
-        """The numba lane accumulates natively in the working dtype in
-        entry order — bit-identical to its one-shot pass at *both*
-        precisions, whichever kernels the one-shot pass ran (numba
-        compiled, else the raw loop bodies)."""
-        if not jit_available():
-            interpret_jit_kernels(monkeypatch)
-        monkeypatch.setattr(jitmod, "PARALLEL_MIN_NNZ", 0)
-        setup = GriddingSetup(
-            (32, 32), KernelLUT(beatty_kernel(6, 2.0), 64),
-            dtype=np.complex64,
-        )
-        coords, values = random_samples(rng, 400, setup.grid_shape)
-        ref = make_gridder("slice_and_dice_compiled", setup, backend="numba")
-        stm = make_gridder(
-            "slice_and_dice_compiled", setup, backend="numba", chunk_samples=64
-        )
-        assert np.array_equal(
-            stm.grid(coords, values), ref.grid(coords, values)
-        )
-        assert ref.stats.exec_lane == "numba-parallel"
-        assert stm.stats.exec_lane == "numba-serial"
 
 
 # ----------------------------------------------------------------------
@@ -359,12 +295,12 @@ class TestMemory:
         peak for the pass: never under by more than the interpreter
         noise floor, never over by 2x.  Each case's working set is many
         times that floor, so an undercount in the model shows."""
-        cases = [  # (grid shape, W, dtype, chunk samples, backend)
-            ((64, 64), 6, np.complex128, 12288, "csr"),
-            ((64, 64), 6, np.complex64, 16384, "csr"),
-            ((32, 32, 32), 4, np.complex128, 6144, "csr"),
+        cases = [  # (grid shape, W, dtype, chunk samples)
+            ((64, 64), 6, np.complex128, 12288),
+            ((64, 64), 6, np.complex64, 16384),
+            ((32, 32, 32), 4, np.complex128, 6144),
         ]
-        for shape, width, dtype, chunk, backend in cases:
+        for shape, width, dtype, chunk in cases:
             setup = GriddingSetup(
                 shape, KernelLUT(beatty_kernel(width, 2.0), 64), dtype=dtype
             )
@@ -374,8 +310,7 @@ class TestMemory:
             # allocated inside the trace, with every chunk's select
             # transients
             stm = make_gridder(
-                "slice_and_dice_compiled", setup,
-                chunk_samples=chunk, backend=backend,
+                "slice_and_dice_compiled", setup, chunk_samples=chunk
             )
             tracemalloc.start()
             tracemalloc.reset_peak()
@@ -385,7 +320,7 @@ class TestMemory:
             peak = stm.stats.peak_bytes
             assert peak > 8_000_000
             assert 0.5 * peak <= traced_peak <= peak + 1_000_000, (
-                shape, dtype, backend, traced_peak, peak
+                shape, dtype, traced_peak, peak
             )
 
     def test_choose_chunk_samples(self):
@@ -406,8 +341,7 @@ class TestMemory:
         )
         grid = rng.standard_normal(small_setup.grid_shape) + 0j
         stm = make_gridder(
-            "slice_and_dice_compiled", small_setup,
-            chunk_samples=chunk, backend="csr",
+            "slice_and_dice_compiled", small_setup, chunk_samples=chunk
         )
         stm.grid(coords, values)
         assert stm.stats.peak_bytes <= budget
@@ -431,67 +365,38 @@ class TestRegistry:
         assert isinstance(stm, CompiledSliceAndDiceGridder)
         assert make_gridder("slice_and_dice_compiled", small_setup).chunk_samples is None
 
-    @pytest.mark.parametrize(
-        "backend,lane",
-        [
-            pytest.param("csr", "numpy", id="slice_and_dice_compiled-numpy"),
-            pytest.param("numba", "numba-serial", id="compiled-numba"),
-        ],
-    )
-    def test_chunk_samples_retargets(
-        self, small_setup, rng, monkeypatch, backend, lane
-    ):
-        """``chunk_samples=`` keeps the engine and its backend and puts
-        it in chunk mode."""
-        if backend == "numba":
-            interpret_jit_kernels(monkeypatch)
+    def test_chunk_samples_retargets(self, small_setup, rng):
+        """``chunk_samples=`` keeps the engine and puts it in chunk
+        mode."""
         g = make_gridder(
-            "slice_and_dice_compiled", small_setup, backend=backend,
-            chunk_samples=128,
+            "slice_and_dice_compiled", small_setup, chunk_samples=128
         )
         assert g.name == "slice_and_dice_compiled"
-        assert g.backend == backend
         assert g.chunk_samples == 128
         coords, values = random_samples(rng, 300, small_setup.grid_shape)
         g.grid(coords, values)
         assert g.stats.chunks == 3
-        assert g.stats.exec_lane == lane
+        assert g.stats.exec_lane == "numpy"
 
     def test_serial_engine_rejects_chunk_samples(self, small_setup):
         with pytest.raises(ValueError, match="chunk mode"):
             make_gridder("slice_and_dice", small_setup, chunk_samples=128)
 
     def test_bad_lane_rejected(self, small_setup):
-        """The compiled engine has backends, not lanes; bad values of
-        either are rejected in chunk mode too."""
+        """The compiled engine has one lane and no lane or backend
+        option, in chunk mode too."""
         with pytest.raises(TypeError, match="lane"):
             make_gridder(
                 "slice_and_dice_compiled", small_setup,
                 chunk_samples=64, lane="numpy",
             )
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(TypeError, match="backend"):
             make_gridder(
                 "slice_and_dice_compiled", small_setup,
                 chunk_samples=64, backend="cuda",
             )
         with pytest.raises(ValueError, match="chunk_samples"):
             make_gridder("slice_and_dice_compiled", small_setup, chunk_samples=0)
-
-    def test_jit_lane_degrades_without_numba(self, small_setup, rng):
-        if jit_available():
-            pytest.skip("numba importable — degradation path not reachable")
-        stm = make_gridder(
-            "slice_and_dice_compiled", small_setup, chunk_samples=32,
-            backend="numba",
-        )
-        assert stm.degradations
-        assert stm.degradations[0].from_stage == "numba"
-        coords, values = random_samples(rng, 100, small_setup.grid_shape)
-        ref = make_gridder("slice_and_dice_compiled", small_setup)
-        assert np.array_equal(
-            stm.grid(coords, values), ref.grid(coords, values)
-        )
-        assert stm.stats.exec_lane == "numpy"
 
     def test_nufft_plan_reports_chunks(self, rng):
         from repro.nufft import NufftPlan
@@ -561,8 +466,8 @@ class TestService:
 
     @pytest.mark.parametrize(
         "options",
-        [{"backend": "csr"}, {"tile_size": 16}],
-        ids=["csr", "tile_size"],
+        [{"tile_size": 16}],
+        ids=["tile_size"],
     )
     def test_max_bytes_keeps_engine_options(self, rng, options):
         """A budget puts the client's engine, with the client's

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.jit import jit_available
 from repro.kernels import (
     ExponentialSemicircleKernel,
     KaiserBesselKernel,
@@ -31,7 +30,6 @@ from repro.gridding import GriddingSetup, make_gridder
 from repro.nudft import nudft_adjoint, nudft_forward
 from repro.nufft import NufftPlan, ToeplitzNormalOperator
 from repro.trajectories import random_trajectory
-from tests.conftest import interpret_jit_kernels
 
 
 def rel_err(a, b):
@@ -190,9 +188,7 @@ class TestESAccuracy:
         plan = NufftPlan((24, 24), coords, kernel="es")
         plan.adjoint(vals)
         assert plan.timings.kernel == "es"
-        assert plan.timings.exec_lane in (
-            "numpy", "numba-serial", "numba-parallel"
-        )
+        assert plan.timings.exec_lane == "numpy"
         plan_kb = NufftPlan((24, 24), coords)
         plan_kb.adjoint(vals)
         assert plan_kb.timings.kernel == "kb"
@@ -215,20 +211,14 @@ _ES_SETUPS = {
 }
 
 
-@pytest.mark.parametrize(
-    "backend",
-    [
-        pytest.param(None, id="slice_and_dice_compiled"),
-        pytest.param("numba", id="slice_and_dice_compiled-numba"),
-    ],
-)
+@pytest.mark.parametrize("gridder", ["slice_and_dice_compiled"])
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 40),
     ndim=st.sampled_from([2, 3]),
 )
 @settings(max_examples=20, deadline=None)
-def test_es_grid_interp_adjoint(backend, seed, m, ndim):
+def test_es_grid_interp_adjoint(gridder, seed, m, ndim):
     setup = _ES_SETUPS[ndim]
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0, 1, size=(m, ndim)) * np.asarray(setup.grid_shape)
@@ -236,13 +226,8 @@ def test_es_grid_interp_adjoint(backend, seed, m, ndim):
     grid = rng.standard_normal(setup.grid_shape) + 1j * rng.standard_normal(
         setup.grid_shape
     )
-    with pytest.MonkeyPatch.context() as mp:
-        if backend == "numba" and not jit_available():
-            interpret_jit_kernels(mp)
-        g = make_gridder("slice_and_dice_compiled", setup, backend=backend)
-        lhs = complex(np.vdot(g.grid(coords, values), grid))
-        rhs = complex(np.vdot(values, g.interp(grid, coords)))
+    g = make_gridder(gridder, setup)
+    lhs = complex(np.vdot(g.grid(coords, values), grid))
+    rhs = complex(np.vdot(values, g.interp(grid, coords)))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
     assert g.stats.kernel == "es"
-    if backend == "numba":
-        assert g.stats.exec_lane == "numba-serial"

@@ -186,7 +186,7 @@ class TestDtypeIsolation:
         coords = radial_trajectory(16, 32)
         p32 = NufftPlan(
             (32, 32), coords, gridder="slice_and_dice_compiled",
-            gridder_options={"backend": "csr"}, precision="single",
+            precision="single",
             fft_backend="numpy",
         )
         vals = np.ones(coords.shape[0], dtype=np.complex64)

@@ -480,15 +480,10 @@ class TestFftFallback:
         ("scipy", ("scipy", "numpy")),
         ("numpy", ("numpy",)),
     ], ids=["pyfftw", "scipy", "numpy"])
-    def test_one_demotion_order_for_runtime_and_breakers(
-        self, monkeypatch, start, chain
-    ):
-        """The runtime fallback and the service's breaker walk step down
-        one order, strictly downward, whatever else is importable."""
+    def test_one_demotion_order(self, monkeypatch, start, chain):
+        """The runtime fallback steps down one order, strictly
+        downward, whatever else is importable."""
         from repro.nufft import fft_backend as fb
-        from repro.robustness import BreakerBoard
-        from repro.service import JobSpec
-        from repro.service.worker import ReconWorker
 
         class StandInFftw(fb.NumpyFftBackend):
             name = "pyfftw"
@@ -500,18 +495,15 @@ class TestFftFallback:
         if not fft_backend_available("scipy"):
             pytest.skip("needs a scipy FFT backend")
         assert fft_backend_available("pyfftw")
-        assert FallbackFftBackend(start).chain == chain
-
-        board = BreakerBoard(failure_threshold=1, cooldown_seconds=30.0)
-        for name in chain:
-            board.record_failure(f"fft:{name}")
-        coords = radial_trajectory(8, 16)
-        spec = JobSpec((16, 16), coords, np.ones(coords.shape[0], complex),
-                       fft_backend=start)
-        demoted, events = ReconWorker("w0", breakers=board)._apply_breakers(spec)
-        walked = (start,) + tuple(e.to_stage.removeprefix("fft:") for e in events)
+        fallback = FallbackFftBackend(start)
+        assert fallback.chain == chain
+        # every rung above the floor fails once: the transform walks
+        # the whole chain and lands on numpy
+        with inject_faults(seed=0, fft_errors={n: 1 for n in chain[:-1]}):
+            fallback.fftn(np.ones((4, 4), dtype=complex))
+        walked = (start,) + tuple(e.to_stage for e in fallback.events)
         assert walked == chain
-        assert demoted.fft_backend == "numpy"
+        assert fallback.name == "numpy"
 
     def test_nested_fallback_rejected(self):
         inner = FallbackFftBackend("numpy")

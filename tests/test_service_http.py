@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro import NufftPlan
-from repro.core.jit import JIT_DISABLE_ENV
 from repro.errors import ServiceOverloaded
 from repro.gridding import available_gridders
 from repro.service import (
@@ -86,8 +85,6 @@ class TestRoutes:
         assert record["state"] == "done"
         assert record["worker"] == "w0"
         assert record["result"]["seconds"] > 0
-        # an fft_backend="auto" job feeds no breaker
-        assert client.stats()["breakers"] == {}
 
     def test_unknown_job_404(self, server):
         client = ReconClient(server.url)
@@ -115,7 +112,7 @@ class TestRoutes:
         assert status == 400
         assert "warp_factor" in body["error"]
 
-    def test_unknown_gridder_400_without_breaker(self, server):
+    def test_unknown_gridder_400(self, server):
         coords, samples, _ = _problem()
         status, body, _ = _post_json(server.url + "/jobs", {
             "image_shape": [32, 32],
@@ -127,13 +124,11 @@ class TestRoutes:
         assert "slice_and_dice_parallel" in body["error"]
         for name in available_gridders():
             assert name in body["error"]
-        stats = ReconClient(server.url).stats()
-        assert stats["accepted"] == 0
-        assert stats["breakers"] == {}
+        assert ReconClient(server.url).stats()["accepted"] == 0
 
-    def test_removed_jit_engine_400_without_breaker(self, server):
-        """The numba lane is a backend of the compiled engine, not an
-        engine: the old name is an unknown gridder."""
+    def test_removed_jit_engine_400(self, server):
+        """``slice_and_dice_jit`` is not an engine: the old name is an
+        unknown gridder."""
         coords, samples, _ = _problem()
         status, body, _ = _post_json(server.url + "/jobs", {
             "image_shape": [32, 32],
@@ -145,51 +140,30 @@ class TestRoutes:
         assert "slice_and_dice_jit" in body["error"]
         for name in available_gridders():
             assert name in body["error"]
-        stats = ReconClient(server.url).stats()
-        assert stats["accepted"] == 0
-        assert stats["breakers"] == {}
+        assert ReconClient(server.url).stats()["accepted"] == 0
 
-    def test_numba_backend_job_demotes_to_the_default_image(
-        self, server, monkeypatch
-    ):
-        """Without numba a ``backend="numba"`` job runs the plan on the
-        NumPy lane: the default job's exact image, with the ``jit``
-        demotion in its record."""
-        monkeypatch.setenv(JIT_DISABLE_ENV, "numba")
-        coords, samples, weights = _problem()
-        client = ReconClient(server.url)
-
-        def jit_events():
-            result = client.last_status["result"]
-            return [d for d in result["degradations"] if d["component"] == "jit"]
-
-        ref = client.reconstruct((32, 32), coords, samples, weights=weights)
-        assert jit_events() == []
-        image = client.reconstruct(
-            (32, 32), coords, samples, weights=weights,
-            gridder_options={"backend": "numba"},
-        )
-        assert client.last_status["state"] == "done"
-        np.testing.assert_array_equal(image, ref)
-        assert client.last_status["result"]["exec_lane"] == "numpy"
-        [event] = jit_events()
-        assert (event["from_stage"], event["to_stage"]) == ("numba", "numpy")
-
-    @pytest.mark.parametrize("options", [
-        pytest.param({"gridder_options": {"backend": "nope"}}, id="backend"),
-        # a lane the compiled engine no longer has
-        pytest.param({"gridder_options": {"backend": "bincount"}}, id="retired-backend"),
-        pytest.param({"gridder_options": {"no_such_option": 1}}, id="unknown"),
-        pytest.param({"gridder_options": {"table_cache_size": 0}}, id="removed"),
+    @pytest.mark.parametrize("options,fft_disable", [
+        pytest.param({"gridder_options": {"backend": "nope"}}, "", id="backend"),
+        # the compiled engine has one lane and no backend option
+        pytest.param({"gridder_options": {"backend": "csr"}}, "", id="removed-backend-csr"),
+        pytest.param({"gridder_options": {"backend": "numba"}}, "", id="removed-backend-numba"),
+        pytest.param({"gridder_options": {"backend": "bincount"}}, "", id="retired-backend"),
+        pytest.param({"gridder_options": {"no_such_option": 1}}, "", id="unknown"),
+        pytest.param({"gridder_options": {"table_cache_size": 0}}, "", id="removed"),
         # W = 6 > T = 4: the one-point-per-column guarantee breaks
-        pytest.param({"gridder_options": {"tile_size": 4}}, id="tile_size"),
-        pytest.param({"precision": "half"}, id="precision"),
+        pytest.param({"gridder_options": {"tile_size": 4}}, "", id="tile_size"),
+        pytest.param({"precision": "half"}, "", id="precision"),
         # the grid alone exceeds the budget: no chunk size fits
-        pytest.param({"max_bytes": 1024}, id="max_bytes"),
+        pytest.param({"max_bytes": 1024}, "", id="max_bytes"),
+        pytest.param({"fft_backend": "no-such-fft"}, "", id="unknown-fft"),
+        # a registered FFT backend this host cannot run
+        pytest.param({"fft_backend": "scipy"}, "scipy", id="unavailable-fft"),
     ])
-    def test_bad_plan_options_400_without_breaker(self, server, options):
+    def test_bad_plan_options_400(self, server, monkeypatch, options, fft_disable):
         """Options the plan build would reject fail the submit: nothing
-        is accepted, and no breaker learns of them."""
+        is accepted."""
+        if fft_disable:
+            monkeypatch.setenv("REPRO_FFT_DISABLE", fft_disable)
         coords, samples, _ = _problem()
         status, body, _ = _post_json(server.url + "/jobs", {
             "image_shape": [32, 32],
@@ -198,9 +172,7 @@ class TestRoutes:
             "options": {"gridder": "slice_and_dice_compiled", **options},
         })
         assert status == 400, body
-        stats = ReconClient(server.url).stats()
-        assert stats["accepted"] == 0
-        assert stats["breakers"] == {}
+        assert ReconClient(server.url).stats()["accepted"] == 0
 
     def test_curl_style_plain_list_payload(self, server):
         # the lenient codec: a human can post plain JSON lists

@@ -11,7 +11,7 @@ The contracts under test:
 2. checkpoint/resume is *exact*: a streamed adjoint interrupted after
    >= 3 checkpoint intervals and resumed from its snapshot produces
    ``np.array_equal`` output vs an uninterrupted run, on the compiled
-   engine's chunk mode and the jit engine's;
+   engine's chunk mode;
 3. supervision frees wedged workers: an injected hang or crash is
    detected within one watchdog period, the worker is replaced, and
    the wedged job is requeued (resuming mid-stream from its
@@ -19,7 +19,7 @@ The contracts under test:
 4. the service-boundary conveniences hold: idempotency keys dedup
    resubmissions, ``POST /jobs/<id>/cancel`` works over HTTP, the
    client polls with capped exponential backoff, and the lifecycle
-   counters/breaker states surface in ``/stats``.
+   counters surface in ``/stats``.
 """
 
 from __future__ import annotations
@@ -30,14 +30,11 @@ import numpy as np
 import pytest
 
 from repro import NufftPlan
-from repro.core.jit import jit_available
 from repro.errors import DeadlineExceeded, JobCancelled
 from repro.robustness import (
-    BreakerBoard,
     CancelToken,
     CheckpointConfig,
     CheckpointStore,
-    CircuitBreaker,
     Deadline,
     FileCheckpointStore,
     StreamCheckpoint,
@@ -45,9 +42,7 @@ from repro.robustness import (
 )
 from repro.recon import cg_reconstruction
 from repro.service import Job, JobSpec, JobState, ReconService
-from repro.service.worker import ReconWorker, breaker_keys
 from repro.trajectories import radial_trajectory
-from tests.conftest import interpret_jit_kernels
 
 
 def _problem(spokes=16, readout=24, seed=7):
@@ -58,17 +53,17 @@ def _problem(spokes=16, readout=24, seed=7):
     return coords, samples
 
 
-#: lane -> the compiled engine's backend in chunk mode: csr ("numpy")
-#: and the numba kernels ("numba"; the raw loop bodies without numba)
-_BACKENDS = {"numpy": "csr", "numba": "numba"}
+#: execution lanes the compiled engine's chunk mode reports
+#: (``stats.exec_lane``): its one lane
+LANES = ["numpy"]
 
 
-def _stream_plan(coords, lane="numpy", n=24, chunk=48):
+def _stream_plan(coords, n=24, chunk=48):
     return NufftPlan(
         (n, n),
         coords,
         gridder="slice_and_dice_compiled",
-        gridder_options={"chunk_samples": chunk, "backend": _BACKENDS[lane]},
+        gridder_options={"chunk_samples": chunk},
     )
 
 
@@ -186,18 +181,16 @@ class TestCheckpointStores:
 # exact resume (the tentpole numerics contract)
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
-    @pytest.mark.parametrize("lane", list(_BACKENDS))
-    def test_interrupt_then_resume_is_bit_identical(self, lane, monkeypatch):
+    @pytest.mark.parametrize("lane", LANES)
+    def test_interrupt_then_resume_is_bit_identical(self, lane):
         """Kill mid-stream after >= 3 checkpoint intervals, resume from
         the snapshot: output must be ``np.array_equal`` to an
         uninterrupted run on the same lane."""
-        if lane == "numba" and not jit_available():
-            interpret_jit_kernels(monkeypatch)
         coords, samples = _problem()
-        ref = _stream_plan(coords, lane=lane).adjoint(samples)
+        ref = _stream_plan(coords).adjoint(samples)
 
         store = CheckpointStore()
-        plan = _stream_plan(coords, lane=lane)
+        plan = _stream_plan(coords)
         gridder = plan.gridder
         gridder.checkpoint = CheckpointConfig(
             store=store, key="t", fingerprint="fp", every=1
@@ -224,9 +217,7 @@ class TestCheckpointResume:
             "sample_cursor": snap.sample_cursor,
         }
         assert np.array_equal(out, ref)
-        assert gridder.stats.exec_lane == (
-            "numpy" if lane == "numpy" else "numba-serial"
-        )
+        assert gridder.stats.exec_lane == lane
         assert store.load("t") is None  # delete_on_success cleaned up
 
     def test_stale_snapshot_is_ignored_not_blended(self):
@@ -253,96 +244,6 @@ class TestCheckpointResume:
             e.component == "checkpoint" and e.to_stage == "fresh"
             for e in plan.gridder.degradations
         )
-
-
-# ----------------------------------------------------------------------
-# circuit breakers
-# ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_opens_at_threshold_then_half_open_probe(self):
-        b = CircuitBreaker(failure_threshold=2, cooldown_seconds=0.05)
-        assert b.state == "closed" and b.allow()
-        b.record_failure()
-        assert b.state == "closed"
-        b.record_failure()
-        assert b.state == "open"
-        assert not b.allow()
-        time.sleep(0.06)
-        assert b.state == "half-open"
-        assert b.allow()       # exactly one probe admitted
-        assert not b.allow()   # the rest wait for the probe's verdict
-        b.record_success()
-        assert b.state == "closed"
-
-    def test_probe_failure_reopens(self):
-        b = CircuitBreaker(failure_threshold=1, cooldown_seconds=30.0)
-        b.record_failure()
-        assert b.state == "open"
-        b.force_half_open()
-        assert b.allow()
-        b.record_failure()
-        assert b.state == "open"
-        assert b.snapshot()["consecutive_failures"] == 2
-
-    def test_board_tracks_keys(self):
-        board = BreakerBoard(failure_threshold=1, cooldown_seconds=30.0)
-        assert board.allow("fft:scipy")
-        board.record_failure("fft:scipy")
-        assert not board.allow("fft:scipy")
-        assert board.open_keys() == ["fft:scipy"]
-        assert "fft:scipy" in board.snapshot()
-
-    def test_demotion_chains_end_at_the_floor(self):
-        """With every ``fft:`` breaker open, each backend walks strictly
-        down to the numpy floor and never past it."""
-        board = BreakerBoard(failure_threshold=1, cooldown_seconds=30.0)
-        for name in ("pyfftw", "scipy", "numpy"):
-            board.record_failure(f"fft:{name}")
-        worker = ReconWorker("w0", breakers=board)
-        coords, samples = _problem()
-        steps = {
-            "pyfftw": [("fft:pyfftw", "fft:scipy"), ("fft:scipy", "fft:numpy")],
-            "scipy": [("fft:scipy", "fft:numpy")],
-            "numpy": [],
-        }
-        for start, expected in steps.items():
-            spec = JobSpec((24, 24), coords, samples, fft_backend=start)
-            demoted, events = worker._apply_breakers(spec)
-            assert demoted.fft_backend == "numpy"
-            assert [(e.from_stage, e.to_stage) for e in events] == expected
-
-    def test_demotion_stops_at_the_first_allowed_rung(self):
-        """Only ``fft:pyfftw`` open: the spec lands on scipy, not past
-        it, and the success is credited to the rung that ran."""
-        board = BreakerBoard(failure_threshold=1, cooldown_seconds=30.0)
-        board.record_failure("fft:pyfftw")
-        worker = ReconWorker("w0", breakers=board)
-        coords, samples = _problem()
-        spec = JobSpec((24, 24), coords, samples, fft_backend="pyfftw")
-        demoted, events = worker._apply_breakers(spec)
-        assert demoted.fft_backend == "scipy"
-        assert [(e.from_stage, e.to_stage) for e in events] == [
-            ("fft:pyfftw", "fft:scipy")
-        ]
-        assert breaker_keys(demoted)[-1] == "fft:scipy"
-
-    def test_open_breaker_demotes_spec_at_plan_time(self):
-        coords, samples = _problem()
-        with ReconService(workers=1, watchdog_period=None,
-                          breaker_threshold=1) as svc:
-            svc.breakers.record_failure("fft:scipy")
-            job = svc.submit(
-                JobSpec((24, 24), coords, samples, method="adjoint",
-                        fft_backend="scipy")
-            )
-            svc.wait(job.id, timeout=60)
-        assert job.state == JobState.DONE
-        assert any(
-            d.component == "service"
-            and (d.from_stage, d.to_stage) == ("fft:scipy", "fft:numpy")
-            for d in job.result.degradations
-        )
-        assert job.result.degradations[0].reason == "circuit breaker open"
 
 
 # ----------------------------------------------------------------------
@@ -562,11 +463,10 @@ class TestServiceLifecycle:
             stats = svc.stats()
         for key in (
             "jobs_cancelled", "jobs_deadline_exceeded", "jobs_resumed",
-            "watchdog_restarts", "breakers", "open_breakers",
-            "checkpoints_held", "deduplicated", "events",
+            "watchdog_restarts", "checkpoints_held", "deduplicated",
+            "events",
         ):
             assert key in stats, key
-        assert stats["open_breakers"] == []
         assert stats["watchdog_restarts"] == 0
 
 
@@ -608,18 +508,14 @@ class TestSupervisionChaos:
         finally:
             svc.close()
 
-    @pytest.mark.parametrize("lane", list(_BACKENDS))
-    def test_crashed_worker_resumes_from_checkpoint_bit_identical(
-        self, lane, monkeypatch
-    ):
+    @pytest.mark.parametrize("lane", LANES)
+    def test_crashed_worker_resumes_from_checkpoint_bit_identical(self, lane):
         """Kill the worker thread mid-stream (after >= 3 checkpointed
         chunks): the watchdog restarts it, the requeued job resumes
         from its snapshot, and the image is ``np.array_equal`` to an
         uninterrupted run."""
-        if lane == "numba" and not jit_available():
-            interpret_jit_kernels(monkeypatch)
         coords, samples = _problem()
-        opts = {"chunk_samples": 32, "backend": _BACKENDS[lane]}
+        opts = {"chunk_samples": 32}
         svc = ReconService(workers=1, watchdog_period=0.05,
                            watchdog_stale_after=0.3, checkpoint_every=1)
         try:
@@ -645,6 +541,7 @@ class TestSupervisionChaos:
                 assert job.result.resumed_from is not None
                 assert job.result.resumed_from["chunk_cursor"] >= 3
                 assert np.array_equal(job.result.image, ref)
+                assert job.result.exec_lane == lane
                 assert svc.watchdog_restarts == 1
                 assert svc.jobs_resumed == 1
                 assert any("crash" in d for _, d in inj.log)
@@ -667,10 +564,6 @@ class TestSupervisionChaos:
                     assert job.wait(timeout=30)
                     assert job.state == JobState.DONE, job.error
             assert svc.watchdog_restarts == 1
-            # the wedge fed the job's FFT breaker (one failure, not open yet)
-            assert breaker_keys(jobs[0].spec) == ("fft:numpy",)
-            snap = svc.breakers.get("fft:numpy").snapshot()
-            assert snap["total_failures"] >= 1
         finally:
             svc.close()
 
