@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SolverBreakdown
-from ..gridding.base import ExactBinding
-from ..nufft import NufftPlan, ToeplitzNormalOperator
+from ..nufft import NufftPlan
 from ..recon.cg import (
     CgResult,
     _check_controls,
@@ -78,8 +77,6 @@ class SenseOperator:
             )
         self.plan = plan
         self.maps = maps
-        #: the Toeplitz operator, bound to the weights it was built with
-        self._toeplitz = ExactBinding()
 
     @property
     def n_coils(self) -> int:
@@ -118,14 +115,6 @@ class SenseOperator:
         coil_images = self.plan.adjoint_batch(kspace)
         return np.sum(np.conj(self.maps) * coil_images, axis=0)
 
-    def _toeplitz_gram(self, weights: np.ndarray | None) -> ToeplitzNormalOperator:
-        """The Toeplitz embedding of ``A^H W A``, rebuilt unless
-        ``weights`` equal those of the last build."""
-        gram, _ = self._toeplitz.fetch(
-            weights, lambda w: ToeplitzNormalOperator(self.plan, weights=w)
-        )
-        return gram
-
     def normal(
         self,
         image: np.ndarray,
@@ -135,16 +124,18 @@ class SenseOperator:
         """Apply the Gram operator ``E^H W E`` (batched over coils).
 
         ``method="gridding"`` (default) runs a batched forward+adjoint
-        NuFFT pair.  ``method="toeplitz"`` applies the cached
+        NuFFT pair.  ``method="toeplitz"`` applies the plan's
         :class:`~repro.nufft.ToeplitzNormalOperator` per coil image in
-        one batched FFT pair — no per-iteration gridding; the up-front
-        PSF build (``2^d`` adjoints on the plan) is amortized over all
-        CG iterations (the operator is rebuilt only when ``weights``
-        change).
+        one batched FFT pair — no per-iteration gridding.  The operator
+        is the one bound to the plan and ``weights``
+        (:meth:`NufftPlan.toeplitz <repro.nufft.NufftPlan.toeplitz>`),
+        shared with :func:`repro.recon.cg_reconstruction` on the same
+        plan: its PSF (``2^d`` adjoints on the plan) is rebuilt only
+        when ``weights`` change.
         """
         image = np.asarray(image, dtype=self._cdtype)
         if method == "toeplitz":
-            gram = self._toeplitz_gram(weights)
+            gram = self.plan.toeplitz(weights)
             coil_images = gram.apply_batch(self.maps * image[None, ...])
             return np.sum(np.conj(self.maps) * coil_images, axis=0)
         if method != "gridding":
@@ -231,7 +222,7 @@ def sense_reconstruction(
 
     events: tuple = ()
     if normal == "toeplitz":
-        gram_op, events = _supervised_toeplitz(lambda: operator._toeplitz_gram(w))
+        gram_op, events = _supervised_toeplitz(lambda: operator.plan.toeplitz(w))
         if gram_op is None:
             normal = "gridding"
 

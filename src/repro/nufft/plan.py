@@ -25,6 +25,7 @@ import numpy as np
 
 from ..errors import DataQualityError
 from ..gridding import Gridder, GriddingSetup, make_gridder
+from ..gridding.base import ExactBinding
 from ..gridding.buffers import GridBufferPool
 from ..kernels import KernelLUT, numeric_apodization, beatty_kernel, make_kernel
 from ..kernels.window import KernelSpec
@@ -203,13 +204,6 @@ class NufftPlan:
         surfaced in ``plan.timings.quality``.  Ignored when ``gridder``
         is an already-built :class:`Gridder` — its setup's policy
         governs, and the plan adopts it.
-    fft_fallback:
-        Wrap the FFT backend in a
-        :class:`~repro.nufft.fft_backend.FallbackFftBackend` so a
-        runtime FFT failure degrades (sticky) down the chain of
-        available backends ending at ``numpy`` instead of aborting the
-        transform; demotions appear in ``plan.timings.fft_fallbacks``.
-        Default True; pass False to let FFT exceptions propagate.
     buffer_pool:
         An existing :class:`~repro.gridding.buffers.GridBufferPool` to
         route every full-grid allocation through, instead of the
@@ -259,7 +253,6 @@ class NufftPlan:
         fft_backend: str | FftBackend = "auto",
         fft_workers: int | None = None,
         quality_policy: str = "raise",
-        fft_fallback: bool = True,
         buffer_pool: GridBufferPool | None = None,
     ):
         if precision not in PRECISIONS:
@@ -365,8 +358,10 @@ class NufftPlan:
             self._apod = [w.astype(self.cdtype) for w in self._apod]
 
         fft = get_fft_backend(fft_backend, workers=fft_workers)
-        if fft_fallback and not isinstance(fft, FallbackFftBackend):
+        if not isinstance(fft, FallbackFftBackend):
             fft = FallbackFftBackend(fft, workers=fft_workers)
+        #: the backend inside its fallback chain: each sticky demotion is a
+        #: DegradationEvent in ``_fft.events`` (and ``timings.fft_fallbacks``)
         self._fft = fft
         #: pooled oversampled-grid buffers, shared with the gridder's
         #: internal dice/scratch allocations (and, when ``buffer_pool``
@@ -380,6 +375,9 @@ class NufftPlan:
         #: the owner and cleared in its ``finally`` so warm cached
         #: plans never retain a stale token.
         self.cancel_token = None
+        #: the one Toeplitz normal operator, bound to the float64
+        #: weights it folds in (see :meth:`toeplitz`)
+        self.toeplitz_binding = ExactBinding()
         self.timings = NufftTimings(
             fft_backend=self._fft.name,
             fft_workers=self._fft.workers,
@@ -538,7 +536,7 @@ class NufftPlan:
             fft_backend=self._fft.name,
             fft_workers=self._fft.workers,
             quality=report,
-            fft_fallbacks=tuple(str(e) for e in getattr(self._fft, "events", ())),
+            fft_fallbacks=tuple(str(e) for e in self._fft.events),
             precision=self.precision,
             kernel=self.kernel_name,
             exec_lane=self.gridder.stats.exec_lane,
@@ -729,6 +727,42 @@ class NufftPlan:
                 f"values must be (B, {self.n_samples}), got {values.shape}"
             )
         return self._adjoint_stack(values)
+
+    def toeplitz(self, weights: np.ndarray | None = None):
+        """The :class:`~repro.nufft.ToeplitzNormalOperator` of ``A^H W A``.
+
+        The plan holds one operator, bound to the float64 weights it
+        folds in; ``None`` means unit weights and shares the operator
+        of an all-ones vector.  Weights equal to the bound copy return
+        the bound operator.  Other weights, or an in-place edit of the
+        bound ones, build a new operator (``2^d`` adjoints on this
+        plan) and rebind, so a caller alternating between two weights
+        vectors rebuilds the PSF on each switch.  A build that raises
+        leaves nothing bound.  :func:`repro.recon.cg_reconstruction`
+        and :func:`repro.mri.sense_reconstruction` fetch their
+        ``normal="toeplitz"`` operator here, so they share it.
+
+        Examples
+        --------
+        >>> import numpy as np
+        >>> from repro.nufft import NufftPlan
+        >>> from repro.trajectories import radial_trajectory
+        >>> plan = NufftPlan((16, 16), radial_trajectory(16, 32))
+        >>> gram = plan.toeplitz()
+        >>> plan.toeplitz(np.ones(plan.n_samples)) is gram
+        True
+        >>> plan.toeplitz(2 * np.ones(plan.n_samples)) is gram
+        False
+        """
+        from .toeplitz import ToeplitzNormalOperator  # noqa: PLC0415 - avoid cycle
+
+        if weights is None:
+            weights = np.ones(self.n_samples)
+        weights = np.asarray(weights, dtype=np.float64).ravel()
+        gram, _ = self.toeplitz_binding.fetch(
+            weights, lambda w: ToeplitzNormalOperator(self, weights=w)
+        )
+        return gram
 
     # -- step-by-step reference ----------------------------------------
     # The fused steps reproduce _pad(_apodize(image, conjugate=True)) and

@@ -59,6 +59,10 @@ class ToeplitzNormalOperator:
 
     Notes
     -----
+    Each construction builds the PSF.  The reusable operator is the one
+    :meth:`NufftPlan.toeplitz <repro.nufft.NufftPlan.toeplitz>` binds
+    to the plan and its weights; the CG solvers fetch it there.
+
     The embedded kernel's spectrum is projected onto its real part.
     The true Gram is Hermitian positive semi-definite and its circulant
     spectrum is real; the projection removes the ``O(nufft-error)``
@@ -96,7 +100,6 @@ class ToeplitzNormalOperator:
     ):
         if psf not in ("nufft", "nudft"):
             raise ValueError(f"psf must be 'nufft' or 'nudft', got {psf!r}")
-        self.plan = plan
         self.shape = plan.image_shape
         self.psf = psf
         m = plan.n_samples
@@ -111,21 +114,24 @@ class ToeplitzNormalOperator:
                 f"{n_bad} sample weight(s) are non-finite; a NaN weight would "
                 "poison every lag of the Toeplitz PSF kernel"
             )
-        self.weights = weights
         self._embed_shape = tuple(2 * n for n in self.shape)
         self._center = tuple(slice(0, n) for n in self.shape)
         self._fft = plan._fft
         self._pool = plan.buffer_pool
         #: working complex dtype inherited from the plan's precision lane
         self._cdtype = plan.cdtype
-        self._kernel_fft = self._build_kernel()
+        # the plan and the weights are build inputs only: the plan binds
+        # its operator (NufftPlan.toeplitz), so a reference back to it
+        # would make a cycle that keeps an evicted plan alive until the
+        # cyclic garbage collector happens to run
+        self._kernel_fft = self._build_kernel(plan, weights)
 
     @property
     def ndim(self) -> int:
         return len(self.shape)
 
-    def _build_kernel(self) -> np.ndarray:
-        """PSF kernel on the 2x grid, stored as its FFT.
+    def _build_kernel(self, plan: NufftPlan, weights: np.ndarray) -> np.ndarray:
+        """PSF kernel of ``plan`` and ``weights`` on the 2x grid, as its FFT.
 
         Raises
         ------
@@ -139,9 +145,9 @@ class ToeplitzNormalOperator:
             from ..nudft import nudft_adjoint  # noqa: PLC0415 - avoid cycle
 
             def adjoint(values: np.ndarray) -> np.ndarray:
-                return nudft_adjoint(values, self.plan.coords, self.shape)
+                return nudft_adjoint(values, plan.coords, self.shape)
         else:
-            adjoint = self.plan.adjoint
+            adjoint = plan.adjoint
         # PSF values T[q] = sum_m w_m exp(+2 pi i k_m . q) for lags q in
         # [-N, N)^d, circulant-embedded at index q mod 2N.  An N-image
         # adjoint evaluates positions p = n - N//2, so modulating the
@@ -149,13 +155,13 @@ class ToeplitzNormalOperator:
         # s = N//2 fills indices [0, N) (lags [0, N)) and s = N//2 - N
         # fills [N, 2N) (lags [-N, 0)): 2^d blocks tile the embedding.
         per_axis = []
-        for k, n in zip(self.plan.coords.T, self.shape):
+        for k, n in zip(plan.coords.T, self.shape):
             first = np.exp(2j * np.pi * (n // 2) * k)
             second = np.exp(2j * np.pi * (n // 2 - n) * k)
             per_axis.append(((slice(0, n), first), (slice(n, 2 * n), second)))
         kernel = np.empty(self._embed_shape, dtype=np.complex128)
         for block in itertools.product(*per_axis):
-            values = self.weights.astype(np.complex128)
+            values = weights.astype(np.complex128)
             for _, phase in block:
                 values *= phase
             kernel[tuple(index for index, _ in block)] = adjoint(values)
@@ -179,16 +185,16 @@ class ToeplitzNormalOperator:
         return np.ascontiguousarray(kernel_fft.real, dtype=real_dtype)
 
     # ------------------------------------------------------------------
-    def health_check(self, tol: float = 1e-6) -> bool:
+    def health_check(self) -> bool:
         """Whether the embedded spectrum still looks like a Gram kernel.
 
         CG assumes the normal operator is Hermitian positive
         semi-definite.  The circulant eigenvalues are exactly the
-        entries of the embedded kernel spectrum, so the check is
-        cheap: every entry finite, imaginary residue within ``tol`` of
-        the spectral scale, and positive spectral energy present
-        (``max(Re) > 0``).  Negative embedding entries are *expected*
-        — the circulant embedding of a PSD Toeplitz operator need not
+        entries of the embedded kernel spectrum (stored real, so the
+        operator is Hermitian by construction), and the check is
+        cheap: every entry finite and positive spectral energy present
+        (``max > 0``).  Negative embedding entries are *expected* —
+        the circulant embedding of a PSD Toeplitz operator need not
         itself be PSD, and real trajectories routinely produce
         negative entries at a few percent of the peak — so they are
         not flagged; only a spectrum with no positive part (zeroed,
@@ -196,21 +202,8 @@ class ToeplitzNormalOperator:
         solvers call this before trusting a Toeplitz operator and
         degrade to the gridding normal operator when it returns False.
         """
-        spec = np.asarray(self._kernel_fft)
-        if not np.isfinite(spec).all():
-            return False
-        real = spec.real
-        scale = float(np.max(np.abs(real)))
-        if scale == 0.0:
-            return False
-        if np.iscomplexobj(spec) and float(np.max(np.abs(spec.imag))) > tol * scale:
-            return False
-        return float(real.max()) > 0.0
-
-    @property
-    def healthy(self) -> bool:
-        """Shorthand for :meth:`health_check` at the default tolerance."""
-        return self.health_check()
+        spec = self._kernel_fft
+        return bool(np.isfinite(spec).all() and spec.max() > 0.0)
 
     # ------------------------------------------------------------------
     def apply(self, image: np.ndarray) -> np.ndarray:

@@ -96,17 +96,19 @@ def _check_weights(
     return w.astype(real, copy=False)
 
 
-#: Toeplitz build errors that no fallback can help, so callers that
-#: otherwise absorb a failed build re-raise these: bad weights poison the
-#: gridding normal operator identically, and a cancelled (or
-#: deadline-expired) job must stop, not degrade.
+#: Toeplitz build errors that no fallback can help, so
+#: :func:`_supervised_toeplitz`, which absorbs any other failed build,
+#: re-raises these: bad weights poison the gridding normal operator
+#: identically, and a cancelled (or deadline-expired) job must stop, not
+#: degrade.
 TOEPLITZ_BUILD_FATAL = (DataQualityError, JobCancelled)
 
 
 def _supervised_toeplitz(
     build: Callable[[], ToeplitzNormalOperator],
 ) -> tuple[ToeplitzNormalOperator | None, tuple]:
-    """Build a Toeplitz normal operator and health-check it.
+    """Fetch (building if unbound) a Toeplitz normal operator and
+    health-check it.
 
     Returns ``(operator, ())``.  A build failure or a kernel that fails
     its :meth:`~repro.nufft.ToeplitzNormalOperator.health_check` returns
@@ -132,31 +134,18 @@ def _supervised_toeplitz(
     return gram_op, ()
 
 
-def _make_gram(plan, w, regularization, normal, normal_options):
+def _make_gram(plan, w, regularization, normal):
     """Build the batched normal operator ``A^H W A + lambda I``.
 
     The returned ``gram`` maps a ``(K,) + image_shape`` stack to one.
-    ``normal="toeplitz"`` goes through :func:`_supervised_toeplitz`
-    and degrades to the gridding operator when that fails.
-
-    ``normal_options`` may carry ``operator=<ToeplitzNormalOperator>``
-    — a *prebuilt* operator to use instead of building one here.  This
-    is the warm path for hosts that apply the same trajectory+weights
-    repeatedly (the reconstruction service caches the operator per
-    weights fingerprint): the one-shot PSF build (``2^d`` adjoints on
-    the plan) is skipped, but the health check and the degradation
-    contract still run.  The caller owns the weights-consistency of a
-    passed operator.
+    ``normal="toeplitz"`` fetches the operator bound to the plan
+    (:meth:`~repro.nufft.NufftPlan.toeplitz`, built once per weights)
+    through :func:`_supervised_toeplitz`, and degrades to the gridding
+    operator when that fails.
     """
     events: tuple = ()
     if normal == "toeplitz":
-        opts = dict(normal_options or {})
-        prebuilt = opts.pop("operator", None)
-        gram_op, events = _supervised_toeplitz(
-            lambda: prebuilt
-            if prebuilt is not None
-            else ToeplitzNormalOperator(plan, weights=w, **opts)
-        )
+        gram_op, events = _supervised_toeplitz(lambda: plan.toeplitz(w))
         if gram_op is not None:
 
             def gram(x: np.ndarray) -> np.ndarray:
@@ -327,7 +316,6 @@ def cg_reconstruction(
     tolerance: float = 1e-6,
     regularization: float = 0.0,
     normal: str = "gridding",
-    normal_options: dict | None = None,
     cancel: "object | None" = None,
 ) -> CgResult:
     """Iteratively reconstruct ``kspace`` samples into an image.
@@ -359,16 +347,14 @@ def cg_reconstruction(
     normal:
         How to apply the normal operator ``A^H W A`` each iteration:
         ``"gridding"`` (default) runs a forward+adjoint NuFFT pair;
-        ``"toeplitz"`` builds a
-        :class:`~repro.nufft.ToeplitzNormalOperator` once (``2^d``
-        up-front adjoints on ``plan``) and applies it with two ``2N`` FFTs
-        per iteration — Impatient's strategy [10], the fast path for
-        iteration counts beyond a handful.
-    normal_options:
-        Extra keyword arguments for
-        :class:`~repro.nufft.ToeplitzNormalOperator` when
-        ``normal="toeplitz"`` (e.g. ``{"psf": "nudft"}`` for the exact
-        kernel on small problems).
+        ``"toeplitz"`` applies the plan's
+        :class:`~repro.nufft.ToeplitzNormalOperator` with two ``2N``
+        FFTs per iteration — Impatient's strategy [10], the fast path
+        for iteration counts beyond a handful.  The operator is bound
+        to the plan and the weights (:meth:`NufftPlan.toeplitz
+        <repro.nufft.NufftPlan.toeplitz>`): its PSF (``2^d`` adjoints
+        on ``plan``) is built on the first call and reused by every
+        later call with equal weights.
     cancel:
         Optional :class:`~repro.robustness.CancelToken`, checked at the
         top of every iteration: an expired deadline raises
@@ -407,7 +393,7 @@ def cg_reconstruction(
         )
     _check_controls(n_iterations, tolerance, regularization)
     w = _check_weights(weights, plan.n_samples, plan.cdtype)
-    gram, events = _make_gram(plan, w, regularization, normal, normal_options)
+    gram, events = _make_gram(plan, w, regularization, normal)
 
     b = plan.adjoint_batch(w * stack)
     if not np.isfinite(b).all():

@@ -5,9 +5,10 @@ long-running service without adding a single dependency:
 
 - :mod:`repro.service.jobs` — job model: specs, lifecycle state
   machine, trajectory fingerprints, the JSON array codec;
-- :mod:`repro.service.worker` — worker threads with warm
-  plan/select-table/compiled-plan/Toeplitz caches and a shared
-  per-worker :class:`~repro.gridding.GridBufferPool`;
+- :mod:`repro.service.worker` — worker threads with an LRU of warm
+  plans (each holding its bound select tables or compiled plan and
+  Toeplitz operator) and a shared per-worker
+  :class:`~repro.gridding.GridBufferPool`;
 - :mod:`repro.service.router` — :class:`ReconService`: bounded
   admission (backpressure) + trajectory-affinity routing +
   idempotency-key dedup, cooperative cancellation, and the shared

@@ -31,12 +31,12 @@ requeued) is discarded.  ``on_terminal`` fires exactly once.
 The trajectory **fingerprint** computed here is the affinity-routing
 key and the trajectory part of the worker's plan key: jobs whose
 coordinate arrays fingerprint identically are routed to the same
-worker, whose plan and Toeplitz caches are therefore already warm for
-them.  It is a SHA-256 digest of the full contents (shape, dtype and
-every byte), computed once per job at submit, as is the weights key of
-the Toeplitz cache — so a cached plan or PSF is only ever served to the
-exact trajectory and weights it was built from.  Below the plan, each
-gridder binds its one trajectory exactly
+worker, whose cached plan is therefore already warm for them.  It is a
+SHA-256 digest of the full contents (shape, dtype and every byte),
+computed once per job at submit, so a cached plan is only ever served
+to the exact trajectory it was built from.  Inside the plan, each
+gridder binds its one trajectory, and the plan binds its one Toeplitz
+operator to the weights it folds in, by an exact match
 (:class:`repro.gridding.base.ExactBinding`).
 """
 
@@ -84,18 +84,10 @@ class JobState:
     TERMINAL = (DONE, FAILED, CANCELLED, DEADLINE_EXCEEDED)
 
 
-def content_digest(array: np.ndarray) -> str:
-    """Hex SHA-256 of an array's full contents: shape, dtype and every
-    byte, so two arrays share a digest only when they are equal."""
-    array = np.ascontiguousarray(array)
-    h = hashlib.sha256(f"{array.shape}{array.dtype.str}".encode())
-    h.update(array.data)
-    return h.hexdigest()
-
-
 def trajectory_fingerprint(coords: np.ndarray) -> str:
     """Hex affinity and plan key for an ``(M, d)`` coordinate array:
-    the :func:`content_digest` of the coordinates as float64.
+    the SHA-256 of the coordinates as float64 — shape, dtype and every
+    byte, so two trajectories share a fingerprint only when equal.
 
     Examples
     --------
@@ -107,7 +99,10 @@ def trajectory_fingerprint(coords: np.ndarray) -> str:
     >>> trajectory_fingerprint(a) == trajectory_fingerprint(b)
     False
     """
-    return content_digest(np.atleast_2d(np.asarray(coords, dtype=np.float64)))
+    array = np.ascontiguousarray(np.atleast_2d(np.asarray(coords, dtype=np.float64)))
+    h = hashlib.sha256(f"{array.shape}{array.dtype.str}".encode())
+    h.update(array.data)
+    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -317,13 +312,6 @@ class JobSpec:
         spec.coords = spec.samples = spec.weights = None
         spec._fingerprint = fingerprint
         return spec
-
-    def weights_key(self) -> str | None:
-        """Key of the DCF weights (Toeplitz-cache subkey): the
-        :func:`content_digest` of the weights as float64."""
-        if self.weights is None:
-            return None
-        return content_digest(np.asarray(self.weights, dtype=np.float64).ravel())
 
     @classmethod
     def from_payload(cls, payload: dict) -> "JobSpec":

@@ -21,9 +21,9 @@ accepted work).
 **Trajectory affinity.**  Jobs are routed by trajectory fingerprint:
 the first job of a fingerprint picks the least-loaded worker and the
 assignment sticks (bounded LRU of assignments), so repeat traffic on
-one trajectory always lands on the worker whose
-plan/select-table/compiled-plan/Toeplitz caches are already warm for
-it.  Distinct trajectories spread over workers by load.
+one trajectory always lands on the worker whose cached plan (with its
+bound select tables or compiled plan and Toeplitz operator) is already
+warm for it.  Distinct trajectories spread over workers by load.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class ReconService:
         Global bound on jobs simultaneously queued + running.  The
         lever that turns overload into fast 429s instead of unbounded
         memory growth.
-    plan_cache_size / toeplitz_cache_size:
-        Per-worker warm-cache capacities (see
+    plan_cache_size:
+        Warm plans each worker retains (see
         :class:`~repro.service.worker.ReconWorker`).
     max_affinity:
         Sticky fingerprint→worker assignments remembered (LRU).
@@ -92,7 +92,6 @@ class ReconService:
         workers: int = 2,
         max_pending: int = 64,
         plan_cache_size: int = 8,
-        toeplitz_cache_size: int = 4,
         max_affinity: int = 1024,
         max_jobs_retained: int = 4096,
         autostart: bool = True,
@@ -109,7 +108,6 @@ class ReconService:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.max_pending = int(max_pending)
         self._plan_cache_size = plan_cache_size
-        self._toeplitz_cache_size = toeplitz_cache_size
         self.checkpoint_store = (
             CheckpointStore() if checkpoint_store is None else checkpoint_store
         )
@@ -158,7 +156,6 @@ class ReconService:
         return ReconWorker(
             name,
             plan_cache_size=self._plan_cache_size,
-            toeplitz_cache_size=self._toeplitz_cache_size,
             checkpoint_store=self.checkpoint_store,
             checkpoint_every=self.checkpoint_every,
         )

@@ -6,14 +6,14 @@ Each :class:`ReconWorker` is one long-lived thread owning:
   once a job is accepted it must never be droppable at a worker);
 - a true-LRU cache of warm :class:`~repro.nufft.NufftPlan` objects
   keyed by :meth:`~repro.service.jobs.JobSpec.plan_key` — holding a
-  plan warm transitively holds its gridder's select-table and
-  compiled-scatter-plan caches warm, which is where repeat-trajectory
-  throughput comes from (PyNUFFT and cuFINUFFT both win by amortizing
-  exactly this setup);
-- per-plan :class:`~repro.nufft.ToeplitzNormalOperator` caches keyed
-  by DCF-weights fingerprint, so the one-shot PSF build of the
-  Toeplitz CG fast path (``2^d`` adjoints on the cached plan) is also
-  paid once per (trajectory, weights);
+  plan warm transitively holds its gridder's bound select tables or
+  compiled scatter plan, and the Toeplitz operator the plan binds to
+  its weights (:meth:`~repro.nufft.NufftPlan.toeplitz`), warm.  That
+  is where repeat-trajectory throughput comes from (PyNUFFT and
+  cuFINUFFT both win by amortizing exactly this setup): the one-shot
+  PSF build of the Toeplitz CG fast path (``2^d`` adjoints on the
+  plan) is paid once per trajectory while its jobs keep one weights
+  vector, and again on each switch between weights vectors;
 - one shared :class:`~repro.gridding.GridBufferPool` threaded through
   every cached plan, so the worker's grid buffers are reused across
   plans and its ``/stats`` pool numbers are one coherent snapshot.
@@ -35,9 +35,8 @@ import numpy as np
 
 from ..errors import DeadlineExceeded, JobCancelled
 from ..gridding.buffers import GridBufferPool
-from ..nufft import NufftPlan, ToeplitzNormalOperator
+from ..nufft import NufftPlan
 from ..recon import cg_reconstruction
-from ..recon.cg import TOEPLITZ_BUILD_FATAL
 from ..robustness.checkpoint import CheckpointConfig
 from ..robustness.faults import InjectedWorkerCrash, heartbeat_fault_point
 from .jobs import Job, JobResult, JobSpec
@@ -49,18 +48,8 @@ __all__ = ["ReconWorker"]
 _SHUTDOWN = object()
 
 
-class _WarmEntry:
-    """One cached plan plus its per-weights Toeplitz operators."""
-
-    __slots__ = ("plan", "toeplitz")
-
-    def __init__(self, plan: NufftPlan):
-        self.plan = plan
-        self.toeplitz: OrderedDict[tuple, ToeplitzNormalOperator] = OrderedDict()
-
-
 class ReconWorker:
-    """One worker thread with warm plan/Toeplitz caches.
+    """One worker thread with a warm plan cache.
 
     Parameters
     ----------
@@ -72,9 +61,6 @@ class ReconWorker:
         *cache reference*; a plan still executing the current job owns
         a live Python reference and completes safely — the
         concurrent-cache regression tests hammer exactly this.
-    toeplitz_cache_size:
-        Warm Toeplitz operators retained per plan (keyed by weights
-        fingerprint).
     checkpoint_store:
         Optional :class:`~repro.robustness.CheckpointStore` the
         service shares across workers.  When set, streamed adjoint
@@ -91,7 +77,6 @@ class ReconWorker:
         self,
         name: str,
         plan_cache_size: int = 8,
-        toeplitz_cache_size: int = 4,
         checkpoint_store=None,
         checkpoint_every: int = 4,
     ):
@@ -99,13 +84,12 @@ class ReconWorker:
             raise ValueError(f"plan_cache_size must be >= 1, got {plan_cache_size}")
         self.name = name
         self.plan_cache_size = int(plan_cache_size)
-        self.toeplitz_cache_size = max(1, int(toeplitz_cache_size))
         self.checkpoint_store = checkpoint_store
         self.checkpoint_every = max(1, int(checkpoint_every))
         self.inbox: queue.Queue = queue.Queue()
         #: one pool for every plan this worker ever builds
         self.buffer_pool = GridBufferPool()
-        self._plans: OrderedDict[tuple, _WarmEntry] = OrderedDict()
+        self._plans: OrderedDict[tuple, NufftPlan] = OrderedDict()
         # counters (read by /stats from other threads; int updates are
         # atomic enough under the GIL for monitoring purposes)
         self.jobs_done = 0
@@ -191,14 +175,14 @@ class ReconWorker:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _warm_plan(self, spec: JobSpec) -> tuple[_WarmEntry, str]:
+    def _warm_plan(self, spec: JobSpec) -> tuple[NufftPlan, str]:
         """Fetch or build the plan for ``spec`` (true-LRU semantics)."""
         key = spec.plan_key()
-        entry = self._plans.get(key)
-        if entry is not None:
+        plan = self._plans.get(key)
+        if plan is not None:
             self._plans.move_to_end(key)
             self.plan_hits += 1
-            return entry, "hit"
+            return plan, "hit"
         self.plan_misses += 1
         plan = NufftPlan(
             spec.image_shape,
@@ -210,41 +194,10 @@ class ReconWorker:
             quality_policy=spec.quality_policy,
             buffer_pool=self.buffer_pool,
         )
-        entry = _WarmEntry(plan)
-        self._plans[key] = entry
+        self._plans[key] = plan
         while len(self._plans) > self.plan_cache_size:
             self._plans.popitem(last=False)
-        return entry, "miss"
-
-    def _warm_toeplitz(
-        self, entry: _WarmEntry, spec: JobSpec, weights: np.ndarray | None
-    ) -> tuple[ToeplitzNormalOperator | None, str]:
-        """Fetch or build the Toeplitz operator for (plan, weights).
-
-        :data:`~repro.recon.cg.TOEPLITZ_BUILD_FATAL` errors propagate
-        and cache nothing: bad weights fail the job, and a cancel or
-        deadline observed during the build (the plan checks the job's
-        token before each PSF block) ends it cancelled.  Any other
-        build failure returns ``(None, "build-failed")`` and leaves the
-        degradation to ``cg_reconstruction``'s own chain.
-        """
-        key = (spec.weights_key(),)
-        op = entry.toeplitz.get(key)
-        if op is not None:
-            entry.toeplitz.move_to_end(key)
-            self.toeplitz_hits += 1
-            return op, "hit"
-        self.toeplitz_misses += 1
-        try:
-            op = ToeplitzNormalOperator(entry.plan, weights=weights)
-        except TOEPLITZ_BUILD_FATAL:
-            raise
-        except Exception:  # noqa: BLE001 - cg's own chain degrades + records
-            return None, "build-failed"
-        entry.toeplitz[key] = op
-        while len(entry.toeplitz) > self.toeplitz_cache_size:
-            entry.toeplitz.popitem(last=False)
-        return op, "miss"
+        return plan, "miss"
 
     def _execute(self, job: Job) -> None:
         attempt = job.mark_running(self.name)
@@ -291,8 +244,7 @@ class ReconWorker:
 
     def _reconstruct(self, job: Job) -> JobResult:
         spec = job.spec
-        entry, plan_cache = self._warm_plan(spec)
-        plan = entry.plan
+        plan, plan_cache = self._warm_plan(spec)
         token = job.cancel_token
         plan.cancel_token = token
         gridder = plan.gridder
@@ -308,11 +260,12 @@ class ReconWorker:
                 fingerprint=repr(spec.plan_key()),
                 every=self.checkpoint_every,
             )
-        # the engine's record is sticky across jobs: report the events
-        # since this job began
+        # the engine's and the FFT chain's records are sticky across
+        # jobs: report the events since this job began
         seen = len(getattr(gridder, "degradations", ()))
+        fft_seen = len(plan._fft.events)
         try:
-            result = self._run_spec(job, spec, entry, plan_cache, checkpointing)
+            result = self._run_spec(job, spec, plan, plan_cache, checkpointing)
         finally:
             # cached plans outlive the job: never let a stale token or
             # checkpoint config leak into the next job's transforms
@@ -320,8 +273,10 @@ class ReconWorker:
             gridder.cancel_token = None
             if checkpointing:
                 gridder.checkpoint = None
-        result.degradations = tuple(result.degradations) + tuple(
-            getattr(gridder, "degradations", ())[seen:]
+        result.degradations = (
+            tuple(result.degradations)
+            + tuple(getattr(gridder, "degradations", ())[seen:])
+            + tuple(plan._fft.events[fft_seen:])
         )
         return result
 
@@ -329,11 +284,10 @@ class ReconWorker:
         self,
         job: Job,
         spec: JobSpec,
-        entry: _WarmEntry,
+        plan: NufftPlan,
         plan_cache: str,
         checkpointing: bool,
     ) -> JobResult:
-        plan = entry.plan
         samples = np.asarray(spec.samples, dtype=plan.cdtype)
         weights = spec.weights
         if weights is not None:
@@ -358,23 +312,30 @@ class ReconWorker:
                 resumed_from=resumed,
             )
 
-        normal_options = None
         toeplitz_cache = None
-        if spec.normal == "toeplitz":
-            op, toeplitz_cache = self._warm_toeplitz(entry, spec, weights)
-            if op is not None:
-                normal_options = {"operator": op}
-        cg = cg_reconstruction(
-            plan,
-            samples,
-            weights=weights,
-            n_iterations=spec.n_iterations,
-            tolerance=spec.tolerance,
-            regularization=spec.regularization,
-            normal=spec.normal,
-            normal_options=normal_options,
-            cancel=job.cancel_token,
-        )
+        bound = plan.toeplitz_binding.product
+        try:
+            cg = cg_reconstruction(
+                plan,
+                samples,
+                weights=weights,
+                n_iterations=spec.n_iterations,
+                tolerance=spec.tolerance,
+                regularization=spec.regularization,
+                normal=spec.normal,
+                cancel=job.cancel_token,
+            )
+        finally:
+            if spec.normal == "toeplitz":
+                # CG fetched the plan's Toeplitz operator: a hit found
+                # the one bound before the job; a rebuild, a failed
+                # build or a job that ended before the fetch is a miss
+                hit = bound is not None and plan.toeplitz_binding.product is bound
+                toeplitz_cache = "hit" if hit else "miss"
+                if hit:
+                    self.toeplitz_hits += 1
+                else:
+                    self.toeplitz_misses += 1
         quality = plan.timings.quality
         return JobResult(
             image=cg.image,

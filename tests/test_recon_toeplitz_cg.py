@@ -15,6 +15,9 @@ Two accuracy regimes are tested deliberately:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -179,7 +182,21 @@ class TestPsfOnThePlan:
         gram = ToeplitzNormalOperator(plan)
         assert constructed == []
         assert plan.gridder.stats.boundary_checks == 0
-        assert gram.healthy
+        assert gram.health_check()
+
+    def test_a_plan_with_a_bound_operator_is_freed_by_refcount(self):
+        # the plan holds its operator and the operator holds no
+        # reference back, so dropping a cached plan frees it at once
+        # instead of waiting for the cyclic garbage collector
+        plan = NufftPlan((16, 16), radial_trajectory(8, 16))
+        plan.toeplitz()
+        ref = weakref.ref(plan)
+        gc.disable()
+        try:
+            del plan
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestHermitianPsd:
@@ -266,18 +283,76 @@ class TestCgIntegration:
             )
             assert np.array_equal(stacked.image[k], single.image)
 
-    def test_normal_options_exact_psf(self):
+    def test_repeated_cg_builds_the_psf_once(self, monkeypatch):
         coords = radial_trajectory(12, 24)
         plan = NufftPlan((16, 16), coords)
         kspace = plan.forward(_rand_image((16, 16), seed=15))
-        result = cg_reconstruction(
-            plan,
-            kspace,
-            n_iterations=5,
-            normal="toeplitz",
-            normal_options={"psf": "nudft"},
+        w = np.linspace(0.5, 1.5, coords.shape[0])
+        builds = []
+        build = ToeplitzNormalOperator._build_kernel
+
+        def counting_build(self, *args):
+            builds.append(1)
+            return build(self, *args)
+
+        monkeypatch.setattr(ToeplitzNormalOperator, "_build_kernel", counting_build)
+        first = cg_reconstruction(plan, kspace, w, n_iterations=5, normal="toeplitz")
+        gram = plan.toeplitz_binding.product
+        again = cg_reconstruction(plan, kspace, w, n_iterations=5, normal="toeplitz")
+        assert builds == [1]
+        assert plan.toeplitz_binding.product is gram
+        assert np.array_equal(first.image, again.image)
+
+    def test_new_or_edited_weights_rebuild(self):
+        coords = radial_trajectory(12, 24)
+        plan = NufftPlan((16, 16), coords)
+        kspace = plan.forward(_rand_image((16, 16), seed=19))
+        w = np.linspace(0.5, 1.5, coords.shape[0])
+        cg_reconstruction(plan, kspace, w, n_iterations=3, normal="toeplitz")
+        first = plan.toeplitz_binding.product
+        cg_reconstruction(plan, kspace, 2 * w, n_iterations=3, normal="toeplitz")
+        second = plan.toeplitz_binding.product
+        assert second is not first
+        # an in-place edit of the weights the operator was built from
+        w2 = 2 * w
+        cg_reconstruction(plan, kspace, w2, n_iterations=3, normal="toeplitz")
+        assert plan.toeplitz_binding.product is second
+        w2[7] = 9.0
+        edited = cg_reconstruction(plan, kspace, w2, n_iterations=3, normal="toeplitz")
+        assert plan.toeplitz_binding.product is not second
+        fresh = cg_reconstruction(
+            NufftPlan((16, 16), coords), kspace, w2, n_iterations=3, normal="toeplitz"
         )
-        assert result.image.shape == (16, 16)
+        assert np.array_equal(edited.image, fresh.image)
+
+    def test_none_and_unit_weights_share_one_operator(self):
+        coords = radial_trajectory(12, 24)
+        plan = NufftPlan((16, 16), coords)
+        kspace = plan.forward(_rand_image((16, 16), seed=20))
+        unweighted = cg_reconstruction(plan, kspace, n_iterations=3, normal="toeplitz")
+        gram = plan.toeplitz_binding.product
+        ones = np.ones(coords.shape[0])
+        unit = cg_reconstruction(plan, kspace, ones, n_iterations=3, normal="toeplitz")
+        assert plan.toeplitz_binding.product is gram
+        assert plan.toeplitz() is gram and plan.toeplitz(ones) is gram
+        assert np.array_equal(unweighted.image, unit.image)
+
+    def test_cg_and_cg_sense_share_one_operator(self):
+        coords = radial_trajectory(12, 24)
+        plan = NufftPlan((16, 16), coords)
+        op = SenseOperator(plan, birdcage_maps(2, 16))
+        w = np.linspace(0.5, 1.5, coords.shape[0])
+        kspace = op.forward(_rand_image((16, 16), seed=21))
+        cg_reconstruction(plan, kspace[0], w, n_iterations=3, normal="toeplitz")
+        gram = plan.toeplitz_binding.product
+        sense_reconstruction(op, kspace, w, n_iterations=3, normal="toeplitz")
+        assert plan.toeplitz_binding.product is gram
+        # unit weights: SENSE passes None, CG passes ones
+        sense_reconstruction(op, kspace, n_iterations=3, normal="toeplitz")
+        unit = plan.toeplitz_binding.product
+        assert unit is not gram
+        cg_reconstruction(plan, kspace[0], n_iterations=3, normal="toeplitz")
+        assert plan.toeplitz_binding.product is unit
 
 
 class TestSenseToeplitz:
@@ -305,20 +380,21 @@ class TestSenseToeplitz:
         op = SenseOperator(plan, birdcage_maps(2, 16))
         x = _rand_image((16, 16), seed=17)
         w = np.ones(coords.shape[0])
+        binding = plan.toeplitz_binding
         op.normal(x, weights=w, method="toeplitz")
-        first = op._toeplitz.product
+        first = binding.product
         op.normal(2 * x, weights=w, method="toeplitz")
-        assert op._toeplitz.product is first
+        assert binding.product is first
         op.normal(x, weights=2 * w, method="toeplitz")
-        assert op._toeplitz.product is not first
+        assert binding.product is not first
         # an in-place edit of the bound weights is caught too
-        second = op._toeplitz.product
+        second = binding.product
         w2 = 2 * w
         op.normal(x, weights=w2, method="toeplitz")
-        assert op._toeplitz.product is second
+        assert binding.product is second
         w2[5] = 7.0
         op.normal(x, weights=w2, method="toeplitz")
-        assert op._toeplitz.product is not second
+        assert binding.product is not second
 
     def test_sense_reconstruction_toeplitz(self):
         coords = radial_trajectory(16, 32)

@@ -6,8 +6,9 @@ without a socket — the HTTP layer has its own suite in
 
 1. a job's result is bit-identical to calling the library directly
    with the same options (the service adds *no* numerics);
-2. repeat traffic on one trajectory hits the warm plan/Toeplitz caches
-   and sticks to one worker (affinity);
+2. repeat traffic on one trajectory hits the warm plan (and the
+   Toeplitz operator it binds to the job's weights) and sticks to one
+   worker (affinity);
 3. admission is bounded: the ``max_pending+1``-th submission raises
    :class:`~repro.errors.ServiceOverloaded` *before* an id is issued,
    and every accepted job still reaches a terminal state — including
@@ -26,6 +27,7 @@ import pytest
 from repro import NufftPlan, cg_reconstruction, shepp_logan_2d
 from repro.errors import ServiceOverloaded
 from repro.gridding.buffers import GridBufferPool, PoolSnapshot
+from repro.robustness import inject_faults
 from repro.service import (
     Job,
     JobSpec,
@@ -211,6 +213,83 @@ class TestServiceNumerics:
             svc.wait(b.id, timeout=60)
         assert b.result.plan_cache == "hit"
         assert b.result.toeplitz_cache == "miss"
+
+    def test_one_shot_psf_fault_is_recorded_then_rebuilt(self):
+        # the failed build degrades the job to the gridding normal
+        # operator on the record; nothing is bound, so the next job on
+        # the same trajectory and weights builds the PSF and the one
+        # after it reuses that build
+        coords, samples, weights = _problem()
+        spec = lambda: JobSpec(  # noqa: E731
+            (32, 32), coords, samples, weights=weights, n_iterations=3
+        )
+        with ReconService(workers=1) as svc:
+            with inject_faults(seed=0, toeplitz_psf_errors=1) as inj:
+                failed = svc.submit(spec())
+                svc.wait(failed.id, timeout=60)
+            later = []
+            for _ in range(2):
+                later.append(svc.submit(spec()))
+                svc.wait(later[-1].id, timeout=60)
+        assert inj.log == [("toeplitz:psf", "raise")]
+        assert failed.state == JobState.DONE
+        assert failed.result.toeplitz_cache == "miss"
+        assert [
+            (e.component, e.from_stage, e.to_stage)
+            for e in failed.result.degradations
+        ] == [("normal", "toeplitz", "gridding")]
+        plan = NufftPlan((32, 32), coords, gridder="slice_and_dice_compiled")
+        ref = cg_reconstruction(plan, samples, weights=weights, n_iterations=3)
+        np.testing.assert_array_equal(failed.result.image, ref.image)
+        assert [j.result.toeplitz_cache for j in later] == ["miss", "hit"]
+        assert [j.result.degradations for j in later] == [(), ()]
+
+    def test_single_precision_cg_job_matches_direct_call(self):
+        # the PSF folds in the weights CG solves with: float32 on the
+        # single lane, in the service as in a direct call
+        coords, _, _ = _problem()
+        weights = np.random.default_rng(3).uniform(0.5, 1.5, coords.shape[0])
+        fresh = lambda: NufftPlan(  # noqa: E731
+            (32, 32), coords, gridder="slice_and_dice_compiled",
+            precision="single",
+        )
+        samples = fresh().forward(shepp_logan_2d(32).astype(np.complex64))
+        ref = cg_reconstruction(
+            fresh(), samples, weights=weights, n_iterations=5, normal="toeplitz"
+        )
+        with ReconService(workers=1) as svc:
+            job = svc.submit(JobSpec((32, 32), coords, samples, weights=weights,
+                                     n_iterations=5, precision="single"))
+            svc.wait(job.id, timeout=60)
+        assert job.state == JobState.DONE
+        assert job.result.image.dtype == np.complex64
+        np.testing.assert_array_equal(job.result.image, ref.image)
+
+    def test_fft_demotion_is_in_the_job_record(self):
+        coords, samples, weights = _problem()
+        spec = lambda: JobSpec(  # noqa: E731
+            (32, 32), coords, samples, weights=weights, method="adjoint",
+            fft_backend="scipy",
+        )
+        with ReconService(workers=1) as svc:
+            with inject_faults(seed=0, fft_errors={"scipy": 1}) as inj:
+                job = svc.submit(spec())
+                svc.wait(job.id, timeout=60)
+            later = svc.submit(spec())
+            svc.wait(later.id, timeout=60)
+        assert inj.log == [("fft:scipy", "raise")]
+        assert job.state == JobState.DONE
+        assert [
+            (e.component, e.from_stage, e.to_stage)
+            for e in job.result.degradations
+        ] == [("fft", "scipy", "numpy")]
+        # the demotion is sticky on the warm plan; only the job it
+        # happened in reports it
+        assert later.result.plan_cache == "hit"
+        assert later.result.degradations == ()
+        plan = NufftPlan((32, 32), coords, gridder="slice_and_dice_compiled",
+                         fft_backend="numpy")
+        np.testing.assert_array_equal(job.result.image, plan.adjoint(samples * weights))
 
     def test_failed_job_surfaces_typed_error(self):
         coords, samples, _ = _problem()

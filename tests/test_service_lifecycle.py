@@ -355,8 +355,8 @@ class TestServiceLifecycle:
 
     def test_cancel_during_psf_build_ends_cancelled(self, monkeypatch):
         # cancel between the PSF's lag blocks (2^d plan adjoints): the
-        # job ends cancelled, no operator is cached, and the build is
-        # not retried by CG's toeplitz -> gridding fallback
+        # job ends cancelled, no operator is bound to the plan, and the
+        # build is not retried by CG's toeplitz -> gridding fallback
         coords, samples = _problem()
         calls = []
         adjoint = NufftPlan.adjoint
@@ -380,14 +380,15 @@ class TestServiceLifecycle:
         assert job.result is None
         assert "degradations" not in job.as_dict()
         (worker,) = svc.workers
-        assert [len(e.toeplitz) for e in worker._plans.values()] == [0]
+        assert [p.toeplitz_binding.product for p in worker._plans.values()] == [None]
         assert worker.toeplitz_misses == 1
         assert worker.buffer_pool.outstanding == 0
         assert svc.stats()["jobs_cancelled"] == 1
 
     def test_nan_weight_fails_at_the_psf_build(self):
-        # bad weights poison the gridding operator too: the worker's
-        # build raises instead of handing CG a second, futile build
+        # bad weights poison the gridding operator too: the job fails
+        # with a typed error before any PSF is built, instead of
+        # degrading to the gridding normal operator
         coords, samples = _problem()
         weights = np.ones(coords.shape[0])
         weights[3] = np.nan
@@ -396,9 +397,9 @@ class TestServiceLifecycle:
                                      weights=weights, normal="toeplitz"))
             assert job.wait(timeout=30)
         assert job.state == JobState.FAILED
-        assert "Toeplitz PSF kernel" in job.error
+        assert "DataQualityError" in job.error and "non-finite" in job.error
         (worker,) = svc.workers
-        assert [len(e.toeplitz) for e in worker._plans.values()] == [0]
+        assert [p.toeplitz_binding.product for p in worker._plans.values()] == [None]
         assert worker.toeplitz_misses == 1
         assert worker.buffer_pool.outstanding == 0
 
