@@ -70,8 +70,8 @@ rounded float64 product and one rounded add — the same operations
 ``np.bincount`` performs — provided the SciPy loops are compiled
 without FMA contraction, which holds for SciPy's x86-64 wheels.  Hence
 at complex128 the engine is **bit-identical** (``np.array_equal``) to
-:class:`SliceAndDiceGridder` in both directions, asserted in
-``tests/test_core_compiled.py``.
+:class:`SliceAndDiceGridder` in both directions, asserted by the
+engine matrix (``tests/test_engine_matrix.py``).
 
 Bands keep both orders at any ``P``.  Every dice word lies in exactly
 one band, and within a band its entries still run in ascending sample

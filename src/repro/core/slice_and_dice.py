@@ -1,6 +1,6 @@
 """The Slice-and-Dice gridder (§III, Fig. 3b/4).
 
-Two execution engines, both bit-identical in output:
+Two execution engines over the same window hits and weights:
 
 - ``engine="columns"`` — the faithful parallel model: every column
   (one of ``T^d``) scans the whole sample stream, keeps the samples
@@ -15,7 +15,9 @@ Two execution engines, both bit-identical in output:
   column model on its slice of the input and accumulates into the
   shared dice with (emulated) atomic adds.  Demonstrates the
   input x output parallelization that breaks the pure output-parallel
-  model but raises occupancy.
+  model but raises occupancy.  Its interpolation is bit-identical to
+  ``"columns"``; its gridding adds the blocks' partial sums in another
+  order, so it matches ``"columns"`` to rounding, not bit for bit.
 
 Multi-RHS batching and the trajectory binding
 ---------------------------------------------

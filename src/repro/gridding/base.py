@@ -424,8 +424,13 @@ def window_contributions(
         fwd = frac[:, None] + offsets[None, :]  # (M, W) forward distances
         k = base[:, None] - offsets[None, :]  # affected grid coordinates
         per_axis_idx.append(np.mod(k, g).astype(np.int64))
+        # ``frac + o`` rounds up to exactly ``W`` when ``frac`` lies within
+        # an ulp of 1: the Slice-and-Dice select drops that entry, so its
+        # weight is zero here too
         per_axis_wgt.append(
-            lut.table[lut.index_of(fwd)].astype(setup.real_dtype, copy=False)
+            np.where(fwd < w, lut.table[lut.index_of(fwd)], 0.0).astype(
+                setup.real_dtype, copy=False
+            )
         )
 
     # combine separable axes into linear indices / product weights

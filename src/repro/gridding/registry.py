@@ -1,8 +1,8 @@
 """Gridder registry: construct any gridding algorithm by name.
 
 Central lookup used by the NuFFT plan, the benchmark harness, and the
-equivalence test suite (which iterates every registered gridder and
-asserts identical output grids).  Registered engines (see
+engine matrix of the test suite (which runs every registered gridder
+against the serial engine and the exact NuDFT).  Registered engines (see
 ``docs/engines.md`` for the full comparison):
 
 - ``"naive"`` — serial input-driven CPU baseline,

@@ -69,7 +69,7 @@ class NufftTimings:
     #: FFT degradation events recorded so far on this plan's fallback
     #: chain (sticky — once demoted, every later call lists the event)
     fft_fallbacks: tuple = ()
-    #: precision lane of the plan (``double``/``single``/``simulate-single``)
+    #: precision lane of the plan (``double``/``single``)
     precision: str = "double"
     #: short window-kernel identifier of the plan (``kb``/``es``/...)
     kernel: str = ""
@@ -92,7 +92,7 @@ class NufftTimings:
 
 
 #: the precision lanes a :class:`NufftPlan` accepts
-PRECISIONS = ("double", "single", "simulate-single")
+PRECISIONS = ("double", "single")
 
 
 def plan_grid_shape(
@@ -167,20 +167,15 @@ class NufftPlan:
         ``{"tile_size": 8}`` for the tiled engines or
         ``{"chunk_samples": 4096}`` for ``"slice_and_dice_compiled"``.
     precision:
-        ``"double"`` (default), ``"single"``, or ``"simulate-single"``.
+        ``"double"`` (default) or ``"single"``.
         ``"single"`` is a true complex64 compute lane matching the
         paper's GPU implementations ("The GPU implementation of
         Slice-and-Dice uses single-precision floating-point values to
         closely match the prior work", §V): the gridder, buffer pool,
         FFT, and apodization all carry ``complex64``/``float32`` data
         end to end — half the memory traffic of double.
-        ``"simulate-single"`` is the stepwise comparator: everything
-        computes in complex128 on the same pipeline, but the input, the
-        gridded array, the FFT output and the output are *rounded* to
-        complex64 at each step boundary — kept bit-for-bit for
-        reproducing the historical Fig. 9 error-floor numbers.
-        Coordinates stay float64 in every lane so all three select
-        identical window hit sets.
+        Coordinates stay float64 in both lanes so both select identical
+        window hit sets.
     fft_backend:
         FFT implementation for the oversampled-grid transforms:
         ``"auto"`` (default — SciPy's multithreaded pocketfft when
@@ -257,8 +252,7 @@ class NufftPlan:
     ):
         if precision not in PRECISIONS:
             raise ValueError(
-                "precision must be 'double', 'single', or 'simulate-single', "
-                f"got {precision!r}"
+                f"precision must be 'double' or 'single', got {precision!r}"
             )
         self.precision = precision
         #: working complex dtype of every full-grid array the plan touches
@@ -384,22 +378,6 @@ class NufftPlan:
             precision=self.precision,
             kernel=self.kernel_name,
         )
-
-    def _round(self, array: np.ndarray, copy: bool = False) -> np.ndarray:
-        """Round to complex64 at a step boundary (simulate-single only).
-
-        Arrays the pipeline owns (grid buffers, FFT and gridder outputs)
-        are rounded in place; ``copy=True`` rounds a caller's input into
-        a new array instead.  The true ``"single"`` lane never needs
-        this — its arrays *are* complex64 throughout; ``"double"``
-        passes through untouched.
-        """
-        if self.precision != "simulate-single":
-            return array
-        if copy:
-            return array.astype(np.complex64).astype(np.complex128)
-        array[...] = array.astype(np.complex64)
-        return array
 
     def _gate_image(self, image: np.ndarray) -> tuple[np.ndarray, int]:
         """Gate non-finite image pixels per the plan's quality policy.
@@ -551,7 +529,6 @@ class NufftPlan:
         calls run it as a batch of one.
         """
         self._check_cancel()
-        values = self._round(values, copy=True)
         axes = tuple(range(1, self.ndim + 1))
         out = np.empty((values.shape[0],) + self.image_shape, dtype=self.cdtype)
         pool = self.buffer_pool
@@ -562,16 +539,13 @@ class NufftPlan:
         )
         try:
             t0 = time.perf_counter()
-            grids = self._round(
-                self.gridder.grid_batch(self.grid_coords, values, out=grid_buf)
-            )
+            grids = self.gridder.grid_batch(self.grid_coords, values, out=grid_buf)
             t1 = time.perf_counter()
             # norm="forward" is the unnormalized inverse DFT — ifftn(grid)
             # * prod(grid_shape) without the extra full-grid scaling pass
-            spectra = self._round(self._fft.ifftn(grids, axes=axes, norm="forward"))
+            spectra = self._fft.ifftn(grids, axes=axes, norm="forward")
             t2 = time.perf_counter()
             self._fused_crop_deapodize(spectra, out)
-            self._round(out)
             t3 = time.perf_counter()
         finally:
             pool.release(grid_buf)
@@ -594,7 +568,6 @@ class NufftPlan:
         """
         self._check_cancel()
         images, n_bad_pixels = self._gate_image(images)
-        images = self._round(images, copy=True)
         axes = tuple(range(1, self.ndim + 1))
         pool = self.buffer_pool
         miss0 = pool.miss_bytes
@@ -605,11 +578,10 @@ class NufftPlan:
         try:
             t0 = time.perf_counter()
             self._fused_apodize_pad(images, padded)
-            self._round(padded)
             t1 = time.perf_counter()
-            grids = self._round(self._fft.fftn(padded, axes=axes))
+            grids = self._fft.fftn(padded, axes=axes)
             t2 = time.perf_counter()
-            samples = self._round(self.gridder.interp_batch(grids, self.grid_coords))
+            samples = self.gridder.interp_batch(grids, self.grid_coords)
             t3 = time.perf_counter()
         finally:
             pool.release(padded)

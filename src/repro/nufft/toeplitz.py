@@ -173,11 +173,10 @@ class ToeplitzNormalOperator:
                 "apply()"
             )
         # Each PSF block runs in the plan's working dtype (complex64 on
-        # "single", rounded at step boundaries on "simulate-single"); the
-        # kernel array and its FFT are complex128 and rounded once to the
-        # working dtype here — a float64 spectrum multiplied into a
-        # complex64 FFT output would silently upcast every apply() back
-        # to complex128.  Hermitian PSF symmetry T[-q] = conj(T[q]) means
+        # "single"); the kernel array and its FFT are complex128 and
+        # rounded once to the working dtype here — a float64 spectrum
+        # multiplied into a complex64 FFT output would silently upcast
+        # every apply() back to complex128.  Hermitian PSF symmetry T[-q] = conj(T[q]) means
         # the true circulant spectrum is real; dropping the
         # approximation-error imaginary residue makes apply() exactly
         # Hermitian.

@@ -1,13 +1,15 @@
-"""Compiled scatter-plan engine: bit-identity, caches, stats.
+"""Compiled scatter-plan engine: bands, kernels, caches, stats.
 
-Covers the `slice_and_dice_compiled` engine (`repro.core.compiled`):
-identity to the serial engine across dimensions, grid shapes,
-kernels, torus-edge samples, batches and dtypes; the dice-row bands
-at every band count, with their fault safety; the private SciPy
-kernels the engine calls; the plan cache; per-call
-stats including a tracemalloc-checked ``peak_bytes``;
-and the serial engine's true-LRU table cache, minimal-dtype tile
-tables and per-call (not stale) cache events.
+Covers the `slice_and_dice_compiled` engine (`repro.core.compiled`).
+Its identity to the serial engine — every geometry, kernel, dtype,
+band count and batch — is asserted by ``tests/test_engine_matrix.py``;
+each ``TestBitIdentity``, ``TestIdentityCells``, ``TestBands`` and
+``TestCsrBackend`` id below asserts the cells its name states.  Here:
+the band layout
+and its fault safety; the private SciPy kernels the engine calls; the
+plan cache; per-call stats including a tracemalloc-checked
+``peak_bytes``; and the serial engine's minimal-dtype tile tables and
+per-call (not stale) cache events.
 """
 
 from __future__ import annotations
@@ -26,101 +28,36 @@ from scipy.sparse import _sparsetools
 import repro.core.compiled as compiledmod
 from repro.core import CompiledSliceAndDiceGridder, SliceAndDiceGridder
 from repro.gridding import GridBufferPool, GriddingSetup, make_gridder
-from repro.kernels import KernelLUT, beatty_kernel, make_kernel
-from tests.conftest import random_samples
+from repro.kernels import KernelLUT, beatty_kernel
+from tests.conftest import gridding_problem, random_samples
+from tests.test_engine_matrix import DTYPES, assert_cells, legacy_geometry
 
-
-def setup_3d() -> GriddingSetup:
-    return GriddingSetup((16, 16, 16), KernelLUT(beatty_kernel(4, 2.0), 32))
-
-
-#: geometry -> (grid shape, window kernel, W)
-GEOMETRIES = {
-    "1d": ((64,), "kb", 6),
-    "square": ((32, 32), "kb", 6),
-    "rect": ((32, 48), "kb", 6),
-    "es": ((32, 32), "es", 4),
-    "edge": ((32, 32), "kb", 3),
-    "3d": ((16, 16, 24), "kb", 4),
-}
-
-
-def identity_problem(geometry: str, dtype, k: int = 3, m: int = 300):
-    """Setup, coordinates, a ``(K, M)`` value stack and a ``(K,) + grid``
-    stack for one geometry.  ``"edge"`` adds samples on the torus edges
-    (``0`` and ``G - eps`` per axis) and at ``0.5 - 2**-52``, where the
-    forward distance ``2 + frac`` rounds to ``W = 3`` and the serial
-    boundary check drops that column."""
-    shape, kernel, width = GEOMETRIES[geometry]
-    setup = GriddingSetup(
-        shape, KernelLUT(make_kernel(kernel, width), 64), dtype=dtype
-    )
-    rng = np.random.default_rng(sum(map(ord, geometry)))
-    coords = rng.uniform(0, 1, (m, len(shape))) * np.asarray(shape)
-    if geometry == "edge":
-        top = [np.nextafter(g, 0) for g in shape]
-        edges = np.array([[0.0, 0.0], top, [0.0, top[1]], [top[0], 0.0],
-                          [0.5 - 2**-52, 0.5 - 2**-52]])
-        coords = np.vstack([coords, edges])
-    n = coords.shape[0]
-    values = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
-    grids = (
-        rng.standard_normal((k,) + shape) + 1j * rng.standard_normal((k,) + shape)
-    )
-    return setup, coords, values.astype(dtype), grids.astype(dtype)
-
-
-def random_grid_stack(rng, k, grid_shape):
-    return rng.standard_normal((k,) + grid_shape) + 1j * rng.standard_normal(
-        (k,) + grid_shape
-    )
+COMPILED = "slice_and_dice_compiled"
 
 
 # ----------------------------------------------------------------------
 # bit-identity to the serial engine (the numerical contract)
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    def test_grid_bit_identical_2d(self, small_setup, rng):
-        coords, values = random_samples(rng, 400, small_setup.grid_shape)
-        ser = SliceAndDiceGridder(small_setup)
-        com = CompiledSliceAndDiceGridder(small_setup)
-        assert np.array_equal(com.grid(coords, values), ser.grid(coords, values))
-        # second call exercises the plan-hit path — still bit-identical
-        assert np.array_equal(com.grid(coords, values), ser.grid(coords, values))
+    @staticmethod
+    def serial_cells(geometry: str, cells: str) -> None:
+        assert_cells([COMPILED], ["complex128"], geometries=[geometry], checks=["serial"],
+                     cells=cells)
 
-    def test_grid_bit_identical_3d(self, rng):
-        setup = setup_3d()
-        coords, values = random_samples(rng, 200, setup.grid_shape)
-        ser = SliceAndDiceGridder(setup)
-        com = CompiledSliceAndDiceGridder(setup)
-        assert np.array_equal(com.grid(coords, values), ser.grid(coords, values))
+    def test_grid_bit_identical_2d(self):
+        self.serial_cells("square", "grid")
 
-    def test_grid_batch_bit_identical(self, small_setup, rng):
-        coords, _ = random_samples(rng, 300, small_setup.grid_shape)
-        stack = rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))
-        ser = SliceAndDiceGridder(small_setup)
-        com = CompiledSliceAndDiceGridder(small_setup)
-        assert np.array_equal(
-            com.grid_batch(coords, stack), ser.grid_batch(coords, stack)
-        )
+    def test_grid_bit_identical_3d(self):
+        self.serial_cells("3d", "grid")
 
-    def test_interp_bit_identical_2d(self, small_setup, rng):
-        coords, _ = random_samples(rng, 400, small_setup.grid_shape)
-        grid = random_grid_stack(rng, 1, small_setup.grid_shape)[0]
-        ser = SliceAndDiceGridder(small_setup)
-        com = CompiledSliceAndDiceGridder(small_setup)
-        assert np.array_equal(com.interp(grid, coords), ser.interp(grid, coords))
-        assert np.array_equal(com.interp(grid, coords), ser.interp(grid, coords))
+    def test_grid_batch_bit_identical(self):
+        self.serial_cells("square", "grid K=3")
 
-    def test_interp_batch_bit_identical_3d(self, rng):
-        setup = setup_3d()
-        coords, _ = random_samples(rng, 150, setup.grid_shape)
-        gstack = random_grid_stack(rng, 3, setup.grid_shape)
-        ser = SliceAndDiceGridder(setup)
-        com = CompiledSliceAndDiceGridder(setup)
-        assert np.array_equal(
-            com.interp_batch(gstack, coords), ser.interp_batch(gstack, coords)
-        )
+    def test_interp_bit_identical_2d(self):
+        self.serial_cells("square", "interp")
+
+    def test_interp_batch_bit_identical_3d(self):
+        self.serial_cells("3d", "interp K=3")
 
     def test_address_trace_matches_serial(self, small_setup, rng):
         coords, _ = random_samples(rng, 100, small_setup.grid_shape)
@@ -129,76 +66,30 @@ class TestBitIdentity:
         assert np.array_equal(com.address_trace(coords), ser.address_trace(coords))
 
 
+OLD_GEOMETRIES = ["1d", "square", "rect", "es", "edge", "3d"]
+
+
 class TestIdentityCells:
     """The engine at both dtypes against the serial engine on every
     geometry, in both directions, single and batched."""
 
-    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("geometry", OLD_GEOMETRIES)
     def test_complex128_both_directions(self, geometry):
-        setup, coords, values, grids = identity_problem(geometry, np.complex128)
-        ser = SliceAndDiceGridder(setup)
-        com = CompiledSliceAndDiceGridder(setup)
-        for _ in range(2):  # compile call, then plan reuse
-            assert np.array_equal(
-                com.grid_batch(coords, values), ser.grid_batch(coords, values)
-            )
-            assert np.array_equal(
-                com.interp_batch(grids, coords), ser.interp_batch(grids, coords)
-            )
-        assert np.array_equal(com.grid(coords, values[0]), ser.grid(coords, values[0]))
-        assert np.array_equal(com.interp(grids[0], coords), ser.interp(grids[0], coords))
+        assert_cells([COMPILED], ["complex128"], checks=["serial", "batch"],
+                     **legacy_geometry(geometry))
 
-    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("geometry", OLD_GEOMETRIES)
     def test_complex64_default(self, geometry):
-        """At complex64 the engine adds in float32: its forward is
-        bit-identical to the serial engine's (which accumulates in
-        complex64 too), and both directions to its own chunk mode; its
-        adjoint is close to the serial engine's, which sums each dice
-        word in float64 and rounds once."""
-        setup, coords, values, grids = identity_problem(geometry, np.complex64)
-        ser = SliceAndDiceGridder(setup)
-        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=7)
-        com = CompiledSliceAndDiceGridder(setup)
-        for _ in range(2):
-            got = com.grid_batch(coords, values)
-            assert got.dtype == np.complex64
-            want = ser.grid_batch(coords, values)
-            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
-            assert np.array_equal(stm.grid_batch(coords, values), got)
-            fwd = com.interp_batch(grids, coords)
-            assert fwd.dtype == np.complex64
-            assert np.array_equal(fwd, stm.interp_batch(grids, coords))
-            assert np.array_equal(fwd, ser.interp_batch(grids, coords))
+        """Forward bit-identical to the serial engine, adjoint within
+        NRMSD 1e-6 of it, and both directions bit-identical to the
+        engine's own chunk mode."""
+        assert_cells([COMPILED, COMPILED + "+chunk7"], ["complex64"],
+                     checks=["serial", "twin"], **legacy_geometry(geometry))
 
 
 class TestCsrBackend:
-    def test_csr_allclose_both_directions(self, small_setup, rng):
-        """The engine is bit-identical at complex128 and ``allclose`` at
-        complex64, where SciPy accumulates in float32."""
-        coords, values = random_samples(rng, 400, small_setup.grid_shape)
-        gstack = random_grid_stack(rng, 3, small_setup.grid_shape)
-        ser = SliceAndDiceGridder(small_setup)
-        csr = CompiledSliceAndDiceGridder(small_setup)
-        assert np.array_equal(csr.grid(coords, values), ser.grid(coords, values))
-        assert np.array_equal(
-            csr.interp_batch(gstack, coords), ser.interp_batch(gstack, coords)
-        )
-        setup32 = GriddingSetup(
-            small_setup.grid_shape, small_setup.lut, dtype=np.complex64
-        )
-        ser32 = SliceAndDiceGridder(setup32)
-        csr32 = CompiledSliceAndDiceGridder(setup32)
-        values32, gstack32 = values.astype(np.complex64), gstack.astype(np.complex64)
-        got = csr32.grid(coords, values32)
-        assert got.dtype == np.complex64
-        np.testing.assert_allclose(
-            got, ser32.grid(coords, values32), rtol=1e-5, atol=1e-5
-        )
-        np.testing.assert_allclose(
-            csr32.interp_batch(gstack32, coords),
-            ser32.interp_batch(gstack32, coords),
-            rtol=1e-5, atol=1e-5,
-        )
+    def test_csr_allclose_both_directions(self):
+        assert_cells([COMPILED], DTYPES, geometries=["square"], checks=["serial"])
 
     def test_csr_matrix_has_no_duplicates(self, tiny_setup, rng):
         # W <= T: each sample's row of a one-band plan holds W^d
@@ -245,26 +136,9 @@ class TestBands:
 
     @pytest.mark.parametrize("geometry", ["1d", "square", "edge", "3d"])
     @pytest.mark.parametrize("bands", [1, 2, "T"])
-    def test_complex128_csr_cells(self, monkeypatch, geometry, bands):
-        setup, coords, values, grids = identity_problem(geometry, np.complex128)
-        ser = SliceAndDiceGridder(setup)
-        com, p = self._engine(monkeypatch, setup, bands)
-        for _ in range(2):  # compile call, then plan reuse
-            assert np.array_equal(
-                com.grid_batch(coords, values), ser.grid_batch(coords, values)
-            )
-            assert np.array_equal(
-                com.interp_batch(grids, coords), ser.interp_batch(grids, coords)
-            )
-            assert np.array_equal(
-                com.grid(coords, values[0]), ser.grid(coords, values[0])
-            )
-            assert np.array_equal(
-                com.interp(grids[0], coords), ser.interp(grids[0], coords)
-            )
-        plan = com._binding.product
-        assert plan.n_bands == p
-        assert com.stats.cache_hits == 1
+    def test_complex128_csr_cells(self, geometry, bands):
+        assert_cells([f"{COMPILED}+P{bands}"], ["complex128"], geometries=[geometry],
+                     checks=["serial", "twin", "batch", "stale"])
 
     def test_band_major_layout(self, monkeypatch, small_setup, rng):
         """Each band is a contiguous run of the shared arrays that is a
@@ -303,7 +177,7 @@ class TestBands:
         other task has returned, the pooled dice is released exactly
         once, after that, and the pool balances."""
         coords, values = random_samples(rng, 400, small_setup.grid_shape)
-        grid = random_grid_stack(rng, 1, small_setup.grid_shape)[0]
+        grid = gridding_problem("square")[3][0]  # small_setup's grid
         com, _ = self._engine(monkeypatch, small_setup, 2)
         pool = GridBufferPool()
         com.buffer_pool = pool
@@ -349,7 +223,7 @@ class TestBands:
         switch interval, stay bit-identical: no band writes into
         another band's rows or another call's buffers."""
         coords, values = random_samples(rng, 2000, small_setup.grid_shape)
-        grid = random_grid_stack(rng, 1, small_setup.grid_shape)[0]
+        grid = gridding_problem("square")[3][0]  # small_setup's grid
         ser = SliceAndDiceGridder(small_setup)
         want = (ser.grid(coords, values), ser.interp(grid, coords))
         engines = [self._engine(monkeypatch, small_setup, "T")[0] for _ in range(4)]
@@ -546,7 +420,7 @@ class TestPlanCache:
             )
             coords, values = random_samples(rng, m, shape)
             values = values.astype(dtype)
-            grid = random_grid_stack(rng, 1, shape)[0].astype(dtype)
+            grid = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
             for call in ("grid", "interp"):
                 com = make_gridder("slice_and_dice_compiled", setup)
                 tracemalloc.start()
@@ -576,7 +450,7 @@ class TestPlanCache:
 
     def test_grid_and_interp_share_one_plan(self, small_setup, rng):
         coords, values = random_samples(rng, 200, small_setup.grid_shape)
-        grid = random_grid_stack(rng, 1, small_setup.grid_shape)[0]
+        grid = gridding_problem("square")[3][0]  # small_setup's grid
         com = CompiledSliceAndDiceGridder(small_setup)
         com.grid(coords, values)          # compiles
         com.interp(grid, coords)          # must reuse, not recompile
@@ -618,16 +492,10 @@ class TestTableMemory:
         ser.grid(coords, values)
         assert ser.stats.table_bytes == reported
 
-    def test_minimal_dtype_does_not_change_output(self, rng):
+    def test_minimal_dtype_does_not_change_output(self):
         # 3D with mixed tile counts exercises the int64 promotion in
         # depth arithmetic (NEP 50: small uint * int would overflow)
-        setup = setup_3d()
-        coords, values = random_samples(rng, 200, setup.grid_shape)
-        ser = SliceAndDiceGridder(setup)
-        naive = make_gridder("naive", setup)
-        np.testing.assert_allclose(
-            ser.grid(coords, values), naive.grid(coords, values), atol=1e-12
-        )
+        assert_cells(["naive"], DTYPES, geometries=["3d"], checks=["serial"])
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +508,7 @@ class TestInterleavedStats:
         previous call's build on a different trajectory."""
         a, values = random_samples(rng, 120, small_setup.grid_shape)
         b, _ = random_samples(rng, 80, small_setup.grid_shape)
-        grid = random_grid_stack(rng, 1, small_setup.grid_shape)[0]
+        grid = gridding_problem("square")[3][0]  # small_setup's grid
         g = cls(small_setup)
         g.grid(a, values)                      # miss: binds A
         assert g.stats.cache_misses == 1

@@ -1,15 +1,16 @@
-"""Batched multi-RHS gridding: bit-identity, caching, lane accounting.
+"""Batched multi-RHS gridding: binding, stats, lane accounting.
 
-The contract under test (ISSUE 1 tentpole):
+The contract:
 
 - ``grid``/``interp`` are a batch of one, and ``grid_batch``/
-  ``interp_batch`` are *bit-identical* (``array_equal``, not
-  ``allclose``) to stacking K independent single calls, for 2D and 3D
-  problems at complex128 and complex64, on every registered engine
-  (both Slice-and-Dice schedules) and the compiled engine's chunk mode;
+  ``interp_batch`` are *bit-identical* (``array_equal``) to stacking K
+  independent single calls on every engine variant — the ``batch``
+  cells of ``tests/test_engine_matrix.py``, which the
+  ``TestBitIdentity`` ids name;
 - the per-axis select tables are bound to one trajectory by exact
   content (equal coords -> hit; a new array or an in-place edit of any
-  sample -> miss) and the events are visible in ``GriddingStats``;
+  sample -> miss, and the result is a fresh gridder's: the matrix's
+  ``stale`` cells) and the events are visible in ``GriddingStats``;
 - batch stats charge select work once and value work K times;
 - the blocked engine's SIMD lane slots come from actual per-block work.
 """
@@ -18,16 +19,11 @@ import numpy as np
 import pytest
 
 from repro.core import SliceAndDiceGridder
-from repro.gridding import (
-    GriddingSetup,
-    NaiveGridder,
-    SparseMatrixGridder,
-    available_gridders,
-    make_gridder,
-)
-from repro.kernels import KernelLUT, beatty_kernel
+from repro.gridding import NaiveGridder, available_gridders
 from repro.nufft import NufftPlan
 from repro.trajectories import random_trajectory
+from tests.conftest import gridding_problem
+from tests.test_engine_matrix import DTYPES, assert_cells
 
 
 @pytest.fixture
@@ -35,99 +31,46 @@ def rng():
     return np.random.default_rng(1234)
 
 
-#: engine cells of the bit-identity tests: id -> (registry name, options)
+#: old engine ids -> matrix variants
 ENGINES = {
-    "columns": ("slice_and_dice", {"engine": "columns"}),
-    "blocked": ("slice_and_dice", {"engine": "blocked"}),
-    **{name: (name, {}) for name in available_gridders() if name != "slice_and_dice"},
-    "chunk77": ("slice_and_dice_compiled", {"chunk_samples": 77}),
+    "columns": "slice_and_dice",
+    "blocked": "slice_and_dice+blocked",
+    **{name: name for name in available_gridders() if name != "slice_and_dice"},
+    "chunk77": "slice_and_dice_compiled+chunk77",
 }
-
-
-def make_setup(ndim: int, dtype=np.complex128) -> GriddingSetup:
-    g = 32 if ndim == 2 else 16
-    return GriddingSetup(
-        (g,) * ndim, KernelLUT(beatty_kernel(4, 2.0), 64), dtype=dtype
-    )
-
-
-def make_problem(setup, rng, m=400, k=4):
-    g = np.asarray(setup.grid_shape, dtype=np.float64)
-    coords = rng.uniform(0, 1, (m, setup.ndim)) * g
-    values = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
-    grids = rng.standard_normal((k,) + setup.grid_shape) + 1j * rng.standard_normal(
-        (k,) + setup.grid_shape
-    )
-    return coords, values, grids
+GEOMETRY = {2: "w4", 3: "3d"}
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("ndim", [2, 3])
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_grid_batch_matches_singles(self, ndim, engine, rng):
+    def test_grid_batch_matches_singles(self, ndim, engine):
         """Each cell runs at complex128 and complex64."""
-        name, options = ENGINES[engine]
-        for dtype in (np.complex128, np.complex64):
-            setup = make_setup(ndim, dtype)
-            coords, values, _ = make_problem(setup, rng)
-            gridder = make_gridder(name, setup, **options)
-            singles = np.stack([gridder.grid(coords, v) for v in values])
-            for v, single in zip(values, singles):
-                assert np.array_equal(single, gridder.grid_batch(coords, v[None])[0])
-            assert np.array_equal(gridder.grid_batch(coords, values), singles)
+        assert_cells([ENGINES[engine]], DTYPES, geometries=[GEOMETRY[ndim]], checks=["batch"],
+                     cells="grid K=3")
 
     @pytest.mark.parametrize("ndim", [2, 3])
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_interp_batch_matches_singles(self, ndim, engine, rng):
+    def test_interp_batch_matches_singles(self, ndim, engine):
         """Each cell runs at complex128 and complex64."""
-        name, options = ENGINES[engine]
-        for dtype in (np.complex128, np.complex64):
-            setup = make_setup(ndim, dtype)
-            coords, _, grids = make_problem(setup, rng)
-            gridder = make_gridder(name, setup, **options)
-            singles = np.stack([gridder.interp(g, coords) for g in grids])
-            for g, single in zip(grids, singles):
-                assert np.array_equal(single, gridder.interp_batch(g[None], coords)[0])
-            assert np.array_equal(gridder.interp_batch(grids, coords), singles)
+        assert_cells([ENGINES[engine]], DTYPES, geometries=[GEOMETRY[ndim]], checks=["batch"],
+                     cells="interp K=3")
 
-    def test_base_class_fallback_is_exact(self, rng):
+    def test_base_class_fallback_is_exact(self):
         """The default loop fallback is K single calls by construction."""
-        setup = make_setup(2)
-        coords, values, grids = make_problem(setup, rng)
-        gridder = NaiveGridder(setup)
-        assert np.array_equal(
-            gridder.grid_batch(coords, values),
-            np.stack([gridder.grid(coords, v) for v in values]),
-        )
-        assert np.array_equal(
-            gridder.interp_batch(grids, coords),
-            np.stack([gridder.interp(g, coords) for g in grids]),
-        )
+        assert_cells(["naive"], DTYPES, checks=["batch"])
 
-    def test_sparse_matrix_batch(self, rng):
-        """Sparse mat-mat batching matches per-vector mat-vecs closely."""
-        setup = make_setup(2)
-        coords, values, grids = make_problem(setup, rng)
-        gridder = SparseMatrixGridder(setup)
-        singles = np.stack([gridder.grid(coords, v) for v in values])
-        np.testing.assert_allclose(
-            gridder.grid_batch(coords, values), singles, rtol=1e-12, atol=1e-14
-        )
-        singles_i = np.stack([gridder.interp(g, coords) for g in grids])
-        np.testing.assert_allclose(
-            gridder.interp_batch(grids, coords), singles_i, rtol=1e-12, atol=1e-14
-        )
+    def test_sparse_matrix_batch(self):
+        assert_cells(["sparse_matrix"], DTYPES, checks=["batch"])
 
-    def test_single_vector_promotion(self, rng):
-        setup = make_setup(2)
-        coords, values, grids = make_problem(setup, rng, k=1)
+    def test_single_vector_promotion(self):
+        setup, coords, values, grids = gridding_problem("w4")
         gridder = SliceAndDiceGridder(setup)
         assert gridder.grid_batch(coords, values[0]).shape == (1,) + setup.grid_shape
         assert gridder.interp_batch(grids[0], coords).shape == (1, coords.shape[0])
 
-    def test_batch_shape_validation(self, rng):
-        setup = make_setup(2)
-        coords, values, _ = make_problem(setup, rng)
+    def test_batch_shape_validation(self):
+        setup, coords, values, _ = gridding_problem("w4")
         gridder = SliceAndDiceGridder(setup)
         with pytest.raises(ValueError, match="values_stack"):
             gridder.grid_batch(coords, values[:, :-1])
@@ -137,9 +80,8 @@ class TestBitIdentity:
 
 class TestTableCache:
     @pytest.mark.parametrize("engine", ["columns", "blocked"])
-    def test_same_coords_hits(self, engine, rng):
-        setup = make_setup(2)
-        coords, values, _ = make_problem(setup, rng)
+    def test_same_coords_hits(self, engine):
+        setup, coords, values, _ = gridding_problem("w4")
         gridder = SliceAndDiceGridder(setup, engine=engine)
         gridder.grid(coords, values[0])
         assert gridder.stats.cache_misses == 1
@@ -150,27 +92,24 @@ class TestTableCache:
         assert gridder.stats.cache_misses == 0
         assert gridder.stats.table_build_seconds == 0.0
 
-    def test_same_content_different_object_hits(self, rng):
+    def test_same_content_different_object_hits(self):
         """The binding is content-based: a copy of the trajectory (or
         the fresh array ``check_coords`` makes per call) still hits."""
-        setup = make_setup(2)
-        coords, values, _ = make_problem(setup, rng)
+        setup, coords, values, _ = gridding_problem("w4")
         gridder = SliceAndDiceGridder(setup)
         gridder.grid(coords, values[0])
         gridder.grid(coords.copy(), values[1])
         assert gridder.stats.cache_hits == 1
 
-    def test_interp_shares_cache_with_grid(self, rng):
-        setup = make_setup(2)
-        coords, values, grids = make_problem(setup, rng)
+    def test_interp_shares_cache_with_grid(self):
+        setup, coords, values, grids = gridding_problem("w4")
         gridder = SliceAndDiceGridder(setup)
         gridder.grid(coords, values[0])
         gridder.interp(grids[0], coords)
         assert gridder.stats.cache_hits == 1
 
-    def test_mutated_coords_miss(self, rng):
-        setup = make_setup(2)
-        coords, values, _ = make_problem(setup, rng)
+    def test_mutated_coords_miss(self):
+        setup, coords, values, _ = gridding_problem("w4")
         gridder = SliceAndDiceGridder(setup)
         gridder.grid(coords, values[0])
         mutated = coords.copy()
@@ -182,37 +121,23 @@ class TestTableCache:
     #: every engine with a trajectory binding; chunk mode with the
     #: trajectory in one chunk, the only case where it can reuse
     BOUND = {
-        "columns": ("slice_and_dice", {"engine": "columns"}),
-        "blocked": ("slice_and_dice", {"engine": "blocked"}),
-        "compiled": ("slice_and_dice_compiled", {}),
-        "chunked": ("slice_and_dice_compiled", {"chunk_samples": 4000}),
-        "sparse": ("sparse_matrix", {}),
+        "columns": "slice_and_dice",
+        "blocked": "slice_and_dice+blocked",
+        "compiled": "slice_and_dice_compiled",
+        "chunked": "slice_and_dice_compiled+chunk5000",
+        "sparse": "sparse_matrix",
     }
 
     @pytest.mark.parametrize("edit", ["new_array", "in_place"])
     @pytest.mark.parametrize("engine", BOUND)
-    def test_moved_interior_sample_rebinds(self, engine, edit, rng):
-        """One moved interior sample (row 5, which no sampled key would
-        read) must rebuild: the grid is the fresh gridder's, not the
-        first trajectory's."""
-        name, options = self.BOUND[engine]
-        setup = GriddingSetup((64, 64), KernelLUT(beatty_kernel(6, 2.0), 64))
-        coords = rng.uniform(0, 64, (4000, 2))
-        values = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
-        gridder = make_gridder(name, setup, **options)
-        first = gridder.grid(coords, values)
-        if edit == "new_array":
-            coords = coords.copy()
-        coords[5] = (coords[5] + 0.5) % 64
-        got = gridder.grid(coords, values)
-        assert gridder.stats.cache_misses == 1
-        assert not np.array_equal(got, first)
-        fresh = make_gridder(name, setup, **options)
-        assert np.array_equal(got, fresh.grid(coords, values))
+    def test_moved_interior_sample_rebinds(self, engine, edit):
+        """One moved interior sample must rebuild: the result is the
+        fresh gridder's, not the first trajectory's (both directions)."""
+        assert_cells([self.BOUND[engine]], DTYPES, checks=["stale"],
+                     cells=edit.replace("_", " "))
 
-    def test_cached_results_identical(self, rng):
-        setup = make_setup(2)
-        coords, values, _ = make_problem(setup, rng)
+    def test_cached_results_identical(self):
+        setup, coords, values, _ = gridding_problem("w4")
         warm = SliceAndDiceGridder(setup)
         warm.grid(coords, values[0])  # bind
         assert np.array_equal(
@@ -222,11 +147,10 @@ class TestTableCache:
 
 
 class TestBatchStats:
-    def test_select_work_charged_once(self, rng):
+    def test_select_work_charged_once(self):
         """Batched stats: boundary checks / LUT reads are per select
         pass, MACs and grid accesses scale with K."""
-        setup = make_setup(2)
-        coords, values, _ = make_problem(setup, rng)
+        setup, coords, values, _ = gridding_problem("w4")
         k = values.shape[0]
         m = coords.shape[0]
         gridder = SliceAndDiceGridder(setup)
@@ -240,9 +164,8 @@ class TestBatchStats:
         assert batch.lut_lookups == single.lut_lookups
         assert batch.samples_processed == m
 
-    def test_fallback_stats_sum(self, rng):
-        setup = make_setup(2)
-        coords, values, _ = make_problem(setup, rng)
+    def test_fallback_stats_sum(self):
+        setup, coords, values, _ = gridding_problem("w4")
         gridder = NaiveGridder(setup)
         gridder.grid(coords, values[0])
         single = gridder.stats
@@ -251,12 +174,12 @@ class TestBatchStats:
 
 
 class TestBlockedLaneSlots:
-    def test_slots_from_per_block_work(self, rng):
+    def test_slots_from_per_block_work(self):
         """Lane slots equal the sum over non-empty blocks of
         slice-length x columns — derived from each block's actual scan,
         not the whole-stream formula applied once."""
-        setup = make_setup(2)
-        coords, values, _ = make_problem(setup, rng, m=101)  # uneven split
+        setup, coords, values, _ = gridding_problem("w4")
+        coords, values = coords[:101], values[:, :101]  # uneven split
         n_blocks = 7
         gridder = SliceAndDiceGridder(setup, engine="blocked", n_blocks=n_blocks)
         gridder.grid(coords, values[0])
@@ -268,9 +191,8 @@ class TestBlockedLaneSlots:
         )
         assert gridder.stats.simd_lane_slots == expected
 
-    def test_columns_engine_unchanged(self, rng):
-        setup = make_setup(2)
-        coords, values, _ = make_problem(setup, rng)
+    def test_columns_engine_unchanged(self):
+        setup, coords, values, _ = gridding_problem("w4")
         gridder = SliceAndDiceGridder(setup, engine="columns")
         gridder.grid(coords, values[0])
         assert gridder.stats.simd_lane_slots == coords.shape[0] * gridder.layout.n_columns

@@ -1,18 +1,15 @@
-"""Chunk mode of the compiled engine: bit-identity, memory, service.
+"""Chunk mode of the compiled engine: memory, registry, service.
 
-The contract under test (``chunk_samples=`` of
+The contract (``chunk_samples=`` of
 ``repro.core.CompiledSliceAndDiceGridder``):
 
 - a chunked pass is **bit-identical** (``np.array_equal``) to the
-  one-shot compiled engine at complex128 for *any* chunk size —
-  ``chunk=1``, non-dividing, dividing, ``chunk >= M`` — in 2-D and 3-D,
-  single and batched RHS, in both directions;
-- the same holds on rectangular grids, for the ES window, for samples
-  on the torus edges (``0`` and ``G - eps``) and at the forward-distance
-  rounding edge;
-- at complex64 both directions are bit-identical too: SciPy's
-  mat-vecs accumulate in the working dtype;
-- an empty call runs no chunk and returns zeros;
+  one-shot compiled engine at both dtypes for any chunk size — 1,
+  non-dividing, dividing, larger than ``M`` — in both directions,
+  single and batched, on every geometry, and it is an adjoint pair.
+  These are the ``twin`` and ``adjoint`` cells of
+  ``tests/test_engine_matrix.py``; each ``TestBitIdentity`` id below
+  asserts the cells of its chunk size, geometry, dtype and direction;
 - the reported ``peak_bytes`` is a true high-water mark
   (tracemalloc-cross-checked) and shrinks with the chunk size while
   the one-shot engine's does not, and ``max_bytes`` budgets hold.
@@ -24,69 +21,43 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core import CompiledSliceAndDiceGridder
 from repro.gridding import GriddingSetup, choose_chunk_samples, make_gridder
-from repro.kernels import KernelLUT, beatty_kernel, make_kernel
-from tests.conftest import random_samples
+from repro.kernels import KernelLUT, beatty_kernel
+from tests.conftest import gridding_problem, random_samples
+from tests.test_engine_matrix import (
+    DTYPES,
+    KERNELS,
+    OPTION_VARIANTS,
+    assert_cells,
+    legacy_geometry,
+)
 
-CHUNK_SIZES = (1, 7, 100, 1000, 5000)  # 1, non-dividing, dividing, >= M
+COMPILED = "slice_and_dice_compiled"
 
-#: the execution lanes a chunked pass reports (``stats.exec_lane``):
-#: the engine's SciPy mat-vecs run on ``"numpy"``, its one lane
-LANES = ["numpy"]
-
-#: geometry -> (grid shape, window kernel, W); "square" is the
-#: ``small_setup`` fixture's problem
-GEOMETRIES = {
-    "square": ((32, 32), "kb", 6),
-    "rect": ((32, 48), "kb", 6),
-    "es": ((32, 32), "es", 4),
-    "edge": ((32, 32), "kb", 3),
-    "empty": ((32, 32), "kb", 6),
-}
+#: the compiled engine's chunk-mode variants in the matrix
+CHUNKED = [f"{COMPILED}+{name}" for name in OPTION_VARIANTS[COMPILED] if name.startswith("chunk")]
 
 #: (chunk, geometry) cases: every chunk size on the square grid,
 #: chunk 1 and chunk > M on every other geometry, and an empty call
-BIT_CASES = [pytest.param(c, "square", id=str(c)) for c in CHUNK_SIZES] + [
-    pytest.param(c, g, id=f"{g}-{c}")
-    for g in ("rect", "es", "edge")
-    for c in (1, 5000)
+BIT_CASES = [pytest.param(c, "square", id=str(c)) for c in (1, 7, 100, 1000, 5000)] + [
+    pytest.param(c, g, id=f"{g}-{c}") for g in ("rect", "es", "edge") for c in (1, 5000)
 ] + [pytest.param(64, "empty", id="empty-64")]
 
 
-def setup_3d(dtype=np.complex128) -> GriddingSetup:
-    return GriddingSetup(
-        (16, 16, 16), KernelLUT(beatty_kernel(4, 2.0), 32), dtype=dtype
-    )
-
-
-def geometry_problem(rng, geometry: str, dtype=np.complex128):
-    """Setup plus 400 random samples for one geometry.
-
-    ``"edge"`` appends samples on the torus edges (``0`` and
-    ``G - eps`` per axis) and at ``0.5 - 2**-52``, where the
-    ``W/2 = 1.5`` shift leaves a fraction so close to 1 that the
-    forward distance ``2 + frac`` rounds to ``W = 3``: the one-shot
-    boundary check drops that column.  ``"empty"`` has no samples.
-    """
-    shape, kernel, width = GEOMETRIES[geometry]
-    setup = GriddingSetup(shape, KernelLUT(make_kernel(kernel, width), 64), dtype=dtype)
-    coords, values = random_samples(rng, 400, shape)
-    if geometry == "edge":
-        top = [np.nextafter(g, 0) for g in shape]
-        edges = np.array([[0.0, 0.0], top, [0.0, top[1]], [top[0], 0.0],
-                          [0.5 - 2**-52, 0.5 - 2**-52]])
-        coords = np.vstack([coords, edges])
-        values = np.concatenate([values, 1.0 + 1j * np.arange(len(edges))])
-    if geometry == "empty":
-        coords, values = coords[:0], values[:0]
-    return setup, coords, values.astype(dtype)
-
-
-def random_grid(rng, shape, dtype=np.complex128):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+def chunk_cells(chunk: int, name: str, cells: str, dtype="complex128", lane=None) -> None:
+    """The ``twin`` cells of chunk size ``chunk`` on one geometry whose
+    labels start with ``cells`` (chunked == one-shot, ``array_equal``,
+    with the chunk count); with ``lane``, also the execution lane the
+    chunked pass reports."""
+    assert_cells([f"{COMPILED}+chunk{chunk}"], [dtype], checks=["twin"], cells=cells,
+                 **legacy_geometry(name))
+    if lane is not None:
+        setup, coords, values, _ = gridding_problem(legacy_geometry(name)["geometries"][0])
+        gridder = make_gridder(COMPILED, setup, chunk_samples=chunk)
+        gridder.grid(coords[:chunk], values[0, :chunk])
+        assert gridder.stats.exec_lane == lane
 
 
 # ----------------------------------------------------------------------
@@ -94,127 +65,42 @@ def random_grid(rng, shape, dtype=np.complex128):
 # ----------------------------------------------------------------------
 class TestBitIdentity:
     @pytest.mark.parametrize("chunk,geometry", BIT_CASES)
-    @pytest.mark.parametrize("lane", LANES)
-    def test_grid_2d(self, rng, chunk, geometry, lane):
-        setup, coords, values = geometry_problem(rng, geometry)
-        ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
-        assert np.array_equal(
-            stm.grid(coords, values), ref.grid(coords, values)
-        )
-        # second pass reuses the engine's scratch — still identical
-        assert np.array_equal(
-            stm.grid(coords, values), ref.grid(coords, values)
-        )
-        assert stm.stats.chunks == -(-coords.shape[0] // chunk)
-        assert stm.stats.exec_lane == lane
+    @pytest.mark.parametrize("lane", ["numpy"])
+    def test_grid_2d(self, chunk, geometry, lane):
+        chunk_cells(chunk, geometry, "grid", lane=lane)
 
     @pytest.mark.parametrize("chunk", (1, 37, 500))
-    def test_grid_3d(self, rng, chunk):
-        setup = setup_3d()
-        coords, values = random_samples(rng, 300, setup.grid_shape)
-        ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
-        assert np.array_equal(
-            stm.grid(coords, values), ref.grid(coords, values)
-        )
+    def test_grid_3d(self, chunk):
+        chunk_cells(chunk, "3d", "grid")
 
     @pytest.mark.parametrize("chunk", (13, 128))
-    def test_grid_batch(self, small_setup, rng, chunk):
-        coords, values = random_samples(rng, 300, small_setup.grid_shape)
-        stack = np.stack([values, 2.0 * values - 1j, values[::-1]])
-        ref = make_gridder("slice_and_dice_compiled", small_setup)
-        stm = make_gridder(
-            "slice_and_dice_compiled", small_setup, chunk_samples=chunk
-        )
-        assert np.array_equal(
-            stm.grid_batch(coords, stack), ref.grid_batch(coords, stack)
-        )
+    def test_grid_batch(self, chunk):
+        chunk_cells(chunk, "square", "grid K=3")
 
     @pytest.mark.parametrize("chunk,geometry", BIT_CASES)
-    @pytest.mark.parametrize("lane", LANES)
-    def test_interp_2d(self, rng, chunk, geometry, lane):
-        setup, coords, _ = geometry_problem(rng, geometry)
-        grid = random_grid(rng, setup.grid_shape)
-        ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
-        assert np.array_equal(
-            stm.interp(grid, coords), ref.interp(grid, coords)
-        )
-        assert stm.stats.exec_lane == lane
+    @pytest.mark.parametrize("lane", ["numpy"])
+    def test_interp_2d(self, chunk, geometry, lane):
+        chunk_cells(chunk, geometry, "interp", lane=lane)
 
     @pytest.mark.parametrize("chunk", (1, 37, 500))
-    def test_interp_3d(self, rng, chunk):
-        setup = setup_3d()
-        coords, _ = random_samples(rng, 300, setup.grid_shape)
-        grid = random_grid(rng, setup.grid_shape)
-        ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
-        assert np.array_equal(
-            stm.interp(grid, coords), ref.interp(grid, coords)
-        )
+    def test_interp_3d(self, chunk):
+        chunk_cells(chunk, "3d", "interp")
 
-    def test_interp_batch(self, small_setup, rng):
-        coords, _ = random_samples(rng, 300, small_setup.grid_shape)
-        grids = rng.standard_normal((2,) + small_setup.grid_shape) + 0j
-        ref = make_gridder("slice_and_dice_compiled", small_setup)
-        stm = make_gridder(
-            "slice_and_dice_compiled", small_setup, chunk_samples=77
-        )
-        assert np.array_equal(
-            stm.interp_batch(grids, coords), ref.interp_batch(grids, coords)
-        )
+    def test_interp_batch(self):
+        chunk_cells(77, "square", "interp K=3")
 
     @pytest.mark.parametrize("chunk,geometry", BIT_CASES)
-    def test_interp_complex64(self, rng, chunk, geometry):
-        """The chunked forward sums each sample like the one-shot pass
-        (float32 from 0.0 in ascending row order), so it is
-        bit-identical at complex64 too."""
-        setup, coords, _ = geometry_problem(rng, geometry, np.complex64)
-        grid = random_grid(rng, setup.grid_shape, np.complex64)
-        ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
-        assert np.array_equal(stm.interp(grid, coords), ref.interp(grid, coords))
+    def test_interp_complex64(self, chunk, geometry):
+        chunk_cells(chunk, geometry, "interp", "complex64")
 
     @pytest.mark.parametrize("chunk", (1, 37, 500))
-    def test_grid_complex64(self, rng, chunk):
-        """At complex64 the mat-vecs accumulate in the working dtype,
-        so a chunked pass continues the one-shot chain exactly."""
-        setup = GriddingSetup(
-            (32, 32), KernelLUT(beatty_kernel(6, 2.0), 64), dtype=np.complex64
-        )
-        coords, values = random_samples(rng, 400, setup.grid_shape)
-        values = values.astype(np.complex64)
-        ref = make_gridder("slice_and_dice_compiled", setup)
-        stm = make_gridder("slice_and_dice_compiled", setup, chunk_samples=chunk)
-        got, want = stm.grid(coords, values), ref.grid(coords, values)
-        assert got.dtype == np.complex64
-        assert np.array_equal(got, want)
+    def test_grid_complex64(self, chunk):
+        chunk_cells(chunk, "square", "grid", "complex64")
 
 
-# ----------------------------------------------------------------------
-# adjointness (property-based)
-# ----------------------------------------------------------------------
 class TestAdjointness:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        chunk=st.integers(1, 90),
-    )
-    def test_streamed_pair_is_adjoint(self, seed, chunk):
-        """<grid(v), g> == <v, interp(g)> for the streamed operators."""
-        setup = GriddingSetup((16, 16), KernelLUT(beatty_kernel(4, 2.0), 32))
-        rng = np.random.default_rng(seed)
-        coords, values = random_samples(rng, 80, setup.grid_shape)
-        grid = rng.standard_normal(setup.grid_shape) + 1j * (
-            rng.standard_normal(setup.grid_shape)
-        )
-        stm = make_gridder(
-            "slice_and_dice_compiled", setup, chunk_samples=chunk
-        )
-        lhs = np.vdot(grid, stm.grid(coords, values))
-        rhs = np.vdot(stm.interp(grid, coords), values)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
+    def test_streamed_pair_is_adjoint(self):
+        assert_cells(CHUNKED, DTYPES, KERNELS, checks=["adjoint"])
 
 
 # ----------------------------------------------------------------------

@@ -107,7 +107,7 @@ def batch_cell_plans():
     """One plan per engine x precision lane x rank, keyed by its cell."""
     for engine, precision, (shape, m) in itertools.product(
         available_gridders(),
-        ("double", "single", "simulate-single"),
+        ("double", "single"),
         (((16, 16), 80), ((8, 8, 8), 60)),
     ):
         coords = random_trajectory(m, len(shape), rng=0)

@@ -178,9 +178,9 @@ class TestGridderBackends:
 
 
 class TestPrecision:
-    @pytest.mark.parametrize("lane", ["single", "simulate-single"])
+    @pytest.mark.parametrize("lane", ["single"])
     def test_single_precision_error_floor(self, coords, lane):
-        """Both single lanes must land near the float32 epsilon floor,
+        """The single lane must land near the float32 epsilon floor,
         far above double but far below the kernel approximation."""
         rng = np.random.default_rng(9)
         vals = rng.standard_normal(100) + 1j * rng.standard_normal(100)
@@ -219,44 +219,6 @@ class TestPrecision:
         assert plan.timings.peak_bytes == grid_nbytes
         assert plan.timings.precision == "single"
 
-    def test_simulate_single_matches_legacy_comparator_bits(self, coords):
-        """simulate-single is the old stepwise-rounding comparator,
-        reproduced bit for bit by hand in both directions, single and
-        batched."""
-        rng = np.random.default_rng(3)
-        vals = rng.standard_normal((2, 100)) + 1j * rng.standard_normal((2, 100))
-        imgs = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
-        inputs = (vals.copy(), imgs.copy())
-        plan = NufftPlan((32, 32), coords, gridder="naive",
-                         fft_backend="numpy", precision="simulate-single")
-        ref_plan = NufftPlan((32, 32), coords, gridder="naive",
-                             fft_backend="numpy")
-
-        def rnd(a):
-            return a.astype(np.complex64).astype(np.complex128)
-
-        def adjoint(v):
-            grid = rnd(ref_plan.gridder.grid(ref_plan.grid_coords, rnd(v)))
-            spectrum = rnd(np.fft.ifftn(grid, norm="forward"))
-            return rnd(ref_plan._apodize(ref_plan._crop(spectrum)))
-
-        def forward(img):
-            prepared = rnd(ref_plan._apodize(rnd(img), conjugate=True))
-            grid = rnd(np.fft.fftn(ref_plan._pad(prepared)))
-            return rnd(ref_plan.gridder.interp(grid, ref_plan.grid_coords))
-
-        got = plan.adjoint(vals[0])
-        assert got.dtype == np.complex128
-        assert np.array_equal(got, adjoint(vals[0]))
-        assert np.array_equal(plan.forward(imgs[0]), forward(imgs[0]))
-        assert np.array_equal(
-            plan.adjoint_batch(vals), np.stack([adjoint(v) for v in vals])
-        )
-        assert np.array_equal(
-            plan.forward_batch(imgs), np.stack([forward(img) for img in imgs])
-        )
-        # the lane rounds its own copies, never the caller's arrays
-        assert np.array_equal(vals, inputs[0]) and np.array_equal(imgs, inputs[1])
 
     def test_gridder_instance_dtype_mismatch_rejected(self, coords):
         from repro.gridding import GriddingSetup, make_gridder
@@ -298,5 +260,6 @@ class TestPrecision:
             NufftPlan((32, 32), coords, gridder=gridder)
 
     def test_rejects_unknown_precision(self, coords):
-        with pytest.raises(ValueError, match="precision"):
-            NufftPlan((32, 32), coords, precision="half")
+        for precision in ("half", "simulate-single"):
+            with pytest.raises(ValueError, match="precision"):
+                NufftPlan((32, 32), coords, precision=precision)

@@ -3,12 +3,15 @@
 The ``precision="single"`` lane must compute in complex64/float32 end
 to end — gridding engines, buffer pool, FFT, apodization, CG — while
 staying within the float32 error floor of the complex128 reference.
-The legacy stepwise comparator lives on as ``"simulate-single"``.
+Per engine and trajectory that is asserted by the ``plan`` cells of
+``tests/test_engine_matrix.py`` (single-vs-double NRMSD <= 1e-4 on
+K = 3 batches, the dot test at 1e-4); each ``TestNrmsdAcrossEngines``,
+``TestAdjointnessFloat32`` and ``TestBatchedDtype`` id asserts the
+cells of its engine and trajectory.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.gridding import GriddingSetup, make_gridder
 from repro.gridding.buffers import GridBufferPool
@@ -18,9 +21,9 @@ from repro.recon import cg_reconstruction
 from repro.trajectories import (
     cell_counting_density_compensation,
     radial_trajectory,
-    random_trajectory,
     spiral_trajectory,
 )
+from tests.test_engine_matrix import KERNELS, PLAN_PROBLEMS, assert_plan_cells
 
 ENGINES = [
     "naive",
@@ -30,23 +33,6 @@ ENGINES = [
     "slice_and_dice",
     "slice_and_dice_compiled",
 ]
-
-TRAJECTORIES_2D = [
-    ("radial", radial_trajectory(16, 32)),
-    ("spiral", spiral_trajectory(4, 64)),
-    ("random", random_trajectory(128, 2, rng=7)),
-]
-
-
-def _plans(shape, coords, engine, **kwargs):
-    double = NufftPlan(
-        shape, coords, gridder=engine, fft_backend="numpy", **kwargs
-    )
-    single = NufftPlan(
-        shape, coords, gridder=engine, fft_backend="numpy",
-        precision="single", **kwargs
-    )
-    return double, single
 
 
 def _nrmsd(a, ref):
@@ -58,35 +44,15 @@ class TestNrmsdAcrossEngines:
     """complex64 results track the complex128 reference on every engine."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize(
-        "name,coords", TRAJECTORIES_2D, ids=[t[0] for t in TRAJECTORIES_2D]
-    )
-    def test_adjoint_forward_2d(self, engine, name, coords):
-        double, single = _plans((32, 32), coords, engine)
-        rng = np.random.default_rng(1)
-        m = coords.shape[0]
-        vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        a64 = double.adjoint(vals)
-        a32 = single.adjoint(vals)
-        assert a32.dtype == np.complex64
-        assert _nrmsd(a32, a64) < 1e-4
-        f64 = double.forward(a64)
-        f32 = single.forward(a32)
-        assert f32.dtype == np.complex64
-        assert _nrmsd(f32, f64) < 1e-4
+    @pytest.mark.parametrize("name", ["radial", "spiral", "random"])
+    def test_adjoint_forward_2d(self, engine, name):
+        assert_plan_cells([engine], KERNELS, [name], ["single"])
 
     @pytest.mark.parametrize(
         "engine", ["naive", "slice_and_dice", "slice_and_dice_compiled"]
     )
     def test_adjoint_3d(self, engine):
-        coords = random_trajectory(256, 3, rng=5)
-        double, single = _plans((16, 16, 16), coords, engine)
-        rng = np.random.default_rng(2)
-        vals = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        a64 = double.adjoint(vals)
-        a32 = single.adjoint(vals)
-        assert a32.dtype == np.complex64
-        assert _nrmsd(a32, a64) < 1e-4
+        assert_plan_cells([engine], KERNELS, ["3d"], ["single"])
 
 
 class TestCgNrmsd:
@@ -126,29 +92,10 @@ class TestCgNrmsd:
 
 # ----------------------------------------------------------------------
 class TestAdjointnessFloat32:
-    """<A x, y> == <x, A^H y> at float32 tolerances (hypothesis)."""
+    """<A x, y> == <x, A^H y> at float32 tolerances."""
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_dot_test(self, seed):
-        coords = random_trajectory(64, 2, rng=123)
-        plan = NufftPlan(
-            (16, 16), coords, gridder="slice_and_dice", precision="single",
-            fft_backend="numpy",
-        )
-        rng = np.random.default_rng(seed)
-        x = (
-            rng.standard_normal(plan.image_shape)
-            + 1j * rng.standard_normal(plan.image_shape)
-        ).astype(np.complex64)
-        y = (
-            rng.standard_normal(plan.n_samples)
-            + 1j * rng.standard_normal(plan.n_samples)
-        ).astype(np.complex64)
-        lhs = np.vdot(plan.forward(x), y)
-        rhs = np.vdot(x, plan.adjoint(y))
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        assert abs(lhs - rhs) / scale < 1e-4
+    def test_dot_test(self):
+        assert_plan_cells(["slice_and_dice"], KERNELS, PLAN_PROBLEMS, ["adjoint"])
 
 
 # ----------------------------------------------------------------------
@@ -199,19 +146,7 @@ class TestBatchedDtype:
 
     @pytest.mark.parametrize("engine", ["slice_and_dice", "sparse_matrix"])
     def test_batched_roundtrip(self, engine):
-        coords = radial_trajectory(16, 32)
-        double, single = _plans((32, 32), coords, engine)
-        rng = np.random.default_rng(4)
-        m = coords.shape[0]
-        vals = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
-        a64 = double.adjoint_batch(vals)
-        a32 = single.adjoint_batch(vals)
-        assert a32.dtype == np.complex64
-        assert a32.shape == a64.shape
-        assert _nrmsd(a32, a64) < 1e-4
-        f32 = single.forward_batch(a32)
-        assert f32.dtype == np.complex64
-        assert _nrmsd(f32, double.forward_batch(a64)) < 1e-4
+        assert_plan_cells([engine], KERNELS, PLAN_PROBLEMS, ["single"])
 
 
 # ----------------------------------------------------------------------

@@ -97,7 +97,7 @@ class TestExactEquivalence:
     def test_batched_matches_loop(self):
         # every batch row equals the single apply, bit for bit, in each
         # precision lane and rank
-        for precision in ("double", "single", "simulate-single"):
+        for precision in ("double", "single"):
             for shape, m in (((16, 16), 250), ((8, 8, 8), 200)):
                 coords = random_trajectory(m, len(shape), rng=9)
                 plan = NufftPlan(shape, coords, precision=precision)

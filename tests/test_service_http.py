@@ -153,6 +153,7 @@ class TestRoutes:
         # W = 6 > T = 4: the one-point-per-column guarantee breaks
         pytest.param({"gridder_options": {"tile_size": 4}}, "", id="tile_size"),
         pytest.param({"precision": "half"}, "", id="precision"),
+        pytest.param({"precision": "simulate-single"}, "", id="removed-precision"),
         # the grid alone exceeds the budget: no chunk size fits
         pytest.param({"max_bytes": 1024}, "", id="max_bytes"),
         pytest.param({"fft_backend": "no-such-fft"}, "", id="unknown-fft"),
