@@ -34,7 +34,10 @@ entries, and a one-band plan is the plain sample-major matrix,
 ``indptr[0] = arange(0, nnz + 1, W^d)``.  The select runs in
 :data:`SELECT_CHUNK_SAMPLES`-sample steps, through a step-sized
 scratch when the plan has bands, so its transients are O(step), not
-O(M).  A warm pass calls SciPy's sparse kernels directly, on the
+O(M).  A banded plan is selected in parallel: ``P`` contiguous sample
+ranges, each in steps of ``1/P`` of that size through its own scratch
+into its own slices ``indptr[b, lo] … indptr[b, hi]`` of every band,
+which no other range writes.  A warm pass calls SciPy's sparse kernels directly, on the
 complex vectors viewed as ``(n, 2)`` float arrays, each adding **in
 place**:
 
@@ -44,9 +47,10 @@ place**:
   running ``csr_matvecs`` over every band in band order, so each
   sample's sum continues from band to band.
 
-The parallel tasks are GIL-free SciPy loops on one shared thread pool
-(:func:`usable_cpus` threads); a call returns, or raises, only after
-every task of it has returned.
+The parallel tasks are SciPy loops and NumPy selects, which drop the
+GIL: the caller runs the first, one shared thread pool
+(:func:`usable_cpus` threads) the others, and a call returns, or
+raises, only after every task of it has returned.
 
 Chunk mode
 ----------
@@ -59,6 +63,14 @@ and sorts nothing.  One scratch plan, grown to the largest chunk, holds
 the entries of the chunk selected last, bound to it like a one-shot
 plan (*Plan binding*): a chunk equal to the held copy (a trajectory
 that fits in one chunk, reused by CG) skips the select.
+
+Where a one-shot plan of the chunk would be banded, the select and the
+mat-vecs overlap, as JIGSAW's pipeline stages do: each chunk is
+selected as two halves into the two halves of the scratch, and while
+the caller runs half ``j``'s mat-vec the pool selects half ``j + 1``
+(the next chunk's first half after a second half).  The mat-vecs still
+run one piece at a time in sample order, so each dice word sees the
+additions of the unpipelined pass; otherwise the select runs inline.
 
 Bit-identity
 ------------
@@ -80,7 +92,8 @@ two bands touch the same word.  Forward, a sample's band runs are its
 ascending-row entries cut at band boundaries, and one task walks them
 in band order from ``0.0``: the one-band chain, continued in place.
 
-Chunks partition the samples in order, so every dice word's additions
+Chunks, and the halves of a pipelined chunk, partition the samples in
+order, so every dice word's additions
 over the chunks concatenate to the one-shot sequence.  The in-place
 ``csc_matvecs`` continues each word's partial sum from its current
 value, so a chunked adjoint is ``np.array_equal`` to the one-shot
@@ -137,9 +150,11 @@ __all__ = [
 #: bands; below it thread launch overhead would dominate
 PARALLEL_MIN_NNZ = 1 << 15
 
-#: samples per select step of a one-shot compile: bounds the select's
-#: transients (and a banded plan's scratch) to a few megabytes
-SELECT_CHUNK_SAMPLES = 1 << 14
+#: samples per select step of a one-shot compile, shared by a banded
+#: plan's concurrent ranges: bounds the select's transients (and the
+#: scratch) to a few megabytes, and what a pool thread's allocator
+#: keeps of them after the compile
+SELECT_CHUNK_SAMPLES = 1 << 13
 
 
 @dataclass
@@ -159,9 +174,10 @@ class CompiledPlan:
     n_rows: int         #: dice rows (``T^d`` columns)
     n_tiles: int        #: dice depth (tiles per column)
     compile_seconds: float  #: wall-clock of the select (and row pointers)
-    #: ``(P, m + 1)`` absolute row pointers of the bands; built on
-    #: first use for a one-band plan
-    indptr: np.ndarray | None = None
+    #: ``(P, m + 1)`` absolute row pointers of the bands; each band's
+    #: rows hold ascending, unique column indices (``W <= T``), so each
+    #: band's run of the entries is a canonical CSR matrix
+    indptr: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -176,31 +192,12 @@ class CompiledPlan:
     @property
     def n_bands(self) -> int:
         """Dice-row bands ``P`` the entries are split into."""
-        return 1 if self.indptr is None else self.indptr.shape[0]
+        return self.indptr.shape[0]
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes: the entries, plus the row pointers once
-        they exist."""
-        total = self.flat.nbytes + self.weight.nbytes
-        if self.indptr is not None:
-            total += self.indptr.nbytes
-        return int(total)
-
-    def row_pointers(self) -> np.ndarray:
-        """The ``(P, m + 1)`` band row pointers; a one-band plan's
-        ``arange(0, nnz + 1, W^d)`` is built on first use.
-
-        Each band's rows hold ascending, unique column indices
-        (``W <= T``), so each band's run of the entries is a canonical
-        CSR matrix.
-        """
-        if self.indptr is None:
-            per = self.nnz // self.m if self.m else 1
-            self.indptr = np.arange(
-                0, self.nnz + 1, per, dtype=self.flat.dtype
-            )[None]
-        return self.indptr
+        """Resident bytes: the entries and the row pointers."""
+        return int(self.flat.nbytes + self.weight.nbytes + self.indptr.nbytes)
 
 
 def _as_real(a: np.ndarray) -> np.ndarray:
@@ -226,26 +223,34 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_tasks(tasks: list) -> None:
-    """Run ``tasks`` (callables), in parallel when there are several.
-
-    Raises the first task's error only after every task has returned,
-    so no task still writes into a buffer the caller's ``finally``
-    releases.
-    """
-    if len(tasks) == 1:
-        tasks[0]()
-        return
+def _pool() -> ThreadPoolExecutor:
+    """The shared band pool, started on first use.  A pool task must
+    never submit to the pool: a task that waits on another could wait
+    on a task queued behind itself."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
             _POOL = ThreadPoolExecutor(usable_cpus(), "repro-band")
+        return _POOL
+
+
+def _run_tasks(tasks: list) -> None:
+    """Run ``tasks`` (callables) in parallel: the first on the caller,
+    which would otherwise only wait, the others on the pool.
+
+    Raises an error only after every task has returned, so no task
+    still writes into a buffer the caller's ``finally`` releases.
+    Chunk mode's in-flight select keeps the same rule
+    (:meth:`CompiledSliceAndDiceGridder._plans`).
+    """
     futures = []
     try:
-        for task in tasks:
-            futures.append(_POOL.submit(task))
+        for task in tasks[1:]:
+            futures.append(_pool().submit(task))
+        tasks[0]()
     finally:
-        wait(futures)
+        if futures:
+            wait(futures)
     for future in futures:
         future.result()
 
@@ -301,12 +306,16 @@ def working_set(
     ``fixed`` is O(grid): the ``K``-RHS dice.  ``plan`` is O(m): the
     entries (int32 addresses, with the ``P`` row pointers), the
     select's transients when the pass selects (:func:`select_bytes` of
-    the chunk, or one-shot of one :data:`SELECT_CHUNK_SAMPLES` step,
-    where a banded plan adds the step's scratch entries and the
-    per-sample band ids), and the value-sized buffers — in chunk mode
-    the chunk's coordinates, their kept copy and its values or output
-    slice, one-shot the forward output.  The mat-vecs add in place and
-    need no scratch.
+    the chunk — an upper bound when the chunk is pipelined, which
+    selects one half at a time, and the budget
+    :func:`choose_chunk_samples` needs on any host; one-shot, of the
+    ``P`` sample ranges' concurrent steps of at most
+    :data:`SELECT_CHUNK_SAMPLES` ``/ P`` samples, where a banded plan
+    adds each step's scratch entries and the per-sample band ids), and
+    the value-sized buffers — in chunk mode the chunk's
+    coordinates, their kept copy and its values or output slice,
+    one-shot the forward output.  The mat-vecs add in place and need
+    no scratch.
 
     Examples
     --------
@@ -324,10 +333,10 @@ def working_set(
     if select and chunked:
         plan += select_bytes(m, ndim, width, r)
     elif select:
-        step = min(m, SELECT_CHUNK_SAMPLES)
-        plan += select_bytes(step, ndim, width, r)
+        step = min(-(-m // bands), SELECT_CHUNK_SAMPLES // bands)
+        plan += bands * select_bytes(step, ndim, width, r)
         if bands > 1:
-            plan += m * width + step * (per * (isize + r) + width * 9)
+            plan += m * width + bands * step * (per * (isize + r) + width * 9)
     if chunked:
         plan += m * (2 * ndim * 8 + k_rhs * c)
     elif forward:
@@ -483,21 +492,10 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         fits = max(nnz, self._n_flat) < 2 ** 31
         return np.dtype(np.int32 if fits else np.int64)
 
-    def _new_plan(self, coords, flat, weight, indptr, t0) -> CompiledPlan:
-        """Wrap selected entries as a plan timed from ``t0``; the row
-        pointers are part of the compile."""
-        plan = CompiledPlan(
-            flat=flat,
-            weight=weight,
-            m=coords.shape[0],
-            n_rows=self.layout.n_columns,
-            n_tiles=self.layout.n_tiles,
-            compile_seconds=0.0,
-            indptr=indptr,
-        )
-        plan.row_pointers()
-        plan.compile_seconds = time.perf_counter() - t0
-        return plan
+    def _plan(self, flat, weight, m: int, indptr, seconds: float) -> CompiledPlan:
+        """Selected entries of ``m`` samples as a plan."""
+        n_rows, n_tiles = self.layout.n_columns, self.layout.n_tiles
+        return CompiledPlan(flat, weight, m, n_rows, n_tiles, seconds, indptr)
 
     def _n_bands(self, nnz: int) -> int:
         """``P`` of a one-shot plan: ``min(usable CPUs, T)`` from
@@ -529,125 +527,196 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         return band.astype(np.min_scalar_type(bands - 1))[i], indptr
 
     def _compile(self, coords: np.ndarray) -> CompiledPlan:
-        """A one-shot plan of ``coords``, selected in
-        :data:`SELECT_CHUNK_SAMPLES`-sample steps: straight into place
-        for one band, else into a step-sized scratch whose per-band
-        runs are then copied to their band-major offsets (module
-        docstring, *The plan*)."""
+        """A one-shot plan of ``coords``: its ``P`` sample ranges
+        selected on the band pool, each in steps of
+        :data:`SELECT_CHUNK_SAMPLES` ``/ P`` samples — straight into
+        place for one band, else through the range's own step-sized
+        scratch whose per-band runs are then copied to their band-major
+        offsets (module docstring, *The plan*)."""
         t0 = time.perf_counter()
         m = coords.shape[0]
         w = self.setup.width
         per = w ** self.setup.ndim
         nnz = m * per
         bands = self._n_bands(nnz)
-        dtype = self._index_dtype(nnz)
-        indptr = None
+        dtype, real = self._index_dtype(nnz), self.setup.real_dtype
         if bands > 1:
             cols, indptr = self._band_pointers(coords, bands, dtype)
-            size = min(m, SELECT_CHUNK_SAMPLES) * per
-            scratch = (np.empty(size, dtype=dtype), np.empty(size, self.setup.real_dtype))
+        else:
+            indptr = np.arange(0, nnz + 1, per, dtype=dtype)[None]
         flat = np.empty(nnz, dtype=dtype)
-        weight = np.empty(nnz, dtype=self.setup.real_dtype)
-        for lo in range(0, m, SELECT_CHUNK_SAMPLES):
-            hi = min(lo + SELECT_CHUNK_SAMPLES, m)
-            if bands == 1:
-                self._select_entries(
-                    coords[lo:hi], flat[lo * per:hi * per], weight[lo * per:hi * per]
-                )
-                continue
-            n = (hi - lo) * per
-            self._select_entries(coords[lo:hi], scratch[0][:n], scratch[1][:n])
-            # rows of W^(d-1) entries, one per (sample, axis-0 column)
-            runs = [s[:n].reshape((hi - lo) * w, -1) for s in scratch]
-            for b, ptr in enumerate(indptr):
-                rows = np.flatnonzero(cols[lo:hi] == b)
-                for src, dst in zip(runs, (flat, weight)):
-                    np.take(
-                        src, rows, axis=0, mode="clip",
-                        out=dst[ptr[lo]:ptr[hi]].reshape(rows.size, src.shape[1]),
+        weight = np.empty(nnz, dtype=real)
+
+        # the P ranges' concurrent steps hold one one-band step's transients
+        step = SELECT_CHUNK_SAMPLES // bands
+
+        def select(start: int, stop: int) -> None:
+            if bands > 1:
+                size = min(stop - start, step) * per
+                scratch = (np.empty(size, dtype=dtype), np.empty(size, real))
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                if bands == 1:
+                    self._select_entries(
+                        coords[lo:hi], flat[lo * per:hi * per], weight[lo * per:hi * per]
                     )
-        return self._new_plan(coords, flat, weight, indptr, t0)
+                    continue
+                n = (hi - lo) * per
+                self._select_entries(coords[lo:hi], scratch[0][:n], scratch[1][:n])
+                # rows of W^(d-1) entries, one per (sample, axis-0 column)
+                runs = [s[:n].reshape((hi - lo) * w, -1) for s in scratch]
+                for b, ptr in enumerate(indptr):
+                    rows = np.flatnonzero(cols[lo:hi] == b)
+                    for src, dst in zip(runs, (flat, weight)):
+                        np.take(
+                            src, rows, axis=0, mode="clip",
+                            out=dst[ptr[lo]:ptr[hi]].reshape(rows.size, src.shape[1]),
+                        )
 
-    def _fetch_plan(self, coords: np.ndarray) -> tuple[CompiledPlan, bool]:
-        """The plan for one pass over ``coords`` plus whether it was
-        reused: the bound plan (module docstring, *Plan binding*), else
-        a fresh one-shot plan, or in chunk mode a select into the
-        scratch (:meth:`_select_chunk`)."""
-        build = self._compile if self.chunk_samples is None else self._select_chunk
-        return self._binding.fetch(coords, build)
+        bounds = [m * b // bands for b in range(bands + 1)]
+        _run_tasks([partial(select, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+        return self._plan(flat, weight, m, indptr, time.perf_counter() - t0)
 
-    def _select_chunk(self, coords: np.ndarray) -> CompiledPlan:
-        """One chunk's one-band plan, selected into the scratch."""
-        nnz = coords.shape[0] * self.setup.width ** self.setup.ndim
-        if self._chunk_flat is None or self._chunk_flat.size < nnz:
-            self._chunk_flat = np.empty(nnz, dtype=self._index_dtype(nnz))
-            self._chunk_weight = np.empty(nnz, dtype=self.setup.real_dtype)
-        t0 = time.perf_counter()
-        flat, weight = self._chunk_flat[:nnz], self._chunk_weight[:nnz]
-        self._select_entries(coords, flat, weight)
-        return self._new_plan(coords, flat, weight, None, t0)
+    def _plans(self, coords: np.ndarray, k_rhs: int, forward: bool, start: int = 0):
+        """The one source of a call's plans: ``(lo, hi, plan, stats)``
+        pieces in sample order, ``plan`` holding samples ``[lo, hi)``
+        and ``stats`` a chunk's :class:`GriddingStats` on its last
+        piece, else ``None``.
+
+        One-shot, the call is one piece: the bound plan, compiled on a
+        miss.  In chunk mode, the chunks from chunk ``start`` on: one
+        piece of the held entries for a chunk equal to the held copy,
+        else a select into the scratch, then bound — as two half-chunk
+        pieces, each selected on the band pool while the caller applies
+        the one before, where a one-shot plan of the chunk would be
+        banded (module docstring, *Chunk mode*).  The binding is dropped
+        before the pool writes into the scratch, and ``cancel_token`` is
+        checked before each chunk.  The caller closes the generator in
+        its ``finally``: that waits for a select still in flight.
+        """
+        stats = self._stats_of(k_rhs, forward)
+        m, step, binding = coords.shape[0], self.chunk_samples, self._binding
+        if step is None:
+            if self.cancel_token is not None:
+                self.cancel_token.check()
+            plan, hit = binding.fetch(coords, self._compile)
+            yield 0, m, plan, stats(plan, hit)
+            return
+        per = self.setup.width ** self.setup.ndim
+        size = min(step, m) * per
+        if self._chunk_flat is None or self._chunk_flat.size < size:
+            self._chunk_flat = np.empty(size, dtype=self._index_dtype(size))
+            self._chunk_weight = np.empty(size, dtype=self.setup.real_dtype)
+        flat, weight = self._chunk_flat, self._chunk_weight
+        ptr = np.arange(0, size + 1, per, dtype=flat.dtype)[None]
+        pipelined = self._n_bands(size) > 1
+
+        def select(lo: int, hi: int, at: int) -> None:
+            n = (hi - lo) * per
+            self._select_entries(coords[lo:hi], flat[at:at + n], weight[at:at + n])
+
+        def piece(lo: int, hi: int, at: int, seconds: float = 0.0) -> CompiledPlan:
+            n = (hi - lo) * per
+            return self._plan(flat[at:at + n], weight[at:at + n], hi - lo,
+                              ptr[:, :hi - lo + 1], seconds)
+
+        pending = None  # the select running on the pool
+        try:
+            for lo in range(start * step, m, step):
+                hi = min(lo + step, m)
+                if self.cancel_token is not None:
+                    self.cancel_token.check()
+                if pending is None and binding.holds(coords[lo:hi]):
+                    yield lo, hi, binding.product, stats(binding.product, True)
+                    continue
+                mid = (lo + hi + 1) // 2 if pipelined else hi
+                t0 = time.perf_counter()
+                if pending is None:
+                    binding.bind(None, None)
+                    select(lo, mid, 0)
+                else:
+                    pending.result()
+                seconds = time.perf_counter() - t0
+                if mid < hi:
+                    pending = _pool().submit(select, mid, hi, (mid - lo) * per)
+                    yield lo, mid, piece(lo, mid, 0), None
+                    t0 = time.perf_counter()
+                    pending.result()
+                    pending, seconds = None, seconds + time.perf_counter() - t0
+                chunk = piece(lo, hi, 0, seconds)
+                binding.bind(coords[lo:hi], chunk)
+                after = coords[hi:hi + step]
+                if pipelined and after.size and not binding.holds(after):
+                    binding.bind(None, None)
+                    mid_after = hi + (after.shape[0] + 1) // 2
+                    pending = _pool().submit(select, hi, mid_after, 0)
+                last = chunk if mid == hi else piece(mid, hi, (mid - lo) * per)
+                yield hi - last.m, hi, last, stats(chunk, False)
+        finally:
+            if pending is not None:
+                # wait, and read its error: the error raised here wins
+                pending.exception()
 
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
-    def _plan_stats(
-        self, plan: CompiledPlan, hit: bool, k_rhs: int, forward: bool
-    ) -> GriddingStats:
-        """Stats of one plan's pass (a whole call, or one chunk).
+    def _stats_of(self, k_rhs: int, forward: bool):
+        """A call's ``stats(plan, hit)``: the :class:`GriddingStats` of
+        one plan's pass (a whole call, or one chunk), with the table
+        bytes and each plan size's working set computed once per call.
 
         A plan **miss** pays the select: ``W`` boundary checks and LUT
-        reads per axis per sample, its wall time in
-        ``plan_compile_seconds``.  A plan **hit** is the paper's
-        select-unit-reuse payoff: zero boundary checks and LUT reads.
-        Every issued lane slot does useful work either way
+        reads per axis per sample, its wall time on the caller's
+        critical path in ``plan_compile_seconds``.  A plan **hit** is
+        the paper's select-unit-reuse payoff: zero boundary checks and
+        LUT reads.  Every issued lane slot does useful work either way
         (``simd_active_lanes == simd_lane_slots == nnz``); value work
         (``interpolations`` MACs, dice accesses) scales with the batch.
-        ``peak_bytes`` is :func:`working_set` of the plan's band count;
-        in chunk mode ``chunk_bytes`` is its O(chunk) part and
-        ``chunks`` counts 1.
-        ``table_bytes`` are the engine's resident ``(G, W)`` axis
-        tables.
+        ``peak_bytes`` is :func:`working_set` of the plan; in chunk
+        mode ``chunk_bytes`` is its O(chunk) part and ``chunks`` counts
+        1.  ``table_bytes`` are the engine's resident ``(G, W)`` axis
+        tables, built here, before any pool task reads them.
         """
         setup = self.setup
         chunked = self.chunk_samples is not None
-        checks = 0 if hit else plan.m * setup.width * setup.ndim
-        fixed, plan_bytes = working_set(
-            plan.m, plan.n_flat, setup.ndim, setup.width, setup.dtype,
-            k_rhs=k_rhs, forward=forward,
-            chunked=chunked, select=not hit, bands=plan.n_bands,
-        )
-        return GriddingStats(
-            boundary_checks=checks,
-            interpolations=plan.nnz * k_rhs,
-            samples_processed=plan.m,
-            grid_accesses=plan.nnz * k_rhs,
-            lut_lookups=checks,
-            simd_active_lanes=plan.nnz,
-            simd_lane_slots=plan.nnz,
-            cache_hits=int(hit),
-            cache_misses=int(not hit),
-            table_bytes=sum(d.nbytes + a.nbytes for d, a in self._axis_tables),
-            plan_compile_seconds=0.0 if hit else plan.compile_seconds,
-            plan_nnz=plan.nnz,
-            chunks=int(chunked),
-            chunk_bytes=plan_bytes if chunked else 0,
-            peak_bytes=fixed + plan_bytes,
-        )
+        table_bytes = sum(d.nbytes + a.nbytes for d, a in self._axis_tables)
+        models = {}
+
+        def stats(plan: CompiledPlan, hit: bool) -> GriddingStats:
+            key = (plan.m, hit, plan.n_bands)
+            if key not in models:
+                models[key] = working_set(
+                    plan.m, plan.n_flat, setup.ndim, setup.width, setup.dtype,
+                    k_rhs=k_rhs, forward=forward,
+                    chunked=chunked, select=not hit, bands=plan.n_bands,
+                )
+            fixed, plan_bytes = models[key]
+            checks = 0 if hit else plan.m * setup.width * setup.ndim
+            return GriddingStats(
+                boundary_checks=checks,
+                interpolations=plan.nnz * k_rhs,
+                samples_processed=plan.m,
+                grid_accesses=plan.nnz * k_rhs,
+                lut_lookups=checks,
+                simd_active_lanes=plan.nnz,
+                simd_lane_slots=plan.nnz,
+                cache_hits=int(hit),
+                cache_misses=int(not hit),
+                table_bytes=table_bytes,
+                plan_compile_seconds=0.0 if hit else plan.compile_seconds,
+                plan_nnz=plan.nnz,
+                chunks=int(chunked),
+                chunk_bytes=plan_bytes if chunked else 0,
+                peak_bytes=fixed + plan_bytes,
+            )
+
+        return stats
 
     def _finish(self, total: GriddingStats, k_rhs: int) -> None:
         """Install a call's summed stats, with the pass' ``M * W^d``
         entries."""
         total.plan_nnz = total.interpolations // k_rhs
         self.stats = total
-
-    def _pieces(self, coords: np.ndarray, values_stack: np.ndarray | None):
-        """A gated call's ``(coords, values)`` pieces: the whole call
-        one-shot, ``chunk_samples`` slices in chunk mode."""
-        m = coords.shape[0]
-        step = self.chunk_samples or m
-        for lo in range(0, m, step):
-            v = None if values_stack is None else values_stack[:, lo:lo + step]
-            yield coords[lo:lo + step], v
 
     # ------------------------------------------------------------------
     # gridding (adjoint): dice += A.T @ values per RHS
@@ -658,10 +727,10 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         values_stack: np.ndarray,
         out: np.ndarray,
     ) -> None:
-        """Batched adjoint gridding: accumulate the call's pieces into
-        one pooled dice — one plan fetch per piece (a hit after the
-        first call per trajectory), then one pass per RHS — and unstack
-        it into ``out`` (``(K,) + grid``).
+        """Batched adjoint gridding: accumulate the call's pieces
+        (:meth:`_plans`; one piece one-shot, a hit after the first call
+        per trajectory) into one pooled dice, one pass per RHS, and
+        unstack it into ``out`` (``(K,) + grid``).
 
         The dice is released on *every* exit path — a mid-pass failure
         (cancellation, a deadline, a kernel error) strands no pooled
@@ -670,46 +739,44 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
 
         Lifecycle hooks, both opt-in via instance attributes:
 
-        - ``self.cancel_token`` is checked once per piece, *before* it
-          is selected and scattered — cancellation (or a deadline)
-          aborts at a chunk boundary with the dice released and, when
-          checkpointing is on, the latest snapshot still in the store.
+        - ``self.cancel_token`` is checked once per chunk, before its
+          first piece is scattered — cancellation (or a deadline)
+          aborts at a chunk boundary with the dice released, no select
+          left running, and, when checkpointing is on, the latest
+          snapshot still in the store.
         - ``self.checkpoint`` (a
           :class:`~repro.robustness.CheckpointConfig`) seeds the dice
           from a matching stored snapshot and skips the first
-          ``chunk_cursor`` pieces of the replayed pass (skipped
-          pieces are never selected or scattered), then saves a fresh
-          snapshot every ``every`` pieces.  The in-place mat-vecs
+          ``chunk_cursor`` chunks of the replayed pass (skipped
+          chunks are never selected or scattered), then saves a fresh
+          snapshot every ``every`` chunks.  The in-place mat-vecs
           continue the dice's partial sums exactly (module docstring),
           so the resumed output is bit-identical to an uninterrupted
           run.
         """
         k_rhs = values_stack.shape[0]
         total = GriddingStats()
-        token = self.cancel_token
         ckpt = self.checkpoint
         self.last_resume = None
         snap = self._resume_snapshot(ckpt, k_rhs, total)
         cursor = sample_cursor = 0
+        if snap is not None:
+            cursor, sample_cursor = snap.chunk_cursor, snap.sample_cursor
+        pieces = self._plans(coords, k_rhs, False, cursor)
         dice_flat = self._acquire_buffer((k_rhs, self._n_flat), zero=True)
         try:
             if snap is not None:
                 dice_flat[...] = snap.dice
-                cursor, sample_cursor = snap.chunk_cursor, snap.sample_cursor
                 self.last_resume = {
                     "chunk_cursor": cursor,
                     "sample_cursor": sample_cursor,
                 }
-            pieces = self._pieces(coords, values_stack)
-            for index, (coords_c, values_c) in enumerate(pieces):
-                if snap is not None and index < snap.chunk_cursor:
+            for lo, hi, plan, stats in pieces:
+                self._apply_grid(plan, values_stack[:, lo:hi], dice_flat)
+                sample_cursor += hi - lo
+                if stats is None:
                     continue
-                if token is not None:
-                    token.check()
-                plan, hit = self._fetch_plan(coords_c)
-                self._apply_grid(plan, values_c, dice_flat)
-                total.accumulate(self._plan_stats(plan, hit, k_rhs, False))
-                sample_cursor += coords_c.shape[0]
+                total.accumulate(stats)
                 cursor += 1
                 if ckpt is not None and cursor % ckpt.every == 0:
                     ckpt.store.save(
@@ -726,6 +793,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                     dice_flat[k].reshape(self.layout.n_columns, self.layout.n_tiles)
                 )
         finally:
+            pieces.close()
             self._release_buffer(dice_flat)
         if ckpt is not None and ckpt.delete_on_success:
             ckpt.store.delete(ckpt.key)
@@ -758,7 +826,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         values = [_as_real(v).ravel() for v in values_stack]
         _run_tasks([
             partial(_grid_band, plan, indptr, values, dice_flat)
-            for indptr in plan.row_pointers()
+            for indptr in plan.indptr
         ])
 
     # ------------------------------------------------------------------
@@ -774,20 +842,17 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         k_rhs = grid_stack.shape[0]
         out = np.empty((k_rhs, coords.shape[0]), dtype=self.setup.dtype)
         total = GriddingStats()
+        pieces = self._plans(coords, k_rhs, True)
         dice_flat = self._acquire_buffer((k_rhs, self._n_flat), zero=False)
         try:
             for k in range(k_rhs):
                 dice_flat[k] = self.layout.grid_to_dice(grid_stack[k]).reshape(-1)
-            lo = 0
-            for coords_c, _ in self._pieces(coords, None):
-                if self.cancel_token is not None:
-                    self.cancel_token.check()
-                hi = lo + coords_c.shape[0]
-                plan, hit = self._fetch_plan(coords_c)
+            for lo, hi, plan, stats in pieces:
                 self._apply_interp(plan, dice_flat, out[:, lo:hi])
-                total.accumulate(self._plan_stats(plan, hit, k_rhs, True))
-                lo = hi
+                if stats is not None:
+                    total.accumulate(stats)
         finally:
+            pieces.close()
             self._release_buffer(dice_flat)
         self._finish(total, k_rhs)
         return out
@@ -798,7 +863,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         """Fill ``out`` (``(K, m)``) with the plan applied to the raveled
         dice stack: the forward counterpart of :meth:`_apply_grid`."""
         # one sample range per band
-        indptr = plan.row_pointers()
+        indptr = plan.indptr
         bounds = [plan.m * i // len(indptr) for i in range(len(indptr) + 1)]
         _run_tasks([
             partial(

@@ -16,6 +16,7 @@ array indexed by global tile address.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class DiceLayout:
     def tile_counts(self) -> tuple[int, ...]:
         return tuple(g // self.tile_size for g in self.grid_shape)
 
-    @property
+    @cached_property
     def n_tiles(self) -> int:
         """Tiles in the stack — the depth of every column."""
         return int(np.prod(self.tile_counts))

@@ -98,8 +98,10 @@ class GriddingStats:
     plan_compile_seconds:
         Wall-clock seconds spent compiling a trajectory scatter plan
         during this call (the ``slice_and_dice_compiled`` engine: its
-        select plus the CSR wrap); 0.0 on a plan hit.  In chunk
-        mode, the sum of the chunks' select times.
+        select plus the row pointers) on the caller's critical path:
+        the inline select plus the waits for the pool's selects, so it
+        and the rest of the pass partition the pass' wall time; 0.0 on
+        a plan hit.  In chunk mode, the sum over the chunks.
     plan_nnz:
         Nonzeros of the compiled scatter plan the call executed —
         exactly the ``M * W^d`` passing checks (in chunk mode: the
@@ -490,16 +492,24 @@ class ExactBinding:
         #: the bound product, ``None`` while unbound
         self.product = None
 
+    def holds(self, key: np.ndarray | None) -> bool:
+        """Whether a product is bound to a copy equal to ``key``."""
+        return self.product is not None and np.array_equal(self.key, key)
+
+    def bind(self, key: np.ndarray | None, product) -> None:
+        """Hold ``product`` and a copy of ``key``; ``(None, None)`` unbinds."""
+        self.key = None if key is None else np.array(key)
+        self.product = product
+
     def fetch(self, key: np.ndarray | None, build) -> tuple[object, bool]:
         """``(build(key), False)`` after rebinding, or ``(product, True)``
         when ``key`` equals the held copy."""
-        if self.product is not None and np.array_equal(self.key, key):
+        if self.holds(key):
             return self.product, True
         # unbind first: a build that raises leaves nothing stale behind
-        self.key = self.product = None
+        self.bind(None, None)
         product = build(key)
-        self.key = None if key is None else np.array(key)
-        self.product = product
+        self.bind(key, product)
         return product, False
 
 

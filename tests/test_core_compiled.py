@@ -97,10 +97,10 @@ class TestCsrBackend:
         # plan arrays without copies
         coords, _ = random_samples(rng, 100, tiny_setup.grid_shape)
         com = CompiledSliceAndDiceGridder(tiny_setup)
-        plan, _ = com._fetch_plan(tiny_setup.check_coords(coords))
+        plan = com._compile(tiny_setup.check_coords(coords))
         assert plan.n_bands == 1
         mat = sparse.csr_matrix(
-            (plan.weight, plan.flat, plan.row_pointers()[0]),
+            (plan.weight, plan.flat, plan.indptr[0]),
             shape=(plan.m, plan.n_flat), copy=False,
         )
         assert mat.nnz == plan.nnz
@@ -148,13 +148,13 @@ class TestBands:
             random_samples(rng, 300, small_setup.grid_shape)[0]
         )
         one, _ = self._engine(monkeypatch, small_setup, 1)
-        ref, _ = one._fetch_plan(coords)
+        ref = one._compile(coords)
         com, p = self._engine(monkeypatch, small_setup, 3)
-        plan, _ = com._fetch_plan(coords)
+        plan = com._compile(coords)
         assert (ref.n_bands, plan.n_bands) == (1, p)
         shape = (plan.m, plan.n_flat)
         want = sparse.csr_matrix(
-            (ref.weight, ref.flat, ref.row_pointers()[0]), shape=shape
+            (ref.weight, ref.flat, ref.indptr[0]), shape=shape
         )
         total = sparse.csr_matrix(shape)
         words_per_column = plan.n_flat // com.tile_size
@@ -217,16 +217,125 @@ class TestBands:
         assert np.array_equal(run(), want)
         assert pool.snapshot().outstanding == 0
 
+    @pytest.mark.parametrize("fault", ["select", "cancel", "matvec"])
+    @pytest.mark.parametrize("call", ["grid", "interp"])
+    def test_stopped_chunk_releases_dice_once(
+        self, monkeypatch, small_setup, rng, call, fault
+    ):
+        """A pipelined chunked call stopped at chunk ``k`` — the select
+        of its second half raises on the pool, its cancel token fires
+        while its first half is selected on the pool, or its first
+        half's mat-vec raises while the pool selects the second —
+        releases the pooled dice exactly once, after every select has
+        returned: no pool task writes into the scratch after the call
+        raises.  The pool balances, nothing stale stays bound, and the
+        next call equals a fresh engine's: a checkpointed adjoint
+        resumes after chunk ``k - 1`` and equals an uninterrupted
+        pass."""
+        from repro.errors import JobCancelled
+        from repro.robustness import CancelToken, CheckpointConfig, CheckpointStore
+
+        coords, values = random_samples(rng, 400, small_setup.grid_shape)
+        grid = gridding_problem("square")[3][0]  # small_setup's grid
+        monkeypatch.setattr(compiledmod, "usable_cpus", lambda: 2)
+        fresh = CompiledSliceAndDiceGridder(small_setup, chunk_samples=50)
+        com = CompiledSliceAndDiceGridder(small_setup, chunk_samples=50)
+        run = (lambda g: g.grid(coords, values)) if call == "grid" else (
+            lambda g: g.interp(grid, coords)
+        )
+        want = run(fresh)
+        pool, store, token = GridBufferPool(), CheckpointStore(), CancelToken()
+        com.buffer_pool, com.cancel_token = pool, token
+        com.checkpoint = CheckpointConfig(store=store, key="t", fingerprint="fp", every=1)
+        k, ends, released, threads, checks = 3, [], [], [], []
+        stopped = threading.Event()
+        select = com._select_entries
+
+        def on_check():  # check j + 1 opens chunk j
+            checks.append(time.perf_counter())
+            if fault == "cancel" and len(checks) == k + 1:
+                token.cancel("stopped at chunk k")
+                stopped.set()
+
+        def slow_select(*args):
+            # one select at a time, in order: chunk j's halves are calls
+            # 2j and 2j + 1; the one in flight when the call stops
+            # returns only after the stop
+            index = len(threads)
+            threads.append(threading.current_thread().name)
+            try:
+                if index == {"cancel": 2 * k, "matvec": 2 * k + 1}.get(fault):
+                    stopped.wait(5)
+                    time.sleep(0.02)
+                if fault == "select" and index == 2 * k + 1:
+                    raise RuntimeError("select failed")
+                select(*args)
+            finally:
+                ends.append(time.perf_counter())
+
+        token.on_check = on_check
+        release = pool.release
+
+        def counted_release(buf):
+            released.append(time.perf_counter())
+            release(buf)
+
+        def flaky(kernel):
+            def run_piece(*args):  # chunk j's halves are calls 2j, 2j + 1
+                matvecs.append(1)
+                if len(matvecs) == 2 * k + 1:
+                    stopped.set()
+                    raise RuntimeError("mat-vec failed")
+                kernel(*args)
+            return run_piece
+
+        class FlakySparsetools:
+            csc_matvecs = staticmethod(flaky(_sparsetools.csc_matvecs))
+            csr_matvecs = staticmethod(flaky(_sparsetools.csr_matvecs))
+
+        matvecs = []
+        if fault == "matvec":
+            monkeypatch.setattr(compiledmod, "_sparsetools", FlakySparsetools)
+        monkeypatch.setattr(com, "_select_entries", slow_select)
+        monkeypatch.setattr(pool, "release", counted_release)
+        error = JobCancelled if fault == "cancel" else RuntimeError
+        with pytest.raises(error):
+            run(com)
+        assert any(name.startswith("repro-band") for name in threads)
+        assert len(threads) == 2 * k + (1 if fault == "cancel" else 2)
+        assert len(released) == 1 and released[0] > max(ends) > checks[-1]
+        assert pool.snapshot().outstanding == 0
+        monkeypatch.setattr(com, "_select_entries", select)
+        monkeypatch.setattr(compiledmod, "_sparsetools", _sparsetools)
+        com.cancel_token = None
+        # the last chunk bound before the stop is no longer in the scratch
+        before, ckpt = slice((k - 1) * 50, k * 50), com.checkpoint
+        com.checkpoint = None
+        if call == "grid":
+            got = com.grid(coords[before], values[before])
+            assert np.array_equal(got, fresh.grid(coords[before], values[before]))
+        else:
+            got = com.interp(grid, coords[before])
+            assert np.array_equal(got, fresh.interp(grid, coords[before]))
+        com.checkpoint = ckpt
+        assert np.array_equal(run(com), want)
+        assert pool.snapshot().outstanding == 0
+        if call == "grid":  # resumed from the snapshot after chunk k - 1
+            assert com.last_resume["chunk_cursor"] == k
+
     def test_concurrent_callers_share_the_pool(self, monkeypatch, small_setup, rng):
         """Engines on more threads than the pool has workers, each
-        running ``T`` bands through the one shared pool with a short
-        switch interval, stay bit-identical: no band writes into
-        another band's rows or another call's buffers."""
+        running ``T`` bands — or, chunked, its pipelined selects —
+        through the one shared pool with a short switch interval, stay
+        bit-identical: no band writes into another band's rows, and no
+        select into another piece's scratch or another call's buffers."""
         coords, values = random_samples(rng, 2000, small_setup.grid_shape)
         grid = gridding_problem("square")[3][0]  # small_setup's grid
         ser = SliceAndDiceGridder(small_setup)
         want = (ser.grid(coords, values), ser.interp(grid, coords))
         engines = [self._engine(monkeypatch, small_setup, "T")[0] for _ in range(4)]
+        for com in engines[2:]:
+            com.chunk_samples = 300
         results = {}
 
         def work(i, com):

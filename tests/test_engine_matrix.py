@@ -14,7 +14,8 @@ adjoint, and ``interp``, the forward).  The two oracles are the serial
   states, on the compiling call (K = 3) and on calls that reuse the
   bound trajectory (K = 1);
 - ``twin`` — an option variant's relation to its engine's plain
-  variant, with its chunk count or band count;
+  variant, with its chunk count, its band count, or for a pipelined
+  chunk variant the band pool running its selects;
 - ``adjoint`` — ``<grid(v), g> == <v, interp(g)>`` per RHS of the
   batch and for the single call, relative error within :data:`ADJOINT`;
 - ``batch`` — each row of a K = 3 batch equals the single call on it
@@ -24,7 +25,9 @@ adjoint, and ``interp``, the forward).  The two oracles are the serial
 - ``stale`` — a reused instance called on coordinates with one moved
   sample (a new array, then an in-place edit) equals a fresh instance,
   in both directions; an engine that binds its trajectory reports the
-  hit and the misses.  These cells run on the first :data:`STALE_M`
+  hit and the misses; a pipelined chunk variant called on one chunk of
+  those samples, then on all of them, then on that chunk again equals a
+  fresh instance.  These cells run on the first :data:`STALE_M`
   samples: they compare two calls of one code path, so a smaller
   problem shows the same faults at a fraction of the cost;
 - at the :class:`~repro.nufft.NufftPlan` level (:func:`test_plan_cells`,
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import threading
 
 import numpy as np
 import pytest
@@ -72,7 +76,8 @@ STALE_M = 64
 
 #: engine -> option variant -> (gridder options, dice-row bands P):
 #: ``P`` patches the CPU count (``"T"``: more CPUs than tiles) and the
-#: band threshold, so the small problems here are banded on any host
+#: band threshold, so the small problems here are banded on any host;
+#: a chunk variant with ``P`` pipelines its select on the band pool
 OPTION_VARIANTS = {
     "slice_and_dice": {"blocked": ({"engine": "blocked", "n_blocks": 2}, None)},
     "slice_and_dice_compiled": {
@@ -81,6 +86,9 @@ OPTION_VARIANTS = {
         "PT": ({}, "T"),
         # chunk sizes 1, non-dividing, dividing and > M (M = 100 to 400)
         **{f"chunk{c}": ({"chunk_samples": c}, None) for c in (1, 7, 100, 5000)},
+        # pipelined: a last chunk of 1 to 4 samples, and the one-chunk reuse
+        "chunk33P2": ({"chunk_samples": 33}, 2),
+        "chunk5000PT": ({"chunk_samples": 5000}, "T"),
     },
 }
 
@@ -164,6 +172,19 @@ def _banded(bands):
         yield
 
 
+def _select_threads(gridder) -> set:
+    """Names of the threads that run ``gridder``'s selects, filled in
+    as they run."""
+    names, select = set(), gridder._select_entries
+
+    def recorded(*args):
+        names.add(threading.current_thread().name)
+        select(*args)
+
+    gridder._select_entries = recorded
+    return names
+
+
 def _nrmsd(got, want) -> float:
     scale = np.linalg.norm(want)
     return float(np.linalg.norm(got - want) / scale) if scale else float(np.linalg.norm(got))
@@ -232,6 +253,7 @@ def measure(variant: str, dtype: str, kernel: str, geometry: str) -> dict:
     pieces = -(-m // chunk) if chunk else 1
     with _banded(bands):
         gridder = make_gridder(engine, setup, **options)
+        threads = _select_threads(gridder) if chunk and bands is not None else set()
         out = []
         for i, direction in enumerate(("grid", "interp")):
             out.append(gridder.grid_batch(coords, values) if i == 0
@@ -243,7 +265,10 @@ def measure(variant: str, dtype: str, kernel: str, geometry: str) -> dict:
             expect("twin", cell, out[i], twin[i], CLAIMS[engine]["twin"][dtype][i])
             if chunk and gridder.stats.chunks != pieces:
                 fails["twin"].append((cell, f"{gridder.stats.chunks} chunks, not {pieces}"))
-        if bands is not None and m:
+        if bands is not None and chunk:
+            if m > 1 and not any(name.startswith("repro-band") for name in threads):
+                fails["twin"].append(("grid K=3", "no select ran on the band pool"))
+        elif bands is not None and m:
             want = gridder.tile_size if bands == "T" else bands
             if gridder._binding.product.n_bands != want:
                 fails["twin"].append(
@@ -308,6 +333,16 @@ def measure(variant: str, dtype: str, kernel: str, geometry: str) -> dict:
                 fails["stale"].append(
                     ("grid K=1 new array", "the moved sample left the grid unchanged")
                 )
+            if bands is not None and chunk and sub.shape[0] > chunk:
+                # the scratch a pipelined multi-chunk call overwrites:
+                # one chunk of A, every chunk of B, then A again
+                a, va = sub[:chunk], v[:chunk]
+                want = fresh.grid(a, va), fresh.interp(g, a)
+                again = make_gridder(engine, setup, **options)
+                again.grid(a, va), again.grid(sub, v)
+                got = again.grid(a, va), again.interp(g, a)
+                for i, direction in enumerate(("grid", "interp")):
+                    expect("stale", f"{direction} K=1 A after B", got[i], want[i], EXACT)
     return fails
 
 
@@ -403,3 +438,43 @@ def test_cells(variant, dtype, kernel, geometry):
 @pytest.mark.parametrize("engine", available_gridders())
 def test_plan_cells(engine, kernel, problem):
     assert_plan_cells([engine], [kernel], [problem])
+
+
+def _band_major(plan, bands: int, tile: int) -> tuple:
+    """A one-band plan's ``(flat, weight, indptr)`` re-laid out as a
+    ``bands``-band plan: entries stably sorted by the band of their
+    axis-0 column, each band's ``(M + 1)`` absolute row pointers."""
+    band = plan.flat // (plan.n_flat // tile) * bands // tile
+    order = np.argsort(band, kind="stable")
+    per_sample = band.reshape(plan.m, -1) if plan.m else band.reshape(0, 1)
+    counts = np.stack([np.count_nonzero(per_sample == b, axis=1) for b in range(bands)])
+    indptr = np.zeros((bands, plan.m + 1), dtype=plan.flat.dtype)
+    indptr[:, 1:] = np.cumsum(counts, axis=1)
+    indptr += np.concatenate(([0], np.cumsum(counts.sum(axis=1))[:-1]))[:, None].astype(indptr.dtype)
+    return plan.flat[order], plan.weight[order], indptr
+
+
+@pytest.mark.parametrize("bands", [2, "T"])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_banded_compile_cells(geometry, dtype, bands):
+    """A banded one-shot plan, its ``P`` sample ranges selected in
+    parallel on the band pool, holds exactly the ``P = 1`` select's
+    entries, re-laid out band-major."""
+    setup, coords, _, _ = gridding_problem(geometry, "kb", dtype)
+    coords = setup.check_coords(coords)
+    with _banded(1):
+        one = make_gridder("slice_and_dice_compiled", setup)._compile(coords)
+    with _banded(bands):
+        gridder = make_gridder("slice_and_dice_compiled", setup)
+        threads = _select_threads(gridder)
+        plan = gridder._compile(coords)
+    tile, m = gridder.tile_size, coords.shape[0]
+    p = (tile if bands == "T" else bands) if m else 1
+    assert (one.n_bands, plan.n_bands) == (1, p)
+    if m > 1:
+        assert any(name.startswith("repro-band") for name in threads)
+    for name, got, want in zip(("flat", "weight", "indptr"),
+                               (plan.flat, plan.weight, plan.indptr),
+                               _band_major(one, p, tile)):
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
