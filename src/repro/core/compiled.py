@@ -298,24 +298,27 @@ def working_set(
     chunked: bool = False,
     select: bool = True,
     bands: int = 1,
+    pipelined: bool = False,
 ) -> tuple[int, int]:
     """``(fixed, plan)`` modelled high-water bytes of one pass over an
     ``m``-sample plan (the whole trajectory, or one chunk).
 
-    ``bands`` is the plan's ``P``.
+    ``bands`` is the plan's ``P``; ``pipelined`` marks a chunk mode
+    pass that selects each chunk in halves (module docstring, *Chunk
+    mode*).
     ``fixed`` is O(grid): the ``K``-RHS dice.  ``plan`` is O(m): the
     entries (int32 addresses, with the ``P`` row pointers), the
     select's transients when the pass selects (:func:`select_bytes` of
-    the chunk — an upper bound when the chunk is pipelined, which
-    selects one half at a time, and the budget
+    the chunk, or of its larger half when pipelined — one half is
+    selected at a time; the whole chunk is the budget
     :func:`choose_chunk_samples` needs on any host; one-shot, of the
     ``P`` sample ranges' concurrent steps of at most
     :data:`SELECT_CHUNK_SAMPLES` ``/ P`` samples, where a banded plan
     adds each step's scratch entries and the per-sample band ids), and
     the value-sized buffers — in chunk mode the chunk's
     coordinates, their kept copy and its values or output slice,
-    one-shot the forward output.  The mat-vecs add in place and need
-    no scratch.
+    one-shot the plan's kept copy of the coordinates and the forward
+    output.  The mat-vecs add in place and need no scratch.
 
     Examples
     --------
@@ -331,16 +334,16 @@ def working_set(
     fixed = k_rhs * n_flat * c
     plan = nnz * (isize + r) + bands * (m + 1) * isize
     if select and chunked:
-        plan += select_bytes(m, ndim, width, r)
+        plan += select_bytes(-(-m // 2) if pipelined else m, ndim, width, r, isize)
     elif select:
         step = min(-(-m // bands), SELECT_CHUNK_SAMPLES // bands)
-        plan += bands * select_bytes(step, ndim, width, r)
+        plan += bands * select_bytes(step, ndim, width, r, isize)
         if bands > 1:
             plan += m * width + bands * step * (per * (isize + r) + width * 9)
     if chunked:
         plan += m * (2 * ndim * 8 + k_rhs * c)
-    elif forward:
-        plan += m * k_rhs * c
+    else:
+        plan += m * (ndim * 8 + forward * k_rhs * c)
     return fixed, plan
 
 
@@ -594,9 +597,9 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         checked before each chunk.  The caller closes the generator in
         its ``finally``: that waits for a select still in flight.
         """
-        stats = self._stats_of(k_rhs, forward)
         m, step, binding = coords.shape[0], self.chunk_samples, self._binding
         if step is None:
+            stats = self._stats_of(k_rhs, forward)
             if self.cancel_token is not None:
                 self.cancel_token.check()
             plan, hit = binding.fetch(coords, self._compile)
@@ -610,6 +613,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         flat, weight = self._chunk_flat, self._chunk_weight
         ptr = np.arange(0, size + 1, per, dtype=flat.dtype)[None]
         pipelined = self._n_bands(size) > 1
+        stats = self._stats_of(k_rhs, forward, pipelined)
 
         def select(lo: int, hi: int, at: int) -> None:
             n = (hi - lo) * per
@@ -660,7 +664,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
-    def _stats_of(self, k_rhs: int, forward: bool):
+    def _stats_of(self, k_rhs: int, forward: bool, pipelined: bool = False):
         """A call's ``stats(plan, hit)``: the :class:`GriddingStats` of
         one plan's pass (a whole call, or one chunk), with the table
         bytes and each plan size's working set computed once per call.
@@ -672,9 +676,10 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         LUT reads.  Every issued lane slot does useful work either way
         (``simd_active_lanes == simd_lane_slots == nnz``); value work
         (``interpolations`` MACs, dice accesses) scales with the batch.
-        ``peak_bytes`` is :func:`working_set` of the plan; in chunk
-        mode ``chunk_bytes`` is its O(chunk) part and ``chunks`` counts
-        1.  ``table_bytes`` are the engine's resident ``(G, W)`` axis
+        ``peak_bytes`` is :func:`working_set` of the plan, with one
+        half's select where the chunks are ``pipelined``; in chunk mode
+        ``chunk_bytes`` is its O(chunk) part and ``chunks`` counts 1.
+        ``table_bytes`` are the engine's resident ``(G, W)`` axis
         tables, built here, before any pool task reads them.
         """
         setup = self.setup
@@ -689,6 +694,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                     plan.m, plan.n_flat, setup.ndim, setup.width, setup.dtype,
                     k_rhs=k_rhs, forward=forward,
                     chunked=chunked, select=not hit, bands=plan.n_bands,
+                    pipelined=pipelined,
                 )
             fixed, plan_bytes = models[key]
             checks = 0 if hit else plan.m * setup.width * setup.ndim

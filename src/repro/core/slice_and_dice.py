@@ -99,17 +99,18 @@ def _tables_nbytes(tables: tuple) -> int:
     )
 
 
-def select_bytes(m: int, ndim: int, width: int, rsize: int) -> int:
+def select_bytes(m: int, ndim: int, width: int, rsize: int, isize: int) -> int:
     """Transient bytes of :meth:`SliceAndDiceGridder._select_entries`
-    over ``m`` samples, beyond the entry arrays it writes: the per-axis
-    ``(M, W)`` temporaries (forward distance, LUT index with its two
-    float64 rounding/clip transients, address, weight of ``rsize``
-    bytes) and, in 3-D and up, the ``(M, W^(d-1))`` broadcast
-    intermediates."""
-    per_sample = ndim * width * (4 * 8 + rsize)
+    over ``m`` samples, beyond the entry arrays it writes: the two
+    ``(M, W)`` buffers reused on every axis (float64 forward distance,
+    ``intp`` LUT index), per axis an ``(M, W)`` weight of ``rsize``
+    bytes and address term of ``isize`` bytes (upper bound: all ``d``
+    held), the ``(M,)`` position, fraction and edge test, and, in 3-D
+    and up, the ``(M, W^(d-1))`` broadcast intermediates."""
+    terms = ndim * width
     if ndim > 2:
-        per_sample += width ** (ndim - 1) * (8 + rsize)
-    return m * per_sample
+        terms += width ** (ndim - 1)
+    return m * (width * 16 + 25 + terms * (isize + rsize))
 
 
 class SliceAndDiceGridder(Gridder):
@@ -351,13 +352,17 @@ class SliceAndDiceGridder(Gridder):
         Row ``i`` lists the ``W`` columns ``p`` with forward distance
         ``(rel - p) mod T < W`` in ascending ``p``: ``dist`` holds that
         distance (float64, so ``dist + frac`` is the column loop's
-        ``fwd``), ``addr`` the point's axis term of the dice address —
-        ``p`` times the axis' row stride plus its tile, decremented on
-        a wrap (``rel < p``) modulo the tile count, times the axis'
-        depth stride.
+        ``fwd``; each row is a permutation of ``0 … W-1``), ``addr``
+        the point's axis term of the dice address — ``p`` times the
+        axis' row stride plus its tile, decremented on a wrap (``rel <
+        p``) modulo the tile count, times the axis' depth stride.  The
+        terms are int32 while the dice has fewer than ``2**31`` words,
+        so their sums, the addresses, are too.
         """
         t, w, ndim = self.tile_size, self.setup.width, self.setup.ndim
         counts = self.layout.tile_counts
+        n_flat = self.layout.n_columns * self.layout.n_tiles
+        dtype = np.int32 if n_flat < 2 ** 31 else np.int64
         tables = []
         for axis, g in enumerate(self.setup.grid_shape):
             tile, rel = np.divmod(np.arange(g, dtype=np.int64), t)
@@ -368,7 +373,7 @@ class SliceAndDiceGridder(Gridder):
             tables.append(
                 (
                     ((rel[:, None] - p) % t).astype(np.float64),
-                    p * row_stride + wrapped * depth_stride,
+                    (p * row_stride + wrapped * depth_stride).astype(dtype),
                 )
             )
         return tables
@@ -378,13 +383,22 @@ class SliceAndDiceGridder(Gridder):
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(i, frac)`` per sample on one axis: the integer grid
         position that indexes :attr:`_axis_tables` and the fractional
-        part — the decomposition of :mod:`repro.core.decomposition`."""
-        shifted = np.mod(
-            coords[:, axis] + self.setup.lut.width / 2.0,
-            float(self.setup.grid_shape[axis]),
-        )
-        i = np.floor(shifted).astype(np.int64)
-        return i, shifted - i
+        part — the decomposition of :mod:`repro.core.decomposition`,
+        ``s = (c + W/2) mod G``, ``i = floor(s)``, ``frac = s - i``.
+
+        ``coords`` come from :meth:`GriddingSetup.check_coords`, so ``0
+        <= c <= G`` (its ``np.mod`` rounds a tiny negative up to ``G``),
+        and ``W <= T <= G`` puts ``s' = fl(c + W/2)`` in ``[0, 2G)``.
+        ``np.mod(s', G)`` is ``fmod``'s exact remainder: ``s'`` below
+        ``G``, else ``s' - G``, which one subtraction computes exactly
+        (Sterbenz: ``G <= s' <= 2G``) — ``+0.0`` at ``s' = G`` in both.
+        ``s >= 0``, so the ``intp`` cast truncates to ``floor(s)``.
+        """
+        g = float(self.setup.grid_shape[axis])
+        s = coords[:, axis] + self.setup.lut.width / 2.0
+        np.subtract(s, g, out=s, where=s >= g)
+        i = s.astype(np.intp)
+        return i, np.subtract(s, i, out=s)
 
     def _select_entries(
         self, coords: np.ndarray, flat: np.ndarray, wgt: np.ndarray
@@ -398,29 +412,46 @@ class SliceAndDiceGridder(Gridder):
         per-axis terms of :attr:`_axis_tables` and the weights one
         broadcast product of the per-axis LUT reads, in
         :meth:`_select_column`'s axis order, so every weight is the
-        column loop's.  ``d + frac`` can round up to exactly
-        ``W`` when ``frac`` lies within an ulp of 1; the column loop
-        then drops that column, and this select zeroes its weight,
-        which adds ``±0.0`` and changes no sum.
+        column loop's.  Per axis, one ``(M, W)`` buffer takes the
+        gathered distances and, in place, ``fwd = d + frac``, ``fwd·L``
+        and its ``rint`` — :meth:`KernelLUT.index_of` without its clip:
+        ``d <= W - 1`` and ``frac < 1`` give ``0 <= fwd <= W``, and
+        rounding is monotonic, so the index already lies in ``[0,
+        W·L]``.  ``fwd`` can round up to exactly ``W`` when ``frac``
+        lies within an ulp of 1, and only at the row's ``d = W - 1``;
+        the column loop then drops that column, and this select points
+        its index one past the table, at an appended ``0.0``, which
+        adds ``±0.0`` and changes no sum.
         """
         setup = self.setup
         lut = setup.lut
         w, ndim = setup.width, setup.ndim
         m = coords.shape[0]
+        table = np.append(lut.table, 0.0).astype(setup.real_dtype, copy=False)
+        fwd = np.empty((m, w))
+        index = np.empty((m, w), dtype=np.intp)
         for axis, (dist, axis_addr) in enumerate(self._axis_tables):
             i, frac = self._axis_position(coords, axis)
-            fwd = dist[i] + frac[:, None]
-            w_axis = lut.table[lut.index_of(fwd)].astype(setup.real_dtype, copy=False)
-            outside = fwd >= w
-            if outside.any():
-                w_axis[outside] = 0.0
+            # mode="clip" writes ``out`` directly ("raise" buffers it);
+            # ``i`` already lies in ``[0, G)``
+            np.take(dist, i, axis=0, out=fwd, mode="clip")
+            np.add(fwd, frac[:, None], out=fwd)
+            # the samples whose ``d = W - 1`` entry rounds up to ``W``
+            edge = np.flatnonzero(frac + (w - 1) >= w)
+            outside = fwd[edge] >= w
+            np.multiply(fwd, lut.oversampling, out=fwd)
+            np.rint(fwd, out=fwd)
+            np.copyto(index, fwd, casting="unsafe")
+            index[edge] += outside
+            w_axis = np.take(table, index)
+            a_axis = np.take(axis_addr, i, axis=0)
             if axis == 0:
-                addr, weight = axis_addr[i], w_axis
+                addr, weight = a_axis, w_axis
                 continue
             shape = (m, addr.shape[1], w)
             last = axis == ndim - 1
             addr = np.add(
-                addr[:, :, None], axis_addr[i][:, None, :],
+                addr[:, :, None], a_axis[:, None, :],
                 out=flat.reshape(shape) if last else None,
             ).reshape(m, -1)
             # the products of ``weight[:, :, None] * w_axis[:, None, :]``;

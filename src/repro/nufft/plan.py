@@ -295,12 +295,18 @@ class NufftPlan:
         self.coords = coords
         #: coordinates mapped to grid units [0, G); omega and omega + 1
         #: are the same frequency for integer pixel positions, so the
-        #: torus mapping is exact (no phase correction needed).  A tiny
-        #: negative omega rounds to exactly 1.0 under ``mod 1``, landing
-        #: on G: those entries get, once and in place, the ``np.mod`` the
-        #: gridder's torus wrap would otherwise apply on every call.
+        #: torus mapping is exact (no phase correction needed).
+        #: ``x - floor(x)`` is ``np.mod(x, 1.0)`` bit for bit on every
+        #: finite float64 (and a fraction of ``np.mod``'s cost): ``floor``
+        #: is exact, and both round the one real number ``x - floor(x)``
+        #: once — ``np.mod`` as ``fmod(x, 1) + 1`` for a negative
+        #: non-integer, both ``+0.0`` on an integer.  A tiny negative
+        #: omega rounds to exactly 1.0, landing on G: those entries get,
+        #: once and in place, the ``np.mod`` the gridder's torus wrap
+        #: would otherwise apply on every call.
         shape = np.asarray(self.grid_shape, dtype=np.float64)
-        self.grid_coords = np.mod(coords, 1.0) * shape
+        self.grid_coords = coords - np.floor(coords)
+        self.grid_coords *= shape
         np.mod(
             self.grid_coords, shape, out=self.grid_coords,
             where=self.grid_coords >= shape,

@@ -182,9 +182,9 @@ class TestMemory:
         noise floor, never over by 2x.  Each case's working set is many
         times that floor, so an undercount in the model shows."""
         cases = [  # (grid shape, W, dtype, chunk samples)
-            ((64, 64), 6, np.complex128, 12288),
-            ((64, 64), 6, np.complex64, 16384),
-            ((32, 32, 32), 4, np.complex128, 6144),
+            ((64, 64), 6, np.complex128, 16384),
+            ((64, 64), 6, np.complex64, 20480),
+            ((32, 32, 32), 4, np.complex128, 8192),
         ]
         for shape, width, dtype, chunk in cases:
             setup = GriddingSetup(

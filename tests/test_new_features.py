@@ -139,18 +139,19 @@ class TestBatchNufft:
                 assert np.array_equal(batch[b], plan.adjoint(vals[b])), (cell, b)
 
     def test_batch_timings_accumulate(self, plan, rng):
-        """Batch timings cover the whole batched pass (loose wall-clock
-        bound: scheduling noise must not flake this).  The warm-up call
-        populates the gridder's table cache so the single/batch
-        comparison is cached-vs-cached, not build-vs-cached."""
+        """The batch call's record covers its whole pass: all 4 RHS.
+        Op counts, not wall-clocks, carry the claim (two calls under
+        10 ms compare by scheduling noise): the batch does 4x the
+        single call's MACs on one select of the same samples."""
         vals = rng.standard_normal((4, 80)) + 1j * rng.standard_normal((4, 80))
-        plan.adjoint(vals[0])  # warm the select-table cache
         plan.adjoint(vals[0])
-        single_time = plan.timings.total
+        single = plan.gridder.stats
         plan.adjoint_batch(vals)
-        batch_time = plan.timings.total
-        assert batch_time > single_time
-        assert batch_time > 0
+        batch = plan.gridder.stats
+        assert batch.interpolations == 4 * single.interpolations > 0
+        assert batch.grid_accesses == 4 * single.grid_accesses
+        assert batch.samples_processed == single.samples_processed == 80
+        assert plan.timings.gridding > 0 and plan.timings.fft > 0
 
     def test_shape_validation(self, plan):
         with pytest.raises(ValueError, match="images"):
